@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -230,17 +229,10 @@ def cmd_gen_data(args) -> None:
     n_total = n_train + n_test
     trajectories = generate_trajectories(args.seed, scenario, n_total)
 
-    def simulate(i: int):
-        traj = trajectories[i]
-        start = steady_state(scenario, traj.value(0.0), solver_cfg)
-        return run_experiment(scenario, traj, start, solver_cfg)
-
-    workers = int(os.environ.get("FLOWPSM_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(simulate, range(n_total)))
-    else:
-        records = [simulate(i) for i in range(n_total)]
+    records = [
+        run_experiment(scenario, traj, steady_state(scenario, traj.value(0.0), solver_cfg), solver_cfg)
+        for traj in trajectories
+    ]
 
     (outdir / "records").mkdir(exist_ok=True)
     rel_paths = []

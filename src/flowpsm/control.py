@@ -120,7 +120,8 @@ def linearize(
     """Jacobians of the one-step state map via directional derivatives.
 
     Column j of A is the output tangent along the j-th x0 input axis (and
-    likewise B along the control axes), evaluated at the station rows.
+    likewise B along the control axes), evaluated at the station rows; one
+    stacked tangent pass gives all q + p columns.
     """
     lay = input_layout(scenario)
     x00 = np.asarray(x00, dtype=float)
@@ -129,18 +130,11 @@ def linearize(
         raise ConfigError("linearization point does not match the scenario layout")
     rows = _fill_rows(station_inputs(scenario, scaling), lay, x00, v00)
     y00 = forward(spec, params, rows).T.ravel()
-    q, p = lay.n_state, lay.n_controls
-    A = np.empty((q, q))
-    B = np.empty((q, p))
-    x0_start = lay.x0_cols.start
-    for j in range(q):
-        e = np.zeros(lay.input_dim)
-        e[x0_start + j] = 1.0
-        A[:, j] = input_jacobian(spec, params, rows, e).T.ravel()
-    for j in range(p):
-        e = np.zeros(lay.input_dim)
-        e[2 + j] = 1.0
-        B[:, j] = input_jacobian(spec, params, rows, e).T.ravel()
+    q = lay.n_state
+    axes = np.eye(lay.input_dim)[np.r_[lay.x0_cols, lay.v_cols]]
+    # (q+p, s, 3) tangents -> fields-major columns, as y00 is laid out
+    J = input_jacobian(spec, params, rows, axes).transpose(0, 2, 1).reshape(axes.shape[0], -1).T
+    A, B = J[:, :q], J[:, q:]
     return LinearSSM(A=A, B=B, x00=x00.copy(), v00=v00.copy(), y00=y00)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, input_jacobian
+from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, stacked_forward
 from .solver import SimulationRecord
 from .training import (
     Dataset,
@@ -254,25 +254,13 @@ def pde_residuals(
     rows[:, lay.v_cols] = np.repeat(v_star, nz, axis=0)
     rows[:, lay.x0_cols] = np.repeat(x0_star, nz, axis=0)
 
-    e_z = np.zeros(lay.input_dim)
-    e_z[lay.z_col] = 1.0
-    e_t = np.zeros(lay.input_dim)
-    e_t[lay.t_col] = 1.0
-    outs = forward(spec, params, rows)
-    tan_z = input_jacobian(spec, params, rows, e_z)
-    tan_t = input_jacobian(spec, params, rows, e_t)
+    axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
+    outs, tan_z, tan_t = (y.T for y in stacked_forward(spec, params, rows, axes).outputs)
 
     closures = pointwise_closures(
         scenario, np.tile(zc, n_cond), scaling.unscale_v(rows[:, lay.v_cols])
     )
-    r = physics_residuals(
-        (outs[:, 0], outs[:, 1], outs[:, 2]),
-        (tan_z[:, 0], tan_z[:, 1], tan_z[:, 2]),
-        (tan_t[:, 0], tan_t[:, 1], tan_t[:, 2]),
-        closures,
-        scenario,
-        scaling,
-    )
+    r = physics_residuals(outs, tan_z, tan_t, closures, scenario, scaling)
     mass, momentum, energy = (part.reshape(n_cond, nz).mean(axis=0) for part in r)
     return zc.copy(), PdeResidualSet(mass=mass, momentum=momentum, energy=energy)
 

@@ -1,4 +1,4 @@
-"""Dense head/intermediate/tail network and its optimizer.
+"""Dense head/intermediate/tail network, its derivative kernel and its optimizer.
 
 The surrogate maps a scaled input row (z*, t*, v*, x0*) to the three scaled
 field values (p*, u*, T*). Three shared head layers feed one intermediate
@@ -6,16 +6,15 @@ layer, which fans out into three independent tail branches, one per field,
 each ending in a scalar linear output. Hidden activations are tanh
 (identity is available for linear test builds); outputs are identity.
 
-Three forward flavors share the same weights:
-
-* ``forward``: pure numpy, batched, used everywhere gradients are not needed;
-* ``forward_tape``: the same pass on autodiff Tensors for parameter gradients;
-* ``forward_with_tangents``: the tape pass carrying forward-mode tangent
-  channels for chosen input directions; the tangents are built from tape ops,
-  so losses containing these directional derivatives backpropagate exactly.
-
-``input_jacobian`` is the tape-free numpy tangent pass for fast Jacobian
-assembly (linearization, diagnostics).
+Every pass goes through one closed-form kernel, ``stacked_forward``. It
+carries the B value rows and k forward-mode tangent channels (directional
+derivatives along chosen input directions) through each layer as a single
+stacked ((k+1)B, w) matmul: the bias enters the value rows only, and the
+tanh gate 1 - h^2 scales the tangent rows. ``StackedPass.gradient`` is the
+hand-written reverse pass through that stack (forward-over-reverse), so a
+loss built from values and directional derivatives gets its exact
+parameter gradient. ``forward`` and ``input_jacobian`` are the kernel's
+value and tangent outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, tanh
 from .errors import NumericalError
 from .transport import ConfigError
 
@@ -32,9 +30,9 @@ __all__ = [
     "MlpSpec",
     "ParamStore",
     "init_params",
+    "StackedPass",
+    "stacked_forward",
     "forward",
-    "forward_tape",
-    "forward_with_tangents",
     "input_jacobian",
     "optimizer_step",
     "learning_rate",
@@ -149,160 +147,124 @@ def init_params(spec: MlpSpec, seed: int) -> ParamStore:
 
 # ===================== forward passes =====================
 
+_TRUNK = ("head0", "head1", "head2", "inter")
+
+
+@dataclass
+class StackedPass:
+    """One kernel call: stacked outputs, plus what the reverse pass reads.
+
+    ``outputs[0]`` is the (B, 3) field triple per row and ``outputs[1 + i]``
+    its directional derivative along direction i.
+    """
+
+    spec: MlpSpec
+    params: ParamStore
+    outputs: np.ndarray  # (k+1, B, 3)
+    saved: dict | None  # layer name -> (input stack, tanh value h, tangent pre-activations)
+
+    def gradient(self, cotangent) -> np.ndarray:
+        """Flat parameter gradient of sum(cotangent * outputs), aligned with the layout."""
+        if self.saved is None:
+            raise ValueError("stacked_forward was called without keep=True")
+        g_out = np.asarray(cotangent, dtype=np.float64)
+        if g_out.shape != self.outputs.shape:
+            raise ConfigError("cotangent shape does not match the stacked outputs")
+        grad = ParamStore(spec=self.spec, flat=np.zeros_like(self.params.flat),
+                          layout=self.params.layout)
+        g_inter = 0.0
+        for f, fname in enumerate(FIELD_ORDER):
+            g = self._layer_vjp(f"out_{fname}", g_out[:, :, f : f + 1], grad, gated=False)
+            g_inter = g_inter + self._layer_vjp(f"tail_{fname}", g, grad, gated=True)
+        g = g_inter
+        for name in reversed(_TRUNK):
+            g = self._layer_vjp(name, g, grad, gated=True)
+        return grad.flat
+
+    def _layer_vjp(self, name: str, g_h: np.ndarray, grad: ParamStore, gated: bool) -> np.ndarray:
+        """Weight and bias gradients of one layer; returns its input cotangent."""
+        h_in, h, da = self.saved[name]
+        if gated and self.spec.activation == "tanh":
+            gate = 1.0 - h * h
+            g_a = np.empty_like(g_h)
+            g_a[0] = (g_h[0] - 2.0 * h * np.sum(g_h[1:] * da, axis=0)) * gate
+            g_a[1:] = g_h[1:] * gate
+        else:
+            g_a = g_h
+        rows = g_a.shape[0] * g_a.shape[1]
+        w = self.params.view(f"{name}.w")
+        g_a2 = g_a.reshape(rows, -1)
+        grad.view(f"{name}.w")[:] = g_a2.T @ h_in.reshape(rows, -1)
+        grad.view(f"{name}.b")[:] = g_a[0].sum(axis=0)
+        return (g_a2 @ w).reshape(h_in.shape)
+
+
+def _layer(params: ParamStore, name: str, h_in: np.ndarray, use_tanh: bool, saved):
+    """One stacked dense layer; h_in and the result are (k+1, B, width)."""
+    n_stack, n_rows, _ = h_in.shape
+    a = (h_in.reshape(n_stack * n_rows, -1) @ params.view(f"{name}.w").T).reshape(n_stack, n_rows, -1)
+    a[0] += params.view(f"{name}.b")
+    if not use_tanh:
+        if saved is not None:
+            saved[name] = (h_in, None, None)
+        return a
+    h = np.tanh(a[0], out=a[0])
+    if saved is not None:
+        saved[name] = (h_in, h, a[1:].copy())
+    gate = h * h
+    a[1:] *= np.subtract(1.0, gate, out=gate)
+    return a
+
+
+def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
+                    keep: bool = False) -> StackedPass:
+    """Values and directional derivatives of the net in one stacked pass.
+
+    ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
+    input-space directions applied to every row. With ``keep`` the layer
+    activations are saved so ``gradient`` can run the reverse pass.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
+    if x.ndim != 2 or d.ndim != 2 or x.shape[1] != spec.input_dim or d.shape[1] != spec.input_dim:
+        raise ConfigError(
+            f"inputs and directions must have {spec.input_dim} columns, got shapes {x.shape} and {d.shape}"
+        )
+    h = np.empty((1 + d.shape[0], x.shape[0], spec.input_dim))
+    h[0] = x
+    h[1:] = d[:, None, :]
+    use_tanh = spec.activation == "tanh"
+    saved = {} if keep else None
+    for name in _TRUNK:
+        h = _layer(params, name, h, use_tanh, saved)
+    cols = [
+        _layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, use_tanh, saved), False, saved)
+        for fname in FIELD_ORDER
+    ]
+    return StackedPass(spec=spec, params=params, outputs=np.concatenate(cols, axis=2), saved=saved)
+
 
 def forward(spec: MlpSpec, params: ParamStore, x) -> np.ndarray:
-    """Batched numpy evaluation: (batch, input_dim) -> (batch, 3)."""
+    """Batched evaluation: (batch, input_dim) -> (batch, 3); one row -> (3,)."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != spec.input_dim:
-        raise ConfigError(f"input must have {spec.input_dim} columns, got shape {x.shape}")
-    act = np.tanh if spec.activation == "tanh" else (lambda a: a)
-    h = x
-    for name in ("head0", "head1", "head2", "inter"):
-        h = act(h @ params.view(f"{name}.w").T + params.view(f"{name}.b"))
-    cols = []
-    for fname in FIELD_ORDER:
-        t = act(h @ params.view(f"tail_{fname}.w").T + params.view(f"tail_{fname}.b"))
-        cols.append(t @ params.view(f"out_{fname}.w").T + params.view(f"out_{fname}.b"))
-    out = np.concatenate(cols, axis=1)
-    return out[0] if squeeze else out
+    out = stacked_forward(spec, params, np.atleast_2d(x)).outputs[0]
+    return out[0] if x.ndim == 1 else out
 
 
-def input_jacobian(spec: MlpSpec, params: ParamStore, x, direction) -> np.ndarray:
-    """Directional derivative d(outputs)/d(inputs) . direction, tape-free.
+def input_jacobian(spec: MlpSpec, params: ParamStore, x, directions) -> np.ndarray:
+    """Directional derivatives d(outputs)/d(inputs) . direction for a stack of directions.
 
-    ``direction`` is one input-space vector (applied to every batch row) or a
-    per-row array matching x. Returns the output tangent with x's batch shape.
+    ``directions`` is one input-space vector, giving an array with x's batch
+    shape and 3 output columns, or a (k, input_dim) stack, giving one such
+    array per direction along a leading axis. Each direction applies to
+    every row.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    s = np.broadcast_to(np.asarray(direction, dtype=np.float64), x.shape)
-    tanh_act = spec.activation == "tanh"
-    h, dh = x, s
-    for name in ("head0", "head1", "head2", "inter"):
-        w = params.view(f"{name}.w")
-        a = h @ w.T + params.view(f"{name}.b")
-        da = dh @ w.T
-        if tanh_act:
-            h = np.tanh(a)
-            dh = (1.0 - h * h) * da
-        else:
-            h, dh = a, da
-    cols = []
-    for fname in FIELD_ORDER:
-        w = params.view(f"tail_{fname}.w")
-        a = h @ w.T + params.view(f"tail_{fname}.b")
-        da = dh @ w.T
-        if tanh_act:
-            t = np.tanh(a)
-            dt = (1.0 - t * t) * da
-        else:
-            t, dt = a, da
-        cols.append(dt @ params.view(f"out_{fname}.w").T)
-    out = np.concatenate(cols, axis=1)
-    return out[0] if squeeze else out
-
-
-class TapeParams:
-    """Tensor leaves for every layer, built once per loss evaluation."""
-
-    def __init__(self, params: ParamStore):
-        self.params = params
-        self.tensors: dict[str, Tensor] = {
-            name: Tensor(params.flat[start:stop].reshape(shape))
-            for name, shape, start, stop in params.layout
-        }
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def grad_vector(self) -> np.ndarray:
-        """Flat gradient aligned with the store layout (zeros where unused)."""
-        g = np.zeros_like(self.params.flat)
-        for name, shape, start, stop in self.params.layout:
-            t = self.tensors[name]
-            if t.grad is not None:
-                g[start:stop] = t.grad.ravel()
-        return g
-
-
-def _act_tape(spec: MlpSpec, a: Tensor) -> Tensor:
-    return tanh(a) if spec.activation == "tanh" else a
-
-
-def _linear(tape: TapeParams, name: str, h: Tensor) -> Tensor:
-    w, b = tape[f"{name}.w"], tape[f"{name}.b"]
-    return h @ _transpose(w) + b
-
-
-def forward_tape(spec: MlpSpec, tape: TapeParams, x) -> tuple[Tensor, Tensor, Tensor]:
-    """Tape forward; returns the three (batch, 1) field outputs."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != spec.input_dim:
-        raise ConfigError(f"input must have {spec.input_dim} columns, got shape {x.shape}")
-    h = Tensor(x)
-    for name in ("head0", "head1", "head2", "inter"):
-        h = _act_tape(spec, _linear(tape, name, h))
-    outs = []
-    for fname in FIELD_ORDER:
-        t = _act_tape(spec, _linear(tape, f"tail_{fname}", h))
-        outs.append(_linear(tape, f"out_{fname}", t))
-    return tuple(outs)
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.value.T, (t,))
-    out._vjp = lambda g: t._accumulate(g.T)
-    return out
-
-
-def forward_with_tangents(
-    spec: MlpSpec, tape: TapeParams, x, directions
-) -> tuple[tuple[Tensor, ...], list[tuple[Tensor, ...]]]:
-    """Tape forward carrying one tangent channel per input direction.
-
-    Returns (outputs, tangents): outputs is the (p*, u*, T*) Tensor triple,
-    tangents[i] is the matching triple of directional derivatives along
-    directions[i]. All six live on the same tape, so a loss mixing values
-    and derivatives differentiates exactly w.r.t. the parameters.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != spec.input_dim:
-        raise ConfigError(f"input must have {spec.input_dim} columns, got shape {x.shape}")
-    h = Tensor(x)
-    dhs = [Tensor(np.broadcast_to(np.asarray(d, dtype=np.float64), x.shape).copy()) for d in directions]
-    use_tanh = spec.activation == "tanh"
-    for name in ("head0", "head1", "head2", "inter"):
-        wT = _transpose(tape[f"{name}.w"])
-        a = h @ wT + tape[f"{name}.b"]
-        das = [dh @ wT for dh in dhs]
-        if use_tanh:
-            h = tanh(a)
-            gate = 1.0 - h * h
-            dhs = [gate * da for da in das]
-        else:
-            h, dhs = a, das
-    outs: list[Tensor] = []
-    touts: list[list[Tensor]] = [[] for _ in directions]
-    for fname in FIELD_ORDER:
-        wT = _transpose(tape[f"tail_{fname}.w"])
-        a = h @ wT + tape[f"tail_{fname}.b"]
-        das = [dh @ wT for dh in dhs]
-        if use_tanh:
-            t = tanh(a)
-            gate = 1.0 - t * t
-            dts = [gate * da for da in das]
-        else:
-            t, dts = a, das
-        owT = _transpose(tape[f"out_{fname}.w"])
-        outs.append(t @ owT + tape[f"out_{fname}.b"])
-        for i, dt in enumerate(dts):
-            touts[i].append(dt @ owT)
-    return tuple(outs), [tuple(ts) for ts in touts]
+    d = np.asarray(directions, dtype=np.float64)
+    out = stacked_forward(spec, params, np.atleast_2d(x), np.atleast_2d(d)).outputs[1:]
+    if x.ndim == 1:
+        out = out[:, 0]
+    return out[0] if d.ndim == 1 else out
 
 
 # ===================== optimizer =====================

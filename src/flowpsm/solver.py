@@ -55,7 +55,6 @@ __all__ = [
     "run_experiment",
     "inject_degradation",
     "sensor_readout",
-    "applied_source",
 ]
 
 # control rollouts may exceed training ranges by this fraction of the span
@@ -145,6 +144,8 @@ class _Plan:
     dzf: np.ndarray  # face control-volume widths
     fric: np.ndarray  # (f/D_h) per face
     grav: np.ndarray  # gravity component per face
+    cell_fric: np.ndarray  # (f/D_h) per cell
+    cell_grav: np.ndarray  # gravity component per cell
     q_fixed: np.ndarray  # W/m^3 per cell
     q_ctrl: np.ndarray  # (n_cells, n_controls) source coupling matrix
     is_loop: bool
@@ -205,6 +206,8 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
         dzf=dzf,
         fric=fric,
         grav=grav,
+        cell_fric=cell_fric,
+        cell_grav=cell_grav,
         q_fixed=q_fixed,
         q_ctrl=q_ctrl,
         is_loop=is_loop,
@@ -212,12 +215,6 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
         v_lo=np.array([r[0] for r in scenario.input_ranges]),
         v_hi=np.array([r[1] for r in scenario.input_ranges]),
     )
-
-
-def applied_source(scenario: ScenarioConfig, v) -> np.ndarray:
-    """Volumetric source per cell (W/m^3) for control vector v."""
-    plan = _plan(scenario)
-    return plan.q_fixed + plan.q_ctrl @ np.asarray(v, dtype=float)
 
 
 def _check_inputs(plan: _Plan, v: np.ndarray) -> None:

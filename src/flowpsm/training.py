@@ -16,45 +16,41 @@ snapshot. Closed-loop rollout aliases the model's own station predictions
 as the next step's x0.
 
 The physics loss evaluates the mass, momentum, and energy residuals at
-random collocation points. Outputs are unscaled inside the autodiff graph,
-spatial/temporal derivatives come from forward-mode tangent channels
-carried through the tape, and the three residuals are nondimensionalized
-(see ``PdeResidualSet``) before a Log-Cosh penalty against zero.
+random collocation points. Spatial/temporal derivatives come from the
+network kernel's tangent channels along the z* and t* axes, and the three
+residuals are nondimensionalized (see ``PdeResidualSet``) before a Log-Cosh
+penalty against zero. ``physics_residuals_adjoint`` carries the loss
+gradient back onto those values and tangents for the kernel's reverse pass.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, absval, logcosh, logcosh_np
 from .errors import NumericalError
 from .network import (
     FIELD_ORDER,
     MlpSpec,
     ParamStore,
-    TapeParams,
     forward,
-    forward_tape,
-    forward_with_tangents,
     init_params,
     learning_rate,
     optimizer_step,
+    stacked_forward,
 )
-from .solver import SimulationRecord
+from .solver import SimulationRecord, _plan
 from .transport import (
     ConfigError,
     ScalingSpec,
     ScenarioConfig,
-    build_grid,
     density,
     scenario_fingerprint,
 )
 
 __all__ = [
-    "Sample",
     "NoiseSpec",
     "TrainConfig",
     "Dataset",
@@ -67,16 +63,15 @@ __all__ = [
     "assemble_dataset",
     "sample_collocation",
     "add_noise",
+    "logcosh_np",
     "measurement_loss",
     "physics_loss",
+    "loss_and_gradient",
     "train",
     "rollout_evaluate",
     "RolloutResult",
     "evaluate_records",
 ]
-
-# instrumentation: bumped on every physics_loss evaluation
-physics_eval_count = 0
 
 
 @dataclass(frozen=True)
@@ -124,17 +119,6 @@ def mlp_for_scenario(scenario: ScenarioConfig, widths=(200, 100, 100)) -> MlpSpe
         intermediate_width=widths[1],
         tail_width=widths[2],
     )
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One dataset row in physical units."""
-
-    z: float  # m
-    t: float  # s, 0 or delta_t
-    v: np.ndarray  # (n_controls,)
-    x0: np.ndarray  # (3 * n_stations,) fields-major sensor snapshot
-    target: np.ndarray  # (3,) field triple (p, u, T) at (z, t)
 
 
 @dataclass(frozen=True)
@@ -198,12 +182,6 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.z.size
-
-    def sample(self, i: int) -> Sample:
-        return Sample(
-            z=float(self.z[i]), t=float(self.t[i]),
-            v=self.v[i].copy(), x0=self.x0[i].copy(), target=self.targets[i].copy(),
-        )
 
     def scaled(self, scaling: ScalingSpec) -> Batch:
         """Full corpus as one scaled Batch (fields-major x0 scaling)."""
@@ -342,20 +320,17 @@ def add_noise(batch: Batch, noise: NoiseSpec, rng, layout: InputLayout) -> Batch
 
 # ===================== losses =====================
 
+_LN2 = math.log(2.0)
 
-def measurement_loss(predictions, targets):
-    """Mean Log-Cosh over batch and field channels.
 
-    Tape mode when ``predictions`` is the (p*, u*, T*) Tensor triple; plain
-    numpy when it is a (B, 3) array.
-    """
-    if isinstance(predictions, (tuple, list)):
-        targets = np.asarray(targets, dtype=np.float64)
-        total = None
-        for i, out in enumerate(predictions):
-            term = logcosh(out - targets[:, i : i + 1]).mean()
-            total = term if total is None else total + term
-        return total * (1.0 / len(predictions))
+def logcosh_np(x: np.ndarray) -> np.ndarray:
+    """log(cosh(x)) evaluated as |x| + log1p(exp(-2|x|)) - log 2 (no overflow)."""
+    a = np.abs(x)
+    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+
+
+def measurement_loss(predictions, targets) -> float:
+    """Mean Log-Cosh over batch and field channels of (B, 3) arrays."""
     return float(np.mean(logcosh_np(np.asarray(predictions) - np.asarray(targets))))
 
 
@@ -377,25 +352,12 @@ class PdeResidualSet:
         return {"mass": self.mass, "momentum": self.momentum, "energy": self.energy}
 
 
-@functools.lru_cache(maxsize=32)
-def _segment_tables(scenario: ScenarioConfig):
-    grid = build_grid(scenario)
-    fric = np.array([s.friction_factor / s.hydraulic_diameter for s in scenario.segments])
-    grav = np.array([s.gravity_component for s in scenario.segments])
-    q_fix = np.array([s.heat_source for s in scenario.segments])
-    q_ctrl = np.zeros((len(scenario.segments), scenario.n_controls))
-    for i, s in enumerate(scenario.segments):
-        if s.volumetric_source_id is not None:
-            q_ctrl[i, scenario.channel_index(s.volumetric_source_id)] = s.source_scale
-    return grid, fric, grav, q_fix, q_ctrl
-
-
 def pointwise_closures(scenario: ScenarioConfig, z_phys: np.ndarray, v_phys: np.ndarray):
-    """(f/D_h, g, q''') arrays evaluated at physical positions and controls."""
-    grid, fric, grav, q_fix, q_ctrl = _segment_tables(scenario)
-    segs = grid.segment_of_cell[grid.cell_of_z(z_phys)]
-    q = q_fix[segs] + np.einsum("bc,bc->b", q_ctrl[segs], v_phys)
-    return fric[segs], grav[segs], q
+    """(f/D_h, g, q''') arrays at physical positions and controls, from the solver's cell table."""
+    plan = _plan(scenario)
+    cells = plan.grid.cell_of_z(z_phys)
+    q = plan.q_fixed[cells] + np.einsum("bc,bc->b", plan.q_ctrl[cells], v_phys)
+    return plan.cell_fric[cells], plan.cell_grav[cells], q
 
 
 def _reference_scales(scaling: ScalingSpec, fluid):
@@ -410,16 +372,9 @@ def _reference_scales(scaling: ScalingSpec, fluid):
     )
 
 
-def physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling):
-    """Nondimensional PDE residual triple; works on Tensors or ndarrays.
-
-    outs/tans are the (p*, u*, T*) triples of values and of directional
-    derivatives along the scaled z and t axes. Unscaling and chain-rule
-    factors are applied here so everything stays inside the graph when the
-    inputs are Tensors.
-    """
+def _physical_terms(outs, tans_z, tans_t, scenario, scaling):
+    """u, rho and the physical z/t derivatives the residuals are built from."""
     fluid = scenario.fluid
-    fric, grav, q = closures
     span_p, span_u, span_T = (scaling.span(n) for n in FIELD_ORDER)
     u = outs[1] * span_u + scaling.u_min
     T = outs[2] * span_T + scaling.T_min
@@ -429,29 +384,81 @@ def physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling):
     dT_dz = tans_z[2] * (span_T / scaling.z_max)
     du_dt = tans_t[1] * (span_u / scaling.t_max)
     dT_dt = tans_t[2] * (span_T / scaling.t_max)
+    return u, rho, dp_dz, du_dz, dT_dz, du_dt, dT_dt
+
+
+def physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling):
+    """Nondimensional PDE residual triple.
+
+    outs/tans are the (p*, u*, T*) triples of values and of directional
+    derivatives along the scaled z and t axes; unscaling and chain-rule
+    factors are applied here.
+    """
+    fluid = scenario.fluid
+    fric, grav, q = closures
+    u, rho, dp_dz, du_dz, dT_dz, du_dt, dT_dt = _physical_terms(outs, tans_z, tans_t, scenario, scaling)
     drho_dz = -fluid.rho_b * dT_dz
     drho_dt = -fluid.rho_b * dT_dt
-    u_abs = absval(u) if isinstance(u, Tensor) else np.abs(u)
     r_mass = drho_dt + rho * du_dz + u * drho_dz
     r_mom = (
         rho * du_dt + rho * u * du_dz + dp_dz - rho * grav
-        + 0.5 * fric * rho * u * u_abs
+        + 0.5 * fric * rho * u * np.abs(u)
     )
     r_energy = rho * fluid.cp * (dT_dt + u * dT_dz) - q
     s_mass, s_mom, s_energy = _reference_scales(scaling, fluid)
     return r_mass * (1.0 / s_mass), r_mom * (1.0 / s_mom), r_energy * (1.0 / s_energy)
 
 
-def physics_loss(spec: MlpSpec, params, collocation: np.ndarray, scenario: ScenarioConfig,
-                 scaling: ScalingSpec) -> tuple[Tensor, PdeResidualSet]:
+def physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling, cotangents):
+    """Reverse pass of ``physics_residuals``.
+
+    ``cotangents`` is the (mass, momentum, energy) triple of gradients with
+    respect to the residuals. Returns the gradients with respect to outs,
+    tans_z and tans_t, each stacked field-major as (3, ...).
+    """
+    fluid = scenario.fluid
+    fric, grav, _ = closures
+    u, rho, _, du_dz, dT_dz, du_dt, dT_dt = _physical_terms(outs, tans_z, tans_t, scenario, scaling)
+    s_mass, s_mom, s_energy = _reference_scales(scaling, fluid)
+    g_mass = cotangents[0] * (1.0 / s_mass)
+    g_mom = cotangents[1] * (1.0 / s_mom)
+    g_energy = cotangents[2] * (1.0 / s_energy)
+    # gradients w.r.t. rho, u and dT_dt; rho = rho_a - rho_b*T feeds the T ones
+    g_rho = (
+        g_mass * du_dz
+        + g_mom * (du_dt + u * du_dz - grav + 0.5 * fric * u * np.abs(u))
+        + g_energy * fluid.cp * (dT_dt + u * dT_dz)
+    )
+    g_u = (
+        -fluid.rho_b * g_mass * dT_dz
+        + g_mom * rho * (du_dz + fric * np.abs(u))
+        + g_energy * rho * fluid.cp * dT_dz
+    )
+    g_dT_dt = g_energy * rho * fluid.cp
+    span_p, span_u, span_T = (scaling.span(n) for n in FIELD_ORDER)
+    zero = np.zeros_like(g_u)
+    g_outs = np.stack([zero, g_u * span_u, -fluid.rho_b * g_rho * span_T])
+    g_tans_z = np.stack([
+        g_mom * (span_p / scaling.z_max),
+        (g_mass + g_mom * u) * rho * (span_u / scaling.z_max),
+        (g_dT_dt - fluid.rho_b * g_mass) * u * (span_T / scaling.z_max),
+    ])
+    g_tans_t = np.stack([
+        zero,
+        g_mom * rho * (span_u / scaling.t_max),
+        (g_dT_dt - fluid.rho_b * g_mass) * (span_T / scaling.t_max),
+    ])
+    return g_outs, g_tans_z, g_tans_t
+
+
+def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
+                 scenario: ScenarioConfig, scaling: ScalingSpec
+                 ) -> tuple[float, PdeResidualSet, np.ndarray]:
     """Mean Log-Cosh of the nondimensional residuals at collocation inputs.
 
-    ``params`` may be a ParamStore (standalone call) or a TapeParams already
-    in use by a measurement loss, so both losses share one backward sweep.
+    Returns the loss, the residuals, and the loss's flat parameter gradient,
+    from one kernel pass along the z* and t* axes and its reverse.
     """
-    global physics_eval_count
-    physics_eval_count += 1
-    tape = params if isinstance(params, TapeParams) else TapeParams(params)
     colloc = np.asarray(collocation, dtype=np.float64)
     lay_n = spec.input_dim
     if colloc.ndim != 2 or colloc.shape[1] != lay_n:
@@ -462,23 +469,34 @@ def physics_loss(spec: MlpSpec, params, collocation: np.ndarray, scenario: Scena
 
     n_controls = len(scenario.control_channels)
     v_phys = scaling.unscale_v(colloc[:, 2 : 2 + n_controls])
-    z_phys = scaling.unscale_z(z_star)
-    fric, grav, q = pointwise_closures(scenario, z_phys, v_phys)
-    closures = (fric[:, None], grav[:, None], q[:, None])
+    closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
-    e_z = np.zeros(lay_n)
-    e_z[0] = 1.0
-    e_t = np.zeros(lay_n)
-    e_t[1] = 1.0
-    outs, tans = forward_with_tangents(spec, tape, colloc, [e_z, e_t])
-    r_mass, r_mom, r_energy = physics_residuals(outs, tans[0], tans[1], closures, scenario, scaling)
-    loss = (logcosh(r_mass).mean() + logcosh(r_mom).mean() + logcosh(r_energy).mean()) * (1.0 / 3.0)
-    residuals = PdeResidualSet(
-        mass=r_mass.value.ravel().copy(),
-        momentum=r_mom.value.ravel().copy(),
-        energy=r_energy.value.ravel().copy(),
-    )
-    return loss, residuals
+    run = stacked_forward(spec, params, colloc, np.eye(2, lay_n), keep=True)
+    outs, tans_z, tans_t = (y.T for y in run.outputs)
+    residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
+    loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
+    # the derivative of Log-Cosh is tanh
+    cotangents = [np.tanh(r) * (1.0 / (3.0 * r.size)) for r in residuals]
+    g_stacks = physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling, cotangents)
+    grad = run.gradient(np.stack(g_stacks).transpose(0, 2, 1))
+    return loss, PdeResidualSet(*residuals), grad
+
+
+def loss_and_gradient(spec: MlpSpec, params: ParamStore, batch: Batch, collocation,
+                      scenario: ScenarioConfig, scaling: ScalingSpec,
+                      alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
+    """L_m, L_p and the flat parameter gradient of alpha*L_m + beta*L_p.
+
+    ``collocation`` is None when beta is 0; L_p is then 0 and not evaluated.
+    """
+    run = stacked_forward(spec, params, batch.inputs, keep=True)
+    loss_m = measurement_loss(run.outputs[0], batch.targets)
+    g_pred = np.tanh(run.outputs[0] - batch.targets) * (alpha / batch.targets.size)
+    grad = run.gradient(g_pred[None])
+    if collocation is None:
+        return loss_m, 0.0, grad
+    loss_p, _, grad_p = physics_loss(spec, params, collocation, scenario, scaling)
+    return loss_m, loss_p, grad + beta * grad_p
 
 
 # ===================== collocation =====================
@@ -548,24 +566,16 @@ def train(
             idx = perm[start : start + config.batch_size]
             raw = Batch(inputs=full.inputs[idx], targets=full.targets[idx])
             batch = add_noise(raw, noise, rng, lay)
-            tape = TapeParams(params)
-            outs = forward_tape(spec, tape, batch.inputs)
-            loss_m = measurement_loss(outs, batch.targets)
+            colloc = None
             if config.beta > 0.0:
                 colloc = sample_collocation(rng, config.n_collocation, scenario, batch, lay)
-                loss_p, _ = physics_loss(spec, tape, colloc, scenario, scaling)
-                total = config.alpha * loss_m + config.beta * loss_p
-                lp_val = float(loss_p.value)
-            else:
-                total = config.alpha * loss_m
-                lp_val = 0.0
-            lm_val = float(loss_m.value)
-            if not np.isfinite(float(total.value)):
+            lm_val, lp_val, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
+                                                     config.alpha, config.beta)
+            if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            total.backward()
-            optimizer_step(params, tape.grad_vector(), lr)
+            optimizer_step(params, grad, lr)
             b = idx.size
             sum_lm += lm_val * b
             sum_lp += lp_val * b

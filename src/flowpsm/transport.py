@@ -39,8 +39,6 @@ __all__ = [
     "ScalingSpec",
     "density",
     "build_grid",
-    "scale_state",
-    "unscale_state",
     "heated_channel_preset",
     "loop_preset",
     "scenario_fingerprint",
@@ -378,26 +376,6 @@ class ScalingSpec:
             v_min=tuple(d["v_min"]),
             v_max=tuple(d["v_max"]),
         )
-
-
-def scale_state(spec: ScalingSpec, state: FieldState) -> FieldState:
-    """Scaled copy of a FieldState (z by z_max, fields by their min-max)."""
-    return FieldState(
-        grid_z=spec.scale_z(state.grid_z),
-        p=spec.scale_field("p", state.p),
-        u=spec.scale_field("u", state.u),
-        T=spec.scale_field("T", state.T),
-    )
-
-
-def unscale_state(spec: ScalingSpec, state: FieldState) -> FieldState:
-    """Exact inverse of scale_state."""
-    return FieldState(
-        grid_z=spec.unscale_z(state.grid_z),
-        p=spec.unscale_field("p", state.p),
-        u=spec.unscale_field("u", state.u),
-        T=spec.unscale_field("T", state.T),
-    )
 
 
 # ===================== presets =====================

@@ -20,6 +20,7 @@ from flowpsm.control import (
     station_predict,
     temperature_cap,
 )
+from flowpsm import control
 from flowpsm.errors import NumericalError
 from flowpsm.network import forward, init_params
 from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
@@ -88,6 +89,22 @@ def test_linearize_matches_finite_differences(trained, tiny_scenario, tiny_datas
         assert np.allclose(ssm.B[:, j], fd, atol=1e-6)
     with pytest.raises(ConfigError):
         linearize(spec, params, scenario, scaling, x00[:-1], v00)
+
+
+def test_linearize_makes_one_tangent_pass(trained, tiny_scenario, tiny_dataset, monkeypatch):
+    spec, params = trained
+    _, scaling = tiny_dataset
+    lay = input_layout(tiny_scenario)
+    calls = []
+    original = control.input_jacobian
+
+    def counting(*args):
+        calls.append(np.shape(args[3]))
+        return original(*args)
+
+    monkeypatch.setattr(control, "input_jacobian", counting)
+    linearize(spec, params, tiny_scenario, scaling, np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5))
+    assert calls == [(lay.n_state + lay.n_controls, lay.input_dim)]
 
 
 def test_temperature_cap_one_hot(tiny_scenario, tiny_dataset):

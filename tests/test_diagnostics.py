@@ -15,9 +15,16 @@ from flowpsm.diagnostics import (
     signature,
     transfer_learn_twin,
 )
-from flowpsm.network import FIELD_ORDER, forward
+from flowpsm.network import FIELD_ORDER, forward, input_jacobian
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiment, steady_state
-from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
+from flowpsm.training import (
+    TrainConfig,
+    input_layout,
+    mlp_for_scenario,
+    physics_residuals,
+    pointwise_closures,
+    train,
+)
 from flowpsm.transport import ConfigError, build_grid, scenario_fingerprint
 
 
@@ -136,6 +143,28 @@ def test_pde_residuals_shapes_and_validation(trained, tiny_scenario, tiny_datase
         pde_residuals(spec, params, tiny_scenario, scaling, v[:2], x0)
     with pytest.raises(ConfigError):
         pde_residuals(spec, params, tiny_scenario, scaling, v[:, :1], x0[: v.shape[0]])
+
+
+def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_scenario, tiny_dataset):
+    spec, params = trained
+    dataset, scaling = tiny_dataset
+    lay = input_layout(tiny_scenario)
+    v, x0 = sample_conditions(dataset, tiny_scenario, scaling, 2, seed=4)
+    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0, t_star=0.25)
+    expected = []
+    for vi, xi in zip(v, x0):
+        rows = np.zeros((z.size, lay.input_dim))
+        rows[:, lay.z_col] = scaling.scale_z(z)
+        rows[:, lay.t_col] = 0.25
+        rows[:, lay.v_cols] = vi
+        rows[:, lay.x0_cols] = xi
+        tan_z = input_jacobian(spec, params, rows, np.eye(lay.input_dim)[lay.z_col])
+        tan_t = input_jacobian(spec, params, rows, np.eye(lay.input_dim)[lay.t_col])
+        closures = pointwise_closures(tiny_scenario, z, scaling.unscale_v(rows[:, lay.v_cols]))
+        expected.append(physics_residuals(forward(spec, params, rows).T, tan_z.T, tan_t.T,
+                                          closures, tiny_scenario, scaling))
+    for i, part in enumerate((res.mass, res.momentum, res.energy)):
+        assert np.allclose(part, np.mean([e[i] for e in expected], axis=0), rtol=1e-12, atol=1e-14)
 
 
 def test_signature_of_identical_models_is_null(trained, tiny_scenario, tiny_dataset):

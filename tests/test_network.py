@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from flowpsm.autodiff import Tensor
 from flowpsm.network import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     FIELD_ORDER,
     MlpSpec,
-    TapeParams,
     forward,
-    forward_tape,
-    forward_with_tangents,
     init_params,
     input_jacobian,
     learning_rate,
     optimizer_step,
+    stacked_forward,
 )
 from flowpsm.errors import NumericalError
 from flowpsm.transport import ConfigError
@@ -55,58 +52,77 @@ def test_forward_shapes_and_single_row(params, rng):
         forward(SPEC, params, np.zeros((2, 4)))
 
 
-def test_forward_tape_matches_numpy(params, rng):
+def _reference_forward(spec, params, x):
+    """Layer-by-layer evaluation written out independently of the kernel."""
+    act = np.tanh if spec.activation == "tanh" else (lambda a: a)
+
+    def dense(name, h):
+        return h @ params.view(f"{name}.w").T + params.view(f"{name}.b")
+
+    h = x
+    for name in ("head0", "head1", "head2", "inter"):
+        h = act(dense(name, h))
+    return np.concatenate([dense(f"out_{f}", act(dense(f"tail_{f}", h))) for f in FIELD_ORDER], axis=1)
+
+
+def test_forward_matches_layer_by_layer_reference(params, rng):
     x = rng.standard_normal((6, 5))
-    outs = forward_tape(SPEC, TapeParams(params), x)
-    stacked = np.concatenate([o.value for o in outs], axis=1)
-    assert np.allclose(stacked, forward(SPEC, params, x), atol=1e-12)
+    assert np.allclose(forward(SPEC, params, x), _reference_forward(SPEC, params, x), atol=1e-12)
 
 
 def test_input_jacobian_matches_finite_difference(params, rng):
     x = rng.standard_normal((4, 5))
     h = 1e-6
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = 1.0
-        fd = (forward(SPEC, params, x + h * e) - forward(SPEC, params, x - h * e)) / (2 * h)
-        assert np.allclose(input_jacobian(SPEC, params, x, e), fd, atol=1e-7)
+    dirs = np.vstack([np.eye(5), rng.standard_normal((2, 5))])
+    J = input_jacobian(SPEC, params, x, dirs)  # one pass for all seven directions
+    assert J.shape == (7, 4, 3)
+    for d, got in zip(dirs, J):
+        fd = (forward(SPEC, params, x + h * d) - forward(SPEC, params, x - h * d)) / (2 * h)
+        assert np.allclose(got, fd, atol=1e-7)
+    assert np.allclose(input_jacobian(SPEC, params, x[0], dirs[2]), J[2, 0])
 
 
 def test_tangents_match_input_jacobian(params, rng):
     x = rng.standard_normal((4, 5))
-    dirs = [np.eye(5)[1], np.eye(5)[3]]
-    _, tangents = forward_with_tangents(SPEC, TapeParams(params), x, dirs)
-    for d, triple in zip(dirs, tangents):
-        got = np.concatenate([t.value for t in triple], axis=1)
+    dirs = np.eye(5)[[1, 3]]
+    run = stacked_forward(SPEC, params, x, dirs)
+    assert run.outputs.shape == (3, 4, 3)
+    assert np.array_equal(run.outputs[0], forward(SPEC, params, x))
+    for d, got in zip(dirs, run.outputs[1:]):
         assert np.allclose(got, input_jacobian(SPEC, params, x, d), atol=1e-12)
 
 
-def test_gradient_of_tangent_loss_matches_finite_difference(params, rng):
-    # losses built from directional derivatives must backprop exactly
+def test_gradient_of_tangent_loss_matches_finite_difference(rng):
+    # losses built from values and directional derivatives must backprop
+    # exactly, through tanh and through identity activations
     x = rng.standard_normal((3, 5))
-    e = np.eye(5)[2]
+    dirs = np.eye(5)[[0, 2]]
+    weights = rng.standard_normal((3, 3, 3))
 
-    def loss_value(store):
-        tape = TapeParams(store)
-        _, tans = forward_with_tangents(SPEC, tape, x, [e])
-        loss = sum((t * t).sum() for t in tans[0])
-        return tape, loss
+    def loss_value(spec, store):
+        y = stacked_forward(spec, store, x, dirs).outputs
+        return float(np.sum(weights * y) + np.sum(y[1:] ** 2))
 
-    tape, loss = loss_value(params)
-    loss.backward()
-    grad = tape.grad_vector()
+    for activation in ("tanh", "identity"):
+        spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4,
+                       activation=activation)
+        store = init_params(spec, seed=3)
+        store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
+        run = stacked_forward(spec, store, x, dirs, keep=True)
+        cot = weights.copy()
+        cot[1:] += 2.0 * run.outputs[1:]
+        grad = run.gradient(cot)
 
-    h = 1e-6
-    check = np.linspace(0, params.n_params - 1, 25).astype(int)
-    for idx in check:
-        old = params.flat[idx]
-        params.flat[idx] = old + h
-        _, lp = loss_value(params)
-        params.flat[idx] = old - h
-        _, lm = loss_value(params)
-        params.flat[idx] = old
-        fd = (lp.value - lm.value) / (2 * h)
-        assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
+        h = 1e-6
+        for idx in np.linspace(0, store.n_params - 1, 40).astype(int):
+            old = store.flat[idx]
+            store.flat[idx] = old + h
+            lp = loss_value(spec, store)
+            store.flat[idx] = old - h
+            lm = loss_value(spec, store)
+            store.flat[idx] = old
+            fd = (lp - lm) / (2 * h)
+            assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), (activation, idx)
 
 
 def test_identity_activation_builds_linear_map(rng):
@@ -164,14 +180,36 @@ def test_param_store_copy_is_independent(params):
     assert dup.flat[0] != params.flat[0]
 
 
-def test_tape_params_grad_vector_zero_where_unused(params, rng):
-    tape = TapeParams(params)
-    outs = forward_tape(SPEC, tape, rng.standard_normal((2, 5)))
-    outs[0].sum().backward()  # only the p branch contributes
-    g = tape.grad_vector()
+def test_gradient_zero_in_unused_tail_branches(params, rng):
+    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], keep=True)
+    cot = np.zeros_like(run.outputs)
+    cot[:, :, 0] = rng.standard_normal((3, 2))  # only p carries a cotangent
+    g = run.gradient(cot)
     assert g.shape == params.flat.shape
-    for name in ("tail_u.w", "tail_T.w", "out_u.w", "out_T.w"):
-        start, stop = next((s, e) for nm, _, s, e in params.layout if nm == f"{name}")
-        assert np.all(g[start:stop] == 0.0)
-    start, stop = next((s, e) for nm, _, s, e in params.layout if nm == "out_p.w")
-    assert np.any(g[start:stop] != 0.0)
+
+    def block(name):
+        start, stop = next((s, e) for nm, _, s, e in params.layout if nm == name)
+        return g[start:stop]
+
+    for branch in ("tail_u", "tail_T", "out_u", "out_T"):
+        assert np.all(block(f"{branch}.w") == 0.0)
+        assert np.all(block(f"{branch}.b") == 0.0)
+    for name in ("out_p.w", "tail_p.w", "head0.w"):
+        assert np.any(block(name) != 0.0)
+
+
+def test_stacked_forward_validates_shapes(params, rng):
+    x = rng.standard_normal((3, 5))
+    with pytest.raises(ConfigError):
+        stacked_forward(SPEC, params, x[:, :4])
+    with pytest.raises(ConfigError):
+        stacked_forward(SPEC, params, x, np.eye(4))
+    run = stacked_forward(SPEC, params, x, np.eye(5)[:2], keep=True)
+    with pytest.raises(ConfigError):
+        run.gradient(np.zeros((2, 3, 3)))
+
+
+def test_gradient_needs_saved_activations(params, rng):
+    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)))
+    with pytest.raises(ValueError):
+        run.gradient(np.zeros_like(run.outputs))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowpsm.autodiff import logcosh_np
 from flowpsm.control import (
     Constraint,
     ConstraintSet,
@@ -16,7 +15,7 @@ from flowpsm.control import (
 )
 from flowpsm.diagnostics import sample_conditions, signature
 from flowpsm.network import init_params
-from flowpsm.training import input_layout, mlp_for_scenario
+from flowpsm.training import input_layout, logcosh_np, mlp_for_scenario
 
 RELAXED = settings(max_examples=100, deadline=None)
 

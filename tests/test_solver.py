@@ -8,17 +8,21 @@ from flowpsm.solver import (
     FieldState,
     InputTrajectory,
     SolverConfig,
+    _initial_guess,
     generate_trajectories,
     inject_degradation,
     run_experiment,
     sensor_readout,
     steady_state,
     step,
+    step_with_audit,
 )
 from flowpsm.transport import (
     ConfigError,
     build_grid,
     density,
+    heated_channel_preset,
+    loop_preset,
     scenario_fingerprint,
 )
 
@@ -183,3 +187,27 @@ def test_inject_degradation(scenario):
         inject_degradation(scenario, 99, 10.0)
     with pytest.raises(ConfigError):
         inject_degradation(scenario, 0, 0.0)
+
+
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
+def test_step_with_audit_closes_mass_and_enthalpy(preset):
+    sc = preset()
+    v = np.array([0.5 * (lo + hi) for lo, hi in sc.input_ranges])
+    state = _initial_guess(sc, v)
+    grid = build_grid(sc)
+    area = sc.segments[0].flow_area
+    for _ in range(3):
+        state, audit = step_with_audit(state, v, sc)
+        mass = float(np.sum(density(sc.fluid, state.T) * grid.dz)) * area
+        enthalpy = float(np.sum(density(sc.fluid, state.T) * state.T * grid.dz)) * area * sc.fluid.cp
+        assert audit["mass_total"] == pytest.approx(mass, rel=1e-12)
+        if sc.kind == "heated_channel":
+            mass_gap = audit["mass_change"] - audit["mass_boundary"]
+            enthalpy_gap = audit["enthalpy_change"] - (
+                audit["enthalpy_boundary"] + audit["enthalpy_source"])
+        else:
+            # every cell but the pinned one satisfies continuity exactly
+            mass_gap = audit["mass_change"] - (audit["pinned_mass_change"] - audit["mass_boundary"])
+            enthalpy_gap = audit["enthalpy_change"]  # cyclic fluxes telescope, sources cancel
+        assert abs(mass_gap) <= 1e-12 * mass
+        assert abs(enthalpy_gap) <= 1e-12 * enthalpy

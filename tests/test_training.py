@@ -1,12 +1,14 @@
 """Dataset assembly, losses, collocation, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowpsm.autodiff import Tensor, logcosh_np
 from flowpsm.errors import NumericalError
-from flowpsm.network import TapeParams, forward, init_params
+from flowpsm.network import forward, init_params
 from flowpsm.solver import SolverConfig, run_experiment, steady_state
+from flowpsm.solver import _plan
 from flowpsm.training import (
     Batch,
     NoiseSpec,
@@ -17,16 +19,19 @@ from flowpsm.training import (
     compute_scaling,
     evaluate_records,
     input_layout,
+    logcosh_np,
+    loss_and_gradient,
     measurement_loss,
     mlp_for_scenario,
     physics_loss,
     physics_residuals,
+    physics_residuals_adjoint,
     pointwise_closures,
     rollout_evaluate,
     sample_collocation,
     train,
 )
-from flowpsm.transport import ConfigError, heated_channel_preset, loop_preset
+from flowpsm.transport import ConfigError, ScalingSpec, density, heated_channel_preset, loop_preset
 
 from conftest import tiny_channel
 
@@ -128,9 +133,23 @@ def test_measurement_loss_logcosh(rng):
     tgt = rng.standard_normal((6, 3))
     got = measurement_loss(pred, tgt)
     assert got == pytest.approx(float(np.mean(logcosh_np(pred - tgt))))
-    triple = tuple(Tensor(pred[:, [f]]) for f in range(3))
-    tape_val = measurement_loss(triple, tgt)
-    assert float(tape_val.value) == pytest.approx(float(got))
+
+
+def test_logcosh_gradient_is_tanh(rng):
+    x = rng.standard_normal(8) * 3.0
+    h = 1e-6
+    fd = (logcosh_np(x + h) - logcosh_np(x - h)) / (2 * h)
+    assert np.allclose(fd, np.tanh(x), atol=1e-8)
+
+
+def test_logcosh_matches_naive_and_survives_large_inputs():
+    small = np.linspace(-5, 5, 41)
+    assert np.allclose(logcosh_np(small), np.log(np.cosh(small)), atol=1e-12)
+    big = np.array([-1e4, 1e4, 800.0])
+    out = logcosh_np(big)
+    assert np.all(np.isfinite(out))
+    # asymptote |x| - log 2
+    assert np.allclose(out, np.abs(big) - np.log(2.0))
 
 
 def test_pointwise_closures_segment_lookup(tiny_scenario):
@@ -150,6 +169,54 @@ def test_pointwise_closures_loop_sink_negates_source():
     _, _, q = pointwise_closures(sc, np.array([1.5, 5.5]), v)  # heater, cooler
     assert q[0] == pytest.approx(50.0e6)
     assert q[1] == pytest.approx(-50.0e6)
+
+
+def test_pointwise_closures_read_the_solver_cell_table():
+    for sc in (heated_channel_preset(), loop_preset()):
+        plan = _plan(sc)
+        z = plan.grid.centers
+        v = np.tile([0.5 * (lo + hi) for lo, hi in sc.input_ranges], (z.size, 1))
+        fric, grav, q = pointwise_closures(sc, z, v)
+        segs = [sc.segments[i] for i in plan.grid.segment_of_cell]
+        assert fric.tolist() == [s.friction_factor / s.hydraulic_diameter for s in segs]
+        assert grav.tolist() == [s.gravity_component for s in segs]
+        assert np.array_equal(q, plan.q_fixed + plan.q_ctrl @ v[0])
+
+
+def test_physics_residuals_adjoint_matches_finite_difference(tiny_scenario, tiny_dataset, rng):
+    _, scaling = tiny_dataset
+    n = 7
+    z = rng.uniform(0.0, tiny_scenario.total_length, n)
+    closures = pointwise_closures(tiny_scenario, z, np.tile([0.65, 844.65], (n, 1)))
+    stacks = rng.uniform(-1.0, 1.0, (3, 3, n))  # values, z tangents, t tangents
+    stacks[0, 1] -= scaling.u_min / scaling.span("u")  # u straddles zero
+    weights = rng.standard_normal((3, n))
+
+    def objective(s):
+        r = physics_residuals(s[0], s[1], s[2], closures, tiny_scenario, scaling)
+        return float(sum(np.sum(w * ri) for w, ri in zip(weights, r)))
+
+    got = np.stack(physics_residuals_adjoint(stacks[0], stacks[1], stacks[2], closures,
+                                             tiny_scenario, scaling, weights))
+    h = 1e-7
+    for idx in np.ndindex(stacks.shape):
+        up, down = stacks.copy(), stacks.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd = (objective(up) - objective(down)) / (2 * h)
+        assert got[idx] == pytest.approx(fd, rel=1e-6, abs=1e-6 * np.max(np.abs(got))), idx
+
+
+def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
+    dataset, scaling = tiny_dataset
+    spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
+    params = init_params(spec, 0)
+    batch = dataset.scaled(scaling)
+    lm, lp, grad = loss_and_gradient(spec, params, batch, None, tiny_scenario, scaling, 1.0, 0.0)
+    assert lp == 0.0
+    assert lm == measurement_loss(forward(spec, params, batch.inputs), batch.targets)
+    _, _, half = loss_and_gradient(spec, params, batch, None, tiny_scenario, scaling, 0.5, 0.0)
+    assert np.allclose(half, 0.5 * grad, rtol=1e-14, atol=0.0)
 
 
 def test_physics_residuals_vanish_on_manufactured_steady_solution(tiny_scenario, tiny_dataset):
@@ -215,6 +282,55 @@ def test_physics_loss_validates_collocation(tiny_scenario, tiny_dataset):
     bad[:, 0] = 2.0
     with pytest.raises(ConfigError):
         physics_loss(spec, params, bad, tiny_scenario, scaling)
+
+
+def test_training_loss_gradient_matches_finite_difference(rng):
+    # a loop whose closures vary along z: friction everywhere, a control-driven
+    # heater and cooler, a fixed source, and gravity on two legs
+    base = loop_preset()
+    segs = list(base.segments)
+    segs[2] = replace(segs[2], gravity_component=-9.81)
+    segs[3] = replace(segs[3], heat_source=2.0e6)
+    segs[5] = replace(segs[5], gravity_component=9.81)
+    scenario = replace(base, segments=tuple(segs))
+    spec = mlp_for_scenario(scenario, widths=(6, 5, 4))
+    params = init_params(spec, 1)
+    params.flat += 0.1 * rng.standard_normal(params.n_params)  # nonzero biases
+    lay = input_layout(scenario)
+    batch = Batch(inputs=rng.uniform(0.0, 1.0, (16, lay.input_dim)),
+                  targets=rng.uniform(0.0, 1.0, (16, 3)))
+    colloc = sample_collocation(rng, 48, scenario, batch, lay)
+    # centre the u scaling on the median prediction so |u| sees both signs
+    u_star = forward(spec, params, colloc)[:, 1]
+    u_min = -float(np.median(u_star))
+    scaling = ScalingSpec(
+        z_max=scenario.total_length, t_max=scenario.delta_t,
+        p_min=-2000.0, p_max=2000.0, u_min=u_min, u_max=u_min + 1.0, T_min=840.0, T_max=900.0,
+        rho_min=float(density(scenario.fluid, 900.0)), rho_max=float(density(scenario.fluid, 840.0)),
+        v_min=(45.0e6, 1125.0), v_max=(55.0e6, 1875.0),
+    )
+    u = u_star + u_min
+    assert np.any(u > 0.0) and np.any(u < 0.0)
+    alpha, beta = 0.3, 0.7
+    lm, lp, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling, alpha, beta)
+    fric, grav, q = pointwise_closures(scenario, scaling.unscale_z(colloc[:, 0]),
+                                       scaling.unscale_v(colloc[:, lay.v_cols]))
+    assert np.all(fric > 0.0) and len(set(grav)) == 3 and len(set(np.sign(q))) == 3
+
+    def total(store):
+        lm, lp, _ = loss_and_gradient(spec, store, batch, colloc, scenario, scaling, alpha, beta)
+        return alpha * lm + beta * lp
+
+    h = 1e-6
+    for idx in np.linspace(0, params.n_params - 1, 60).astype(int):
+        old = params.flat[idx]
+        params.flat[idx] = old + h
+        up = total(params)
+        params.flat[idx] = old - h
+        down = total(params)
+        params.flat[idx] = old
+        fd = (up - down) / (2 * h)
+        assert abs(grad[idx] - fd) <= 1e-6 * max(abs(fd), 1e-3), idx
 
 
 def test_train_runs_and_is_deterministic(tiny_scenario, tiny_dataset):

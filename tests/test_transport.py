@@ -15,11 +15,9 @@ from flowpsm.transport import (
     density,
     heated_channel_preset,
     loop_preset,
-    scale_state,
     scenario_fingerprint,
     scenario_from_dict,
     scenario_to_dict,
-    unscale_state,
 )
 
 
@@ -158,21 +156,6 @@ def test_scaling_dict_round_trip():
     s = _scaling()
     clone = ScalingSpec.from_dict(s.to_dict())
     assert clone == s
-
-
-def test_scale_state_round_trip(rng):
-    s = _scaling()
-    grid = build_grid(heated_channel_preset())
-    state = FieldState(
-        grid_z=grid.centers,
-        p=rng.uniform(-500, 1500, grid.n_cells),
-        u=rng.uniform(0.5, 0.8, grid.n_cells),
-        T=rng.uniform(800, 890, grid.n_cells),
-    )
-    back = unscale_state(s, scale_state(s, state))
-    assert np.allclose(back.p, state.p)
-    assert np.allclose(back.u, state.u)
-    assert np.allclose(back.T, state.T)
 
 
 def test_field_state_validates_shapes():

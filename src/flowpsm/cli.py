@@ -455,8 +455,6 @@ def cmd_control(args) -> None:
         horizon=int(cfg.get("horizon", 50)),
         epsilon=float(cfg.get("epsilon", 0.01)),
         update_interval=int(cfg.get("update_interval", 10)),
-        qp_tol=float(cfg.get("qp_tol", 1e-9)),
-        qp_max_sweeps=int(cfg.get("qp_max_sweeps", 100000)),
         q_weight=None if cfg.get("q_weight") is None else tuple(np.ravel(cfg["q_weight"])),
     )
     log = ncg_rollout(

@@ -9,11 +9,13 @@ prediction is exact at the linearization point.
 
 ``build_oinf`` stacks the output-constraint half-spaces propagated over a
 finite horizon plus a tightened steady-state row, in the delta coordinates
-(x - x00, v - v00). The scalar reference governor bisects along the segment
-from the previous input to the reference; the command governor solves the
-weighted projection QP by dual coordinate ascent. ``ncg_rollout`` runs the
-governed loop against the reference solver (or the model itself),
-re-linearizing on a fixed cadence and on every constraint-schedule change.
+(x - x00, v - v00). The scalar reference governor takes the largest step
+from the previous input toward the reference by an exact ratio test over the
+half-spaces; the command governor projects the reference onto them exactly,
+as a least-distance problem solved by one non-negative least-squares call.
+``ncg_rollout`` runs the governed loop against the reference solver (or the
+model itself), re-linearizing on a fixed cadence and on every
+constraint-schedule change.
 
 All governor math runs in scaled units; rollout logs report physical ones.
 """
@@ -47,7 +49,7 @@ __all__ = [
     "build_oinf",
     "srg_kappa",
     "cg_solve",
-    "hildreth_qp",
+    "least_distance_qp",
     "ncg_rollout",
 ]
 
@@ -283,109 +285,72 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int = 50,
 # ===================== governors =====================
 
 
-def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray,
-              tol: float = 1e-9) -> float:
-    """Largest admissible step fraction from v_prev toward r_k (scalar governor)."""
+def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray) -> float:
+    """Largest admissible step fraction from v_prev toward r_k (scalar governor).
+
+    Exact ratio test on the half-spaces: with margins m at v_prev and
+    a = H_v (r_k - v_prev), kappa = min(1, min over a_i > 0 of m_i / a_i).
+    """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dv_prev = np.asarray(v_prev, dtype=float) - oinf.v00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
     if not oinf.contains(dx, dv_prev):
         warnings.warn("current (state, input) pair is outside the admissible set; kappa = 0")
         return 0.0
-    if oinf.contains(dx, dr):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if oinf.contains(dx, dv_prev + mid * (dr - dv_prev)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    m = oinf.margins(dx, dv_prev)
+    a = oinf.H_v @ (dr - dv_prev)
+    rising = a > 0
+    kappa = min(1.0, float(np.min(m[rising] / a[rising]))) if np.any(rising) else 1.0
+    return max(0.0, kappa)  # contains() admits margins down to -1e-9
 
 
-def _kkt_certified(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray,
-                   v: np.ndarray, tol: float) -> bool:
-    """True when v is the QP minimizer to within tol by the KKT conditions.
+def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray
+                      ) -> tuple[np.ndarray, str]:
+    """min 0.5 v'Ev + F'v  s.t.  Mv <= gamma, solved exactly.
 
-    v must be feasible to tol, and E v + F = -M_A' mu must have a solution
-    mu >= 0 (non-negative least-squares residual <= tol), where A is the
-    set of rows with slack <= tol.
+    With E = LL' and x = L'(v - v_free), v_free = -E^{-1}F, the problem is
+    the least-distance problem min ||x|| s.t. Gx <= g (G = M L^{-T},
+    g = gamma - M v_free), which one non-negative least-squares call solves
+    (Lawson & Hanson 1974, ch. 23). A zero residual means no x satisfies
+    the rows. Returns the minimizer with status ok | infeasible.
     """
-    slack = gamma - M @ v
-    if np.any(slack < -tol):
-        return False
-    active = slack <= tol
-    if not np.any(active):
-        return False
-    _, residual = nnls(M[active].T, -(E @ v + F))
-    return residual <= tol
-
-
-def hildreth_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray,
-                tol: float = 1e-9, max_sweeps: int = 100000) -> tuple[np.ndarray, str]:
-    """min 0.5 v'Ev + F'v  s.t.  Mv <= gamma, by dual coordinate ascent.
-
-    Rows with a negligible coefficient vector are pure feasibility checks:
-    they cannot shape the dual and are screened up front. The sweeps stop
-    with status ok on whichever comes first:
-
-    - the dual iterate lambda moves less than ``tol`` in a sweep;
-    - the primal iterate v = -E^{-1}(F + M'lambda) moves less than ``tol``
-      in a sweep and carries a KKT certificate (see ``_kkt_certified``).
-      Nearly parallel rows, such as the O-infinity rows C S_k B for large
-      k, let lambda drift between them for a very long time after v has
-      already settled.
-
-    Returns the minimizer with status ok | infeasible | maxiter.
-    """
-    E_inv = np.linalg.inv(E)
-    norms = np.linalg.norm(M, axis=1)
-    keep = norms > 1e-12
-    if np.any(gamma[~keep] < -tol):
-        return -E_inv @ F, "infeasible"
-    M, gamma = M[keep], gamma[keep]
-    v_free = -E_inv @ F
-    if M.size == 0 or np.all(M @ v_free <= gamma + tol):
+    L = np.linalg.cholesky(E)
+    v_free = -np.linalg.solve(E, F)
+    g = gamma - M @ v_free
+    if np.all(g >= 0.0):
         return v_free, "ok"
-    H = M @ E_inv @ M.T
-    K = gamma + M @ E_inv @ F
-    lam = np.zeros(M.shape[0])
-    v = v_free
-    status = "maxiter"
-    for _ in range(max_sweeps):
-        lam_old, v_old = lam.copy(), v
-        for i in range(lam.size):
-            w = -(H[i] @ lam - H[i, i] * lam[i] + K[i]) / H[i, i]
-            lam[i] = max(0.0, w)
-        v = -E_inv @ (F + M.T @ lam)
-        if (np.max(np.abs(lam - lam_old)) < tol
-                or (np.max(np.abs(v - v_old)) < tol and _kkt_certified(E, F, M, gamma, v, tol))):
-            status = "ok"
-            break
+    G = np.linalg.solve(L, M.T).T  # M L^{-T}
+    n = v_free.size
+    A = -np.vstack([G.T, g])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    u, _ = nnls(A, e)
+    r = A @ u - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
+    if -r[n] <= np.finfo(float).eps:
+        return v_free, "infeasible"
+    v = v_free + np.linalg.solve(L.T, -r[:n] / r[n])
     if np.any(M @ v > gamma + 1e-6):
-        status = "infeasible"
-    return v, status
+        return v, "infeasible"
+    return v, "ok"
 
 
 def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
-             v_prev: np.ndarray, tol: float = 1e-9, max_sweeps: int = 100000
-             ) -> tuple[np.ndarray, str]:
+             v_prev: np.ndarray) -> tuple[np.ndarray, str]:
     """Command governor: project r_k onto the admissible inputs at x_k.
 
     Solves min ||v - r_k||_Q^2 over the O-infinity rows with the state
-    fixed. Infeasibility or a non-converged QP falls back to v_prev with a
-    flagged status.
+    fixed. A reference inside the set to 1e-9 passes through as
+    at_reference; an empty admissible set falls back to v_prev with
+    status fallback_infeasible.
     """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
-    dv_prev = np.asarray(v_prev, dtype=float) - oinf.v00
-    if oinf.contains(dx, dr, tol):
+    if oinf.contains(dx, dr):
         return np.asarray(r_k, dtype=float), "at_reference"
     E = 2.0 * Q
     F = -2.0 * (Q @ dr)
     gamma = oinf.h - oinf.H_x @ dx
-    dv, status = hildreth_qp(E, F, oinf.H_v, gamma, tol=tol, max_sweeps=max_sweeps)
+    dv, status = least_distance_qp(E, F, oinf.H_v, gamma)
     if status != "ok":
         return np.asarray(v_prev, dtype=float), f"fallback_{status}"
     return oinf.v00 + dv, "ok"
@@ -399,8 +364,6 @@ class CgConfig:
     horizon: int = 50  # O-infinity horizon T
     epsilon: float = 0.01  # steady-state tightening, scaled units
     update_interval: int = 10  # re-linearization cadence gamma, steps
-    qp_tol: float = 1e-9
-    qp_max_sweeps: int = 100000
     q_weight: tuple | None = None  # row-major (p, p) weighting; identity if None
 
     def __post_init__(self) -> None:
@@ -411,8 +374,8 @@ class CgConfig:
         if self.q_weight is None:
             return np.eye(p)
         Q = np.asarray(self.q_weight, dtype=float).reshape(p, p)
-        eig = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-        if eig.min() <= 0:
+        Q = 0.5 * (Q + Q.T)  # the symmetric part weighs ||v - r||_Q^2 the same
+        if np.linalg.eigvalsh(Q).min() <= 0:
             raise ConfigError("Q weighting must be positive definite")
         return Q
 
@@ -496,10 +459,7 @@ def ncg_rollout(
             oinf = None
             active = cset_k
         else:
-            v_scaled, status = cg_solve(
-                oinf, x_k, r_scaled, Q, v_prev,
-                tol=config.qp_tol, max_sweeps=config.qp_max_sweeps,
-            )
+            v_scaled, status = cg_solve(oinf, x_k, r_scaled, Q, v_prev)
         v_phys = scaling.unscale_v(v_scaled)
 
         if environment == "solver":

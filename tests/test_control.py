@@ -13,7 +13,7 @@ from flowpsm.control import (
     OInfApprox,
     build_oinf,
     cg_solve,
-    hildreth_qp,
+    least_distance_qp,
     linearize,
     ncg_rollout,
     srg_kappa,
@@ -201,7 +201,7 @@ def test_srg_kappa_is_maximal(rng):
     assert clipped > 0
 
 
-def test_hildreth_single_constraint_closed_form(rng):
+def test_least_distance_qp_single_constraint_closed_form(rng):
     # min ||v - r||^2 s.t. c.v <= d has the analytic projection solution
     for _ in range(20):
         p = 3
@@ -210,13 +210,13 @@ def test_hildreth_single_constraint_closed_form(rng):
         d = rng.standard_normal() * 0.5
         E = 2.0 * np.eye(p)
         F = -2.0 * r
-        v, status = hildreth_qp(E, F, c[None, :], np.array([d]), tol=1e-12)
+        v, status = least_distance_qp(E, F, c[None, :], np.array([d]))
         expected = r - max(0.0, (c @ r - d) / (c @ c)) * c
         assert status == "ok"
         assert np.allclose(v, expected, atol=1e-8)
 
 
-def test_hildreth_matches_slsqp_on_random_qps(rng):
+def test_least_distance_qp_matches_slsqp_on_random_qps(rng):
     for _ in range(10):
         p = 4
         R = rng.standard_normal((p, p))
@@ -224,7 +224,7 @@ def test_hildreth_matches_slsqp_on_random_qps(rng):
         F = rng.standard_normal(p)
         M = rng.standard_normal((6, p))
         gamma = rng.uniform(0.1, 1.0, 6)  # v=0 strictly feasible
-        v, status = hildreth_qp(E, F, M, gamma, tol=1e-12)
+        v, status = least_distance_qp(E, F, M, gamma)
         assert status == "ok"
         ref = minimize(
             lambda x: 0.5 * x @ E @ x + F @ x,
@@ -237,29 +237,28 @@ def test_hildreth_matches_slsqp_on_random_qps(rng):
         assert np.allclose(v, ref.x, atol=1e-5)
 
 
-def test_hildreth_flags_infeasible():
+def test_least_distance_qp_flags_infeasible():
     # x <= -1 and -x <= -1 cannot both hold
     E = 2.0 * np.eye(1)
     F = np.zeros(1)
     M = np.array([[1.0], [-1.0]])
     gamma = np.array([-1.0, -1.0])
-    _, status = hildreth_qp(E, F, M, gamma, max_sweeps=2000)
+    _, status = least_distance_qp(E, F, M, gamma)
     assert status == "infeasible"
-    # zero-row screening: an impossible constant row is infeasible outright
+    # an impossible constant row (0 <= -0.5) is infeasible outright
     M2 = np.zeros((1, 1))
-    _, status2 = hildreth_qp(E, F, M2, np.array([-0.5]))
+    _, status2 = least_distance_qp(E, F, M2, np.array([-0.5]))
     assert status2 == "infeasible"
 
 
-def test_hildreth_stops_on_kkt_certificate_with_nearly_parallel_rows():
-    # v >= -0.0745131 and v >= -0.0745104: the primal iterate is exact after
-    # one sweep, while the dual shifts weight between the two rows for far
-    # more than max_sweeps sweeps
+def test_least_distance_qp_nearly_parallel_rows():
+    # v >= -0.0745131 and v >= -0.0745104: nearly parallel rows, as the
+    # O-infinity rows C S_k B become for large k; the tighter one binds
     E = np.array([[2.0]])
     F = np.array([2.0])
     M = np.array([[-3.70], [-3.75]])
     gamma = np.array([3.70 * 0.0745131, 3.75 * 0.0745104])
-    v, status = hildreth_qp(E, F, M, gamma, max_sweeps=20000)
+    v, status = least_distance_qp(E, F, M, gamma)
     assert status == "ok"
     assert v[0] == pytest.approx(-0.0745104, abs=1e-12)
 
@@ -280,6 +279,26 @@ def test_cg_config_validation():
     with pytest.raises(ConfigError):
         CgConfig(q_weight=(1.0, 0.0, 0.0, -1.0)).weight_matrix(2)
     assert np.allclose(CgConfig().weight_matrix(2), np.eye(2))
+
+
+def test_nonsymmetric_q_weight_projects_like_its_symmetric_part(rng):
+    # ||v - r||_Q^2 only sees the symmetric part of Q
+    ssm = _toy_ssm(rng)
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=float(ssm.x00[0]) + 0.02, name="x"),))
+    oinf = build_oinf(ssm, cset, horizon=20, epsilon=1e-6)
+    Q_raw = np.array([[2.0, 1.5], [-0.5, 1.0]])
+    Q_sym = 0.5 * (Q_raw + Q_raw.T)
+    Q = CgConfig(q_weight=tuple(Q_raw.ravel())).weight_matrix(2)
+    assert np.array_equal(Q, Q_sym)
+    projected = 0
+    for _ in range(40):
+        r = ssm.v00 + rng.uniform(-1.0, 1.0, 2)
+        v, status = cg_solve(oinf, ssm.x00, r, Q, ssm.v00)
+        v_sym, status_sym = cg_solve(oinf, ssm.x00, r, Q_sym, ssm.v00)
+        assert status == status_sym
+        assert np.allclose(v, v_sym, rtol=0.0, atol=1e-12)
+        projected += status == "ok"
+    assert projected > 0
 
 
 def test_ncg_rollout_passthrough_without_constraints(

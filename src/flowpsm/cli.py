@@ -124,6 +124,14 @@ def _kelvin(cfg: dict, base: str, required: bool = True) -> float | None:
     return None
 
 
+def _number(cfg: dict, key: str, kind, default=None):
+    """cfg[key] (required without a default) as int or float, else a ConfigError."""
+    try:
+        return kind(cfg[key] if default is None else cfg.get(key, default))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key!r} must be given as a number: {exc!r}") from exc
+
+
 def _scenario_from_config(cfg: dict):
     if ("preset" in cfg) == ("scenario" in cfg):
         raise ConfigError("config must contain exactly one of 'preset' or 'scenario'")
@@ -136,8 +144,10 @@ def _scenario_from_config(cfg: dict):
         scenario = scenario_from_dict(cfg["scenario"])
     deg = cfg.get("degradation")
     if deg is not None:
+        if not isinstance(deg, dict):
+            raise ConfigError(f"'degradation' must be an object, got {deg!r}")
         scenario = inject_degradation(
-            scenario, int(deg["segment_index"]), float(deg["friction_multiplier"])
+            scenario, _number(deg, "segment_index", int), _number(deg, "friction_multiplier", float)
         )
     return scenario
 
@@ -222,15 +232,15 @@ def cmd_gen_data(args) -> None:
     outdir = _out_dir(args)
     scenario = _scenario_from_config(cfg)
     solver_cfg = _solver_config(cfg)
-    n_train = int(cfg.get("n_train", 16))
-    n_test = int(cfg.get("n_test", 4))
+    n_train = _number(cfg, "n_train", int, 16)
+    n_test = _number(cfg, "n_test", int, 4)
     if n_train < 1 or n_test < 0:
         raise ConfigError("need n_train >= 1 and n_test >= 0")
     n_total = n_train + n_test
     trajectories = generate_trajectories(args.seed, scenario, n_total)
 
     records = [
-        run_experiment(scenario, traj, steady_state(scenario, traj.value(0.0), solver_cfg), solver_cfg)
+        run_experiment(scenario, traj, steady_state(scenario, traj.value(0.0)), solver_cfg)
         for traj in trajectories
     ]
 

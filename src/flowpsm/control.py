@@ -111,9 +111,6 @@ class LinearSSM:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 
-    def predict(self, delta_x: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
-        return self.y00 + self.A @ delta_x + self.B @ delta_v
-
 
 def linearize(
     spec: MlpSpec, params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec,
@@ -422,7 +419,7 @@ def ncg_rollout(
     if environment not in ("solver", "model"):
         raise ConfigError(f"unknown environment {environment!r}")
     Q = config.weight_matrix(lay.n_controls)
-    state = initial_state if initial_state is not None else steady_state(scenario, refs[0], solver_config)
+    state = initial_state if initial_state is not None else steady_state(scenario, refs[0])
     stations = np.asarray(scenario.sensor_stations)
 
     def observe(st) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Reference 1D finite-volume transient solver.
+"""Reference 1D finite-volume solver: steady states and transient stepping.
 
 Solves the three transport PDEs (mass, momentum, energy) for the heated
 channel and loop rigs. Serves three roles: training/test data generator,
 environment for governor rollouts, and fault injector for the diagnostics
 study.
 
-Scheme (first-order, semi-implicit, staggered):
+Transient scheme (first-order, semi-implicit, staggered):
 
 * scalars (p, T) on cell centers, velocity on faces;
 * per substep, the energy equation advances conservatively in h = rho*T with
@@ -21,6 +21,10 @@ is pinned to the reference (gage zero) pressure and exchanges the tiny
 thermal-expansion makeup flow; every other cell satisfies discrete
 continuity exactly.
 
+Steady states are the scheme's fixed points, solved directly (every 1/dt
+term cancels there): closed form for the heated channel, and for the loop a
+scalar root in the mass flux at the total enthalpy that stepping conserves.
+
 Controls are zero-order held over each delta_t step: ``step`` takes one
 constant control vector and advances the full interval in substeps.
 """
@@ -32,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .errors import NumericalError
 from .transport import (
@@ -103,15 +108,6 @@ class InputTrajectory:
             [np.interp(t, kt, kv) for kt, kv in zip(self.knot_times, self.knot_values)]
         )
 
-    @staticmethod
-    def constant(scenario: ScenarioConfig, v) -> "InputTrajectory":
-        v = np.asarray(v, dtype=float)
-        return InputTrajectory(
-            channels=scenario.control_channels,
-            knot_times=tuple(np.array([0.0]) for _ in v),
-            knot_values=tuple(np.array([float(x)]) for x in v),
-        )
-
 
 @dataclass(frozen=True)
 class SimulationRecord:
@@ -130,9 +126,6 @@ class SimulationRecord:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def state(self, k: int) -> FieldState:
-        return FieldState(grid_z=self.grid_z, p=self.p[k], u=self.u[k], T=self.T[k])
 
 
 # ===================== per-scenario solve plan =====================
@@ -175,31 +168,18 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
 
     dz = grid.dz
     is_loop = scenario.kind == "loop"
-    if is_loop:
-        # face j sits between cells j-1 and j (cyclic); faces 0 and n coincide
-        left = np.roll(np.arange(n), 1)
-        dzf = np.empty(n + 1)
-        dzf[:n] = 0.5 * (dz[left] + dz)
-        dzf[n] = dzf[0]
-        fric = np.empty(n + 1)
-        fric[:n] = (dz[left] * cell_fric[left] + dz * cell_fric) / (dz[left] + dz)
-        fric[n] = fric[0]
-        grav = np.empty(n + 1)
-        grav[:n] = (dz[left] * cell_grav[left] + dz * cell_grav) / (dz[left] + dz)
-        grav[n] = grav[0]
-    else:
-        dzf = np.empty(n + 1)
-        dzf[0] = 0.5 * dz[0]
-        dzf[1:n] = 0.5 * (dz[:-1] + dz[1:])
-        dzf[n] = 0.5 * dz[-1]
-        fric = np.empty(n + 1)
-        fric[0] = cell_fric[0]
-        fric[1:n] = (dz[:-1] * cell_fric[:-1] + dz[1:] * cell_fric[1:]) / (dz[:-1] + dz[1:])
-        fric[n] = cell_fric[-1]
-        grav = np.empty(n + 1)
-        grav[0] = cell_grav[0]
-        grav[1:n] = (dz[:-1] * cell_grav[:-1] + dz[1:] * cell_grav[1:]) / (dz[:-1] + dz[1:])
-        grav[n] = cell_grav[-1]
+    # face j sits between cells j-1 and j: cyclic on the loop, where faces 0
+    # and n coincide; the channel's end faces see only their own cell
+    w = np.concatenate(([dz[-1] if is_loop else 0.0], dz, [dz[0] if is_loop else 0.0]))
+
+    def faces(c: np.ndarray) -> np.ndarray:
+        ce = np.concatenate(([c[-1]], c, [c[0]]))
+        f = (w[:-1] * ce[:-1] + w[1:] * ce[1:]) / (w[:-1] + w[1:])
+        if not is_loop:
+            f[0], f[-1] = c[0], c[-1]
+        return f
+
+    dzf, fric, grav = 0.5 * (w[:-1] + w[1:]), faces(cell_fric), faces(cell_grav)
 
     return _Plan(
         grid=grid,
@@ -217,34 +197,32 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
     )
 
 
-def _check_inputs(plan: _Plan, v: np.ndarray) -> None:
+def _check_inputs(plan: _Plan, inputs) -> np.ndarray:
+    """The control vector as an array, checked for length and extended range."""
+    v = np.asarray(inputs, dtype=float)
+    if v.shape != plan.v_lo.shape:
+        raise ConfigError(f"expected {plan.v_lo.size} control inputs")
     span = plan.v_hi - plan.v_lo
     lo = plan.v_lo - RANGE_SLACK * span
     hi = plan.v_hi + RANGE_SLACK * span
     if np.any(v < lo - 1e-12) or np.any(v > hi + 1e-12):
         raise ConfigError(f"control inputs {v} outside the extended range [{lo}, {hi}]")
+    return v
 
 
 def _face_velocities(plan: _Plan, state: FieldState, v: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
     """Staggered velocities: reuse the carried array or interpolate centers."""
-    n = plan.grid.n_cells
     if state.u_face is not None:
-        uf = np.array(state.u_face, dtype=float, copy=True)
-        if uf.size != n + 1:
+        uf = np.array(state.u_face, dtype=float)
+        if uf.size != plan.grid.n_cells + 1:
             raise ConfigError("u_face length must be n_cells + 1")
-        if not plan.is_loop:
-            uf[0] = v[scenario.channel_index("u_in")]
-        return uf
-    uc = state.u
-    uf = np.empty(n + 1)
-    if plan.is_loop:
-        left = np.roll(np.arange(n), 1)
-        uf[:n] = 0.5 * (uc[left] + uc)
-        uf[n] = uf[0]
+    elif plan.is_loop:
+        uf = 0.5 * (np.roll(state.u, 1) + state.u)
+        uf = np.append(uf, uf[0])
     else:
-        uf[1:n] = np.interp(plan.grid.faces[1:n], plan.grid.centers, uc)
+        uf = np.interp(plan.grid.faces, plan.grid.centers, state.u)  # ends take the end cells
+    if not plan.is_loop:
         uf[0] = v[scenario.channel_index("u_in")]
-        uf[n] = uc[-1]
     return uf
 
 
@@ -336,7 +314,6 @@ def _substep(
 
     u_k = u_f.copy()
     p_new = p_c
-    converged = False
     idx = np.arange(n)
     for _ in range(cfg.max_iters):
         D = rho_f * (1.0 / dt + plan.fric * np.abs(u_k) / 2.0)
@@ -389,9 +366,8 @@ def _substep(
         du = float(np.max(np.abs(u_next - u_k)))
         u_k = u_next
         if du < cfg.tol * max(1.0, float(np.max(np.abs(u_k)))):
-            converged = True
             break
-    if not converged:
+    else:
         raise NumericalError(
             f"momentum Picard iteration did not converge (last change {du:.3e})"
         )
@@ -435,6 +411,28 @@ def _substep(
 # ===================== public stepping API =====================
 
 
+def _advance(
+    state: FieldState,
+    inputs,
+    scenario: ScenarioConfig,
+    solver_config: SolverConfig,
+    audit: dict | None,
+) -> FieldState:
+    plan = _plan(scenario)
+    v = _check_inputs(plan, inputs)
+    if state.grid_z.size != plan.grid.n_cells:
+        raise ConfigError("state is not on the scenario grid")
+
+    dt = solver_config.substep
+    n_sub = solver_config.n_substeps(scenario.delta_t)
+    p_c = np.array(state.p, dtype=float)
+    T_c = np.array(state.T, dtype=float)
+    u_f = _face_velocities(plan, state, v, scenario)
+    for _ in range(n_sub):
+        p_c, T_c, u_f = _substep(plan, scenario, p_c, T_c, u_f, v, dt, solver_config, audit)
+    return FieldState(grid_z=plan.grid.centers, p=p_c, u=0.5 * (u_f[:-1] + u_f[1:]), T=T_c, u_face=u_f)
+
+
 def step_with_audit(
     state: FieldState,
     inputs,
@@ -447,25 +445,8 @@ def step_with_audit(
     net boundary fluxes (for the loop, the net flow through the pinned cell's
     faces), the applied source integral, and the peak Courant number.
     """
-    plan = _plan(scenario)
-    v = np.asarray(inputs, dtype=float)
-    if v.shape != (scenario.n_controls,):
-        raise ConfigError(f"expected {scenario.n_controls} control inputs")
-    _check_inputs(plan, v)
-    if state.grid_z.size != plan.grid.n_cells:
-        raise ConfigError("state is not on the scenario grid")
-
-    dt = solver_config.substep
-    n_sub = solver_config.n_substeps(scenario.delta_t)
-    p_c = np.array(state.p, dtype=float)
-    T_c = np.array(state.T, dtype=float)
-    u_f = _face_velocities(plan, state, v, scenario)
     audit: dict = {}
-    for _ in range(n_sub):
-        p_c, T_c, u_f = _substep(plan, scenario, p_c, T_c, u_f, v, dt, solver_config, audit)
-    u_c = 0.5 * (u_f[:-1] + u_f[1:])
-    new_state = FieldState(grid_z=plan.grid.centers, p=p_c, u=u_c, T=T_c, u_face=u_f)
-    return new_state, audit
+    return _advance(state, inputs, scenario, solver_config, audit), audit
 
 
 def step(
@@ -475,90 +456,111 @@ def step(
     solver_config: SolverConfig = SolverConfig(),
 ) -> FieldState:
     """Advance the state one delta_t interval under constant controls."""
-    return step_with_audit(state, inputs, scenario, solver_config)[0]
+    return _advance(state, inputs, scenario, solver_config, None)
 
 
 # ===================== steady state =====================
 
-# fixed per-field scales for the convergence metric (cannot collapse to zero)
-_STEADY_SCALES = {"p": 1.0e3, "u": 1.0, "T": 100.0}
 
-
-def _initial_guess(scenario: ScenarioConfig, v: np.ndarray) -> FieldState:
-    """Analytic marching profile: good enough to cut convergence to a few transits."""
-    plan = _plan(scenario)
-    grid = plan.grid
-    n = grid.n_cells
-    fluid = scenario.fluid
-    q_cell = plan.q_fixed + plan.q_ctrl @ v
-
-    if scenario.kind == "heated_channel":
-        u_in = v[scenario.channel_index("u_in")]
-        T_in = v[scenario.channel_index("T_in")]
-        G = float(density(fluid, T_in)) * u_in  # steady mass flux
-        T = np.empty(n)
-        run = T_in
-        for i in range(n):
-            run = run + q_cell[i] * grid.dz[i] / (G * fluid.cp)
-            T[i] = run - 0.5 * q_cell[i] * grid.dz[i] / (G * fluid.cp)
-        u_c = G / density(fluid, T)
-        # integrate friction drop backward from the outlet
-        p = np.empty(n)
-        rho = density(fluid, T)
-        drop = plan.fric[1:] * rho * u_c * np.abs(u_c) / 2.0 * plan.dzf[1:]
-        acc = scenario.outlet_pressure
-        for i in range(n - 1, -1, -1):
-            p[i] = acc + drop[i] / 2.0
-            acc = acc + drop[i]
-        return FieldState(grid_z=grid.centers, p=p, u=u_c, T=T)
-
-    # loop: uniform temperature at the reference, velocity from the head balance
-    T = np.full(n, scenario.reference_temperature)
-    rho = density(fluid, scenario.reference_temperature)
-    dp_pump = v[scenario.channel_index("dp_pump")]
-    coeff = float(np.sum(plan.fric[:n] * plan.dzf[:n])) * rho / 2.0
-    u0 = np.sqrt(max(dp_pump, 0.0) / max(coeff, 1e-30))
-    u_c = np.full(n, u0)
-    p = np.zeros(n)
-    acc = 0.0
-    for i in range(1, n):
-        acc -= plan.fric[i] * rho * u0 * abs(u0) / 2.0 * plan.dzf[i]
-        p[i] = acc
-    p -= p[scenario.reference_cell] - scenario.reference_pressure
-    return FieldState(grid_z=grid.centers, p=p, u=u_c, T=T)
-
-
-def steady_state(
-    scenario: ScenarioConfig,
-    inputs,
-    solver_config: SolverConfig = SolverConfig(),
-    tol: float = 1e-8,
-    max_time: float = 2000.0,
-) -> FieldState:
-    """March the transient until fields stop changing.
-
-    Convergence: max per-field change over one delta_t, divided by fixed field
-    scales (p: 1 kPa, u: 1 m/s, T: 100 K), below ``tol``. Raises
-    NumericalError with the residual if max_time elapses first.
-    """
-    v = np.asarray(inputs, dtype=float)
-    state = _initial_guess(scenario, v)
-    t = 0.0
-    resid = np.inf
-    while t < max_time:
-        new_state, _ = step_with_audit(state, v, scenario, solver_config)
-        resid = max(
-            float(np.max(np.abs(new_state.p - state.p))) / _STEADY_SCALES["p"],
-            float(np.max(np.abs(new_state.u - state.u))) / _STEADY_SCALES["u"],
-            float(np.max(np.abs(new_state.T - state.T))) / _STEADY_SCALES["T"],
+def _closure_checked(fluid, T: np.ndarray, where: str) -> np.ndarray:
+    """T, if it sits below the closure's vertex, where h = rho(T) T inverts back to T."""
+    if fluid.rho_b > 0.0 and not np.all(T < fluid.rho_a / (2.0 * fluid.rho_b)):
+        raise NumericalError(
+            f"{where}: steady T up to {np.max(T):.6g} K is beyond the closure's invertible range"
         )
-        state = new_state
-        t += scenario.delta_t
-        if resid < tol:
-            return state
+    return T
+
+
+def _steady_faces(plan: _Plan, fluid, T_up: np.ndarray, G: float) -> tuple[np.ndarray, np.ndarray]:
+    """u_face and face dp at mass flux G > 0, T_up being each face's upwind T.
+
+    At a fixed point momentum reduces to dp_j = -dzf_j rho_j (f_j |u_j| u_j / 2 + adv_j - g_j).
+    """
+    rho_f = density(fluid, T_up)
+    u_f = G / rho_f
+    adv = np.zeros_like(u_f)  # the channel's face 0 is the inlet
+    adv[1:] = u_f[1:] * (u_f[1:] - u_f[:-1]) / plan.grid.dz
+    if plan.is_loop:
+        adv[0] = adv[-1]
+    return u_f, -plan.dzf * rho_f * (plan.fric * np.abs(u_f) * u_f / 2.0 + adv - plan.grav)
+
+
+def _loop_state(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.ndarray):
+    """Loop fixed point (T, u_face, face dp): T = T_bar + d(G), G from the pump head.
+
+    d is the zero-mean part of cumsum(q dz) / (c_p G). Pinning sum(rho(T) T dz)
+    at rho(T_ref) T_ref L gives b T_bar^2 - a T_bar + h_ref + b var(d) = 0
+    (smaller root); G is the root of sum(-dp_j) = dp_pump.
+    """
+    fluid, dz = scenario.fluid, plan.grid.dz
+    a, b, length = fluid.rho_a, fluid.rho_b, float(np.sum(dz))
+    if abs(np.sum(heat)) > 1e-12 * np.sum(np.abs(heat)):
+        raise NumericalError(
+            f"loop heat sources do not cancel (net {np.sum(heat):.6e} W/m^2); no steady state exists"
+        )
+    s = np.cumsum(heat) / fluid.cp
+    rho_ref = float(density(fluid, scenario.reference_temperature))
+    h_ref = rho_ref * scenario.reference_temperature
+    dp_pump = float(v[scenario.channel_index("dp_pump")])
+
+    def state(G: float):
+        d = s / G
+        d -= float(d @ dz) / length
+        k = h_ref + b * float((d * d) @ dz) / length
+        T = 2.0 * k / (a + np.sqrt(max(a * a - 4.0 * b * k, 0.0))) + d  # exact at b = 0
+        T = _closure_checked(fluid, T, f"loop at G = {G:.6g} kg/m^2/s, pump head {dp_pump} Pa")
+        return (T, *_steady_faces(plan, fluid, np.concatenate(([T[-1]], T)), G))
+
+    def residual(G: float) -> float:
+        return -float(np.sum(state(G)[2][:-1])) - dp_pump
+
+    # expand a bracket from the isothermal friction balance
+    drag = float(plan.fric[:-1] @ plan.dzf[:-1]) / (2.0 * rho_ref)
+    lo = hi = np.sqrt(abs(dp_pump) / drag) if drag > 0.0 and dp_pump != 0.0 else rho_ref
+    for _ in range(200):
+        r_lo, r_hi = residual(lo), residual(hi)
+        if r_lo <= 0.0 <= r_hi:
+            return state(scipy.optimize.brentq(residual, lo, hi))
+        lo, hi = (lo / 2.0 if r_lo > 0.0 else lo), (hi * 2.0 if r_hi < 0.0 else hi)
     raise NumericalError(
-        f"steady_state did not converge within {max_time} s (residual {resid:.3e})"
+        f"no loop mass flux in [{lo:.3e}, {hi:.3e}] kg/m^2/s balances the pump head {dp_pump} Pa"
     )
+
+
+def steady_state(scenario: ScenarioConfig, inputs) -> FieldState:
+    """Fixed point of ``step`` at constant inputs, solved directly; carries ``u_face``.
+
+    Heated channel, closed form: G = rho(T_in) u_in, T_i = T_in +
+    sum_{j<=i} q_j dz_j / (G c_p), u_j = G / rho(upwind T), p summed back from
+    the outlet. Loop: T_i = theta(G) + s_i / G, theta pinning sum(rho(T) T dz)
+    at the uniform ``reference_temperature`` state's value (stepping conserves
+    it), G the pump-head root, p summed from the pinned ``reference_cell``.
+
+    Raises ConfigError for a wrong-length or out-of-range input, and
+    NumericalError when no steady state exists: loop sources that do not
+    cancel, no G > 0 balancing the pump head, T beyond the closure's
+    invertible range, or non-finite fields.
+    """
+    plan = _plan(scenario)
+    v = _check_inputs(plan, inputs)
+    fluid = scenario.fluid
+    heat = (plan.q_fixed + plan.q_ctrl @ v) * plan.grid.dz
+    if plan.is_loop:
+        T, u_f, dpf = _loop_state(plan, scenario, v, heat)
+        p = np.concatenate(([0.0], np.cumsum(dpf[1:-1])))
+        p += scenario.reference_pressure - p[plan.ref_cell]
+    else:
+        u_in, T_in = (float(v[scenario.channel_index(c)]) for c in ("u_in", "T_in"))
+        G = float(density(fluid, T_in)) * u_in
+        if not G > 0.0:
+            raise NumericalError(f"heated channel has no steady state at inlet mass flux {G} kg/m^2/s")
+        T = _closure_checked(fluid, T_in + np.cumsum(heat) / (G * fluid.cp), "heated channel")
+        u_f, dpf = _steady_faces(plan, fluid, np.concatenate(([T_in], T)), G)
+        u_f[0] = u_in
+        p = scenario.outlet_pressure - np.cumsum(dpf[:0:-1])[::-1]
+    if not all(np.all(np.isfinite(x)) for x in (p, u_f, T)):
+        raise NumericalError(f"non-finite steady fields at inputs {v}")
+    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
 
 
 # ===================== experiments =====================
@@ -567,13 +569,7 @@ def steady_state(
 def sensor_readout(state: FieldState, stations) -> np.ndarray:
     """(3, s) array of (p, u, T) linearly interpolated at the station positions."""
     stations = np.asarray(stations, dtype=float)
-    return np.stack(
-        [
-            np.interp(stations, state.grid_z, state.p),
-            np.interp(stations, state.grid_z, state.u),
-            np.interp(stations, state.grid_z, state.T),
-        ]
-    )
+    return np.stack([np.interp(stations, state.grid_z, f) for f in (state.p, state.u, state.T)])
 
 
 def run_experiment(
@@ -604,7 +600,6 @@ def run_experiment(
 
     state = initial_state
     p[0], u[0], T[0] = state.p, state.u, state.T
-    v[0] = trajectory.value(0.0)
     sensors[0] = sensor_readout(state, stations)
     for k in range(K):
         vk = trajectory.value(float(times[k]))

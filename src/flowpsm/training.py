@@ -348,9 +348,6 @@ class PdeResidualSet:
     momentum: np.ndarray
     energy: np.ndarray
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"mass": self.mass, "momentum": self.momentum, "energy": self.energy}
-
 
 def pointwise_closures(scenario: ScenarioConfig, z_phys: np.ndarray, v_phys: np.ndarray):
     """(f/D_h, g, q''') arrays at physical positions and controls, from the solver's cell table."""

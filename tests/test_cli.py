@@ -229,6 +229,24 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"n_train": "x"}, "n_train"),
+    ({"degradation": [1, 10.0]}, "degradation"),
+    ({"degradation": {"segment_index": 1}}, "friction_multiplier"),
+    ({"degradation": {"segment_index": "x", "friction_multiplier": 10.0}}, "segment_index"),
+], ids=["n_train_not_a_number", "degradation_not_an_object",
+        "degradation_without_multiplier", "segment_index_not_a_number"])
+def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()),
+                               "n_train": 1, "n_test": 0, **extra}))
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "config error" in err and key in err
+
+
 def test_missing_out_dir_is_config_error(pipeline, capsys, monkeypatch):
     monkeypatch.delenv("FLOWPSM_OUT", raising=False)
     rc = main(["preset", "--name", "loop"])

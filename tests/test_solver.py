@@ -1,5 +1,7 @@
 """Reference solver: steady states, stepping, records, trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from flowpsm.solver import (
     FieldState,
     InputTrajectory,
     SolverConfig,
-    _initial_guess,
     generate_trajectories,
     inject_degradation,
     run_experiment,
@@ -96,9 +97,75 @@ def test_solver_config_validation(scenario, steady):
         step(steady, np.array([0.65, 844.65]), scenario, SolverConfig(substep=-0.1))
 
 
-def test_steady_state_nonconvergence_raises(scenario):
-    with pytest.raises(NumericalError):
-        steady_state(scenario, np.array([0.65, 844.65]), tol=1e-30, max_time=5.0)
+def _loop_with(changes: dict):
+    """The loop preset with per-segment field overrides {index: {field: value}}."""
+    sc = loop_preset()
+    segs = list(sc.segments)
+    for i, fields in changes.items():
+        segs[i] = replace(segs[i], **fields)
+    return replace(sc, segments=tuple(segs))
+
+
+def test_steady_state_rejects_bad_inputs(scenario):
+    with pytest.raises(ConfigError):
+        steady_state(scenario, np.array([0.65]))  # wrong control count
+    with pytest.raises(ConfigError):
+        steady_state(scenario, np.array([0.9, 844.65]))  # u_in beyond the extended range
+    with pytest.raises(ConfigError):
+        steady_state(loop_preset(), np.array([50.0e6, 3000.0]))  # pump head beyond it
+
+
+def test_steady_state_without_a_steady_state_raises(scenario):
+    # the cooler removes only 90% of the heat: the loop's enthalpy grows forever
+    leaky = _loop_with({4: {"source_scale": -0.9}})
+    with pytest.raises(NumericalError, match="do not cancel"):
+        steady_state(leaky, leaky.mid_inputs())
+    # a pump head range centred on zero: no forward mass flux balances it
+    idle = replace(loop_preset(), input_ranges=((45.0e6, 55.0e6), (-100.0, 100.0)))
+    with pytest.raises(NumericalError, match="pump head"):
+        steady_state(idle, idle.mid_inputs())
+    # a heater hot enough to push the outlet past the closure's vertex
+    hot = replace(scenario, segments=tuple(
+        replace(s, heat_source=1.0e4 * s.heat_source) for s in scenario.segments))
+    with pytest.raises(NumericalError, match="invertible"):
+        steady_state(hot, np.array([0.65, 844.65]))
+
+
+STEADY_SCALES = {"p": 1.0e3, "u": 1.0, "T": 100.0}  # Pa, m/s, K
+
+
+@pytest.mark.parametrize("name", ["channel", "loop", "loop_x10_friction", "loop_gravity"])
+@pytest.mark.parametrize("where", ["low", "mid", "high"])
+def test_steady_state_is_a_fixed_point_of_step(name, where):
+    sc = {
+        "channel": heated_channel_preset,
+        "loop": loop_preset,
+        "loop_x10_friction": lambda: inject_degradation(loop_preset(), 3, 10.0),
+        # heater leg rising, cooler leg falling: buoyancy helps the pump
+        "loop_gravity": lambda: _loop_with({1: {"gravity_component": -9.81},
+                                            4: {"gravity_component": 9.81}}),
+    }[name]()
+    lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
+    v = {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[where]
+    start = steady_state(sc, v)
+    assert start.u_face is not None
+    moved = step(start, v, sc)
+    for f, scale in STEADY_SCALES.items():
+        assert np.max(np.abs(moved.field(f) - start.field(f))) <= 1e-8 * scale, f
+
+
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+def test_loop_steady_state_keeps_reference_enthalpy(where):
+    sc = inject_degradation(loop_preset(), 3, 10.0)
+    lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
+    state = steady_state(sc, lo + where * (hi - lo))
+    dz = build_grid(sc).dz
+    enthalpy = float(np.sum(density(sc.fluid, state.T) * state.T * dz))
+    T_ref = sc.reference_temperature
+    reference = float(density(sc.fluid, T_ref)) * T_ref * float(np.sum(dz))
+    assert abs(enthalpy - reference) <= 1e-12 * reference
+    assert state.p[sc.reference_cell] == sc.reference_pressure
+    assert np.ptp(state.T) > 10.0  # a real heater/cooler profile, not the uniform start
 
 
 def test_run_experiment_record_invariants(scenario):
@@ -190,10 +257,25 @@ def test_inject_degradation(scenario):
 
 
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
+def test_step_matches_step_with_audit(preset):
+    sc = preset()
+    lo = np.array([r[0] for r in sc.input_ranges])
+    state = steady_state(sc, lo)
+    v = sc.mid_inputs()
+    plain = step(state, v, sc)
+    audited, audit = step_with_audit(state, v, sc)
+    assert audit
+    for f in ("p", "u", "T", "u_face"):
+        assert np.array_equal(getattr(plain, f), getattr(audited, f)), f
+
+
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
 def test_step_with_audit_closes_mass_and_enthalpy(preset):
     sc = preset()
-    v = np.array([0.5 * (lo + hi) for lo, hi in sc.input_ranges])
-    state = _initial_guess(sc, v)
+    # start steady at the low end of the ranges and step at mid inputs, so
+    # the audit sees a real transient
+    state = start = steady_state(sc, np.array([r[0] for r in sc.input_ranges]))
+    v = sc.mid_inputs()
     grid = build_grid(sc)
     area = sc.segments[0].flow_area
     for _ in range(3):
@@ -211,3 +293,4 @@ def test_step_with_audit_closes_mass_and_enthalpy(preset):
             enthalpy_gap = audit["enthalpy_change"]  # cyclic fluxes telescope, sources cancel
         assert abs(mass_gap) <= 1e-12 * mass
         assert abs(enthalpy_gap) <= 1e-12 * enthalpy
+    assert np.max(np.abs(state.u - start.u)) > 0.05  # the audit saw a real transient

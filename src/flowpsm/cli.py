@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -64,7 +65,7 @@ from .solver import (
     SolverConfig,
     generate_trajectories,
     inject_degradation,
-    run_experiment,
+    run_experiments,
     steady_state,
 )
 from .training import (
@@ -116,20 +117,30 @@ def _kelvin(cfg: dict, base: str, required: bool = True) -> float | None:
     if k_key in cfg and c_key in cfg:
         raise ConfigError(f"give either {k_key} or {c_key}, not both")
     if k_key in cfg:
-        return float(cfg[k_key])
+        return _number(cfg, k_key, float)
     if c_key in cfg:
-        return float(cfg[c_key]) + 273.15
+        return _number(cfg, c_key, float) + 273.15
     if required:
         raise ConfigError(f"missing {k_key} (or {c_key})")
     return None
 
 
 def _number(cfg: dict, key: str, kind, default=None):
-    """cfg[key] (required without a default) as int or float, else a ConfigError."""
-    try:
-        return kind(cfg[key] if default is None else cfg.get(key, default))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be given as a number: {exc!r}") from exc
+    """cfg[key] (required without a default) as int or float, else a ConfigError.
+
+    JSON numbers only: a string, a boolean, a non-finite value, or a
+    fractional value for an int key is rejected.
+    """
+    if default is None and key not in cfg:
+        raise ConfigError(f"missing {key!r}")
+    value = cfg.get(key, default)
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (kind is float or value.is_integer())
+    if not ok:
+        raise ConfigError(f"{key!r} must be given as {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 def _scenario_from_config(cfg: dict):
@@ -154,11 +165,14 @@ def _scenario_from_config(cfg: dict):
 
 def _solver_config(cfg: dict) -> SolverConfig:
     solver = cfg.get("solver", {})
-    allowed = {"substep", "tol", "max_iters"}
-    unknown = set(solver) - allowed
+    if not isinstance(solver, dict):
+        raise ConfigError(f"'solver' must be an object, got {solver!r}")
+    default = SolverConfig()
+    kinds = {"substep": float, "tol": float, "max_iters": int}
+    unknown = set(solver) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(**solver)
+    return SolverConfig(**{k: _number(solver, k, kind, getattr(default, k)) for k, kind in kinds.items()})
 
 
 def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict, outputs: dict,
@@ -239,10 +253,8 @@ def cmd_gen_data(args) -> None:
     n_total = n_train + n_test
     trajectories = generate_trajectories(args.seed, scenario, n_total)
 
-    records = [
-        run_experiment(scenario, traj, steady_state(scenario, traj.value(0.0)), solver_cfg)
-        for traj in trajectories
-    ]
+    records = run_experiments(scenario, trajectories,
+                              [steady_state(scenario, traj.value(0.0)) for traj in trajectories], solver_cfg)
 
     (outdir / "records").mkdir(exist_ok=True)
     rel_paths = []
@@ -295,21 +307,22 @@ def cmd_train(args) -> None:
     if args.mode == "ann":
         alpha, beta = 1.0, 0.0
     else:
-        alpha = float(cfg.get("alpha", 0.5))
-        beta = float(cfg.get("beta", 0.5))
+        alpha = _number(cfg, "alpha", float, 0.5)
+        beta = _number(cfg, "beta", float, 0.5)
     config = TrainConfig(
         alpha=alpha,
         beta=beta,
-        epochs=int(cfg.get("epochs", 500)),
-        batch_size=int(cfg.get("batch_size", 2048)),
-        base_lr=float(cfg.get("base_lr", 1e-3)),
-        collocation_size=cfg.get("collocation_size"),
+        epochs=_number(cfg, "epochs", int, 500),
+        batch_size=_number(cfg, "batch_size", int, 2048),
+        base_lr=_number(cfg, "base_lr", float, 1e-3),
+        collocation_size=None if cfg.get("collocation_size") is None
+        else _number(cfg, "collocation_size", int),
         seed=args.seed,
     )
     noise = _noise_from_flag(args.noise)
     dataset, _ = assemble_dataset(data["train_records"], scenario, scaling=scaling)
     params, history = train(spec, dataset, scenario, scaling, config, noise,
-                            log_every=int(cfg.get("log_every", 25)))
+                            log_every=_number(cfg, "log_every", int, 25))
 
     save_checkpoint(outdir / "checkpoint.psmw", params)
     write_metrics(outdir / "metrics.csv",
@@ -398,7 +411,7 @@ def cmd_eval(args) -> None:
 
 def _build_references(cfg: dict, scenario) -> np.ndarray:
     lay = input_layout(scenario)
-    n_steps = int(cfg.get("n_steps", round(scenario.episode_duration / scenario.delta_t)))
+    n_steps = _number(cfg, "n_steps", int, round(scenario.episode_duration / scenario.delta_t))
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
     ref = cfg.get("references")
@@ -436,17 +449,17 @@ def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, d
             name = c.get("name", "")
             if kind == "temperature_cap":
                 cap = _kelvin(c, "cap")
-                station = int(c["station_index"])
+                station = _number(c, "station_index", int)
                 row = temperature_cap(scenario, scaling, station, cap,
                                       name=name or f"T_cap_{station}")
                 temperature_rows[row.name] = cap
             elif kind == "linear":
-                row = Constraint(c=tuple(float(x) for x in c["c"]), d=float(c["d"]),
+                row = Constraint(c=tuple(float(x) for x in c["c"]), d=_number(c, "d", float),
                                  name=name or "linear")
             else:
                 raise ConfigError(f"unknown constraint type {kind!r}")
             rows.append(row)
-        entries.append((int(entry["from_step"]), ConstraintSet(rows=tuple(rows))))
+        entries.append((_number(entry, "from_step", int), ConstraintSet(rows=tuple(rows))))
     entries.sort(key=lambda e: e[0])
     return ConstraintSchedule(entries=tuple(entries)), temperature_rows
 
@@ -462,9 +475,9 @@ def cmd_control(args) -> None:
     references = _build_references(cfg, scenario)
     schedule, temperature_rows = _build_schedule(cfg, scenario, scaling)
     gov = CgConfig(
-        horizon=int(cfg.get("horizon", 50)),
-        epsilon=float(cfg.get("epsilon", 0.01)),
-        update_interval=int(cfg.get("update_interval", 10)),
+        horizon=_number(cfg, "horizon", int, 50),
+        epsilon=_number(cfg, "epsilon", float, 0.01),
+        update_interval=_number(cfg, "update_interval", int, 10),
         q_weight=None if cfg.get("q_weight") is None else tuple(np.ravel(cfg["q_weight"])),
     )
     log = ncg_rollout(
@@ -514,7 +527,7 @@ def cmd_diagnose(args) -> None:
     stream_errors = [prediction_errors(spec, params, scenario, scaling, rec) for rec in streams]
     errors = np.concatenate(stream_errors)
 
-    window = int(cfg.get("window", 4))
+    window = _number(cfg, "window", int, 4)
     zeta = cfg.get("zeta")
     if zeta is None:
         split = cfg.get("calibration_split", "test")
@@ -523,9 +536,11 @@ def cmd_diagnose(args) -> None:
             raise ConfigError(f"no {split} records available to calibrate zeta")
         cal_errors = [prediction_errors(spec, params, scenario, scaling, r) for r in cal_records]
         zeta = calibrate_zeta(cal_errors, window,
-                              multiplier=float(cfg.get("multiplier", 5.0)),
-                              percentile=float(cfg.get("percentile", 95.0)))
-    result = detect(errors, DetectorConfig(zeta=float(zeta), window=window))
+                              multiplier=_number(cfg, "multiplier", float, 5.0),
+                              percentile=_number(cfg, "percentile", float, 95.0))
+    else:
+        zeta = _number(cfg, "zeta", float)
+    result = detect(errors, DetectorConfig(zeta=zeta, window=window))
 
     verdict = [f"threshold zeta = {zeta:.6e}, window = {window} steps"]
     outputs = {}
@@ -537,20 +552,22 @@ def cmd_diagnose(args) -> None:
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
         twin_cfg = cfg.get("twin", {})
+        if not isinstance(twin_cfg, dict):
+            raise ConfigError(f"'twin' must be an object, got {twin_cfg!r}")
         stream_ds, _ = assemble_dataset(streams, scenario, scaling=scaling, strict=False)
         twin, hist = transfer_learn_twin(
             spec, params, stream_ds, scenario, scaling,
-            base_lr=float(twin_cfg.get("base_lr", 1e-4)),
-            epochs=int(twin_cfg.get("epochs", 50)),
-            batch_size=int(twin_cfg.get("batch_size", 512)),
-            seed=int(twin_cfg.get("seed", 0)),
+            base_lr=_number(twin_cfg, "base_lr", float, 1e-4),
+            epochs=_number(twin_cfg, "epochs", int, 50),
+            batch_size=_number(twin_cfg, "batch_size", int, 512),
+            seed=_number(twin_cfg, "seed", int, 0),
         )
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
         nominal_ds, _ = assemble_dataset(data["train_records"], scenario, scaling=scaling)
         v_star, x0_star = sample_conditions(
             nominal_ds, scenario, scaling,
-            int(cfg.get("n_conditions", 64)), seed=int(cfg.get("conditions_seed", 0)),
+            _number(cfg, "n_conditions", int, 64), seed=_number(cfg, "conditions_seed", int, 0),
         )
         sig = signature(spec, params, twin, scenario, scaling, v_star, x0_star)
         write_signature_csv(outdir / "signature.csv", sig)

@@ -150,6 +150,10 @@ def calibrate_zeta(
 ) -> float:
     """Threshold from nominal validation data: multiplier times the
     window-mean error percentile over all complete windows."""
+    if window < 1:
+        raise ConfigError("detector window must be >= 1 step")
+    if not 0.0 <= percentile <= 100.0:
+        raise ConfigError(f"percentile must lie in [0, 100], got {percentile}")
     means = []
     for seq in error_sequences:
         seq = np.asarray(seq, dtype=np.float64)

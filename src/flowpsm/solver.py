@@ -12,14 +12,26 @@ Transient scheme (first-order, semi-implicit, staggered):
   explicit upwind fluxes (old velocities), and T is recovered by inverting
   the quadratic closure h = (rho_a - rho_b*T)*T (smaller root);
 * momentum is semi-implicit: explicit upwind advection, friction linearized
-  about the current Picard iterate, implicit pressure gradient; substituting
-  the face-velocity update into continuity yields a tridiagonal (channel) or
-  pinned-cyclic (loop) pressure system, solved directly.
+  about the current Picard iterate, implicit pressure gradient (the loop's
+  pump head is a momentum source on its wrap face); substituting the
+  face-velocity update into continuity yields one tridiagonal pressure
+  system on both rigs, solved by LAPACK ``?gtsv``. Its rows sum to zero, so
+  it is solved for p minus a datum (the channel's outlet pressure, the
+  loop's reference pressure). On the loop the pinned reference cell drops
+  out, and the other cells, taken in cyclic order from the one after it,
+  leave a tridiagonal system without a corner.
 
 The loop's static pressure boundary at z_set acts as a pressurizer: its cell
 is pinned to the reference (gage zero) pressure and exchanges the tiny
 thermal-expansion makeup flow; every other cell satisfies discrete
 continuity exactly.
+
+Stepping carries a leading episode axis. Each Picard sweep stacks the
+episodes' pressure systems into one block-tridiagonal solve, and each
+episode stops iterating at its own convergence, so an episode stepped in a
+batch is bit-identical to the same episode stepped alone.
+``run_experiments`` steps a whole corpus this way; ``run_experiment``,
+``step`` and ``step_with_audit`` are batches of one.
 
 Steady states are the scheme's fixed points, solved directly (every 1/dt
 term cancels there): closed form for the heated channel, and for the loop a
@@ -58,6 +70,7 @@ __all__ = [
     "step",
     "step_with_audit",
     "run_experiment",
+    "run_experiments",
     "inject_degradation",
     "sensor_readout",
 ]
@@ -74,9 +87,15 @@ class SolverConfig:
     tol: float = 1e-10  # relative velocity change per Picard sweep
     max_iters: int = 40
 
-    def n_substeps(self, delta_t: float) -> int:
-        if self.substep <= 0:
+    def __post_init__(self) -> None:
+        if not self.substep > 0:
             raise ConfigError("substep must be positive")
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+
+    def n_substeps(self, delta_t: float) -> int:
         if self.substep > delta_t + 1e-12:
             raise ConfigError("substep must be <= delta_t")
         n = round(delta_t / self.substep)
@@ -136,6 +155,7 @@ class _Plan:
     grid: Grid
     dzf: np.ndarray  # face control-volume widths
     fric: np.ndarray  # (f/D_h) per face
+    half_fric: np.ndarray  # fric / 2
     grav: np.ndarray  # gravity component per face
     cell_fric: np.ndarray  # (f/D_h) per cell
     cell_grav: np.ndarray  # gravity component per cell
@@ -143,6 +163,9 @@ class _Plan:
     q_ctrl: np.ndarray  # (n_cells, n_controls) source coupling matrix
     is_loop: bool
     ref_cell: int
+    perm: np.ndarray  # loop cells but ref_cell, in cyclic order from ref_cell + 1
+    left: np.ndarray  # cyclic left neighbour of each cell
+    min_dz: float
     v_lo: np.ndarray
     v_hi: np.ndarray
 
@@ -185,6 +208,7 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
         grid=grid,
         dzf=dzf,
         fric=fric,
+        half_fric=fric / 2.0,
         grav=grav,
         cell_fric=cell_fric,
         cell_grav=cell_grav,
@@ -192,26 +216,35 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
         q_ctrl=q_ctrl,
         is_loop=is_loop,
         ref_cell=scenario.reference_cell,
+        perm=(scenario.reference_cell + 1 + np.arange(n - 1)) % n,
+        left=np.roll(np.arange(n), 1),
+        min_dz=float(np.min(dz)),
         v_lo=np.array([r[0] for r in scenario.input_ranges]),
         v_hi=np.array([r[1] for r in scenario.input_ranges]),
     )
 
 
 def _check_inputs(plan: _Plan, inputs) -> np.ndarray:
-    """The control vector as an array, checked for length and extended range."""
+    """The control vector(s) as an array, checked for length and extended range.
+
+    ``inputs`` is one control vector or a stack of them, one per row. A NaN
+    is outside every range.
+    """
     v = np.asarray(inputs, dtype=float)
-    if v.shape != plan.v_lo.shape:
+    if v.shape[-1:] != plan.v_lo.shape:
         raise ConfigError(f"expected {plan.v_lo.size} control inputs")
     span = plan.v_hi - plan.v_lo
     lo = plan.v_lo - RANGE_SLACK * span
     hi = plan.v_hi + RANGE_SLACK * span
-    if np.any(v < lo - 1e-12) or np.any(v > hi + 1e-12):
+    if not np.all((v >= lo - 1e-12) & (v <= hi + 1e-12)):
         raise ConfigError(f"control inputs {v} outside the extended range [{lo}, {hi}]")
     return v
 
 
-def _face_velocities(plan: _Plan, state: FieldState, v: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
+def _face_velocities(plan: _Plan, state: FieldState) -> np.ndarray:
     """Staggered velocities: reuse the carried array or interpolate centers."""
+    if state.grid_z.size != plan.grid.n_cells:
+        raise ConfigError("state is not on the scenario grid")
     if state.u_face is not None:
         uf = np.array(state.u_face, dtype=float)
         if uf.size != plan.grid.n_cells + 1:
@@ -221,9 +254,38 @@ def _face_velocities(plan: _Plan, state: FieldState, v: np.ndarray, scenario: Sc
         uf = np.append(uf, uf[0])
     else:
         uf = np.interp(plan.grid.faces, plan.grid.centers, state.u)  # ends take the end cells
-    if not plan.is_loop:
-        uf[0] = v[scenario.channel_index("u_in")]
     return uf
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first episode flagged in a boolean (E,) array."""
+    return int(np.argmax(bad))
+
+
+# ===================== pressure solve =====================
+
+
+_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve E tridiagonal systems of k rows in one LAPACK ``?gtsv`` call.
+
+    All four arrays are (E, k): row i of each system reads
+    sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i]. The systems are
+    stacked end to end with sub[:, 0] and sup[:, -1] set to zero in place,
+    so elimination never mixes two episodes and each block's solution is
+    the one it has when solved alone. The arrays are used as workspace.
+    """
+    E, k = diag.shape
+    sub[:, 0] = 0.0
+    sup[:, -1] = 0.0
+    _, _, _, x, info = _GTSV(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
+    if info != 0:
+        raise NumericalError(
+            f"pressure system is singular (LAPACK gtsv info {info}) in episode {(abs(info) - 1) // k}"
+        )
+    return x.reshape(E, k)
 
 
 # ===================== single substep =====================
@@ -240,17 +302,20 @@ def _substep(
     cfg: SolverConfig,
     audit: dict | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One substep of E episodes: p_c, T_c (E, n), u_f (E, n + 1), v (E, m)."""
     fluid = scenario.fluid
     a, b, cp = fluid.rho_a, fluid.rho_b, fluid.cp
     grid = plan.grid
     n = grid.n_cells
     dz = grid.dz
     is_loop = plan.is_loop
+    E = p_c.shape[0]
 
-    courant = float(np.max(np.abs(u_f))) * dt / float(np.min(dz))
-    if courant > 1.0:
+    courant = np.abs(u_f).max(axis=1) * dt / plan.min_dz
+    if (courant > 1.0).any():
+        ep = _first(courant > 1.0)
         raise NumericalError(
-            f"advective Courant number {courant:.3f} > 1 at substep {dt} s; "
+            f"advective Courant number {courant[ep]:.3f} > 1 at substep {dt} s in episode {ep}; "
             "reduce the substep or the velocity range"
         )
 
@@ -258,28 +323,29 @@ def _substep(
     h = rho_c * T_c
 
     if not is_loop:
-        T_in = v[scenario.channel_index("T_in")]
+        T_in = v[:, scenario.channel_index("T_in")]
         rho_in = a - b * T_in
         h_in = rho_in * T_in
 
     # --- energy: conservative upwind fluxes of h = rho*T with old velocities ---
-    phi = np.empty(n + 1)
+    phi = np.empty((E, n + 1))
     if is_loop:
-        left = np.roll(np.arange(n), 1)
-        h_upw = np.where(u_f[:n] >= 0.0, h[left], h)
-        phi[:n] = u_f[:n] * h_upw
-        phi[n] = phi[0]
+        left = plan.left
+        h_upw = np.where(u_f[:, :n] >= 0.0, h.take(left, axis=1), h)
+        phi[:, :n] = u_f[:, :n] * h_upw
+        phi[:, n] = phi[:, 0]
     else:
-        phi[1:n] = u_f[1:n] * np.where(u_f[1:n] >= 0.0, h[:-1], h[1:])
-        phi[0] = u_f[0] * (h_in if u_f[0] >= 0.0 else h[0])
-        phi[n] = u_f[n] * h[-1]  # outflow (flow does not reverse at the outlet)
+        phi[:, 1:n] = u_f[:, 1:n] * np.where(u_f[:, 1:n] >= 0.0, h[:, :-1], h[:, 1:])
+        phi[:, 0] = u_f[:, 0] * np.where(u_f[:, 0] >= 0.0, h_in, h[:, 0])
+        phi[:, n] = u_f[:, n] * h[:, -1]  # outflow (flow does not reverse at the outlet)
 
-    q_cell = plan.q_fixed + plan.q_ctrl @ v
-    h_new = h - (dt / dz) * (phi[1:] - phi[:-1]) + dt * q_cell / cp
+    q_cell = plan.q_fixed + v @ plan.q_ctrl.T
+    h_new = h - (dt / dz) * (phi[:, 1:] - phi[:, :-1]) + dt * q_cell / cp
     if b > 0.0:
         disc = a * a - 4.0 * b * h_new
-        if np.any(disc <= 0.0):
-            raise NumericalError("energy update left the closure's invertible range")
+        if (disc <= 0.0).any():
+            ep = _first((disc <= 0.0).any(axis=1))
+            raise NumericalError(f"energy update left the closure's invertible range in episode {ep}")
         T_new = (a - np.sqrt(disc)) / (2.0 * b)
     else:
         T_new = h_new / a
@@ -287,123 +353,135 @@ def _substep(
 
     # --- momentum + continuity (Picard on the friction coefficient) ---
     # upwind directions and face densities are frozen at the old velocity signs
+    rho_f = np.empty((E, n + 1))
     if is_loop:
-        sign_pos = u_f[:n] >= 0.0
-        rho_f = np.empty(n + 1)
-        rho_f[:n] = np.where(sign_pos, rho_new[left], rho_new)
-        rho_f[n] = rho_f[0]
+        sign_pos = u_f[:, :n] >= 0.0
+        rho_f[:, :n] = np.where(sign_pos, rho_new.take(left, axis=1), rho_new)
+        rho_f[:, n] = rho_f[:, 0]
         # explicit upwind advection du/dz at each face
-        adv = np.empty(n + 1)
-        grad_left = (u_f[:n] - u_f[left]) / dz[left]  # cell between faces j-1, j
-        grad_right = (u_f[1 : n + 1] - u_f[:n]) / dz  # cell between faces j, j+1
-        adv[:n] = u_f[:n] * np.where(sign_pos, grad_left, grad_right)
-        adv[n] = adv[0]
+        adv = np.empty((E, n + 1))
+        grad_left = (u_f[:, :n] - u_f.take(left, axis=1)) / dz[left]  # cell between faces j-1, j
+        grad_right = (u_f[:, 1:] - u_f[:, :n]) / dz  # cell between faces j, j+1
+        adv[:, :n] = u_f[:, :n] * np.where(sign_pos, grad_left, grad_right)
+        adv[:, n] = adv[:, 0]
     else:
-        rho_f = np.empty(n + 1)
-        rho_f[1:n] = np.where(u_f[1:n] >= 0.0, rho_new[:-1], rho_new[1:])
-        rho_f[0] = rho_in if u_f[0] >= 0.0 else rho_new[0]
-        rho_f[n] = rho_new[-1]
-        adv = np.zeros(n + 1)
-        gl = (u_f[1:n] - u_f[0 : n - 1]) / dz[:-1]
-        gr = (u_f[2 : n + 1] - u_f[1:n]) / dz[1:]
-        adv[1:n] = u_f[1:n] * np.where(u_f[1:n] >= 0.0, gl, gr)
-        adv[n] = u_f[n] * (u_f[n] - u_f[n - 1]) / dz[-1] if u_f[n] >= 0.0 else 0.0
+        rho_f[:, 1:n] = np.where(u_f[:, 1:n] >= 0.0, rho_new[:, :-1], rho_new[:, 1:])
+        rho_f[:, 0] = np.where(u_f[:, 0] >= 0.0, rho_in, rho_new[:, 0])
+        rho_f[:, n] = rho_new[:, -1]
+        adv = np.zeros((E, n + 1))
+        gl = (u_f[:, 1:n] - u_f[:, : n - 1]) / dz[:-1]
+        gr = (u_f[:, 2:] - u_f[:, 1:n]) / dz[1:]
+        adv[:, 1:n] = u_f[:, 1:n] * np.where(u_f[:, 1:n] >= 0.0, gl, gr)
+        adv[:, n] = np.where(u_f[:, n] >= 0.0, u_f[:, n] * (u_f[:, n] - u_f[:, n - 1]) / dz[-1], 0.0)
 
     m_i = -dz * (rho_new - rho_c) / dt  # continuity source per cell
-    dp_pump = v[scenario.channel_index("dp_pump")] if is_loop else 0.0
+    num = rho_f * (u_f / dt - adv + plan.grav)
+    if is_loop:
+        # the pump head acts on the wrap face (face 0, which is face n)
+        num[:, 0] += v[:, scenario.channel_index("dp_pump")] / plan.dzf[0]
+        num[:, n] = num[:, 0]
+        datum, perm = scenario.reference_pressure, plan.perm
+    else:
+        datum = scenario.outlet_pressure
+        inflow = rho_f[:, 0] * u_f[:, 0]
 
+    # Every row of the pressure system below has zero sum, so it is solved
+    # for p - datum: the pinned loop cell and the channel's outlet then add
+    # nothing to the right-hand side. Each episode iterates until its own
+    # velocity change is below tol; a converged episode keeps its u_k and
+    # p_new while the others go on.
     u_k = u_f.copy()
-    p_new = p_c
-    idx = np.arange(n)
+    p_new = p_c - datum
+    active = np.ones(E, dtype=bool)
     for _ in range(cfg.max_iters):
-        D = rho_f * (1.0 / dt + plan.fric * np.abs(u_k) / 2.0)
-        uhat = rho_f * (u_f / dt - adv + plan.grav) / D
+        D = rho_f * (1.0 / dt + plan.half_fric * np.abs(u_k))
+        uhat = num / D
         e = 1.0 / (plan.dzf * D)
 
         # substituting u_j = uhat_j - e_j * dp_j into continuity gives a
         # pressure system; el/er are the left/right face coupling weights
-        el = rho_f[:n] * e[:n]
-        er = rho_f[1:] * e[1:]
-        rhs = m_i - rho_f[1:] * uhat[1:] + rho_f[:n] * uhat[:n]
-
+        coupling = rho_f * e
+        el, er = coupling[:, :n], coupling[:, 1:]
+        flux = rho_f * uhat
+        if not is_loop:
+            # face 0 carries the fixed inlet velocity (no pressure coupling)
+            el[:, 0] = 0.0
+            flux[:, 0] = inflow
+        rhs = m_i - flux[:, 1:] + flux[:, :n]
+        dpf = np.empty((E, n + 1))
         if is_loop:
-            # cyclic continuity with cell ref_cell replaced by the pressure pin
-            re = plan.ref_cell
-            A_mat = np.diag(el + er)
-            A_mat[idx, idx - 1] -= el  # wraps cell 0 to column n-1
-            A_mat[idx, (idx + 1) % n] -= er
-            rhs[0] += el[0] * dp_pump  # pump jump sits at the wrap face
-            rhs[n - 1] -= er[n - 1] * dp_pump
-            A_mat[re, :] = 0.0
-            A_mat[re, re] = 1.0
-            rhs[re] = scenario.reference_pressure
-            p_new = np.linalg.solve(A_mat, rhs)
-            dpf = np.empty(n + 1)
-            dpf[0] = p_new[0] - p_new[n - 1] - dp_pump
-            dpf[1:n] = p_new[1:] - p_new[:-1]
-            dpf[n] = dpf[0]
+            # cyclic continuity with cell ref_cell pinned: the other cells,
+            # taken in cyclic order from ref_cell + 1, form a tridiagonal system
+            p = np.zeros((E, n))
+            p[:, perm] = _solve_tridiagonal(
+                -el.take(perm, axis=1), (el + er).take(perm, axis=1), -er.take(perm, axis=1),
+                rhs.take(perm, axis=1))
+            dpf[:, :n] = p - p.take(plan.left, axis=1)
+            dpf[:, n] = dpf[:, 0]
         else:
-            # tridiagonal: face 0 carries the fixed inlet velocity (no
-            # pressure coupling), face n sees the prescribed outlet pressure
-            el[0] = 0.0
-            rhs[0] = m_i[0] - rho_f[1] * uhat[1] + rho_f[0] * u_f[0]
-            rhs[n - 1] += er[n - 1] * scenario.outlet_pressure
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -er[:-1]
-            ab[1, :] = el + er
-            ab[2, :-1] = -el[1:]
-            p_new = scipy.linalg.solve_banded((1, 1), ab, rhs)
-            dpf = np.empty(n + 1)
-            dpf[0] = 0.0
-            dpf[1:n] = p_new[1:] - p_new[:-1]
-            dpf[n] = scenario.outlet_pressure - p_new[-1]
+            p = _solve_tridiagonal(-el, el + er, -er, rhs)
+            dpf[:, 0] = 0.0
+            dpf[:, 1:n] = p[:, 1:] - p[:, :-1]
+            dpf[:, n] = -p[:, -1]
 
         u_next = uhat - e * dpf
         if not is_loop:
-            u_next[0] = u_f[0]  # Dirichlet inlet
+            u_next[:, 0] = u_f[:, 0]  # Dirichlet inlet
         else:
-            u_next[n] = u_next[0]
-        du = float(np.max(np.abs(u_next - u_k)))
-        u_k = u_next
-        if du < cfg.tol * max(1.0, float(np.max(np.abs(u_k)))):
+            u_next[:, n] = u_next[:, 0]
+        du = np.abs(u_next - u_k).max(axis=1)
+        if active.all():
+            u_k, p_new = u_next, p
+        else:
+            u_k = np.where(active[:, None], u_next, u_k)
+            p_new = np.where(active[:, None], p, p_new)
+        active &= ~(du < cfg.tol * np.maximum(1.0, np.abs(u_k).max(axis=1)))
+        if not active.any():
             break
     else:
+        ep = _first(active)
         raise NumericalError(
-            f"momentum Picard iteration did not converge (last change {du:.3e})"
+            f"momentum Picard iteration did not converge in episode {ep} (last change {du[ep]:.3e})"
         )
+    p_new = p_new + datum
 
-    if not (np.all(np.isfinite(p_new)) and np.all(np.isfinite(u_k)) and np.all(np.isfinite(T_new))):
-        raise NumericalError("non-finite fields after substep")
+    if not (np.isfinite(p_new).all() and np.isfinite(u_k).all() and np.isfinite(T_new).all()):
+        bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_k).all(axis=1)
+                & np.isfinite(T_new).all(axis=1))
+        raise NumericalError(f"non-finite fields after substep in episode {_first(bad)}")
 
     if audit is not None:
+        # a single episode; mass_change = mass_boundary + pinned_mass_change
+        # on both rigs: every cell but the loop's pinned one satisfies
+        # continuity exactly, so the boundary term is the net inflow into
+        # those cells (on the loop, what the pinned cell passes to its
+        # neighbours), and the pinned cell's own change is reported apart
+        rho_c, rho_new, h, h_new, rho_f, u_k1, phi, q_cell = (
+            x[0] for x in (rho_c, rho_new, h, h_new, rho_f, u_k, phi, q_cell))
         area = scenario.segments[0].flow_area
         mass_old = float(np.sum(rho_c * dz)) * area
         mass_new = float(np.sum(rho_new * dz)) * area
         if is_loop:
-            # every cell but the pinned one satisfies continuity exactly, so
-            # the total mass change decomposes into the pinned cell's own
-            # density change minus the net inflow through its two faces
             re = plan.ref_cell
             jl, jr = re, (re + 1) % n
-            bnd = (rho_f[jl] * u_k[jl] - rho_f[jr] * u_k[jr]) * area * dt
-            audit["pinned_mass_change"] = (
-                audit.get("pinned_mass_change", 0.0)
-                + dz[re] * (rho_new[re] - rho_c[re]) * area
-            )
+            bnd = (rho_f[jr] * u_k1[jr] - rho_f[jl] * u_k1[jl]) * area * dt
+            pinned = dz[re] * (rho_new[re] - rho_c[re]) * area
             enth_bnd = 0.0  # cyclic fluxes telescope away
         else:
-            bnd = (rho_f[0] * u_k[0] - rho_f[n] * u_k[n]) * area * dt
+            bnd = (rho_f[0] * u_k1[0] - rho_f[n] * u_k1[n]) * area * dt
+            pinned = 0.0
             enth_bnd = (phi[0] - phi[n]) * area * cp * dt
         enth_old = float(np.sum(h * dz)) * area * cp
         enth_new = float(np.sum(h_new * dz)) * area * cp
         src = float(np.sum(q_cell * dz)) * area * dt
         audit["mass_change"] = audit.get("mass_change", 0.0) + (mass_new - mass_old)
         audit["mass_boundary"] = audit.get("mass_boundary", 0.0) + bnd
+        audit["pinned_mass_change"] = audit.get("pinned_mass_change", 0.0) + pinned
         audit["mass_total"] = mass_new
         audit["enthalpy_change"] = audit.get("enthalpy_change", 0.0) + (enth_new - enth_old)
         audit["enthalpy_boundary"] = audit.get("enthalpy_boundary", 0.0) + enth_bnd
         audit["enthalpy_source"] = audit.get("enthalpy_source", 0.0) + src
-        audit["max_courant"] = max(audit.get("max_courant", 0.0), courant)
+        audit["max_courant"] = max(audit.get("max_courant", 0.0), float(courant[0]))
 
     return p_new, T_new, u_k
 
@@ -412,25 +490,44 @@ def _substep(
 
 
 def _advance(
-    state: FieldState,
-    inputs,
+    plan: _Plan,
     scenario: ScenarioConfig,
+    p: np.ndarray,
+    T: np.ndarray,
+    u_f: np.ndarray,
+    v: np.ndarray,
     solver_config: SolverConfig,
     audit: dict | None,
-) -> FieldState:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance E episodes one delta_t under constant controls v (E, m).
+
+    p and T are (E, n) and u_f is (E, n + 1); the channel's inlet face takes
+    each episode's u_in. Non-finite start fields raise NumericalError.
+    """
+    n_sub = solver_config.n_substeps(scenario.delta_t)
+    if not plan.is_loop:
+        u_f = u_f.copy()
+        u_f[:, 0] = v[:, scenario.channel_index("u_in")]
+    for name, x in (("p", p), ("T", T), ("u_face", u_f)):
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite {name} in the start state of episode {_first(bad)}")
+    dt = solver_config.substep
+    for _ in range(n_sub):
+        p, T, u_f = _substep(plan, scenario, p, T, u_f, v, dt, solver_config, audit)
+    return p, T, u_f
+
+
+def _step_one(state: FieldState, inputs, scenario: ScenarioConfig, solver_config: SolverConfig,
+              audit: dict | None) -> FieldState:
+    """``_advance`` of a single state, as a batch of one episode."""
     plan = _plan(scenario)
     v = _check_inputs(plan, inputs)
-    if state.grid_z.size != plan.grid.n_cells:
-        raise ConfigError("state is not on the scenario grid")
-
-    dt = solver_config.substep
-    n_sub = solver_config.n_substeps(scenario.delta_t)
-    p_c = np.array(state.p, dtype=float)
-    T_c = np.array(state.T, dtype=float)
-    u_f = _face_velocities(plan, state, v, scenario)
-    for _ in range(n_sub):
-        p_c, T_c, u_f = _substep(plan, scenario, p_c, T_c, u_f, v, dt, solver_config, audit)
-    return FieldState(grid_z=plan.grid.centers, p=p_c, u=0.5 * (u_f[:-1] + u_f[1:]), T=T_c, u_face=u_f)
+    u_f = _face_velocities(plan, state)
+    fields = (np.asarray(state.p, dtype=float), np.asarray(state.T, dtype=float), u_f)
+    p, T, u_f = (x[0] for x in _advance(plan, scenario, *(x[None] for x in fields), v[None],
+                                        solver_config, audit))
+    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
 
 
 def step_with_audit(
@@ -442,11 +539,12 @@ def step_with_audit(
     """Advance one delta_t with constant controls; also return balance audits.
 
     The audit dict accumulates over the substeps: total mass/enthalpy change,
-    net boundary fluxes (for the loop, the net flow through the pinned cell's
-    faces), the applied source integral, and the peak Courant number.
+    the net boundary inflow of mass and enthalpy, the loop's pinned-cell mass
+    change (so that mass_change = mass_boundary + pinned_mass_change on both
+    rigs), the applied source integral, and the peak Courant number.
     """
     audit: dict = {}
-    return _advance(state, inputs, scenario, solver_config, audit), audit
+    return _step_one(state, inputs, scenario, solver_config, audit), audit
 
 
 def step(
@@ -456,7 +554,7 @@ def step(
     solver_config: SolverConfig = SolverConfig(),
 ) -> FieldState:
     """Advance the state one delta_t interval under constant controls."""
-    return _advance(state, inputs, scenario, solver_config, None)
+    return _step_one(state, inputs, scenario, solver_config, None)
 
 
 # ===================== steady state =====================
@@ -572,54 +670,73 @@ def sensor_readout(state: FieldState, stations) -> np.ndarray:
     return np.stack([np.interp(stations, state.grid_z, f) for f in (state.p, state.u, state.T)])
 
 
+def run_experiments(
+    scenario: ScenarioConfig,
+    trajectories,
+    initial_states,
+    solver_config: SolverConfig = SolverConfig(),
+) -> list[SimulationRecord]:
+    """Step a corpus of episodes together, one record per (trajectory, initial state).
+
+    The episodes advance in lockstep, each with its own Picard convergence
+    and one stacked pressure solve per sweep, so every record is
+    bit-identical to stepping its episode alone. The control vector applied
+    over [t_k, t_{k+1}) is the trajectory value at the interval's left
+    endpoint (zero-order hold at the control cadence). Numerical failures
+    name the episode by its index in ``trajectories``.
+    """
+    trajectories, initial_states = list(trajectories), list(initial_states)
+    if not trajectories or len(trajectories) != len(initial_states):
+        raise ConfigError("need one initial state per trajectory, and at least one")
+    plan = _plan(scenario)
+    stations = np.asarray(scenario.sensor_stations, dtype=float)
+    K = round(scenario.episode_duration / scenario.delta_t)
+    E, n = len(trajectories), plan.grid.n_cells
+
+    times = np.arange(K + 1) * scenario.delta_t
+    v = np.array([[traj.value(float(t)) for t in times] for traj in trajectories])  # (E, K+1, m)
+    p = np.empty((E, K + 1, n))
+    u = np.empty((E, K + 1, n))
+    T = np.empty((E, K + 1, n))
+    sensors = np.empty((E, K + 1, 3, stations.size))
+
+    u_f = np.array([_face_velocities(plan, state) for state in initial_states])
+    for e, state in enumerate(initial_states):
+        p[e, 0], u[e, 0], T[e, 0] = state.p, state.u, state.T
+    for k in range(K):
+        p_k, T_k, u_f = _advance(plan, scenario, p[:, k], T[:, k], u_f, _check_inputs(plan, v[:, k]),
+                                 solver_config, None)
+        p[:, k + 1], u[:, k + 1], T[:, k + 1] = p_k, 0.5 * (u_f[:, :-1] + u_f[:, 1:]), T_k
+    for e, state in enumerate(initial_states):
+        sensors[e, 0] = sensor_readout(state, stations)
+        for k in range(1, K + 1):
+            sensors[e, k] = sensor_readout(
+                FieldState(grid_z=plan.grid.centers, p=p[e, k], u=u[e, k], T=T[e, k]), stations)
+
+    return [
+        SimulationRecord(
+            scenario_hash=scenario_fingerprint(scenario),
+            times=times.copy(),
+            grid_z=plan.grid.centers.copy(),
+            p=p[e],
+            u=u[e],
+            T=T[e],
+            v=v[e],
+            station_z=stations.copy(),
+            sensors=sensors[e],
+        )
+        for e in range(E)
+    ]
+
+
 def run_experiment(
     scenario: ScenarioConfig,
     trajectory: InputTrajectory,
     initial_state: FieldState,
     solver_config: SolverConfig = SolverConfig(),
-    n_steps: int | None = None,
 ) -> SimulationRecord:
-    """Step through the trajectory, recording fields and sensors each delta_t.
-
-    The control vector applied over [t_k, t_{k+1}) is the trajectory value at
-    the interval's left endpoint (zero-order hold at the control cadence).
-    """
-    if n_steps is None:
-        n_steps = round(scenario.episode_duration / scenario.delta_t)
-    plan = _plan(scenario)
-    stations = np.asarray(scenario.sensor_stations, dtype=float)
-    K = int(n_steps)
-    n = plan.grid.n_cells
-
-    times = np.arange(K + 1) * scenario.delta_t
-    p = np.empty((K + 1, n))
-    u = np.empty((K + 1, n))
-    T = np.empty((K + 1, n))
-    v = np.empty((K + 1, scenario.n_controls))
-    sensors = np.empty((K + 1, 3, stations.size))
-
-    state = initial_state
-    p[0], u[0], T[0] = state.p, state.u, state.T
-    sensors[0] = sensor_readout(state, stations)
-    for k in range(K):
-        vk = trajectory.value(float(times[k]))
-        state = step(state, vk, scenario, solver_config)
-        p[k + 1], u[k + 1], T[k + 1] = state.p, state.u, state.T
-        v[k] = vk
-        sensors[k + 1] = sensor_readout(state, stations)
-    v[K] = trajectory.value(float(times[K]))
-
-    return SimulationRecord(
-        scenario_hash=scenario_fingerprint(scenario),
-        times=times,
-        grid_z=plan.grid.centers.copy(),
-        p=p,
-        u=u,
-        T=T,
-        v=v,
-        station_z=stations,
-        sensors=sensors,
-    )
+    """``run_experiments`` of a single episode."""
+    return run_experiments(scenario, [trajectory], [initial_state], solver_config)[0]
 
 
 # ===================== trajectory generation =====================

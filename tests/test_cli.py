@@ -234,13 +234,58 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     ({"degradation": [1, 10.0]}, "degradation"),
     ({"degradation": {"segment_index": 1}}, "friction_multiplier"),
     ({"degradation": {"segment_index": "x", "friction_multiplier": 10.0}}, "segment_index"),
+    ({"solver": {"substep": "x"}}, "substep"),
+    ({"solver": {"max_iters": 2.5}}, "max_iters"),
+    ({"solver": 0.05}, "solver"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
-        "degradation_without_multiplier", "segment_index_not_a_number"])
+        "degradation_without_multiplier", "segment_index_not_a_number",
+        "substep_not_a_number", "max_iters_not_an_integer", "solver_not_an_object"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()),
                                "n_train": 1, "n_test": 0, **extra}))
     rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "config error" in err and key in err
+
+
+_HOLD = {"references": {"hold": [0.65, 850.0]}, "n_steps": 2, "environment": "model"}
+_TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n_conditions": 4}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("train", {"epochs": "x"}, "epochs"),
+    ("train", {"batch_size": 2.5}, "batch_size"),
+    ("train", {"base_lr": "fast"}, "base_lr"),
+    ("train", {"log_every": True}, "log_every"),
+    ("train", {"alpha": "x"}, "alpha"),
+    ("train", {"collocation_size": "x"}, "collocation_size"),
+    ("control", {**_HOLD, "horizon": "x"}, "horizon"),
+    ("control", {**_HOLD, "n_steps": 1.5}, "n_steps"),
+    ("control", {**_HOLD, "epsilon": [0.01]}, "epsilon"),
+    ("control", {**_HOLD, "update_interval": "x"}, "update_interval"),
+    ("diagnose", {"window": "x"}, "window"),
+    ("diagnose", {"window": 0}, "window"),
+    ("diagnose", {"zeta": "x"}, "zeta"),
+    ("diagnose", {"multiplier": "x"}, "multiplier"),
+    ("diagnose", {"percentile": 150.0}, "percentile"),
+    ("diagnose", {**_TRIP, "twin": {"epochs": "x"}}, "epochs"),
+    ("diagnose", {**_TRIP, "twin": {"base_lr": "x"}}, "base_lr"),
+    ("diagnose", {**_TRIP, "n_conditions": 2.5}, "n_conditions"),
+    ("diagnose", {**_TRIP, "conditions_seed": "x"}, "conditions_seed"),
+])
+def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = {
+        "train": ["train", "--data", pipeline["data"]],
+        "control": ["control", "--model", pipeline["psm"], "--data", pipeline["data"]],
+        "diagnose": ["diagnose", "--model", pipeline["psm"], "--data", pipeline["data"],
+                     "--stream", pipeline["data"] / "records/exp_002.psmd"],
+    }[command]
+    rc = main([str(a) for a in argv] + ["--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flowpsm import solver
 from flowpsm.errors import NumericalError
 from flowpsm.solver import (
     FieldState,
@@ -13,6 +14,7 @@ from flowpsm.solver import (
     generate_trajectories,
     inject_degradation,
     run_experiment,
+    run_experiments,
     sensor_readout,
     steady_state,
     step,
@@ -106,6 +108,11 @@ def _loop_with(changes: dict):
     return replace(sc, segments=tuple(segs))
 
 
+def _loop_pinned_mid_heater_leg():
+    """The loop preset pinned at cell 37 (not the bench's cell 0) at a nonzero pressure."""
+    return replace(loop_preset(), reference_cell=37, reference_pressure=2.0e3)
+
+
 def test_steady_state_rejects_bad_inputs(scenario):
     with pytest.raises(ConfigError):
         steady_state(scenario, np.array([0.65]))  # wrong control count
@@ -134,7 +141,7 @@ def test_steady_state_without_a_steady_state_raises(scenario):
 STEADY_SCALES = {"p": 1.0e3, "u": 1.0, "T": 100.0}  # Pa, m/s, K
 
 
-@pytest.mark.parametrize("name", ["channel", "loop", "loop_x10_friction", "loop_gravity"])
+@pytest.mark.parametrize("name", ["channel", "loop", "loop_x10_friction", "loop_gravity", "loop_ref37"])
 @pytest.mark.parametrize("where", ["low", "mid", "high"])
 def test_steady_state_is_a_fixed_point_of_step(name, where):
     sc = {
@@ -144,6 +151,7 @@ def test_steady_state_is_a_fixed_point_of_step(name, where):
         # heater leg rising, cooler leg falling: buoyancy helps the pump
         "loop_gravity": lambda: _loop_with({1: {"gravity_component": -9.81},
                                             4: {"gravity_component": 9.81}}),
+        "loop_ref37": _loop_pinned_mid_heater_leg,
     }[name]()
     lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
     v = {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[where]
@@ -269,7 +277,7 @@ def test_step_matches_step_with_audit(preset):
         assert np.array_equal(getattr(plain, f), getattr(audited, f)), f
 
 
-@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset, _loop_pinned_mid_heater_leg])
 def test_step_with_audit_closes_mass_and_enthalpy(preset):
     sc = preset()
     # start steady at the low end of the ranges and step at mid inputs, so
@@ -283,14 +291,150 @@ def test_step_with_audit_closes_mass_and_enthalpy(preset):
         mass = float(np.sum(density(sc.fluid, state.T) * grid.dz)) * area
         enthalpy = float(np.sum(density(sc.fluid, state.T) * state.T * grid.dz)) * area * sc.fluid.cp
         assert audit["mass_total"] == pytest.approx(mass, rel=1e-12)
-        if sc.kind == "heated_channel":
-            mass_gap = audit["mass_change"] - audit["mass_boundary"]
-            enthalpy_gap = audit["enthalpy_change"] - (
-                audit["enthalpy_boundary"] + audit["enthalpy_source"])
-        else:
-            # every cell but the pinned one satisfies continuity exactly
-            mass_gap = audit["mass_change"] - (audit["pinned_mass_change"] - audit["mass_boundary"])
-            enthalpy_gap = audit["enthalpy_change"]  # cyclic fluxes telescope, sources cancel
+        # one identity on both rigs: the loop's cyclic fluxes telescope and
+        # its sources cancel; the channel has no pinned cell
+        mass_gap = audit["mass_change"] - (audit["mass_boundary"] + audit["pinned_mass_change"])
+        enthalpy_gap = audit["enthalpy_change"] - (audit["enthalpy_boundary"] + audit["enthalpy_source"])
         assert abs(mass_gap) <= 1e-12 * mass
         assert abs(enthalpy_gap) <= 1e-12 * enthalpy
     assert np.max(np.abs(state.u - start.u)) > 0.05  # the audit saw a real transient
+
+
+def _dense_loop_substep(sc, p_c, T_c, u_f, v, dt, cfg):
+    """One loop substep with the pinned-cyclic pressure system assembled as a
+    dense matrix and solved by LU: the solver's former path, kept as an oracle."""
+    plan = solver._plan(sc)
+    a, b, cp = sc.fluid.rho_a, sc.fluid.rho_b, sc.fluid.cp
+    dz = plan.grid.dz
+    n = dz.size
+    idx = np.arange(n)
+    left = np.roll(idx, 1)
+    rho_c = density(sc.fluid, T_c)
+    h = rho_c * T_c
+    phi = np.empty(n + 1)
+    phi[:n] = u_f[:n] * np.where(u_f[:n] >= 0.0, h[left], h)
+    phi[n] = phi[0]
+    h_new = h - (dt / dz) * (phi[1:] - phi[:-1]) + dt * (plan.q_fixed + plan.q_ctrl @ v) / cp
+    T_new = (a - np.sqrt(a * a - 4.0 * b * h_new)) / (2.0 * b)
+    rho_new = a - b * T_new
+    pos = u_f[:n] >= 0.0
+    rho_f = np.append(np.where(pos, rho_new[left], rho_new), 0.0)
+    rho_f[n] = rho_f[0]
+    adv = np.empty(n + 1)
+    adv[:n] = u_f[:n] * np.where(pos, (u_f[:n] - u_f[left]) / dz[left], (u_f[1:] - u_f[:n]) / dz)
+    adv[n] = adv[0]
+    m_i = -dz * (rho_new - rho_c) / dt
+    dp_pump = v[sc.channel_index("dp_pump")]
+    re = sc.reference_cell
+    u_k = u_f.copy()
+    for _ in range(cfg.max_iters):
+        D = rho_f * (1.0 / dt + plan.fric * np.abs(u_k) / 2.0)
+        uhat = rho_f * (u_f / dt - adv + plan.grav) / D
+        e = 1.0 / (plan.dzf * D)
+        el, er = rho_f[:n] * e[:n], rho_f[1:] * e[1:]
+        rhs = m_i - rho_f[1:] * uhat[1:] + rho_f[:n] * uhat[:n]
+        A = np.diag(el + er)
+        A[idx, idx - 1] -= el
+        A[idx, (idx + 1) % n] -= er
+        rhs[0] += el[0] * dp_pump
+        rhs[n - 1] -= er[n - 1] * dp_pump
+        A[re, :] = 0.0
+        A[re, re] = 1.0
+        rhs[re] = sc.reference_pressure
+        p = np.linalg.solve(A, rhs)
+        dpf = np.append(p - p[left], 0.0)
+        dpf[0] -= dp_pump
+        dpf[n] = dpf[0]
+        u_next = uhat - e * dpf
+        u_next[n] = u_next[0]
+        du = np.max(np.abs(u_next - u_k))
+        u_k = u_next
+        if du < cfg.tol * max(1.0, np.max(np.abs(u_k))):
+            return p, T_new, u_k
+    raise AssertionError("oracle Picard iteration did not converge")
+
+
+def test_pinned_loop_substep_matches_dense_oracle():
+    sc = _loop_pinned_mid_heater_leg()
+    lo = np.array([r[0] for r in sc.input_ranges])
+    hi = np.array([r[1] for r in sc.input_ranges])
+    state = step(steady_state(sc, lo), hi, sc)  # mid-transient fields
+    cfg = SolverConfig()
+    plan = solver._plan(sc)
+    fields = (state.p, state.T, state.u_face)
+    p, T, u_f = (x[0] for x in solver._substep(plan, sc, *(x[None] for x in fields), hi[None],
+                                                cfg.substep, cfg, None))
+    p_ref, T_ref, u_ref = _dense_loop_substep(sc, *fields, hi, cfg.substep, cfg)
+    assert p[sc.reference_cell] == sc.reference_pressure
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * STEADY_SCALES["p"]
+    assert np.max(np.abs(u_f - u_ref)) <= 1e-12 * STEADY_SCALES["u"]
+    assert np.max(np.abs(T - T_ref)) <= 1e-12 * STEADY_SCALES["T"]
+    assert np.max(np.abs(u_f - state.u_face)) > 1e-6  # the substep moved the flow
+
+
+def _short(sc, steps: int = 3):
+    return replace(sc, episode_duration=steps * sc.delta_t)
+
+
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
+def test_run_experiments_matches_single_episodes(preset, monkeypatch):
+    sc = _short(preset())
+    lo = np.array([r[0] for r in sc.input_ranges])
+    # a held steady state converges in one Picard sweep per substep, the
+    # random schedules need more
+    hold = InputTrajectory(channels=sc.control_channels,
+                           knot_times=tuple(np.zeros(1) for _ in lo),
+                           knot_values=tuple(np.array([x]) for x in lo))
+    trajs = [hold] + generate_trajectories(3, sc, 2)
+    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+
+    sweeps = []
+    solve = solver._solve_tridiagonal
+
+    def counted(*args):
+        sweeps[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "_solve_tridiagonal", counted)
+    alone = []
+    for tj, st in zip(trajs, starts):
+        sweeps.append(0)
+        alone.append(run_experiment(sc, tj, st))
+    assert len(set(sweeps)) == len(sweeps)  # every episode needs its own sweep count
+    together = run_experiments(sc, trajs, starts)
+    for a, b in zip(alone, together):
+        for f in ("times", "p", "u", "T", "v", "sensors", "station_z", "grid_z"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), f
+        assert a.scenario_hash == b.scenario_hash
+
+
+def test_run_experiments_names_the_failing_episode(scenario):
+    sc = _short(scenario)
+    trajs = generate_trajectories(9, sc, 3)
+    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    starts[1] = replace(starts[1], u_face=10.0 * starts[1].u_face)  # Courant number about 3
+    with pytest.raises(NumericalError, match=r"Courant .* in episode 1\b"):
+        run_experiments(sc, trajs, starts)
+    with pytest.raises(ConfigError):
+        run_experiments(sc, trajs, starts[:2])
+
+
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
+@pytest.mark.parametrize("field", ["p", "T", "u_face"])
+def test_non_finite_start_state_raises_numerical_error(preset, field):
+    sc = preset()
+    v = sc.mid_inputs()
+    start = steady_state(sc, v)
+    bad = getattr(start, field).copy()
+    bad[3] = np.nan
+    with pytest.raises(NumericalError, match=rf"non-finite {field} in the start state of episode 0"):
+        step(replace(start, **{field: bad}), v, sc)
+    trajs = generate_trajectories(4, _short(sc, 1), 2)
+    starts = [start, replace(start, **{field: bad})]
+    with pytest.raises(NumericalError, match=rf"non-finite {field} .* episode 1"):
+        run_experiments(_short(sc, 1), trajs, starts)
+
+
+def test_non_finite_inputs_are_rejected(scenario, steady):
+    with pytest.raises(ConfigError):
+        step(steady, np.array([np.nan, 844.65]), scenario)

@@ -143,6 +143,38 @@ def _number(cfg: dict, key: str, kind, default=None):
     return kind(value)
 
 
+def _numbers(cfg: dict, key: str, shape: tuple | None, kind=float, default=None) -> np.ndarray:
+    """cfg[key] (required without a default) as an array of JSON numbers.
+
+    Each entry is checked as by ``_number``. ``shape`` is the required
+    shape, with None for a free length, or None for any rectangular shape.
+    A scalar where an array is due, a ragged or mis-shaped array, or a bad
+    entry is a ConfigError naming the key.
+    """
+    if default is None and key not in cfg:
+        raise ConfigError(f"missing {key!r}")
+    value = cfg.get(key, default)
+    try:
+        arr = np.array(value, dtype=object)
+    except ValueError:  # ragged in a way numpy cannot hold as objects
+        arr = np.array(None, dtype=object)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, arr.shape))):
+        dims = ", ".join("n" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
+        raise ConfigError(f"{key!r} must be an array of numbers of shape ({dims}), got {value!r}")
+    return np.array([_number({key: x}, key, kind) for x in arr.flat], dtype=kind).reshape(arr.shape)
+
+
+def _object(cfg: dict, key: str, default=None) -> dict:
+    """cfg[key] (required without a default) as a JSON object, else a ConfigError."""
+    if default is None and key not in cfg:
+        raise ConfigError(f"missing {key!r}")
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object, got {value!r}")
+    return value
+
+
 def _scenario_from_config(cfg: dict):
     if ("preset" in cfg) == ("scenario" in cfg):
         raise ConfigError("config must contain exactly one of 'preset' or 'scenario'")
@@ -153,10 +185,8 @@ def _scenario_from_config(cfg: dict):
         scenario = _PRESETS[name]()
     else:
         scenario = scenario_from_dict(cfg["scenario"])
-    deg = cfg.get("degradation")
-    if deg is not None:
-        if not isinstance(deg, dict):
-            raise ConfigError(f"'degradation' must be an object, got {deg!r}")
+    if cfg.get("degradation") is not None:
+        deg = _object(cfg, "degradation")
         scenario = inject_degradation(
             scenario, _number(deg, "segment_index", int), _number(deg, "friction_multiplier", float)
         )
@@ -164,9 +194,7 @@ def _scenario_from_config(cfg: dict):
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError(f"'solver' must be an object, got {solver!r}")
+    solver = _object(cfg, "solver", {})
     default = SolverConfig()
     kinds = {"substep": float, "tol": float, "max_iters": int}
     unknown = set(solver) - set(kinds)
@@ -298,9 +326,7 @@ def cmd_train(args) -> None:
     data = _read_dataset(args.data)
     scenario, scaling = data["scenario"], data["scaling"]
 
-    widths = tuple(cfg.get("widths", (200, 100, 100)))
-    if len(widths) != 3:
-        raise ConfigError("widths must be [head, intermediate, tail]")
+    widths = tuple(_numbers(cfg, "widths", (3,), int, (200, 100, 100)).tolist())
     lay = input_layout(scenario)
     spec = MlpSpec(input_dim=lay.input_dim, head_width=widths[0],
                    intermediate_width=widths[1], tail_width=widths[2])
@@ -414,37 +440,40 @@ def _build_references(cfg: dict, scenario) -> np.ndarray:
     n_steps = _number(cfg, "n_steps", int, round(scenario.episode_duration / scenario.delta_t))
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
-    ref = cfg.get("references")
-    if ref is None:
-        raise ConfigError("control config needs a 'references' entry")
+    ref = _object(cfg, "references")
+    p = lay.n_controls
     if "hold" in ref:
-        values = np.asarray(ref["hold"], dtype=float)
-        if values.shape != (lay.n_controls,):
-            raise ConfigError(f"hold reference must have {lay.n_controls} entries")
-        return np.tile(values, (n_steps, 1))
+        return np.tile(_numbers(ref, "hold", (p,)), (n_steps, 1))
     if "per_step" in ref:
-        values = np.asarray(ref["per_step"], dtype=float)
-        if values.ndim != 2 or values.shape[1] != lay.n_controls:
-            raise ConfigError("per_step reference must be (n_steps, n_controls)")
-        return values
+        return _numbers(ref, "per_step", (None, p))
     if "knots" in ref:
-        times = np.asarray(ref["knots"]["times"], dtype=float)
-        values = np.asarray(ref["knots"]["values"], dtype=float)
-        if values.ndim != 2 or values.shape != (times.size, lay.n_controls):
-            raise ConfigError("knot values must be (n_knots, n_controls)")
+        knots = _object(ref, "knots")
+        times = _numbers(knots, "times", (None,))
+        values = _numbers(knots, "values", (times.size, p))
+        if np.any(np.diff(times) <= 0.0):
+            raise ConfigError(f"knot 'times' must increase strictly, got {times.tolist()}")
         tk = np.arange(n_steps) * scenario.delta_t
         return np.column_stack(
-            [np.interp(tk, times, values[:, j]) for j in range(lay.n_controls)]
+            [np.interp(tk, times, values[:, j]) for j in range(p)]
         )
     raise ConfigError("references must contain 'hold', 'per_step', or 'knots'")
 
 
+def _objects(cfg: dict, key: str) -> list:
+    """cfg[key] as a JSON array of objects (empty when absent), else a ConfigError."""
+    value = cfg.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ConfigError(f"{key!r} must be an array of objects, got {value!r}")
+    return value
+
+
 def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, dict]:
+    n_state = input_layout(scenario).n_state
     entries = []
     temperature_rows = {}
-    for entry in cfg.get("schedule", []):
+    for entry in _objects(cfg, "schedule"):
         rows = []
-        for c in entry.get("constraints", []):
+        for c in _objects(entry, "constraints"):
             kind = c.get("type", "temperature_cap")
             name = c.get("name", "")
             if kind == "temperature_cap":
@@ -454,7 +483,7 @@ def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, d
                                       name=name or f"T_cap_{station}")
                 temperature_rows[row.name] = cap
             elif kind == "linear":
-                row = Constraint(c=tuple(float(x) for x in c["c"]), d=_number(c, "d", float),
+                row = Constraint(c=tuple(_numbers(c, "c", (n_state,)).tolist()), d=_number(c, "d", float),
                                  name=name or "linear")
             else:
                 raise ConfigError(f"unknown constraint type {kind!r}")
@@ -462,6 +491,16 @@ def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, d
         entries.append((_number(entry, "from_step", int), ConstraintSet(rows=tuple(rows))))
     entries.sort(key=lambda e: e[0])
     return ConstraintSchedule(entries=tuple(entries)), temperature_rows
+
+
+def _q_weight(cfg: dict, p: int) -> tuple | None:
+    """The (p, p) input weighting, given as a matrix or its rows end to end, or None."""
+    if cfg.get("q_weight") is None:
+        return None
+    q = _numbers(cfg, "q_weight", None)
+    if q.size != p * p:
+        raise ConfigError(f"'q_weight' must hold {p} x {p} entries, got {q.size}")
+    return tuple(q.ravel().tolist())
 
 
 def cmd_control(args) -> None:
@@ -478,7 +517,7 @@ def cmd_control(args) -> None:
         horizon=_number(cfg, "horizon", int, 50),
         epsilon=_number(cfg, "epsilon", float, 0.01),
         update_interval=_number(cfg, "update_interval", int, 10),
-        q_weight=None if cfg.get("q_weight") is None else tuple(np.ravel(cfg["q_weight"])),
+        q_weight=_q_weight(cfg, scenario.n_controls),
     )
     log = ncg_rollout(
         model["spec"], model["params"], scenario, scaling, references, schedule,
@@ -531,6 +570,8 @@ def cmd_diagnose(args) -> None:
     zeta = cfg.get("zeta")
     if zeta is None:
         split = cfg.get("calibration_split", "test")
+        if split not in ("test", "train"):
+            raise ConfigError(f"'calibration_split' must be \"test\" or \"train\", got {split!r}")
         cal_records = data["test_records"] if split == "test" else data["train_records"]
         if not cal_records:
             raise ConfigError(f"no {split} records available to calibrate zeta")
@@ -551,9 +592,7 @@ def cmd_diagnose(args) -> None:
             f"degradation detected at step {result.trip_index} "
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
-        twin_cfg = cfg.get("twin", {})
-        if not isinstance(twin_cfg, dict):
-            raise ConfigError(f"'twin' must be an object, got {twin_cfg!r}")
+        twin_cfg = _object(cfg, "twin", {})
         stream_ds, _ = assemble_dataset(streams, scenario, scaling=scaling, strict=False)
         twin, hist = transfer_learn_twin(
             spec, params, stream_ds, scenario, scaling,
@@ -577,8 +616,8 @@ def cmd_diagnose(args) -> None:
             verdict.append(
                 f"{eq}: peak |dr| = {mag.max():.3e} at z = {sig.z[np.argmax(mag)]:.3f} m"
             )
-        span = cfg.get("fault_span")
-        if span is not None:
+        if cfg.get("fault_span") is not None:
+            span = _numbers(cfg, "fault_span", (2,))
             ratios = localization_ratio(sig, (float(span[0]), float(span[1])))
             verdict.append(
                 "localization ratios inside z in "

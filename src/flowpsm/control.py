@@ -9,10 +9,9 @@ prediction is exact at the linearization point.
 
 ``build_oinf`` stacks the output-constraint half-spaces propagated over a
 finite horizon plus a tightened steady-state row, in the delta coordinates
-(x - x00, v - v00). The scalar reference governor takes the largest step
-from the previous input toward the reference by an exact ratio test over the
-half-spaces; the command governor projects the reference onto them exactly,
-as a least-distance problem solved by one non-negative least-squares call.
+(x - x00, v - v00). The command governor projects the reference onto them
+exactly, as a least-distance problem solved by one non-negative
+least-squares call.
 ``ncg_rollout`` runs the governed loop against the reference solver (or the
 model itself), re-linearizing on a fixed cadence and on every
 constraint-schedule change.
@@ -23,7 +22,6 @@ All governor math runs in scaled units; rollout logs report physical ones.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "station_predict",
     "linearize",
     "build_oinf",
-    "srg_kappa",
     "cg_solve",
     "least_distance_qp",
     "ncg_rollout",
@@ -280,25 +277,6 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int = 50,
 
 
 # ===================== governors =====================
-
-
-def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray) -> float:
-    """Largest admissible step fraction from v_prev toward r_k (scalar governor).
-
-    Exact ratio test on the half-spaces: with margins m at v_prev and
-    a = H_v (r_k - v_prev), kappa = min(1, min over a_i > 0 of m_i / a_i).
-    """
-    dx = np.asarray(x_k, dtype=float) - oinf.x00
-    dv_prev = np.asarray(v_prev, dtype=float) - oinf.v00
-    dr = np.asarray(r_k, dtype=float) - oinf.v00
-    if not oinf.contains(dx, dv_prev):
-        warnings.warn("current (state, input) pair is outside the admissible set; kappa = 0")
-        return 0.0
-    m = oinf.margins(dx, dv_prev)
-    a = oinf.H_v @ (dr - dv_prev)
-    rising = a > 0
-    kappa = min(1.0, float(np.min(m[rising] / a[rising]))) if np.any(rising) else 1.0
-    return max(0.0, kappa)  # contains() admits margins down to -1e-9
 
 
 def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray

@@ -45,7 +45,6 @@ __all__ = [
     "save_scaling",
     "load_scaling",
     "write_metrics",
-    "read_metrics",
     "write_rollout_log",
     "write_signature_csv",
     "RunManifest",
@@ -257,18 +256,6 @@ def write_metrics(path, rows) -> None:
                 writer.writerow([f"{x:.10g}" if isinstance(x, float) else x for x in row])
     except OSError as exc:
         raise DataIoError(f"cannot write metrics {path}: {exc}") from exc
-
-
-def read_metrics(path) -> list[dict]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            return [
-                {k: (int(row[k]) if k == "epoch" else float(row[k])) for k in METRICS_HEADER}
-                for row in reader
-            ]
-    except OSError as exc:
-        raise DataIoError(f"cannot read metrics {path}: {exc}") from exc
 
 
 # ===================== rollout and signature logs =====================

@@ -15,10 +15,21 @@ hand-written reverse pass through that stack (forward-over-reverse), so a
 loss built from values and directional derivatives gets its exact
 parameter gradient. ``forward`` and ``input_jacobian`` are the kernel's
 value and tangent outputs.
+
+A pass made for the reverse (``keep``) writes its activations, the saved
+tanh gates and pre-gate tangent rows, its outputs and the reverse pass's
+scratch into a ``Workspace``. Training holds one per pass kind for the whole
+run, sized for its largest batch, so no batch maps fresh pages; a smaller
+batch uses the leading part of each buffer. The reverse pass shares one set
+of scratch across layers. A StackedPass built on a workspace is valid until
+the next pass on that workspace. Passes without ``keep`` (``forward``,
+``input_jacobian``, linearization, residual maps) allocate fresh arrays, so
+their results stay valid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +42,7 @@ __all__ = [
     "ParamStore",
     "init_params",
     "StackedPass",
+    "Workspace",
     "stacked_forward",
     "forward",
     "input_jacobian",
@@ -150,79 +162,158 @@ def init_params(spec: MlpSpec, seed: int) -> ParamStore:
 _TRUNK = ("head0", "head1", "head2", "inter")
 
 
+class Workspace:
+    """Buffers that keep-passes of up to ``rows`` rows write into, pass after pass.
+
+    It holds every layer's output stack, the tanh gate and pre-gate tangent
+    rows the reverse pass reads, the stacked outputs, and one set of reverse
+    scratch shared by all layers. Each buffer is flat; a pass of n rows uses
+    its leading, contiguous part. A StackedPass built on a workspace is valid
+    until the next pass on that workspace, which overwrites it.
+    """
+
+    def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0) -> None:
+        if rows < 1 or n_directions < 0:
+            raise ConfigError("a workspace needs at least one row and no negative direction count")
+        self.spec = spec
+        self.rows = rows
+        self.n_directions = n_directions
+        self.passes = 0  # keep-passes made on this workspace
+        stack = (n_directions + 1) * rows
+        widths = {name: out for name, (out, _) in spec.layer_shapes()}
+        wide = max(widths.values())
+        sizes = {"input": stack * spec.input_dim, "outputs": stack * 3,
+                 "g_a": stack * wide, "g_sum": rows * wide, "ping": stack * wide,
+                 "pong": stack * wide, "g_inter": stack * spec.intermediate_width}
+        for name, width in widths.items():
+            sizes[name] = stack * width
+            if spec.activation == "tanh" and not name.startswith("out_"):
+                sizes[f"{name}.gate"] = rows * width
+                sizes[f"{name}.da"] = n_directions * rows * width
+        self._flat = {key: np.empty(size) for key, size in sizes.items()}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The leading part of one buffer, as a contiguous array of ``shape``."""
+        return self._flat[key][: math.prod(shape)].reshape(shape)
+
+
 @dataclass
 class StackedPass:
     """One kernel call: stacked outputs, plus what the reverse pass reads.
 
     ``outputs[0]`` is the (B, 3) field triple per row and ``outputs[1 + i]``
-    its directional derivative along direction i.
+    its directional derivative along direction i. A keep-pass lives in its
+    workspace and is valid until the next pass on that workspace.
     """
 
     spec: MlpSpec
     params: ParamStore
     outputs: np.ndarray  # (k+1, B, 3)
-    saved: dict | None  # layer name -> (input stack, tanh value h, tangent pre-activations)
+    saved: dict | None  # layer name -> (input stack, tanh value h, pre-gate tangent rows, gate 1 - h^2)
+    workspace: Workspace | None = None
+    pass_index: int = 0  # the workspace's pass count when this pass was made
 
     def gradient(self, cotangent) -> np.ndarray:
         """Flat parameter gradient of sum(cotangent * outputs), aligned with the layout."""
         if self.saved is None:
             raise ValueError("stacked_forward was called without keep=True")
+        if self.workspace.passes != self.pass_index:
+            raise ValueError("a later pass on this workspace has overwritten the saved activations")
         g_out = np.asarray(cotangent, dtype=np.float64)
         if g_out.shape != self.outputs.shape:
             raise ConfigError("cotangent shape does not match the stacked outputs")
         grad = ParamStore(spec=self.spec, flat=np.zeros_like(self.params.flat),
                           layout=self.params.layout)
-        g_inter = 0.0
+        n_stack, n_rows, _ = g_out.shape
+        ws = self.workspace
+        g_inter = ws.take("g_inter", (n_stack, n_rows, self.spec.intermediate_width))
         for f, fname in enumerate(FIELD_ORDER):
-            g = self._layer_vjp(f"out_{fname}", g_out[:, :, f : f + 1], grad, gated=False)
-            g_inter = g_inter + self._layer_vjp(f"tail_{fname}", g, grad, gated=True)
+            g = self._layer_vjp(f"out_{fname}", g_out[:, :, f : f + 1], grad, "ping")
+            if f == 0:
+                self._layer_vjp(f"tail_{fname}", g, grad, g_inter)
+            else:
+                g_inter += self._layer_vjp(f"tail_{fname}", g, grad, "pong")
         g = g_inter
-        for name in reversed(_TRUNK):
-            g = self._layer_vjp(name, g, grad, gated=True)
+        for name, out in zip(reversed(_TRUNK), ("ping", "pong", "ping", None)):
+            g = self._layer_vjp(name, g, grad, out)
         return grad.flat
 
-    def _layer_vjp(self, name: str, g_h: np.ndarray, grad: ParamStore, gated: bool) -> np.ndarray:
-        """Weight and bias gradients of one layer; returns its input cotangent."""
-        h_in, h, da = self.saved[name]
-        if gated and self.spec.activation == "tanh":
-            gate = 1.0 - h * h
-            g_a = np.empty_like(g_h)
-            g_a[0] = (g_h[0] - 2.0 * h * np.sum(g_h[1:] * da, axis=0)) * gate
-            g_a[1:] = g_h[1:] * gate
-        else:
+    def _layer_vjp(self, name: str, g_h: np.ndarray, grad: ParamStore, out) -> np.ndarray | None:
+        """Weight and bias gradients of one layer.
+
+        Its input cotangent goes to ``out`` (an array, or the name of a
+        workspace buffer) and is returned; with ``out`` None it is skipped.
+        """
+        h_in, h, da, gate = self.saved[name]
+        ws = self.workspace
+        if gate is None:
             g_a = g_h
+        elif g_h.shape[0] == 1:  # no tangent rows
+            g_a = np.multiply(g_h, gate, out=ws.take("g_a", g_h.shape))
+        else:
+            g_a = ws.take("g_a", g_h.shape)
+            g_sum = np.sum(np.multiply(g_h[1:], da, out=g_a[1:]), axis=0,
+                           out=ws.take("g_sum", gate.shape))
+            v = np.multiply(2.0, h, out=g_a[0])
+            v *= g_sum
+            np.subtract(g_h[0], v, out=v)
+            v *= gate
+            np.multiply(g_h[1:], gate, out=g_a[1:])
         rows = g_a.shape[0] * g_a.shape[1]
         w = self.params.view(f"{name}.w")
         g_a2 = g_a.reshape(rows, -1)
-        grad.view(f"{name}.w")[:] = g_a2.T @ h_in.reshape(rows, -1)
-        grad.view(f"{name}.b")[:] = g_a[0].sum(axis=0)
-        return (g_a2 @ w).reshape(h_in.shape)
+        np.matmul(g_a2.T, h_in.reshape(rows, -1), out=grad.view(f"{name}.w"))
+        np.sum(g_a[0], axis=0, out=grad.view(f"{name}.b"))
+        if out is None:
+            return None
+        if isinstance(out, str):
+            out = ws.take(out, h_in.shape)
+        np.matmul(g_a2, w, out=out.reshape(rows, -1))
+        return out
 
 
-def _layer(params: ParamStore, name: str, h_in: np.ndarray, use_tanh: bool, saved):
-    """One stacked dense layer; h_in and the result are (k+1, B, width)."""
+def _layer(params: ParamStore, name: str, h_in: np.ndarray, use_tanh: bool,
+           ws: Workspace | None = None, saved: dict | None = None) -> np.ndarray:
+    """One stacked dense layer; h_in and the result are (k+1, B, width).
+
+    Without a workspace the result is a fresh array, updated in place. With
+    one, the result and what the reverse pass reads go into its buffers and
+    are recorded in ``saved``.
+    """
     n_stack, n_rows, _ = h_in.shape
-    a = (h_in.reshape(n_stack * n_rows, -1) @ params.view(f"{name}.w").T).reshape(n_stack, n_rows, -1)
+    w = params.view(f"{name}.w")
+    h_in2 = h_in.reshape(n_stack * n_rows, -1)
+    if ws is None:
+        a = (h_in2 @ w.T).reshape(n_stack, n_rows, -1)
+    else:
+        a = ws.take(name, (n_stack, n_rows, w.shape[0]))
+        np.matmul(h_in2, w.T, out=a.reshape(n_stack * n_rows, -1))
     a[0] += params.view(f"{name}.b")
     if not use_tanh:
         if saved is not None:
-            saved[name] = (h_in, None, None)
+            saved[name] = (h_in, None, None, None)
         return a
     h = np.tanh(a[0], out=a[0])
+    gate = h * h if ws is None else np.multiply(h, h, out=ws.take(f"{name}.gate", h.shape))
+    np.subtract(1.0, gate, out=gate)
     if saved is not None:
-        saved[name] = (h_in, h, a[1:].copy())
-    gate = h * h
-    a[1:] *= np.subtract(1.0, gate, out=gate)
+        da = ws.take(f"{name}.da", a[1:].shape)
+        np.copyto(da, a[1:])
+        saved[name] = (h_in, h, da, gate)
+    a[1:] *= gate
     return a
 
 
 def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
-                    keep: bool = False) -> StackedPass:
+                    keep: bool = False, workspace: Workspace | None = None) -> StackedPass:
     """Values and directional derivatives of the net in one stacked pass.
 
     ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
     input-space directions applied to every row. With ``keep`` the layer
-    activations are saved so ``gradient`` can run the reverse pass.
+    activations are saved so ``gradient`` can run the reverse pass. A keep
+    pass writes into ``workspace`` (a fresh one when None), which must have
+    k directions and at least B rows; passing a workspace implies ``keep``.
+    Without ``keep`` every array is fresh and the pass saves nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
@@ -230,18 +321,33 @@ def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
         raise ConfigError(
             f"inputs and directions must have {spec.input_dim} columns, got shapes {x.shape} and {d.shape}"
         )
-    h = np.empty((1 + d.shape[0], x.shape[0], spec.input_dim))
+    n_stack, n_rows = 1 + d.shape[0], x.shape[0]
+    ws, saved = workspace, None
+    if keep or ws is not None:
+        if ws is None:
+            ws = Workspace(spec, n_rows, d.shape[0])
+        if ws.spec != spec or ws.n_directions != d.shape[0] or n_rows > ws.rows:
+            raise ConfigError(
+                f"workspace holds {ws.rows} rows with {ws.n_directions} directions; "
+                f"the pass needs {n_rows} rows with {d.shape[0]}"
+            )
+        ws.passes += 1
+        saved = {}
+    shape = (n_stack, n_rows, spec.input_dim)
+    h = np.empty(shape) if ws is None else ws.take("input", shape)
     h[0] = x
     h[1:] = d[:, None, :]
     use_tanh = spec.activation == "tanh"
-    saved = {} if keep else None
     for name in _TRUNK:
-        h = _layer(params, name, h, use_tanh, saved)
+        h = _layer(params, name, h, use_tanh, ws, saved)
     cols = [
-        _layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, use_tanh, saved), False, saved)
+        _layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, use_tanh, ws, saved),
+               False, ws, saved)
         for fname in FIELD_ORDER
     ]
-    return StackedPass(spec=spec, params=params, outputs=np.concatenate(cols, axis=2), saved=saved)
+    outputs = None if ws is None else ws.take("outputs", (n_stack, n_rows, 3))
+    return StackedPass(spec=spec, params=params, outputs=np.concatenate(cols, axis=2, out=outputs),
+                       saved=saved, workspace=ws, pass_index=0 if ws is None else ws.passes)
 
 
 def forward(spec: MlpSpec, params: ParamStore, x) -> np.ndarray:

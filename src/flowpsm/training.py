@@ -35,6 +35,7 @@ from .network import (
     FIELD_ORDER,
     MlpSpec,
     ParamStore,
+    Workspace,
     forward,
     init_params,
     learning_rate,
@@ -449,12 +450,13 @@ def physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling,
 
 
 def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
-                 scenario: ScenarioConfig, scaling: ScalingSpec
-                 ) -> tuple[float, PdeResidualSet, np.ndarray]:
+                 scenario: ScenarioConfig, scaling: ScalingSpec,
+                 workspace: Workspace | None = None) -> tuple[float, PdeResidualSet, np.ndarray]:
     """Mean Log-Cosh of the nondimensional residuals at collocation inputs.
 
     Returns the loss, the residuals, and the loss's flat parameter gradient,
-    from one kernel pass along the z* and t* axes and its reverse.
+    from one kernel pass along the z* and t* axes and its reverse. The pass
+    runs in ``workspace`` (two directions) when one is given.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
     lay_n = spec.input_dim
@@ -468,7 +470,7 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
     v_phys = scaling.unscale_v(colloc[:, 2 : 2 + n_controls])
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
-    run = stacked_forward(spec, params, colloc, np.eye(2, lay_n), keep=True)
+    run = stacked_forward(spec, params, colloc, np.eye(2, lay_n), keep=True, workspace=workspace)
     outs, tans_z, tans_t = (y.T for y in run.outputs)
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
@@ -481,18 +483,23 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
 
 def loss_and_gradient(spec: MlpSpec, params: ParamStore, batch: Batch, collocation,
                       scenario: ScenarioConfig, scaling: ScalingSpec,
-                      alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
+                      alpha: float, beta: float,
+                      workspaces: tuple[Workspace, Workspace | None] | None = None
+                      ) -> tuple[float, float, np.ndarray]:
     """L_m, L_p and the flat parameter gradient of alpha*L_m + beta*L_p.
 
     ``collocation`` is None when beta is 0; L_p is then 0 and not evaluated.
+    ``workspaces`` holds the measurement and physics passes' workspaces;
+    without it each pass gets fresh buffers.
     """
-    run = stacked_forward(spec, params, batch.inputs, keep=True)
+    ws_m, ws_p = workspaces or (None, None)
+    run = stacked_forward(spec, params, batch.inputs, keep=True, workspace=ws_m)
     loss_m = measurement_loss(run.outputs[0], batch.targets)
     g_pred = np.tanh(run.outputs[0] - batch.targets) * (alpha / batch.targets.size)
     grad = run.gradient(g_pred[None])
     if collocation is None:
         return loss_m, 0.0, grad
-    loss_p, _, grad_p = physics_loss(spec, params, collocation, scenario, scaling)
+    loss_p, _, grad_p = physics_loss(spec, params, collocation, scenario, scaling, ws_p)
     return loss_m, loss_p, grad + beta * grad_p
 
 
@@ -536,9 +543,10 @@ def train(
     Per batch: noise the measurement rows, evaluate the measurement loss,
     and when beta > 0 draw fresh collocation points (inheriting the noisy
     (x0, v) rows) for the physics loss; one optimizer step per batch with
-    the step-decay learning rate. Returns the trained store and one history
-    dict per epoch with keys epoch, loss_measurement, loss_physics,
-    loss_total, learning_rate.
+    the step-decay learning rate. The measurement and physics passes each
+    reuse one workspace, sized for the largest batch, for the whole run.
+    Returns the trained store and one history dict per epoch with keys
+    epoch, loss_measurement, loss_physics, loss_total, learning_rate.
 
     ``abort_ratio`` guards warm-started retraining: raise if an epoch's
     total loss exceeds abort_ratio times the first epoch's.
@@ -553,6 +561,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     full = dataset.scaled(scaling)
     n = full.inputs.shape[0]
+    workspaces = (Workspace(spec, min(config.batch_size, n)),
+                  Workspace(spec, config.n_collocation, 2) if config.beta > 0.0 else None)
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         lr = learning_rate(config.base_lr, epoch)
@@ -567,7 +577,7 @@ def train(
             if config.beta > 0.0:
                 colloc = sample_collocation(rng, config.n_collocation, scenario, batch, lay)
             lm_val, lp_val, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
-                                                     config.alpha, config.beta)
+                                                     config.alpha, config.beta, workspaces)
             if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}"

@@ -275,6 +275,29 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
     ("diagnose", {**_TRIP, "twin": {"base_lr": "x"}}, "base_lr"),
     ("diagnose", {**_TRIP, "n_conditions": 2.5}, "n_conditions"),
     ("diagnose", {**_TRIP, "conditions_seed": "x"}, "conditions_seed"),
+    ("train", {"widths": ["a", 4, 4]}, "widths"),
+    ("train", {"widths": [4.5, 4, 4]}, "widths"),
+    ("train", {"widths": 5}, "widths"),
+    ("train", {"widths": [4, 4]}, "widths"),
+    ("control", {**_HOLD, "references": {"hold": ["x", 850.0]}}, "hold"),
+    ("control", {**_HOLD, "references": ["hold"]}, "references"),
+    ("control", {**_HOLD, "references": {"per_step": [[0.65, 850.0], [0.6]]}}, "per_step"),
+    ("control", {**_HOLD, "references": {"knots": {"times": [0.0, "x"],
+                                                   "values": [[0.65, 850.0], [0.6, 850.0]]}}}, "times"),
+    ("control", {**_HOLD, "references": {"knots": {"times": [0.0, 10.0],
+                                                   "values": [[0.65, 850.0], [0.6, None]]}}}, "values"),
+    ("control", {**_HOLD, "references": {"knots": {"times": [0.0, 0.0],
+                                                   "values": [[0.65, 850.0], [0.6, 850.0]]}}}, "times"),
+    ("control", {**_HOLD, "q_weight": [[1, "a"], [0, 1]]}, "q_weight"),
+    ("control", {**_HOLD, "q_weight": [1, 0, 0]}, "q_weight"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "linear", "c": ["x"] + [0.0] * 11, "d": 1.0}]}]}, "'c'", id="control-linear_c_entry"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "linear", "c": [1.0, 2.0], "d": 1.0}]}]}, "'c'", id="control-linear_c_length"),
+    ("control", {**_HOLD, "schedule": [5]}, "schedule"),
+    ("diagnose", {**_TRIP, "fault_span": ["x", 1.0]}, "fault_span"),
+    ("diagnose", {**_TRIP, "fault_span": 3}, "fault_span"),
+    ("diagnose", {"calibration_split": "bogus"}, "calibration_split"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"

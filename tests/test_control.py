@@ -16,7 +16,6 @@ from flowpsm.control import (
     least_distance_qp,
     linearize,
     ncg_rollout,
-    srg_kappa,
     station_predict,
     temperature_cap,
 )
@@ -25,6 +24,8 @@ from flowpsm.errors import NumericalError
 from flowpsm.network import forward, init_params
 from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
 from flowpsm.transport import ConfigError
+
+from oracles import srg_kappa
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from flowpsm.formats import (
     load_record,
     load_scaling,
     mlp_fingerprint,
-    read_metrics,
     record_to_csv,
     save_checkpoint,
     save_record,
@@ -149,6 +148,12 @@ def test_scaling_manifest_round_trip(tiny_dataset, tiny_records, tmp_path):
         load_scaling(partial)
 
 
+def _read_metrics(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return [{k: (int(row[k]) if k == "epoch" else float(row[k])) for k in METRICS_HEADER}
+                for row in csv.DictReader(fh)]
+
+
 def test_metrics_round_trip(tmp_path):
     rows = [
         (1, 0.5, 0.25, 0.375, 1e-3),
@@ -156,7 +161,7 @@ def test_metrics_round_trip(tmp_path):
     ]
     path = tmp_path / "metrics.csv"
     write_metrics(path, rows)
-    back = read_metrics(path)
+    back = _read_metrics(path)
     assert [tuple(r[k] for k in METRICS_HEADER) for r in back] == rows
     assert isinstance(back[0]["epoch"], int)
 

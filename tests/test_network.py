@@ -9,6 +9,7 @@ from flowpsm.network import (
     ADAM_EPS,
     FIELD_ORDER,
     MlpSpec,
+    Workspace,
     forward,
     init_params,
     input_jacobian,
@@ -213,3 +214,49 @@ def test_gradient_needs_saved_activations(params, rng):
     run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)))
     with pytest.raises(ValueError):
         run.gradient(np.zeros_like(run.outputs))
+
+
+def test_workspace_reuse_matches_fresh_passes(params, rng):
+    # one workspace, row counts that shrink and grow again: every pass and
+    # gradient is bit-identical to a pass on fresh buffers and to no-keep outputs
+    for k in (0, 2):
+        ws = Workspace(SPEC, rows=7, n_directions=k)
+        dirs = rng.standard_normal((k, 5))
+        for n_rows in (7, 3, 7, 1, 5):
+            x = rng.standard_normal((n_rows, 5))
+            cot = rng.standard_normal((k + 1, n_rows, 3))
+            fresh = stacked_forward(SPEC, params, x, dirs, keep=True)
+            reused = stacked_forward(SPEC, params, x, dirs, workspace=ws)
+            assert np.array_equal(reused.outputs, fresh.outputs)
+            assert np.array_equal(reused.outputs, stacked_forward(SPEC, params, x, dirs).outputs)
+            assert np.array_equal(reused.gradient(cot), fresh.gradient(cot))
+
+
+def test_workspace_rejects_misuse(params, rng):
+    ws = Workspace(SPEC, rows=4, n_directions=2)
+    x, dirs = rng.standard_normal((4, 5)), np.eye(5)[:2]
+    with pytest.raises(ConfigError):
+        stacked_forward(SPEC, params, rng.standard_normal((5, 5)), dirs, workspace=ws)
+    with pytest.raises(ConfigError):
+        stacked_forward(SPEC, params, x, dirs[:1], workspace=ws)
+    other = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=5)
+    with pytest.raises(ConfigError):
+        stacked_forward(other, init_params(other, 0), x, dirs, workspace=ws)
+    first = stacked_forward(SPEC, params, x, dirs, workspace=ws)
+    stacked_forward(SPEC, params, x[:2], dirs, workspace=ws)
+    with pytest.raises(ValueError):  # the later pass overwrote what it saved
+        first.gradient(np.zeros_like(first.outputs))
+
+
+def test_no_keep_results_survive_later_calls(params, rng):
+    x, dirs = rng.standard_normal((6, 5)), np.eye(5)[:2]
+    y = forward(SPEC, params, x)
+    J = input_jacobian(SPEC, params, x, dirs)
+    y0, J0 = y.copy(), J.copy()
+    ws = Workspace(SPEC, rows=6, n_directions=2)
+    for _ in range(2):
+        x2 = rng.standard_normal((6, 5))
+        forward(SPEC, params, x2)
+        input_jacobian(SPEC, params, x2, dirs)
+        stacked_forward(SPEC, params, x2, dirs, workspace=ws).gradient(np.ones((3, 6, 3)))
+    assert np.array_equal(y, y0) and np.array_equal(J, J0)

@@ -13,11 +13,12 @@ from flowpsm.control import (
     build_oinf,
     cg_solve,
     least_distance_qp,
-    srg_kappa,
 )
 from flowpsm.diagnostics import sample_conditions, signature
 from flowpsm.network import init_params
 from flowpsm.training import input_layout, logcosh_np, mlp_for_scenario
+
+from oracles import srg_kappa
 
 RELAXED = settings(max_examples=100, deadline=None)
 

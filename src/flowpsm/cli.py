@@ -56,6 +56,7 @@ from .formats import (
     save_checkpoint,
     save_record,
     save_scaling,
+    write_json,
     write_metrics,
     write_rollout_log,
     write_signature_csv,
@@ -75,6 +76,7 @@ from .training import (
     compute_scaling,
     evaluate_records,
     input_layout,
+    mlp_for_scenario,
     train,
 )
 from .transport import (
@@ -102,13 +104,30 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _mkdir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataIoError(f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("FLOWPSM_OUT")
     if not out:
         raise ConfigError("no output directory: pass --out or set FLOWPSM_OUT")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return _mkdir(Path(out))
+
+
+def _load_document(path, keys: tuple) -> dict:
+    """A JSON object data file that must hold every key in ``keys``, else a DataIoError."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise DataIoError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise DataIoError(f"{path}: missing key {key!r}")
+    return doc
 
 
 def _kelvin(cfg: dict, base: str, required: bool = True) -> float | None:
@@ -204,7 +223,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 
 def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict, outputs: dict,
-                    t_start: float) -> None:
+                    t0: float) -> None:
     manifest = RunManifest(
         command=command,
         config_path=None if config_path is None else str(config_path),
@@ -212,14 +231,14 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
         tool_version=__version__,
         input_digests={k: file_digest(v) for k, v in inputs.items()},
         output_digests={k: file_digest(v) for k, v in outputs.items()},
-        duration_s=round(time.time() - t_start, 3),
+        duration_s=round(time.time() - t0, 3),
     )
     manifest.save(outdir / "manifest.json")
 
 
 def _read_dataset(data_dir) -> dict:
     data_dir = Path(data_dir)
-    doc = _load_json(data_dir / "dataset.json")
+    doc = _load_document(data_dir / "dataset.json", ("scenario", "train_records", "test_records"))
     scenario = scenario_from_dict(doc["scenario"])
     scaling, scaling_hash = load_scaling(data_dir / "scaling.json")
     if scaling_hash != scenario_fingerprint(scenario):
@@ -236,7 +255,8 @@ def _read_dataset(data_dir) -> dict:
 
 def _read_model(model_dir) -> dict:
     model_dir = Path(model_dir)
-    arch = _load_json(model_dir / "arch.json")
+    arch = _load_document(model_dir / "arch.json",
+                          ("input_dim", "head_width", "intermediate_width", "tail_width"))
     spec = MlpSpec(
         input_dim=int(arch["input_dim"]),
         head_width=int(arch["head_width"]),
@@ -284,7 +304,7 @@ def cmd_gen_data(args) -> None:
     records = run_experiments(scenario, trajectories,
                               [steady_state(scenario, traj.value(0.0)) for traj in trajectories], solver_cfg)
 
-    (outdir / "records").mkdir(exist_ok=True)
+    _mkdir(outdir / "records")
     rel_paths = []
     outputs = {}
     for i, rec in enumerate(records):
@@ -306,9 +326,7 @@ def cmd_gen_data(args) -> None:
         "train_records": rel_paths[:n_train],
         "test_records": rel_paths[n_train:],
     }
-    with open(outdir / "dataset.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "dataset.json", doc)
     outputs["scaling.json"] = outdir / "scaling.json"
     outputs["dataset.json"] = outdir / "dataset.json"
     _write_manifest(outdir, "gen-data", args.config, args.seed,
@@ -327,9 +345,7 @@ def cmd_train(args) -> None:
     scenario, scaling = data["scenario"], data["scaling"]
 
     widths = tuple(_numbers(cfg, "widths", (3,), int, (200, 100, 100)).tolist())
-    lay = input_layout(scenario)
-    spec = MlpSpec(input_dim=lay.input_dim, head_width=widths[0],
-                   intermediate_width=widths[1], tail_width=widths[2])
+    spec = mlp_for_scenario(scenario, widths)
     if args.mode == "ann":
         alpha, beta = 1.0, 0.0
     else:
@@ -366,9 +382,7 @@ def cmd_train(args) -> None:
         "seed": args.seed,
         "scenario_hash": scenario_fingerprint(scenario),
     }
-    with open(outdir / "arch.json", "w") as fh:
-        json.dump(arch, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "arch.json", arch)
     outputs = {
         "checkpoint.psmw": outdir / "checkpoint.psmw",
         "metrics.csv": outdir / "metrics.csv",
@@ -445,7 +459,10 @@ def _build_references(cfg: dict, scenario) -> np.ndarray:
     if "hold" in ref:
         return np.tile(_numbers(ref, "hold", (p,)), (n_steps, 1))
     if "per_step" in ref:
-        return _numbers(ref, "per_step", (None, p))
+        rows = _numbers(ref, "per_step", (None, p))
+        if "n_steps" in cfg and rows.shape[0] != n_steps:
+            raise ConfigError(f"'n_steps' is {n_steps} but 'per_step' has {rows.shape[0]} rows")
+        return rows
     if "knots" in ref:
         knots = _object(ref, "knots")
         times = _numbers(knots, "times", (None,))
@@ -649,9 +666,7 @@ def cmd_preset(args) -> None:
         raise ConfigError(f"unknown preset {args.name!r}; choose from {sorted(_PRESETS)}")
     scenario = _PRESETS[args.name]()
     path = outdir / "scenario.json"
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(scenario))
     _write_manifest(outdir, "preset", None, None, {}, {"scenario.json": path}, t0)
     print(f"preset {args.name} -> {path}")
 

@@ -21,16 +21,15 @@ All governor math runs in scaled units; rollout logs report physical ones.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import NumericalError
-from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, input_jacobian
+from .network import MlpSpec, ParamStore, forward, input_jacobian
 from .solver import SolverConfig, sensor_readout, steady_state, step
-from .training import InputLayout, input_layout
+from .training import input_layout, query_rows, scale_sensors
 from .transport import ConfigError, ScalingSpec, ScenarioConfig, scenario_fingerprint
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "OInfApprox",
     "CgConfig",
     "temperature_cap",
-    "station_inputs",
     "station_predict",
     "linearize",
     "build_oinf",
@@ -54,39 +52,13 @@ __all__ = [
 # ===================== one-step state map =====================
 
 
-def station_inputs(scenario: ScenarioConfig, scaling: ScalingSpec) -> np.ndarray:
-    """(s, input_dim) template rows for predictions at the sensor stations.
-
-    z* is filled per station and t* = 1 (one step ahead); control and x0
-    columns are left for the caller.
-    """
-    lay = input_layout(scenario)
-    rows = np.zeros((lay.n_stations, lay.input_dim))
-    rows[:, lay.z_col] = scaling.scale_z(np.asarray(scenario.sensor_stations))
-    rows[:, lay.t_col] = 1.0
-    return rows
-
-
-def _fill_rows(rows: np.ndarray, lay: InputLayout, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    rows = rows.copy()
-    rows[:, lay.v_cols] = v
-    rows[:, lay.x0_cols] = x
-    return rows
-
-
-@functools.lru_cache(maxsize=32)
-def _station_rows(scenario: ScenarioConfig, scaling: ScalingSpec) -> np.ndarray:
-    return station_inputs(scenario, scaling)
-
-
 def station_predict(
     spec: MlpSpec, params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec,
     x: np.ndarray, v: np.ndarray,
 ) -> np.ndarray:
     """One-step state map: scaled sensor state and input -> next scaled state."""
-    lay = input_layout(scenario)
-    y = forward(spec, params, _fill_rows(_station_rows(scenario, scaling), lay, x, v))
-    return y.T.ravel()  # (s, 3) -> fields-major (q,)
+    rows = query_rows(input_layout(scenario), scaling.scale_z(scenario.sensor_stations), 1.0, v, x)
+    return forward(spec, params, rows).T.ravel()  # (s, 3) -> fields-major (q,)
 
 
 @dataclass(frozen=True)
@@ -124,7 +96,7 @@ def linearize(
     v00 = np.asarray(v00, dtype=float)
     if x00.shape != (lay.n_state,) or v00.shape != (lay.n_controls,):
         raise ConfigError("linearization point does not match the scenario layout")
-    rows = _fill_rows(station_inputs(scenario, scaling), lay, x00, v00)
+    rows = query_rows(lay, scaling.scale_z(scenario.sensor_stations), 1.0, v00, x00)
     y00 = forward(spec, params, rows).T.ravel()
     q = lay.n_state
     axes = np.eye(lay.input_dim)[np.r_[lay.x0_cols, lay.v_cols]]
@@ -364,9 +336,6 @@ class RolloutLog:
     output_names: list = field(default_factory=list)  # constraint row names
     relinearizations: int = 0
 
-    def applied_inputs(self) -> np.ndarray:
-        return np.array([row["v"] for row in self.steps])
-
 
 def ncg_rollout(
     spec: MlpSpec,
@@ -376,7 +345,6 @@ def ncg_rollout(
     references: np.ndarray,
     schedule: ConstraintSchedule,
     config: CgConfig = CgConfig(),
-    initial_state=None,
     solver_config: SolverConfig = SolverConfig(),
     environment: str = "solver",
 ) -> RolloutLog:
@@ -397,12 +365,11 @@ def ncg_rollout(
     if environment not in ("solver", "model"):
         raise ConfigError(f"unknown environment {environment!r}")
     Q = config.weight_matrix(lay.n_controls)
-    state = initial_state if initial_state is not None else steady_state(scenario, refs[0])
+    state = steady_state(scenario, refs[0])
     stations = np.asarray(scenario.sensor_stations)
 
     def observe(st) -> np.ndarray:
-        snap = sensor_readout(st, stations)
-        return np.concatenate([scaling.scale_field(n, snap[f]) for f, n in enumerate(FIELD_ORDER)])
+        return scale_sensors(scaling, sensor_readout(st, stations))
 
     x_k = observe(state)
     v_prev = scaling.scale_v(refs[0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, stacked_forward
+from .network import MlpSpec, ParamStore, forward, stacked_forward
 from .solver import SimulationRecord
 from .training import (
     Dataset,
@@ -26,6 +26,8 @@ from .training import (
     input_layout,
     physics_residuals,
     pointwise_closures,
+    query_rows,
+    scale_sensors,
     train,
 )
 from .transport import (
@@ -98,19 +100,13 @@ def prediction_errors(
     from a plant that may have drifted, only the layout must match.
     """
     check_stream_compatible(record, scenario)
-    lay = input_layout(scenario)
     K = record.n_steps
     s = record.station_z.size
-    rows = np.empty((K * s, lay.input_dim))
-    rows[:, lay.z_col] = np.tile(scaling.scale_z(record.station_z), K)
-    rows[:, lay.t_col] = 1.0
-    scaled = np.empty((K + 1, 3, s))
-    for f, name in enumerate(FIELD_ORDER):
-        scaled[:, f] = scaling.scale_field(name, record.sensors[:, f])
-    rows[:, lay.v_cols] = np.repeat(scaling.scale_v(record.v[:K]), s, axis=0)
-    rows[:, lay.x0_cols] = np.repeat(scaled[:K].reshape(K, 3 * s), s, axis=0)
+    scaled = scale_sensors(scaling, record.sensors)  # (K+1, 3s)
+    rows = query_rows(input_layout(scenario), scaling.scale_z(record.station_z), 1.0,
+                      scaling.scale_v(record.v[:K]), scaled[:K])
     pred = forward(spec, params, rows).reshape(K, s, 3)
-    truth = scaled[1:].transpose(0, 2, 1)  # (K, s, 3)
+    truth = scaled[1:].reshape(K, 3, s).transpose(0, 2, 1)  # (K, s, 3)
     return np.mean((pred - truth) ** 2, axis=(1, 2))
 
 
@@ -200,6 +196,8 @@ def transfer_learn_twin(
 
 # ===================== residual signatures =====================
 
+_MID_STEP = 0.5  # scaled t* at which the residual profiles are taken
+
 
 def sample_conditions(
     dataset: Dataset,
@@ -229,7 +227,6 @@ def pde_residuals(
     scaling: ScalingSpec,
     v_star: np.ndarray,
     x0_star: np.ndarray,
-    t_star: float = 0.5,
 ) -> tuple[np.ndarray, PdeResidualSet]:
     """Signed transport residual profiles of a trained map.
 
@@ -247,16 +244,10 @@ def pde_residuals(
     if v_star.shape[1] != lay.n_controls or x0_star.shape[1] != lay.n_state:
         raise ConfigError("condition rows do not match the scenario layout")
 
-    grid = build_grid(scenario)
-    zc = grid.centers
+    zc = build_grid(scenario).centers
     nz = zc.size
     n_cond = v_star.shape[0]
-
-    rows = np.empty((n_cond * nz, lay.input_dim))
-    rows[:, lay.z_col] = np.tile(scaling.scale_z(zc), n_cond)
-    rows[:, lay.t_col] = t_star
-    rows[:, lay.v_cols] = np.repeat(v_star, nz, axis=0)
-    rows[:, lay.x0_cols] = np.repeat(x0_star, nz, axis=0)
+    rows = query_rows(lay, scaling.scale_z(zc), _MID_STEP, v_star, x0_star)
 
     axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
     outs, tan_z, tan_t = (y.T for y in stacked_forward(spec, params, rows, axes).outputs)
@@ -296,15 +287,14 @@ def signature(
     scaling: ScalingSpec,
     v_star: np.ndarray,
     x0_star: np.ndarray,
-    t_star: float = 0.5,
 ) -> ResidualSignature:
     """Difference the residual profiles of the nominal and twin models.
 
     Both models see the same condition rows; the changed physics then
     cancels everywhere except where the twin learned different dynamics.
     """
-    z, nom = pde_residuals(spec, nominal_params, scenario, scaling, v_star, x0_star, t_star)
-    _, tw = pde_residuals(spec, twin_params, scenario, scaling, v_star, x0_star, t_star)
+    z, nom = pde_residuals(spec, nominal_params, scenario, scaling, v_star, x0_star)
+    _, tw = pde_residuals(spec, twin_params, scenario, scaling, v_star, x0_star)
     equations = ("mass", "momentum", "energy")
     nominal = np.stack([getattr(nom, eq) for eq in equations])
     twin = np.stack([getattr(tw, eq) for eq in equations])

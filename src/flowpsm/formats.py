@@ -49,6 +49,7 @@ __all__ = [
     "write_signature_csv",
     "RunManifest",
     "file_digest",
+    "write_json",
 ]
 
 _RECORD_MAGIC = b"PSMD"
@@ -214,17 +215,21 @@ def load_checkpoint(path, spec: MlpSpec) -> ParamStore:
     return store
 
 
-# ===================== scaling manifest =====================
+# ===================== JSON documents =====================
 
 
-def save_scaling(path, scaling: ScalingSpec, scenario_hash: str) -> None:
-    doc = {"scenario_hash": scenario_hash, "scaling": scaling.to_dict()}
+def write_json(path, doc) -> None:
+    """Indented, key-sorted JSON with a trailing newline; DataIoError if unwritable."""
     try:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise DataIoError(f"cannot write scaling manifest {path}: {exc}") from exc
+        raise DataIoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_scaling(path, scaling: ScalingSpec, scenario_hash: str) -> None:
+    write_json(path, {"scenario_hash": scenario_hash, "scaling": scaling.to_dict()})
 
 
 def load_scaling(path) -> tuple[ScalingSpec, str]:
@@ -336,9 +341,4 @@ class RunManifest:
     started_unix: float = field(default_factory=time.time)
 
     def save(self, path) -> None:
-        try:
-            with open(path, "w") as fh:
-                json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise DataIoError(f"cannot write manifest {path}: {exc}") from exc
+        write_json(path, self.__dict__)

@@ -122,16 +122,6 @@ class ParamStore:
     def n_params(self) -> int:
         return self.flat.size
 
-    def copy(self) -> "ParamStore":
-        return ParamStore(
-            spec=self.spec,
-            flat=self.flat.copy(),
-            layout=self.layout,
-            m=None if self.m is None else self.m.copy(),
-            v=None if self.v is None else self.v.copy(),
-            step=self.step,
-        )
-
 
 def _layout(spec: MlpSpec) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
     entries = []

@@ -673,10 +673,10 @@ def sensor_readout(state: FieldState, stations) -> np.ndarray:
 def run_experiments(
     scenario: ScenarioConfig,
     trajectories,
-    initial_states,
+    starts,
     solver_config: SolverConfig = SolverConfig(),
 ) -> list[SimulationRecord]:
-    """Step a corpus of episodes together, one record per (trajectory, initial state).
+    """Step a corpus of episodes together, one record per (trajectory, start state).
 
     The episodes advance in lockstep, each with its own Picard convergence
     and one stacked pressure solve per sweep, so every record is
@@ -685,8 +685,8 @@ def run_experiments(
     endpoint (zero-order hold at the control cadence). Numerical failures
     name the episode by its index in ``trajectories``.
     """
-    trajectories, initial_states = list(trajectories), list(initial_states)
-    if not trajectories or len(trajectories) != len(initial_states):
+    trajectories, starts = list(trajectories), list(starts)
+    if not trajectories or len(trajectories) != len(starts):
         raise ConfigError("need one initial state per trajectory, and at least one")
     plan = _plan(scenario)
     stations = np.asarray(scenario.sensor_stations, dtype=float)
@@ -700,14 +700,14 @@ def run_experiments(
     T = np.empty((E, K + 1, n))
     sensors = np.empty((E, K + 1, 3, stations.size))
 
-    u_f = np.array([_face_velocities(plan, state) for state in initial_states])
-    for e, state in enumerate(initial_states):
+    u_f = np.array([_face_velocities(plan, state) for state in starts])
+    for e, state in enumerate(starts):
         p[e, 0], u[e, 0], T[e, 0] = state.p, state.u, state.T
     for k in range(K):
         p_k, T_k, u_f = _advance(plan, scenario, p[:, k], T[:, k], u_f, _check_inputs(plan, v[:, k]),
                                  solver_config, None)
         p[:, k + 1], u[:, k + 1], T[:, k + 1] = p_k, 0.5 * (u_f[:, :-1] + u_f[:, 1:]), T_k
-    for e, state in enumerate(initial_states):
+    for e, state in enumerate(starts):
         sensors[e, 0] = sensor_readout(state, stations)
         for k in range(1, K + 1):
             sensors[e, k] = sensor_readout(
@@ -732,11 +732,11 @@ def run_experiments(
 def run_experiment(
     scenario: ScenarioConfig,
     trajectory: InputTrajectory,
-    initial_state: FieldState,
+    start: FieldState,
     solver_config: SolverConfig = SolverConfig(),
 ) -> SimulationRecord:
     """``run_experiments`` of a single episode."""
-    return run_experiments(scenario, [trajectory], [initial_state], solver_config)[0]
+    return run_experiments(scenario, [trajectory], [start], solver_config)[0]
 
 
 # ===================== trajectory generation =====================

@@ -59,6 +59,8 @@ __all__ = [
     "PdeResidualSet",
     "InputLayout",
     "input_layout",
+    "scale_sensors",
+    "query_rows",
     "mlp_for_scenario",
     "compute_scaling",
     "assemble_dataset",
@@ -109,6 +111,31 @@ class InputLayout:
 
 def input_layout(scenario: ScenarioConfig) -> InputLayout:
     return InputLayout(n_controls=scenario.n_controls, n_stations=len(scenario.sensor_stations))
+
+
+def scale_sensors(scaling: ScalingSpec, sensors) -> np.ndarray:
+    """(..., 3, s) physical sensor snapshots -> (..., 3s) scaled states, fields-major."""
+    sensors = np.asarray(sensors, dtype=float)
+    scaled = np.empty(sensors.shape)
+    for f, name in enumerate(FIELD_ORDER):
+        scaled[..., f, :] = scaling.scale_field(name, sensors[..., f, :])
+    return scaled.reshape(*sensors.shape[:-2], -1)
+
+
+def query_rows(lay: InputLayout, z, t: float, v, x0) -> np.ndarray:
+    """Scaled input rows of every (v*, x0*) condition at every z*, at time t*.
+
+    ``z`` is (n,) scaled positions; ``v`` (c, p) and ``x0`` (c, q) pair up
+    row by row, and a single condition may be given 1-D. Rows are
+    condition-major: row i*n + j is condition i at z[j], (c*n, input_dim).
+    """
+    v, x0 = np.atleast_2d(v), np.atleast_2d(x0)
+    rows = np.empty((v.shape[0] * z.size, lay.input_dim))
+    rows[:, lay.z_col] = np.tile(z, v.shape[0])
+    rows[:, lay.t_col] = t
+    rows[:, lay.v_cols] = np.repeat(v, z.size, axis=0)
+    rows[:, lay.x0_cols] = np.repeat(x0, z.size, axis=0)
+    return rows
 
 
 def mlp_for_scenario(scenario: ScenarioConfig, widths=(200, 100, 100)) -> MlpSpec:
@@ -186,18 +213,14 @@ class Dataset:
 
     def scaled(self, scaling: ScalingSpec) -> Batch:
         """Full corpus as one scaled Batch (fields-major x0 scaling)."""
-        n_stations = self.x0.shape[1] // 3
-        inputs = np.empty((self.n_samples, 2 + self.v.shape[1] + self.x0.shape[1]))
-        inputs[:, 0] = scaling.scale_z(self.z)
-        inputs[:, 1] = scaling.scale_t(self.t)
-        inputs[:, 2 : 2 + self.v.shape[1]] = scaling.scale_v(self.v)
-        off = 2 + self.v.shape[1]
-        targets = np.empty((self.n_samples, 3))
-        for f, name in enumerate(FIELD_ORDER):
-            cols = slice(off + f * n_stations, off + (f + 1) * n_stations)
-            inputs[:, cols] = scaling.scale_field(name, self.x0[:, f * n_stations : (f + 1) * n_stations])
-            targets[:, f] = scaling.scale_field(name, self.targets[:, f])
-        return Batch(inputs=inputs, targets=targets)
+        lay = InputLayout(n_controls=self.v.shape[1], n_stations=self.x0.shape[1] // 3)
+        inputs = np.empty((self.n_samples, lay.input_dim))
+        inputs[:, lay.z_col] = scaling.scale_z(self.z)
+        inputs[:, lay.t_col] = scaling.scale_t(self.t)
+        inputs[:, lay.v_cols] = scaling.scale_v(self.v)
+        inputs[:, lay.x0_cols] = scale_sensors(scaling, self.x0.reshape(-1, 3, lay.n_stations))
+        # a target row is one (p, u, T) snapshot at a single station
+        return Batch(inputs=inputs, targets=scale_sensors(scaling, self.targets[:, :, None]))
 
 
 # ===================== scaling and assembly =====================
@@ -506,8 +529,7 @@ def loss_and_gradient(spec: MlpSpec, params: ParamStore, batch: Batch, collocati
 # ===================== collocation =====================
 
 
-def sample_collocation(rng, batch_size: int, scenario: ScenarioConfig, batch: Batch,
-                       layout: InputLayout | None = None) -> np.ndarray:
+def sample_collocation(rng, batch_size: int, batch: Batch, layout: InputLayout) -> np.ndarray:
     """Random scaled collocation inputs inheriting (v, x0) from the minibatch.
 
     z* and t* are uniform on [0, 1]; each collocation row copies the control
@@ -516,11 +538,10 @@ def sample_collocation(rng, batch_size: int, scenario: ScenarioConfig, batch: Ba
     """
     if batch.inputs.shape[0] == 0:
         raise ConfigError("measurement minibatch is empty")
-    lay = layout or input_layout(scenario)
     picks = rng.integers(0, batch.inputs.shape[0], size=batch_size)
     colloc = batch.inputs[picks].copy()
-    colloc[:, lay.z_col] = rng.uniform(0.0, 1.0, size=batch_size)
-    colloc[:, lay.t_col] = rng.uniform(0.0, 1.0, size=batch_size)
+    colloc[:, layout.z_col] = rng.uniform(0.0, 1.0, size=batch_size)
+    colloc[:, layout.t_col] = rng.uniform(0.0, 1.0, size=batch_size)
     return colloc
 
 
@@ -575,7 +596,7 @@ def train(
             batch = add_noise(raw, noise, rng, lay)
             colloc = None
             if config.beta > 0.0:
-                colloc = sample_collocation(rng, config.n_collocation, scenario, batch, lay)
+                colloc = sample_collocation(rng, config.n_collocation, batch, lay)
             lm_val, lp_val, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
                                                      config.alpha, config.beta, workspaces)
             if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
@@ -628,48 +649,32 @@ def rollout_evaluate(
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
     record: SimulationRecord,
-    oracle_x0: bool = False,
 ) -> RolloutResult:
     """Iterate the one-step model along a recorded control trajectory.
 
     Starting from the record's initial sensor snapshot, each step predicts
     the full fields at t = delta_t on the record's grid and the station
-    values that become the next x0 (closed loop). With ``oracle_x0`` the
-    recorded snapshots are fed instead, bounding the attainable error.
+    values that become the next x0 (closed loop).
     """
     lay = input_layout(scenario)
     if record.scenario_hash != scenario_fingerprint(scenario):
         raise ConfigError("record was generated under a different scenario")
     z_grid = record.grid_z
-    z_star = scaling.scale_z(z_grid)
-    st_star = scaling.scale_z(record.station_z)
-    n, s = z_grid.size, record.station_z.size
+    n = z_grid.size
+    z_star = scaling.scale_z(np.concatenate([z_grid, record.station_z]))
     K = record.n_steps
 
-    rows = np.empty((n + s, lay.input_dim))
-    rows[:, lay.t_col] = 1.0  # predictions at t = delta_t
-    rows[:n, lay.z_col] = z_star
-    rows[n:, lay.z_col] = st_star
-
-    x0 = np.concatenate(
-        [scaling.scale_field(name, record.sensors[0][f]) for f, name in enumerate(FIELD_ORDER)]
-    )
+    x0 = scale_sensors(scaling, record.sensors[0])
     pred = {name: np.empty((K, n)) for name in FIELD_ORDER}
     err = {name: np.empty((K, n)) for name in FIELD_ORDER}
     for k in range(K):
-        rows[:, lay.v_cols] = scaling.scale_v(record.v[k])
-        rows[:, lay.x0_cols] = x0
-        y = forward(spec, params, rows)
+        # predictions at t = delta_t on the grid, then at the stations
+        y = forward(spec, params, query_rows(lay, z_star, 1.0, scaling.scale_v(record.v[k]), x0))
         for f, name in enumerate(FIELD_ORDER):
             full_phys = scaling.unscale_field(name, y[:n, f])
             pred[name][k] = full_phys
             err[name][k] = full_phys - getattr(record, name)[k + 1]
-        if oracle_x0:
-            x0 = np.concatenate(
-                [scaling.scale_field(name, record.sensors[k + 1][f]) for f, name in enumerate(FIELD_ORDER)]
-            )
-        else:
-            x0 = y[n:].T.ravel()  # (s,3) -> fields-major (3s,)
+        x0 = y[n:].T.ravel()  # (s,3) -> fields-major (3s,)
     rmse = {name: float(np.sqrt(np.mean(err[name] ** 2))) for name in FIELD_ORDER}
     return RolloutResult(times=record.times[1:], z=z_grid.copy(), predicted=pred, errors=err, rmse=rmse)
 
@@ -680,7 +685,6 @@ def evaluate_records(
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
     records: list[SimulationRecord],
-    oracle_x0: bool = False,
 ) -> dict:
     """Aggregate rollout errors over a record set.
 
@@ -691,7 +695,7 @@ def evaluate_records(
     sq = {name: None for name in FIELD_ORDER}
     z = None
     for rec in records:
-        result = rollout_evaluate(spec, params, scenario, scaling, rec, oracle_x0=oracle_x0)
+        result = rollout_evaluate(spec, params, scenario, scaling, rec)
         z = result.z
         for name in FIELD_ORDER:
             e2 = result.errors[name] ** 2

@@ -180,13 +180,6 @@ class ScenarioConfig:
     def channel_index(self, name: str) -> int:
         return self.control_channels.index(name)
 
-    def range_of(self, name: str) -> tuple[float, float]:
-        return self.input_ranges[self.channel_index(name)]
-
-    def mid_inputs(self) -> np.ndarray:
-        """Control vector at the midpoint of every range."""
-        return np.array([(lo + hi) / 2.0 for lo, hi in self.input_ranges])
-
 
 # ===================== grid =====================
 
@@ -262,9 +255,6 @@ class FieldState:
         if n > 1 and not np.all(np.diff(self.grid_z) > 0):
             raise ConfigError("grid_z must be strictly increasing")
 
-    def field(self, name: str) -> np.ndarray:
-        return {"p": self.p, "u": self.u, "T": self.T}[name]
-
 
 # ===================== scaling =====================
 
@@ -329,9 +319,6 @@ class ScalingSpec:
     def scale_t(self, t):
         return np.asarray(t, dtype=float) / self.t_max
 
-    def unscale_t(self, ts):
-        return np.asarray(ts, dtype=float) * self.t_max
-
     def scale_v(self, v):
         v = np.asarray(v, dtype=float)
         lo = np.asarray(self.v_min)
@@ -385,11 +372,7 @@ PIPE_DH = 2.972e-3  # m, hydraulic diameter
 CHANNEL_SOURCE = 50.0e6  # W/m^3, heated channel middle pipe
 
 
-def heated_channel_preset(
-    friction_factor: float = 0.001,
-    delta_t: float = 5.0,
-    episode_duration: float = 200.0,
-) -> ScenarioConfig:
+def heated_channel_preset() -> ScenarioConfig:
     """Three pipes in series (1.0 / 0.8 / 1.0 m), heated middle pipe.
 
     Controls: inlet velocity 0.549..0.749 m/s and inlet temperature
@@ -403,7 +386,6 @@ def heated_channel_preset(
             flow_area=PIPE_AREA,
             hydraulic_diameter=PIPE_DH,
             n_elements=n,
-            friction_factor=friction_factor,
             heat_source=q,
         )
 
@@ -418,17 +400,13 @@ def heated_channel_preset(
         control_channels=("u_in", "T_in"),
         input_ranges=((0.549, 0.749), (804.65, 884.65)),
         sensor_stations=(0.25, 0.5, 0.75, 2.05, 2.3, 2.55),
-        delta_t=delta_t,
-        episode_duration=episode_duration,
+        delta_t=5.0,
+        episode_duration=200.0,
         outlet_pressure=0.0,
     )
 
 
-def loop_preset(
-    friction_factor: float = 0.001,
-    delta_t: float = 5.0,
-    episode_duration: float = 200.0,
-) -> ScenarioConfig:
+def loop_preset() -> ScenarioConfig:
     """Six pipes in a closed loop, heater and cooler synchronized.
 
     z runs from the pump outlet (z=0): 1 m pipe, 1 m heater, 2 m pipe, 1 m
@@ -444,7 +422,6 @@ def loop_preset(
             flow_area=PIPE_AREA,
             hydraulic_diameter=PIPE_DH,
             n_elements=int(round(length * 10)),
-            friction_factor=friction_factor,
             volumetric_source_id=source_id,
             source_scale=scale,
         )
@@ -463,8 +440,8 @@ def loop_preset(
         control_channels=("q_source", "dp_pump"),
         input_ranges=((45.0e6, 55.0e6), (1125.0, 1875.0)),
         sensor_stations=(0.5, 1.5, 3.0, 4.5, 5.5, 7.0),
-        delta_t=delta_t,
-        episode_duration=episode_duration,
+        delta_t=5.0,
+        episode_duration=200.0,
         reference_pressure=0.0,
         reference_cell=0,
         reference_temperature=873.15,

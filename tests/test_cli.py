@@ -298,6 +298,8 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
     ("diagnose", {**_TRIP, "fault_span": ["x", 1.0]}, "fault_span"),
     ("diagnose", {**_TRIP, "fault_span": 3}, "fault_span"),
     ("diagnose", {"calibration_split": "bogus"}, "calibration_split"),
+    pytest.param("control", {"references": {"per_step": [[0.65, 850.0]]}, "n_steps": 3,
+                             "environment": "model"}, "n_steps", id="control-per_step_rows_unlike_n_steps"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -313,6 +315,78 @@ def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key)
     assert rc == 2
     assert "Traceback" not in err
     assert "config error" in err and key in err
+
+
+def test_control_per_step_rows_set_the_step_count(pipeline, tmp_path):
+    rows = [[0.65, 850.0], [0.6, 845.0]]
+    for extra in ({}, {"n_steps": 2}):
+        cfg = tmp_path / "control.json"
+        cfg.write_text(json.dumps({"references": {"per_step": rows}, "environment": "model", **extra}))
+        out = tmp_path / f"roll{len(extra)}"
+        assert main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]),
+                     "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+        with open(out / "rollout.csv", newline="") as fh:
+            assert [float(r["r_T_in"]) for r in csv.DictReader(fh)] == [850.0, 845.0]
+
+
+def _assert_io_error(rc, err, *names):
+    assert rc == 4
+    assert "Traceback" not in err
+    assert "I/O error" in err
+    for name in names:
+        assert str(name) in err
+
+
+def test_unwritable_preset_outputs_exit_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "x"):  # an existing file, a path through one
+        rc = main(["preset", "--name", "loop", "--out", str(out)])
+        _assert_io_error(rc, capsys.readouterr().err, out)
+    for name in ("scenario.json", "manifest.json"):
+        out = tmp_path / f"blocked_{name}"
+        (out / name).mkdir(parents=True)
+        rc = main(["preset", "--name", "loop", "--out", str(out)])
+        _assert_io_error(rc, capsys.readouterr().err, out / name)
+
+
+@pytest.mark.parametrize("name", ["records", "scaling.json", "dataset.json"])
+def test_unwritable_gen_data_outputs_exit_4(tmp_path, capsys, name):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()), "n_train": 1, "n_test": 0}))
+    out = tmp_path / "out"
+    out.mkdir()
+    blocked = out / name
+    if name == "records":
+        blocked.write_text("")  # a file where the records directory goes
+    else:
+        blocked.mkdir()
+    rc = main(["gen-data", "--config", str(cfg), "--seed", "5", "--out", str(out)])
+    _assert_io_error(rc, capsys.readouterr().err, blocked)
+
+
+def test_unwritable_arch_exits_4(pipeline, tmp_path, capsys):
+    out = tmp_path / "model"
+    (out / "arch.json").mkdir(parents=True)
+    rc = main(["train", "--config", str(pipeline["train_cfg"]), "--data", str(pipeline["data"]),
+               "--seed", "2", "--out", str(out)])
+    _assert_io_error(rc, capsys.readouterr().err, out / "arch.json")
+
+
+def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "dataset.json").write_text("{}\n")
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e1")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "dataset.json", "'scenario'")
+
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["psm"], model)
+    arch = json.loads((model / "arch.json").read_text())
+    del arch["input_dim"]
+    (model / "arch.json").write_text(json.dumps(arch))
+    rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e2")])
+    _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'input_dim'")
 
 
 def test_missing_out_dir_is_config_error(pipeline, capsys, monkeypatch):

@@ -150,12 +150,12 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
     v, x0 = sample_conditions(dataset, tiny_scenario, scaling, 2, seed=4)
-    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0, t_star=0.25)
+    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0)
     expected = []
     for vi, xi in zip(v, x0):
         rows = np.zeros((z.size, lay.input_dim))
         rows[:, lay.z_col] = scaling.scale_z(z)
-        rows[:, lay.t_col] = 0.25
+        rows[:, lay.t_col] = 0.5
         rows[:, lay.v_cols] = vi
         rows[:, lay.x0_cols] = xi
         tan_z = input_jacobian(spec, params, rows, np.eye(lay.input_dim)[lay.z_col])

@@ -172,15 +172,6 @@ def test_optimizer_rejects_non_finite_gradient(params):
         optimizer_step(params, grad, lr=1e-3)
 
 
-def test_param_store_copy_is_independent(params):
-    optimizer_step(params, np.ones(params.n_params), lr=1e-3)
-    dup = params.copy()
-    assert np.array_equal(dup.flat, params.flat)
-    assert np.array_equal(dup.m, params.m)
-    dup.flat[0] += 1.0
-    assert dup.flat[0] != params.flat[0]
-
-
 def test_gradient_zero_in_unused_tail_branches(params, rng):
     run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], keep=True)
     cot = np.zeros_like(run.outputs)

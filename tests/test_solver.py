@@ -99,6 +99,11 @@ def test_solver_config_validation(scenario, steady):
         step(steady, np.array([0.65, 844.65]), scenario, SolverConfig(substep=-0.1))
 
 
+def _mid(sc):
+    """Control vector at the midpoint of every input range."""
+    return np.array([(lo + hi) / 2.0 for lo, hi in sc.input_ranges])
+
+
 def _loop_with(changes: dict):
     """The loop preset with per-segment field overrides {index: {field: value}}."""
     sc = loop_preset()
@@ -126,11 +131,11 @@ def test_steady_state_without_a_steady_state_raises(scenario):
     # the cooler removes only 90% of the heat: the loop's enthalpy grows forever
     leaky = _loop_with({4: {"source_scale": -0.9}})
     with pytest.raises(NumericalError, match="do not cancel"):
-        steady_state(leaky, leaky.mid_inputs())
+        steady_state(leaky, _mid(leaky))
     # a pump head range centred on zero: no forward mass flux balances it
     idle = replace(loop_preset(), input_ranges=((45.0e6, 55.0e6), (-100.0, 100.0)))
     with pytest.raises(NumericalError, match="pump head"):
-        steady_state(idle, idle.mid_inputs())
+        steady_state(idle, _mid(idle))
     # a heater hot enough to push the outlet past the closure's vertex
     hot = replace(scenario, segments=tuple(
         replace(s, heat_source=1.0e4 * s.heat_source) for s in scenario.segments))
@@ -159,7 +164,7 @@ def test_steady_state_is_a_fixed_point_of_step(name, where):
     assert start.u_face is not None
     moved = step(start, v, sc)
     for f, scale in STEADY_SCALES.items():
-        assert np.max(np.abs(moved.field(f) - start.field(f))) <= 1e-8 * scale, f
+        assert np.max(np.abs(getattr(moved, f) - getattr(start, f))) <= 1e-8 * scale, f
 
 
 @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
@@ -269,7 +274,7 @@ def test_step_matches_step_with_audit(preset):
     sc = preset()
     lo = np.array([r[0] for r in sc.input_ranges])
     state = steady_state(sc, lo)
-    v = sc.mid_inputs()
+    v = _mid(sc)
     plain = step(state, v, sc)
     audited, audit = step_with_audit(state, v, sc)
     assert audit
@@ -283,7 +288,7 @@ def test_step_with_audit_closes_mass_and_enthalpy(preset):
     # start steady at the low end of the ranges and step at mid inputs, so
     # the audit sees a real transient
     state = start = steady_state(sc, np.array([r[0] for r in sc.input_ranges]))
-    v = sc.mid_inputs()
+    v = _mid(sc)
     grid = build_grid(sc)
     area = sc.segments[0].flow_area
     for _ in range(3):
@@ -423,7 +428,7 @@ def test_run_experiments_names_the_failing_episode(scenario):
 @pytest.mark.parametrize("field", ["p", "T", "u_face"])
 def test_non_finite_start_state_raises_numerical_error(preset, field):
     sc = preset()
-    v = sc.mid_inputs()
+    v = _mid(sc)
     start = steady_state(sc, v)
     bad = getattr(start, field).copy()
     bad[3] = np.nan

@@ -94,14 +94,15 @@ _PRESETS = {"heated_channel": heated_channel_preset, "loop": loop_preset}
 # ===================== shared plumbing =====================
 
 
-def _load_json(path) -> dict:
+def _load_json(path, malformed=ConfigError) -> dict:
+    """The parsed file; text that is not JSON raises ``malformed``."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataIoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise malformed(f"{path}: malformed JSON: {exc}") from exc
 
 
 def _mkdir(path: Path) -> Path:
@@ -119,14 +120,23 @@ def _out_dir(args) -> Path:
     return _mkdir(Path(out))
 
 
-def _load_document(path, keys: tuple) -> dict:
-    """A JSON object data file that must hold every key in ``keys``, else a DataIoError."""
-    doc = _load_json(path)
+_KINDS = {
+    "an object": lambda x: isinstance(x, dict),
+    "a list of strings": lambda x: isinstance(x, list) and all(isinstance(p, str) for p in x),
+    "an integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _load_document(path, keys: dict) -> dict:
+    """A JSON object data file whose every key in ``keys`` holds the named kind, else a DataIoError."""
+    doc = _load_json(path, DataIoError)
     if not isinstance(doc, dict):
         raise DataIoError(f"{path}: expected a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in doc:
             raise DataIoError(f"{path}: missing key {key!r}")
+        if not _KINDS[kind](doc[key]):
+            raise DataIoError(f"{path}: {key!r} must be {kind}, got {doc[key]!r}")
     return doc
 
 
@@ -238,7 +248,9 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
 
 def _read_dataset(data_dir) -> dict:
     data_dir = Path(data_dir)
-    doc = _load_document(data_dir / "dataset.json", ("scenario", "train_records", "test_records"))
+    doc = _load_document(data_dir / "dataset.json", {"scenario": "an object",
+                                                     "train_records": "a list of strings",
+                                                     "test_records": "a list of strings"})
     scenario = scenario_from_dict(doc["scenario"])
     scaling, scaling_hash = load_scaling(data_dir / "scaling.json")
     if scaling_hash != scenario_fingerprint(scenario):
@@ -255,15 +267,9 @@ def _read_dataset(data_dir) -> dict:
 
 def _read_model(model_dir) -> dict:
     model_dir = Path(model_dir)
-    arch = _load_document(model_dir / "arch.json",
-                          ("input_dim", "head_width", "intermediate_width", "tail_width"))
-    spec = MlpSpec(
-        input_dim=int(arch["input_dim"]),
-        head_width=int(arch["head_width"]),
-        intermediate_width=int(arch["intermediate_width"]),
-        tail_width=int(arch["tail_width"]),
-        activation=arch.get("activation", "tanh"),
-    )
+    widths = ("input_dim", "head_width", "intermediate_width", "tail_width")
+    arch = _load_document(model_dir / "arch.json", dict.fromkeys(widths, "an integer"))
+    spec = MlpSpec(**{k: arch[k] for k in widths}, activation=arch.get("activation", "tanh"))
     params = load_checkpoint(model_dir / "checkpoint.psmw", spec)
     return {"dir": model_dir, "arch": arch, "spec": spec, "params": params}
 
@@ -362,7 +368,7 @@ def cmd_train(args) -> None:
         seed=args.seed,
     )
     noise = _noise_from_flag(args.noise)
-    dataset, _ = assemble_dataset(data["train_records"], scenario, scaling=scaling)
+    dataset = assemble_dataset(data["train_records"], scenario, scaling)
     params, history = train(spec, dataset, scenario, scaling, config, noise,
                             log_every=_number(cfg, "log_every", int, 25))
 
@@ -424,7 +430,7 @@ def cmd_eval(args) -> None:
     rows = []
     for fld in ("p", "u", "T"):
         for stat in stats:
-            vals = [t["fields"][fld][stat] for t in tables]
+            vals = [t[fld][stat] for t in tables]
             row = [fld, stat.replace("_rmse", "")] + [f"{v:.6g}" for v in vals]
             if len(vals) == 2:
                 row.append(f"{vals[0] / vals[1]:.4f}" if vals[1] else "inf")
@@ -610,7 +616,7 @@ def cmd_diagnose(args) -> None:
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
         twin_cfg = _object(cfg, "twin", {})
-        stream_ds, _ = assemble_dataset(streams, scenario, scaling=scaling, strict=False)
+        stream_ds = assemble_dataset(streams, scenario, scaling, strict=False)
         twin, hist = transfer_learn_twin(
             spec, params, stream_ds, scenario, scaling,
             base_lr=_number(twin_cfg, "base_lr", float, 1e-4),
@@ -620,9 +626,8 @@ def cmd_diagnose(args) -> None:
         )
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
-        nominal_ds, _ = assemble_dataset(data["train_records"], scenario, scaling=scaling)
         v_star, x0_star = sample_conditions(
-            nominal_ds, scenario, scaling,
+            assemble_dataset(data["train_records"], scenario, scaling), scenario,
             _number(cfg, "n_conditions", int, 64), seed=_number(cfg, "conditions_seed", int, 0),
         )
         sig = signature(spec, params, twin, scenario, scaling, v_star, x0_star)

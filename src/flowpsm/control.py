@@ -329,10 +329,9 @@ class CgConfig:
 
 @dataclass
 class RolloutLog:
-    """Per-step governor record plus the simulated state history."""
+    """Per-step governor record."""
 
     steps: list = field(default_factory=list)  # dicts for formats.write_rollout_log
-    states: list = field(default_factory=list)  # FieldState per step end
     output_names: list = field(default_factory=list)  # constraint row names
     relinearizations: int = 0
 
@@ -407,7 +406,6 @@ def ncg_rollout(
         if environment == "solver":
             state = step(state, v_phys, scenario, solver_config)
             x_k = observe(state)
-            log.states.append(state)
         else:
             x_k = station_predict(spec, params, scenario, scaling, x_k, v_scaled)
 

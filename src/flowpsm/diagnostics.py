@@ -81,7 +81,6 @@ class DetectionResult:
     tripped: bool
     trip_index: int | None  # first step of the tripping window
     window_means: np.ndarray  # (n_windows,)
-    threshold: float
 
 
 def prediction_errors(
@@ -129,13 +128,8 @@ def detect(errors: np.ndarray, config: DetectorConfig) -> DetectionResult:
     hits = means > config.zeta
     if hits.any():
         first = int(np.argmax(hits))
-        return DetectionResult(
-            tripped=True,
-            trip_index=first * config.window,
-            window_means=means,
-            threshold=config.zeta,
-        )
-    return DetectionResult(tripped=False, trip_index=None, window_means=means, threshold=config.zeta)
+        return DetectionResult(tripped=True, trip_index=first * config.window, window_means=means)
+    return DetectionResult(tripped=False, trip_index=None, window_means=means)
 
 
 def calibrate_zeta(
@@ -202,7 +196,6 @@ _MID_STEP = 0.5  # scaled t* at which the residual profiles are taken
 def sample_conditions(
     dataset: Dataset,
     scenario: ScenarioConfig,
-    scaling: ScalingSpec,
     n_conditions: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +209,7 @@ def sample_conditions(
     rng = np.random.default_rng(seed)
     idx = rng.choice(dataset.n_samples, size=n_conditions, replace=False)
     lay = input_layout(scenario)
-    batch = dataset.scaled(scaling)
-    return batch.inputs[idx, lay.v_cols], batch.inputs[idx, lay.x0_cols]
+    return dataset.inputs[idx, lay.v_cols], dataset.inputs[idx, lay.x0_cols]
 
 
 def pde_residuals(
@@ -266,8 +258,7 @@ class ResidualSignature:
 
     ``difference`` is twin minus nominal per equation; ``scaled`` divides
     each equation's difference by its own max magnitude (sign preserved) so
-    profiles are comparable across equations. ``extrema`` keeps the signed
-    (min, max) of each difference row before scaling.
+    profiles are comparable across equations.
     """
 
     z: np.ndarray  # (nz,) grid centers, m
@@ -276,7 +267,6 @@ class ResidualSignature:
     twin: np.ndarray  # (3, nz)
     difference: np.ndarray  # (3, nz)
     scaled: np.ndarray  # (3, nz) in [-1, 1]
-    extrema: dict
 
 
 def signature(
@@ -300,10 +290,7 @@ def signature(
     twin = np.stack([getattr(tw, eq) for eq in equations])
     difference = twin - nominal
     scaled = np.zeros_like(difference)
-    extrema = {}
-    for i, eq in enumerate(equations):
-        row = difference[i]
-        extrema[eq] = (float(row.min()), float(row.max()))
+    for i, row in enumerate(difference):
         peak = float(np.max(np.abs(row)))
         if peak > 0.0:
             scaled[i] = row / peak
@@ -314,7 +301,6 @@ def signature(
         twin=twin,
         difference=difference,
         scaled=scaled,
-        extrema=extrema,
     )
 
 

@@ -238,7 +238,7 @@ def load_scaling(path) -> tuple[ScalingSpec, str]:
             doc = json.load(fh)
     except OSError as exc:
         raise DataIoError(f"cannot read scaling manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise DataIoError(f"{path}: malformed scaling manifest: {exc}") from exc
     try:
         return ScalingSpec.from_dict(doc["scaling"]), doc["scenario_hash"]

@@ -9,11 +9,13 @@ fields-major: all pressure stations, then all velocity stations, then all
 temperature stations (q = 3 * n_stations). Targets are the scaled field
 triple (p*, u*, T*) at the row's (z, t).
 
-Each simulation step contributes two rows per sensor station: a t = 0 row
-whose target restates the matching x0 entry (the model learns the initial
-condition is an identity), and a t = delta_t row whose target is the next
-snapshot. Closed-loop rollout aliases the model's own station predictions
-as the next step's x0.
+``scale_sensors`` and ``query_rows`` are the only code that lays out these
+rows. Each simulation step contributes two rows per sensor station, both
+built by ``query_rows``: a t* = 0 row whose target restates the matching x0
+entry (the model learns the initial condition is an identity), and a
+t* = 1 (t = delta_t) row whose target is the next snapshot. The corpus
+(``Dataset``) holds only these scaled rows and targets. Closed-loop rollout
+aliases the model's own station predictions as the next step's x0.
 
 The physics loss evaluates the mass, momentum, and energy residuals at
 random collocation points. Spatial/temporal derivatives come from the
@@ -72,7 +74,6 @@ __all__ = [
     "loss_and_gradient",
     "train",
     "rollout_evaluate",
-    "RolloutResult",
     "evaluate_records",
 ]
 
@@ -197,30 +198,15 @@ class Batch:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Assembled corpus in physical units, one array per row component."""
+    """Assembled corpus as scaled rows: inputs (N, input_dim), targets (N, 3)."""
 
     scenario_hash: str
-    delta_t: float
-    z: np.ndarray  # (N,)
-    t: np.ndarray  # (N,)
-    v: np.ndarray  # (N, p)
-    x0: np.ndarray  # (N, q)
-    targets: np.ndarray  # (N, 3)
+    inputs: np.ndarray
+    targets: np.ndarray
 
     @property
     def n_samples(self) -> int:
-        return self.z.size
-
-    def scaled(self, scaling: ScalingSpec) -> Batch:
-        """Full corpus as one scaled Batch (fields-major x0 scaling)."""
-        lay = InputLayout(n_controls=self.v.shape[1], n_stations=self.x0.shape[1] // 3)
-        inputs = np.empty((self.n_samples, lay.input_dim))
-        inputs[:, lay.z_col] = scaling.scale_z(self.z)
-        inputs[:, lay.t_col] = scaling.scale_t(self.t)
-        inputs[:, lay.v_cols] = scaling.scale_v(self.v)
-        inputs[:, lay.x0_cols] = scale_sensors(scaling, self.x0.reshape(-1, 3, lay.n_stations))
-        # a target row is one (p, u, T) snapshot at a single station
-        return Batch(inputs=inputs, targets=scale_sensors(scaling, self.targets[:, :, None]))
+        return self.inputs.shape[0]
 
 
 # ===================== scaling and assembly =====================
@@ -278,16 +264,18 @@ def compute_scaling(records: list[SimulationRecord], scenario: ScenarioConfig) -
 def assemble_dataset(
     records: list[SimulationRecord],
     scenario: ScenarioConfig,
-    scaling: ScalingSpec | None = None,
+    scaling: ScalingSpec,
     strict: bool = True,
-) -> tuple[Dataset, ScalingSpec]:
-    """Emit the two-row-per-station samples for every step of every record.
+) -> Dataset:
+    """The two-row-per-station samples of every step of every record, scaled.
 
-    Scaling is computed over these records unless an existing spec is passed
-    (test corpora must reuse the training scaling). ``strict`` pins records
-    to the exact scenario fingerprint; diagnostics relaxes it to structural
-    compatibility because streams from a degraded plant hash differently.
+    Rows run by record, then step, then t* (0, then delta_t scaled), then
+    station, each built by ``query_rows``. ``strict`` pins records to the exact
+    scenario fingerprint; diagnostics relaxes it to structural compatibility
+    because streams from a degraded plant hash differently.
     """
+    if not records:
+        raise ConfigError("a dataset needs at least one record")
     fingerprint = scenario_fingerprint(scenario)
     for r in records:
         if strict and r.scenario_hash != fingerprint:
@@ -296,31 +284,21 @@ def assemble_dataset(
             check_stream_compatible(r, scenario)
         if r.n_steps < 2:
             raise ConfigError("records must contain at least 2 steps")
-    if scaling is None:
-        scaling = compute_scaling(records, scenario)
 
-    z_rows, t_rows, v_rows, x0_rows, tgt_rows = [], [], [], [], []
+    lay = input_layout(scenario)
+    t_ahead = scaling.scale_t(scenario.delta_t)
+    inputs, targets = [], []
     for rec in records:
-        K = rec.n_steps
-        s = rec.station_z.size
-        for k in range(K):
-            x0 = rec.sensors[k].ravel()  # fields-major (3, s) -> (3s,)
-            for t_val, snap in ((0.0, rec.sensors[k]), (scenario.delta_t, rec.sensors[k + 1])):
-                z_rows.append(rec.station_z)
-                t_rows.append(np.full(s, t_val))
-                v_rows.append(np.tile(rec.v[k], (s, 1)))
-                x0_rows.append(np.tile(x0, (s, 1)))
-                tgt_rows.append(snap.T.copy())  # (s, 3) rows are (p, u, T) per station
-    dataset = Dataset(
-        scenario_hash=fingerprint,
-        delta_t=scenario.delta_t,
-        z=np.concatenate(z_rows),
-        t=np.concatenate(t_rows),
-        v=np.concatenate(v_rows),
-        x0=np.concatenate(x0_rows),
-        targets=np.concatenate(tgt_rows),
-    )
-    return dataset, scaling
+        K, s = rec.n_steps, rec.station_z.size
+        x = scale_sensors(scaling, rec.sensors)  # (K+1, 3s)
+        z, v = scaling.scale_z(rec.station_z), scaling.scale_v(rec.v[:K])
+        pair = [query_rows(lay, z, t, v, x[:K]).reshape(K, s, -1) for t in (0.0, t_ahead)]
+        inputs.append(np.stack(pair, axis=1).reshape(-1, lay.input_dim))
+        # a target row is the (p, u, T) snapshot at its station: x_k at t* = 0, x_k+1 ahead
+        snaps = x.reshape(K + 1, 3, s).transpose(0, 2, 1)
+        targets.append(np.stack([snaps[:K], snaps[1:]], axis=1).reshape(-1, 3))
+    return Dataset(scenario_hash=fingerprint, inputs=np.concatenate(inputs),
+                   targets=np.concatenate(targets))
 
 
 # ===================== noise =====================
@@ -482,18 +460,18 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
     runs in ``workspace`` (two directions) when one is given.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
-    lay_n = spec.input_dim
-    if colloc.ndim != 2 or colloc.shape[1] != lay_n:
+    if colloc.ndim != 2 or colloc.shape[1] != spec.input_dim:
         raise ConfigError("collocation batch shape does not match the network input")
-    z_star = colloc[:, 0]
+    lay = input_layout(scenario)
+    z_star = colloc[:, lay.z_col]
     if np.any(z_star < -1e-9) or np.any(z_star > 1.0 + 1e-9):
         raise ConfigError("collocation z outside the scaled domain [0, 1]")
 
-    n_controls = len(scenario.control_channels)
-    v_phys = scaling.unscale_v(colloc[:, 2 : 2 + n_controls])
+    v_phys = scaling.unscale_v(colloc[:, lay.v_cols])
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
-    run = stacked_forward(spec, params, colloc, np.eye(2, lay_n), keep=True, workspace=workspace)
+    axes = np.eye(spec.input_dim)[[lay.z_col, lay.t_col]]
+    run = stacked_forward(spec, params, colloc, axes, keep=True, workspace=workspace)
     outs, tans_z, tans_t = (y.T for y in run.outputs)
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
@@ -580,8 +558,7 @@ def train(
     if params is None:
         params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
-    full = dataset.scaled(scaling)
-    n = full.inputs.shape[0]
+    n = dataset.n_samples
     workspaces = (Workspace(spec, min(config.batch_size, n)),
                   Workspace(spec, config.n_collocation, 2) if config.beta > 0.0 else None)
     history: list[dict] = []
@@ -592,7 +569,7 @@ def train(
         n_seen = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            raw = Batch(inputs=full.inputs[idx], targets=full.targets[idx])
+            raw = Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx])
             batch = add_noise(raw, noise, rng, lay)
             colloc = None
             if config.beta > 0.0:
@@ -632,51 +609,36 @@ def train(
 # ===================== rollout evaluation =====================
 
 
-@dataclass
-class RolloutResult:
-    """Closed-loop rollout against one recorded episode."""
-
-    times: np.ndarray  # (K,) evaluation times (t_1 .. t_K)
-    z: np.ndarray  # (n,)
-    predicted: dict  # field -> (K, n) physical units
-    errors: dict  # field -> (K, n) predicted - truth
-    rmse: dict  # field -> float over all (K, n)
-
-
 def rollout_evaluate(
     spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
     record: SimulationRecord,
-) -> RolloutResult:
+) -> dict:
     """Iterate the one-step model along a recorded control trajectory.
 
     Starting from the record's initial sensor snapshot, each step predicts
     the full fields at t = delta_t on the record's grid and the station
-    values that become the next x0 (closed loop).
+    values that become the next x0 (closed loop). Returns, per field, the
+    (K, n) physical error of the predictions against the record's grid.
     """
     lay = input_layout(scenario)
     if record.scenario_hash != scenario_fingerprint(scenario):
         raise ConfigError("record was generated under a different scenario")
-    z_grid = record.grid_z
-    n = z_grid.size
-    z_star = scaling.scale_z(np.concatenate([z_grid, record.station_z]))
+    n = record.grid_z.size
+    z_star = scaling.scale_z(np.concatenate([record.grid_z, record.station_z]))
     K = record.n_steps
 
     x0 = scale_sensors(scaling, record.sensors[0])
-    pred = {name: np.empty((K, n)) for name in FIELD_ORDER}
     err = {name: np.empty((K, n)) for name in FIELD_ORDER}
     for k in range(K):
         # predictions at t = delta_t on the grid, then at the stations
         y = forward(spec, params, query_rows(lay, z_star, 1.0, scaling.scale_v(record.v[k]), x0))
         for f, name in enumerate(FIELD_ORDER):
-            full_phys = scaling.unscale_field(name, y[:n, f])
-            pred[name][k] = full_phys
-            err[name][k] = full_phys - getattr(record, name)[k + 1]
+            err[name][k] = scaling.unscale_field(name, y[:n, f]) - getattr(record, name)[k + 1]
         x0 = y[n:].T.ravel()  # (s,3) -> fields-major (3s,)
-    rmse = {name: float(np.sqrt(np.mean(err[name] ** 2))) for name in FIELD_ORDER}
-    return RolloutResult(times=record.times[1:], z=z_grid.copy(), predicted=pred, errors=err, rmse=rmse)
+    return err
 
 
 def evaluate_records(
@@ -688,26 +650,21 @@ def evaluate_records(
 ) -> dict:
     """Aggregate rollout errors over a record set.
 
-    Returns per field: the space-time error map (RMSE across records at each
-    (t, z) point), its mean and max, the overall RMSE, and the per-z error
-    profile (RMSE across records and time).
+    Returns per field the mean and max of the space-time error map (RMSE
+    across records at each (t, z) point) and the overall RMSE.
     """
     sq = {name: None for name in FIELD_ORDER}
-    z = None
     for rec in records:
-        result = rollout_evaluate(spec, params, scenario, scaling, rec)
-        z = result.z
+        errors = rollout_evaluate(spec, params, scenario, scaling, rec)
         for name in FIELD_ORDER:
-            e2 = result.errors[name] ** 2
+            e2 = errors[name] ** 2
             sq[name] = e2 if sq[name] is None else sq[name] + e2
-    out = {"z": z, "fields": {}}
+    out = {}
     for name in FIELD_ORDER:
         err_map = np.sqrt(sq[name] / len(records))
-        out["fields"][name] = {
-            "map": err_map,
+        out[name] = {
             "mean_rmse": float(err_map.mean()),
             "max_rmse": float(err_map.max()),
             "overall_rmse": float(np.sqrt(np.mean(sq[name] / len(records)))),
-            "profile": np.sqrt(np.mean(sq[name] / len(records), axis=0)),
         }
     return out

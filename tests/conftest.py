@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowpsm.solver import generate_trajectories, run_experiment, steady_state
-from flowpsm.training import assemble_dataset
+from flowpsm.training import assemble_dataset, compute_scaling
 from flowpsm.transport import FLIBE, PipeSegment, ScenarioConfig
 
 
@@ -51,8 +51,8 @@ def tiny_records(tiny_scenario):
 
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_scenario, tiny_records):
-    dataset, scaling = assemble_dataset(tiny_records[:2], tiny_scenario)
-    return dataset, scaling
+    scaling = compute_scaling(tiny_records[:2], tiny_scenario)
+    return assemble_dataset(tiny_records[:2], tiny_scenario, scaling), scaling
 
 
 @pytest.fixture()

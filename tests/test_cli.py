@@ -1,7 +1,9 @@
 """End-to-end CLI pipeline on a tiny scenario, plus exit-code contracts."""
 
 import csv
+import importlib
 import json
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowpsm
 from flowpsm.cli import _kelvin, _noise_from_flag, main
 from flowpsm.formats import file_digest
 from flowpsm.training import NoiseSpec
@@ -389,6 +392,57 @@ def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'input_dim'")
 
 
+def _edited_copy(src, dst, name, edit):
+    """A copy of directory ``src`` whose JSON file ``name`` is rewritten by ``edit(doc)``."""
+    shutil.copytree(src, dst)
+    doc = json.loads((dst / name).read_text())
+    (dst / name).write_text(json.dumps(edit(doc)))
+    return dst
+
+
+def test_data_file_that_is_not_json_exits_4(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "dataset.json").write_text('{"scenario": ')
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e1")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "dataset.json", "malformed JSON")
+
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["psm"], model)
+    (model / "arch.json").write_bytes(b"\xff\xfe")
+    rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e2")])
+    _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "malformed JSON")
+
+    data = tmp_path / "data2"
+    shutil.copytree(pipeline["data"], data)
+    (data / "scaling.json").write_bytes(b"\xff\xfe")
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e3")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", "malformed scaling manifest")
+
+
+@pytest.mark.parametrize("key, value", [("train_records", 3), ("test_records", ["a", 1])],
+                         ids=["train_records_a_number", "test_records_not_all_strings"])
+def test_record_lists_that_are_not_strings_exit_4(pipeline, tmp_path, capsys, key, value):
+    data = _edited_copy(pipeline["data"], tmp_path / "data", "dataset.json", lambda d: {**d, key: value})
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "dataset.json", repr(key), "a list of strings")
+
+
+@pytest.mark.parametrize("value", ["x", 8.5, True], ids=["string", "fraction", "boolean"])
+def test_arch_width_that_is_not_an_integer_exits_4(pipeline, tmp_path, capsys, value):
+    model = _edited_copy(pipeline["psm"], tmp_path / "model", "arch.json", lambda d: {**d, "head_width": value})
+    rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'head_width'", "an integer")
+
+
+def test_config_that_is_not_json_still_exits_2(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "train.json"
+    cfg.write_text("{")
+    rc = main(["train", "--config", str(cfg), "--data", str(pipeline["data"]), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
 def test_missing_out_dir_is_config_error(pipeline, capsys, monkeypatch):
     monkeypatch.delenv("FLOWPSM_OUT", raising=False)
     rc = main(["preset", "--name", "loop"])
@@ -428,6 +482,13 @@ def test_console_script_version():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"flowpsm {project['version']}"
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(flowpsm.__path__):
+        module = importlib.import_module(f"flowpsm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"flowpsm.{info.name}.__all__ names missing {name!r}"
 
 
 @pytest.mark.skipif(shutil.which("flowpsm") is None, reason="flowpsm is not installed on PATH")

@@ -192,7 +192,7 @@ def test_signature_csv_layout(tmp_path):
     sig = ResidualSignature(
         z=z, equations=("mass", "momentum", "energy"),
         nominal=np.zeros_like(diff), twin=diff, difference=diff,
-        scaled=diff / 2.0, extrema={},
+        scaled=diff / 2.0,
     )
     path = tmp_path / "signature.csv"
     write_signature_csv(path, sig)

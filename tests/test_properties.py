@@ -53,27 +53,30 @@ def test_scaling_round_trip(tiny_dataset, data):
 
 @RELAXED
 @given(data=st.data())
-def test_every_lookahead_row_has_an_anchor_row(tiny_dataset, data):
-    # rows at t = delta_t must reuse a (v, x0) pair that also appears at t = 0
+def test_every_lookahead_row_has_an_anchor_row(tiny_dataset, tiny_scenario, data):
+    # a t* = 1 row must reuse a (z*, v*, x0*) row that also appears at t* = 0
     ds, _ = tiny_dataset
-    ahead = np.flatnonzero(ds.t == ds.delta_t)
+    lay = input_layout(tiny_scenario)
+    t_star = ds.inputs[:, lay.t_col]
+    ahead = np.flatnonzero(t_star == 1.0)
+    assert ahead.size == ds.n_samples // 2
     i = data.draw(st.sampled_from(list(ahead)), label="lookahead row")
-    anchors = np.flatnonzero(ds.t == 0.0)
-    same_v = np.all(ds.v[anchors] == ds.v[i], axis=1)
-    same_x0 = np.all(ds.x0[anchors] == ds.x0[i], axis=1)
-    assert np.any(same_v & same_x0)
+    rest = np.delete(ds.inputs, lay.t_col, axis=1)
+    anchors = np.flatnonzero(t_star == 0.0)
+    assert np.any(np.all(rest[anchors] == rest[i], axis=1))
 
 
 @RELAXED
 @given(data=st.data())
 def test_anchor_rows_echo_their_own_state(tiny_dataset, tiny_scenario, data):
-    # a t = 0 row's target is the station entry of its own x0 block
-    ds, _ = tiny_dataset
+    # a t* = 0 row's scaled target is the station entry of its own x0* block
+    ds, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
-    anchors = np.flatnonzero(ds.t == 0.0)
+    anchors = np.flatnonzero(ds.inputs[:, lay.t_col] == 0.0)
     i = data.draw(st.sampled_from(list(anchors)), label="anchor row")
-    j = np.flatnonzero(np.isclose(np.asarray(tiny_scenario.sensor_stations), ds.z[i]))[0]
-    expected = ds.x0[i].reshape(3, lay.n_stations)[:, j]
+    z_star = scaling.scale_z(np.asarray(tiny_scenario.sensor_stations))
+    j = np.flatnonzero(np.isclose(z_star, ds.inputs[i, lay.z_col]))[0]
+    expected = ds.inputs[i, lay.x0_cols].reshape(3, lay.n_stations)[:, j]
     assert np.array_equal(ds.targets[i], expected)
 
 
@@ -258,7 +261,7 @@ def test_signature_of_model_with_itself_vanishes(tiny_scenario, tiny_dataset, se
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(6, 5, 4))
     params = init_params(spec, seed=seed)
-    v, x0 = sample_conditions(dataset, tiny_scenario, scaling, 2, seed=seed)
+    v, x0 = sample_conditions(dataset, tiny_scenario, 2, seed=seed)
     sig = signature(spec, params, params, tiny_scenario, scaling, v, x0)
     assert np.all(sig.difference == 0.0)
     assert np.all(sig.scaled == 0.0)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from flowpsm.errors import NumericalError
-from flowpsm.network import Workspace, forward, init_params, learning_rate, optimizer_step
+from flowpsm.control import station_predict
+from flowpsm.diagnostics import prediction_errors
+from flowpsm.network import FIELD_ORDER, Workspace, forward, init_params, learning_rate, optimizer_step
 from flowpsm.solver import SolverConfig, run_experiment, steady_state
 from flowpsm.solver import _plan
 from flowpsm.training import (
@@ -28,8 +30,10 @@ from flowpsm.training import (
     physics_residuals,
     physics_residuals_adjoint,
     pointwise_closures,
+    query_rows,
     rollout_evaluate,
     sample_collocation,
+    scale_sensors,
     train,
 )
 from flowpsm.transport import ConfigError, ScalingSpec, density, heated_channel_preset, loop_preset
@@ -52,40 +56,78 @@ def test_input_layout_matches_presets():
     assert (spec.head_width, spec.intermediate_width, spec.tail_width) == (64, 32, 32)
 
 
-def test_assemble_dataset_pairing(tiny_scenario, tiny_records):
-    dataset, scaling = assemble_dataset(tiny_records[:2], tiny_scenario)
+def _full_batch(dataset):
+    return Batch(inputs=dataset.inputs, targets=dataset.targets)
+
+
+def _scaled_snapshot(scaling, snapshot, j):
+    """Scaled (p, u, T) of one station of a (3, s) physical snapshot."""
+    return np.array([scaling.scale_field(name, snapshot[f, j]) for f, name in enumerate(FIELD_ORDER)])
+
+
+def test_assemble_dataset_pairing(tiny_scenario, tiny_records, tiny_dataset):
+    dataset, scaling = tiny_dataset
+    lay = input_layout(tiny_scenario)
     s = tiny_records[0].station_z.size
     K = tiny_records[0].n_steps
     assert dataset.n_samples == 2 * K * 2 * s  # 2 records, 2 rows per station-step
-    # rows come in (t=0, t=delta_t) pairs per station; t=0 target equals the
-    # matching x0 entry, t=delta_t target is the next snapshot
-    rec = tiny_records[0]
+    assert dataset.inputs.shape == (dataset.n_samples, lay.input_dim)
+    assert dataset.targets.shape == (dataset.n_samples, 3)
+    # per step, a t* = 0 row then a t* = 1 row per station, both at the
+    # step's (v, x0); the t* = 0 target restates x0 at the station, the
+    # t* = 1 target is the next snapshot
+    rec = tiny_records[1]
     for k in (0, K - 1):
-        base = k * 2 * s
+        base = (K + k) * 2 * s  # the second record follows the first's K steps
         for j in range(s):
-            row0 = base + j
-            row1 = base + s + j
-            assert dataset.t[row0] == 0.0
-            assert dataset.t[row1] == tiny_scenario.delta_t
-            assert dataset.z[row0] == rec.station_z[j]
-            assert np.array_equal(dataset.v[row0], rec.v[k])
-            assert np.array_equal(dataset.x0[row0], rec.sensors[k].ravel())
-            assert np.array_equal(dataset.targets[row0], rec.sensors[k][:, j])
-            assert np.array_equal(dataset.targets[row1], rec.sensors[k + 1][:, j])
+            row0, row1 = dataset.inputs[base + j], dataset.inputs[base + s + j]
+            assert row0[lay.t_col] == 0.0
+            assert row1[lay.t_col] == 1.0
+            assert row0[lay.z_col] == scaling.scale_z(rec.station_z[j])
+            assert np.array_equal(row0[lay.v_cols], scaling.scale_v(rec.v[k]))
+            assert np.array_equal(row0[lay.x0_cols], scale_sensors(scaling, rec.sensors[k]))
+            assert np.array_equal(np.delete(row1, lay.t_col), np.delete(row0, lay.t_col))
+            assert np.array_equal(dataset.targets[base + j], _scaled_snapshot(scaling, rec.sensors[k], j))
+            assert np.array_equal(dataset.targets[base + s + j],
+                                  _scaled_snapshot(scaling, rec.sensors[k + 1], j))
 
 
-def test_assemble_dataset_rejects_foreign_records(tiny_scenario, tiny_records):
-    other = heated_channel_preset()
+def test_corpus_rows_are_the_rows_the_model_is_queried_with(tiny_scenario, tiny_records, tiny_dataset):
+    # the t* = 1 rows of step k are the rows station_predict and
+    # prediction_errors build from snapshot k and input v_k
+    dataset, scaling = tiny_dataset
+    lay = input_layout(tiny_scenario)
+    rec = tiny_records[0]
+    s = rec.station_z.size
+    spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
+    params = init_params(spec, 3)
+    errors = prediction_errors(spec, params, tiny_scenario, scaling, rec)
+    for k in (0, 5, rec.n_steps - 1):
+        ahead = slice(2 * k * s + s, 2 * (k + 1) * s)
+        x_k, v_k = scale_sensors(scaling, rec.sensors[k]), scaling.scale_v(rec.v[k])
+        rows = query_rows(lay, scaling.scale_z(rec.station_z), 1.0, v_k, x_k)
+        assert np.array_equal(dataset.inputs[ahead], rows)
+        pred = forward(spec, params, rows)
+        assert np.allclose(station_predict(spec, params, tiny_scenario, scaling, x_k, v_k),
+                           pred.T.ravel(), rtol=1e-13, atol=0.0)
+        assert errors[k] == pytest.approx(np.mean((pred - dataset.targets[ahead]) ** 2), rel=1e-12)
+
+
+def test_assemble_dataset_rejects_foreign_records(tiny_records, tiny_dataset):
+    _, scaling = tiny_dataset
     with pytest.raises(ConfigError):
-        assemble_dataset(tiny_records[:1], other)
+        assemble_dataset(tiny_records[:1], heated_channel_preset(), scaling)
+
+
+def test_assemble_dataset_needs_a_record(tiny_scenario, tiny_dataset):
+    with pytest.raises(ConfigError):
+        assemble_dataset([], tiny_scenario, tiny_dataset[1])
 
 
 def test_scaled_batch_is_inside_unit_box(tiny_scenario, tiny_dataset):
-    dataset, scaling = tiny_dataset
-    batch = dataset.scaled(scaling)
-    assert batch.inputs.shape == (dataset.n_samples, input_layout(tiny_scenario).input_dim)
-    assert np.all(batch.inputs[:, 0] >= 0.0) and np.all(batch.inputs[:, 0] <= 1.0)
-    assert np.all(batch.targets >= -1e-9) and np.all(batch.targets <= 1.0 + 1e-9)
+    dataset, _ = tiny_dataset
+    assert np.all(dataset.inputs[:, 0] >= 0.0) and np.all(dataset.inputs[:, 0] <= 1.0)
+    assert np.all(dataset.targets >= -1e-9) and np.all(dataset.targets <= 1.0 + 1e-9)
 
 
 def test_compute_scaling_has_margin(tiny_scenario, tiny_records):
@@ -108,7 +150,7 @@ def test_check_stream_compatible(tiny_scenario, tiny_records):
 def test_add_noise_modes(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
-    batch = dataset.scaled(scaling)
+    batch = _full_batch(dataset)
     rng = np.random.default_rng(0)
 
     clean = add_noise(batch, NoiseSpec(), rng, lay)
@@ -212,7 +254,7 @@ def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
-    batch = dataset.scaled(scaling)
+    batch = _full_batch(dataset)
     lm, lp, grad = loss_and_gradient(spec, params, batch, None, tiny_scenario, scaling, 1.0, 0.0)
     assert lp == 0.0
     assert lm == measurement_loss(forward(spec, params, batch.inputs), batch.targets)
@@ -257,7 +299,7 @@ def test_physics_residuals_vanish_on_manufactured_steady_solution(tiny_scenario,
 def test_sample_collocation_inherits_rows(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
-    batch = dataset.scaled(scaling)
+    batch = _full_batch(dataset)
     rng = np.random.default_rng(1)
     colloc = sample_collocation(rng, 64, batch, lay)
     assert colloc.shape == (64, lay.input_dim)
@@ -380,15 +422,14 @@ def test_rollout_evaluate_shapes_and_table(tiny_scenario, tiny_records, tiny_dat
     cfg = TrainConfig(epochs=5, batch_size=128, collocation_size=32, seed=2)
     params, _ = train(spec, dataset, tiny_scenario, scaling, cfg)
     rec = tiny_records[2]
-    closed = rollout_evaluate(spec, params, tiny_scenario, scaling, rec)
-    n = rec.grid_z.size
-    assert closed.predicted["T"].shape == (rec.n_steps, n)
-    assert set(closed.rmse) == {"p", "u", "T"}
+    errors = rollout_evaluate(spec, params, tiny_scenario, scaling, rec)
+    assert set(errors) == {"p", "u", "T"}
+    assert errors["T"].shape == (rec.n_steps, rec.grid_z.size)
     table = evaluate_records(spec, params, tiny_scenario, scaling, [rec])
-    assert table["fields"]["T"]["overall_rmse"] == pytest.approx(closed.rmse["T"])
-    assert table["fields"]["T"]["map"].shape == (rec.n_steps, n)
-    assert table["fields"]["T"]["profile"].shape == (n,)
-    assert table["fields"]["T"]["max_rmse"] >= table["fields"]["T"]["mean_rmse"]
+    assert set(table) == {"p", "u", "T"}
+    assert table["T"]["overall_rmse"] == pytest.approx(np.sqrt(np.mean(errors["T"] ** 2)))
+    assert table["T"]["mean_rmse"] == pytest.approx(np.mean(np.abs(errors["T"])))  # one record
+    assert table["T"]["max_rmse"] == pytest.approx(np.max(np.abs(errors["T"])))
 
 
 def test_train_rejects_mismatched_dataset(tiny_scenario, tiny_dataset):
@@ -404,8 +445,7 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
     lay = input_layout(scenario)
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
-    full = dataset.scaled(scaling)
-    n = full.inputs.shape[0]
+    n = dataset.n_samples
     history = []
     for epoch in range(1, config.epochs + 1):
         lr = learning_rate(config.base_lr, epoch)
@@ -413,7 +453,7 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
         sum_lm = sum_lp = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            batch = add_noise(Batch(inputs=full.inputs[idx], targets=full.targets[idx]), noise, rng, lay)
+            batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
             lm, lp, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
                                              config.alpha, config.beta)

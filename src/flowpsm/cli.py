@@ -224,12 +224,10 @@ def _scenario_from_config(cfg: dict):
 
 def _solver_config(cfg: dict) -> SolverConfig:
     solver = _object(cfg, "solver", {})
-    default = SolverConfig()
-    kinds = {"substep": float, "tol": float, "max_iters": int}
-    unknown = set(solver) - set(kinds)
+    unknown = set(solver) - {"substep"}
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(**{k: _number(solver, k, kind, getattr(default, k)) for k, kind in kinds.items()})
+    return SolverConfig(substep=_number(solver, "substep", float, SolverConfig().substep))
 
 
 def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict, outputs: dict,
@@ -248,10 +246,14 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
 
 def _read_dataset(data_dir) -> dict:
     data_dir = Path(data_dir)
-    doc = _load_document(data_dir / "dataset.json", {"scenario": "an object",
-                                                     "train_records": "a list of strings",
-                                                     "test_records": "a list of strings"})
-    scenario = scenario_from_dict(doc["scenario"])
+    path = data_dir / "dataset.json"
+    doc = _load_document(path, {"scenario": "an object",
+                                "train_records": "a list of strings",
+                                "test_records": "a list of strings"})
+    try:
+        scenario = scenario_from_dict(doc["scenario"])
+    except ConfigError as exc:  # the file's contents, not the user's config
+        raise DataIoError(f"{path}: {exc}") from exc
     scaling, scaling_hash = load_scaling(data_dir / "scaling.json")
     if scaling_hash != scenario_fingerprint(scenario):
         raise ConfigError(f"{data_dir}: scaling manifest does not match the scenario")
@@ -268,8 +270,12 @@ def _read_dataset(data_dir) -> dict:
 def _read_model(model_dir) -> dict:
     model_dir = Path(model_dir)
     widths = ("input_dim", "head_width", "intermediate_width", "tail_width")
-    arch = _load_document(model_dir / "arch.json", dict.fromkeys(widths, "an integer"))
-    spec = MlpSpec(**{k: arch[k] for k in widths}, activation=arch.get("activation", "tanh"))
+    path = model_dir / "arch.json"
+    arch = _load_document(path, dict.fromkeys(widths, "an integer"))
+    try:
+        spec = MlpSpec(**{k: arch[k] for k in widths}, activation=arch.get("activation", "tanh"))
+    except ConfigError as exc:  # the file's contents, not the user's config
+        raise DataIoError(f"{path}: {exc}") from exc
     params = load_checkpoint(model_dir / "checkpoint.psmw", spec)
     return {"dir": model_dir, "arch": arch, "spec": spec, "params": params}
 

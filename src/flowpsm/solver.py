@@ -11,27 +11,29 @@ Transient scheme (first-order, semi-implicit, staggered):
 * per substep, the energy equation advances conservatively in h = rho*T with
   explicit upwind fluxes (old velocities), and T is recovered by inverting
   the quadratic closure h = (rho_a - rho_b*T)*T (smaller root);
-* momentum is semi-implicit: explicit upwind advection, friction linearized
-  about the current Picard iterate, implicit pressure gradient (the loop's
-  pump head is a momentum source on its wrap face); substituting the
-  face-velocity update into continuity yields one tridiagonal pressure
-  system on both rigs, solved by LAPACK ``?gtsv``. Its rows sum to zero, so
-  it is solved for p minus a datum (the channel's outlet pressure, the
-  loop's reference pressure). On the loop the pinned reference cell drops
-  out, and the other cells, taken in cyclic order from the one after it,
-  leave a tridiagonal system without a corner.
+* continuity then fixes every face's mass flux from one value, since the
+  pipe has one flow area: the inlet flux on the channel, and on the loop the
+  flux G leaving the pinned cell (Patankar's continuity-pressure coupling in
+  its 1D limit);
+* momentum is semi-implicit: explicit upwind advection, implicit friction
+  and pressure gradient (the loop's pump head is a momentum source on its
+  wrap face). With the face fluxes known, each face's momentum balance gives
+  its pressure drop, and p is their running sum: back from the outlet on the
+  channel, and on the loop onward from the pinned cell. The loop's G is the
+  root of the loop momentum integral (the drops sum to zero around the
+  loop), a strictly increasing piecewise quadratic in G, solved in closed
+  form.
 
 The loop's static pressure boundary at z_set acts as a pressurizer: its cell
 is pinned to the reference (gage zero) pressure and exchanges the tiny
 thermal-expansion makeup flow; every other cell satisfies discrete
 continuity exactly.
 
-Stepping carries a leading episode axis. Each Picard sweep stacks the
-episodes' pressure systems into one block-tridiagonal solve, and each
-episode stops iterating at its own convergence, so an episode stepped in a
-batch is bit-identical to the same episode stepped alone.
-``run_experiments`` steps a whole corpus this way; ``run_experiment``,
-``step`` and ``step_with_audit`` are batches of one.
+Stepping carries a leading episode axis. Every per-episode operation of a
+substep is row-wise (sums and cumulative sums along the grid), so an episode
+stepped in a batch is bit-identical to the same episode stepped alone.
+``run_experiments`` steps a whole corpus this way; ``step`` and
+``step_with_audit`` are batches of one.
 
 Steady states are the scheme's fixed points, solved directly (every 1/dt
 term cancels there): closed form for the heated channel, and for the loop a
@@ -47,7 +49,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .errors import NumericalError
@@ -69,7 +70,6 @@ __all__ = [
     "steady_state",
     "step",
     "step_with_audit",
-    "run_experiment",
     "run_experiments",
     "inject_degradation",
     "sensor_readout",
@@ -81,19 +81,13 @@ RANGE_SLACK = 0.10
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-step numerics: substep size, Picard tolerance and iteration cap."""
+    """Inner-step numerics: the substep size."""
 
     substep: float = 0.05  # s
-    tol: float = 1e-10  # relative velocity change per Picard sweep
-    max_iters: int = 40
 
     def __post_init__(self) -> None:
         if not self.substep > 0:
             raise ConfigError("substep must be positive")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
 
     def n_substeps(self, delta_t: float) -> int:
         if self.substep > delta_t + 1e-12:
@@ -163,7 +157,6 @@ class _Plan:
     q_ctrl: np.ndarray  # (n_cells, n_controls) source coupling matrix
     is_loop: bool
     ref_cell: int
-    perm: np.ndarray  # loop cells but ref_cell, in cyclic order from ref_cell + 1
     left: np.ndarray  # cyclic left neighbour of each cell
     min_dz: float
     v_lo: np.ndarray
@@ -216,7 +209,6 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
         q_ctrl=q_ctrl,
         is_loop=is_loop,
         ref_cell=scenario.reference_cell,
-        perm=(scenario.reference_cell + 1 + np.arange(n - 1)) % n,
         left=np.roll(np.arange(n), 1),
         min_dz=float(np.min(dz)),
         v_lo=np.array([r[0] for r in scenario.input_ranges]),
@@ -262,30 +254,49 @@ def _first(bad: np.ndarray) -> int:
     return int(np.argmax(bad))
 
 
-# ===================== pressure solve =====================
+# ===================== loop mass flux =====================
 
 
-_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+def _rising_root(a: np.ndarray, w: np.ndarray, c: np.ndarray, rhs: np.ndarray, sigma) -> np.ndarray:
+    """Per row, the G at which sum_j [a_j (G + c_j) + sigma_j w_j (G + c_j)^2] = rhs while rising.
 
-
-def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve E tridiagonal systems of k rows in one LAPACK ``?gtsv`` call.
-
-    All four arrays are (E, k): row i of each system reads
-    sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i]. The systems are
-    stacked end to end with sub[:, 0] and sup[:, -1] set to zero in place,
-    so elimination never mixes two episodes and each block's solution is
-    the one it has when solved alone. The arrays are used as workspace.
+    a is (k,), w and c are (E, k), rhs is (E,), and sigma is +-1 per face
+    (or a scalar). The quadratic A2 G^2 + A1 G + A0 rises (2 A2 G + A1 =
+    sqrt(disc)) at this root, taken in the form without cancellation.
     """
-    E, k = diag.shape
-    sub[:, 0] = 0.0
-    sup[:, -1] = 0.0
-    _, _, _, x, info = _GTSV(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
-    if info != 0:
-        raise NumericalError(
-            f"pressure system is singular (LAPACK gtsv info {info}) in episode {(abs(info) - 1) // k}"
-        )
-    return x.reshape(E, k)
+    d = sigma * w
+    A2 = d.sum(axis=1)
+    A1 = a.sum() + 2.0 * (d * c).sum(axis=1)
+    A0 = (a * c).sum(axis=1) + (d * c * c).sum(axis=1) - rhs
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught as non-finite
+        s = np.sqrt(A1 * A1 - 4.0 * A2 * A0)
+        return np.where(A1 > 0.0, 2.0 * A0 / (-A1 - s), (s - A1) / (2.0 * A2))
+
+
+def _loop_mass_flux(plan: _Plan, rho_f: np.ndarray, num: np.ndarray, c: np.ndarray, dt: float) -> np.ndarray:
+    """The mass flux G (E,) leaving the pinned cell, face j carrying G + c_j.
+
+    rho_f, num and c are (E, n), one column per loop face. G is the root of
+    the loop momentum integral r(G) = sum_j dzf_j [(G + c_j)/dt +
+    f_j |G + c_j| (G + c_j) / (2 rho_j)] - sum_j dzf_j num_j, where the face
+    pressure drops sum to zero. r rises strictly and is quadratic between
+    the breakpoints G = -c_j. With every face forward at the all-forward
+    quadratic's root, that root is G. Otherwise the sign of r at each
+    breakpoint tells which faces run forward at the root, and the quadratic
+    of that piece gives G.
+    """
+    n = plan.grid.n_cells
+    a = plan.dzf[:n] / dt
+    w = plan.dzf[:n] * plan.half_fric[:n] / rho_f
+    rhs = (plan.dzf[:n] * num).sum(axis=1)
+    G = _rising_root(a, w, c, rhs, 1.0)
+    back = (G[:, None] + c < 0.0).any(axis=1)
+    if back.any():
+        wb, cb = w[back], c[back]
+        x = cb[:, None, :] - cb[:, :, None]  # x[e, k, j] = G + c_j at G = -c_k
+        r = (a * x + wb[:, None, :] * np.abs(x) * x).sum(axis=2) - rhs[back, None]
+        G[back] = _rising_root(a, wb, cb, rhs[back], np.where(r <= 0.0, 1.0, -1.0))
+    return G
 
 
 # ===================== single substep =====================
@@ -299,7 +310,6 @@ def _substep(
     u_f: np.ndarray,
     v: np.ndarray,
     dt: float,
-    cfg: SolverConfig,
     audit: dict | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One substep of E episodes: p_c, T_c (E, n), u_f (E, n + 1), v (E, m)."""
@@ -351,7 +361,7 @@ def _substep(
         T_new = h_new / a
     rho_new = a - b * T_new
 
-    # --- momentum + continuity (Picard on the friction coefficient) ---
+    # --- momentum + continuity ---
     # upwind directions and face densities are frozen at the old velocity signs
     rho_f = np.empty((E, n + 1))
     if is_loop:
@@ -380,73 +390,35 @@ def _substep(
         # the pump head acts on the wrap face (face 0, which is face n)
         num[:, 0] += v[:, scenario.channel_index("dp_pump")] / plan.dzf[0]
         num[:, n] = num[:, 0]
-        datum, perm = scenario.reference_pressure, plan.perm
+
+    # continuity fixes every face's mass flux from one value per episode;
+    # each face's momentum balance then gives its pressure drop
+    flux = np.empty((E, n + 1))
+    if is_loop:
+        # taken in cyclic order from the face leaving the pinned cell, the
+        # faces carry G plus the running sum c of the continuity sources
+        s = plan.ref_cell + 1
+        c = np.zeros((E, n))
+        np.cumsum(np.roll(m_i, -s, axis=1)[:, :-1], axis=1, out=c[:, 1:])
+        c = np.roll(c, s, axis=1)
+        flux[:, :n] = _loop_mass_flux(plan, rho_f[:, :n], num[:, :n], c, dt)[:, None] + c
+        flux[:, n] = flux[:, 0]
     else:
-        datum = scenario.outlet_pressure
-        inflow = rho_f[:, 0] * u_f[:, 0]
-
-    # Every row of the pressure system below has zero sum, so it is solved
-    # for p - datum: the pinned loop cell and the channel's outlet then add
-    # nothing to the right-hand side. Each episode iterates until its own
-    # velocity change is below tol; a converged episode keeps its u_k and
-    # p_new while the others go on.
-    u_k = u_f.copy()
-    p_new = p_c - datum
-    active = np.ones(E, dtype=bool)
-    for _ in range(cfg.max_iters):
-        D = rho_f * (1.0 / dt + plan.half_fric * np.abs(u_k))
-        uhat = num / D
-        e = 1.0 / (plan.dzf * D)
-
-        # substituting u_j = uhat_j - e_j * dp_j into continuity gives a
-        # pressure system; el/er are the left/right face coupling weights
-        coupling = rho_f * e
-        el, er = coupling[:, :n], coupling[:, 1:]
-        flux = rho_f * uhat
-        if not is_loop:
-            # face 0 carries the fixed inlet velocity (no pressure coupling)
-            el[:, 0] = 0.0
-            flux[:, 0] = inflow
-        rhs = m_i - flux[:, 1:] + flux[:, :n]
-        dpf = np.empty((E, n + 1))
-        if is_loop:
-            # cyclic continuity with cell ref_cell pinned: the other cells,
-            # taken in cyclic order from ref_cell + 1, form a tridiagonal system
-            p = np.zeros((E, n))
-            p[:, perm] = _solve_tridiagonal(
-                -el.take(perm, axis=1), (el + er).take(perm, axis=1), -er.take(perm, axis=1),
-                rhs.take(perm, axis=1))
-            dpf[:, :n] = p - p.take(plan.left, axis=1)
-            dpf[:, n] = dpf[:, 0]
-        else:
-            p = _solve_tridiagonal(-el, el + er, -er, rhs)
-            dpf[:, 0] = 0.0
-            dpf[:, 1:n] = p[:, 1:] - p[:, :-1]
-            dpf[:, n] = -p[:, -1]
-
-        u_next = uhat - e * dpf
-        if not is_loop:
-            u_next[:, 0] = u_f[:, 0]  # Dirichlet inlet
-        else:
-            u_next[:, n] = u_next[:, 0]
-        du = np.abs(u_next - u_k).max(axis=1)
-        if active.all():
-            u_k, p_new = u_next, p
-        else:
-            u_k = np.where(active[:, None], u_next, u_k)
-            p_new = np.where(active[:, None], p, p_new)
-        active &= ~(du < cfg.tol * np.maximum(1.0, np.abs(u_k).max(axis=1)))
-        if not active.any():
-            break
+        flux[:, 0] = rho_f[:, 0] * u_f[:, 0]
+        flux[:, 1:] = flux[:, :1] + np.cumsum(m_i, axis=1)
+    u_new = flux / rho_f
+    dpf = plan.dzf * (num - (1.0 / dt + plan.half_fric * np.abs(u_new)) * flux)
+    if is_loop:
+        # p summed cell by cell onward from the pinned cell, which keeps the datum
+        p_new = np.zeros((E, n))
+        np.cumsum(np.roll(dpf[:, :n], -s, axis=1)[:, :-1], axis=1, out=p_new[:, :-1])
+        p_new = np.roll(p_new, s, axis=1) + scenario.reference_pressure
     else:
-        ep = _first(active)
-        raise NumericalError(
-            f"momentum Picard iteration did not converge in episode {ep} (last change {du[ep]:.3e})"
-        )
-    p_new = p_new + datum
+        u_new[:, 0] = u_f[:, 0]  # Dirichlet inlet
+        p_new = scenario.outlet_pressure - np.cumsum(dpf[:, :0:-1], axis=1)[:, ::-1]
 
-    if not (np.isfinite(p_new).all() and np.isfinite(u_k).all() and np.isfinite(T_new).all()):
-        bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_k).all(axis=1)
+    if not (np.isfinite(p_new).all() and np.isfinite(u_new).all() and np.isfinite(T_new).all()):
+        bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_new).all(axis=1)
                 & np.isfinite(T_new).all(axis=1))
         raise NumericalError(f"non-finite fields after substep in episode {_first(bad)}")
 
@@ -456,19 +428,19 @@ def _substep(
         # continuity exactly, so the boundary term is the net inflow into
         # those cells (on the loop, what the pinned cell passes to its
         # neighbours), and the pinned cell's own change is reported apart
-        rho_c, rho_new, h, h_new, rho_f, u_k1, phi, q_cell = (
-            x[0] for x in (rho_c, rho_new, h, h_new, rho_f, u_k, phi, q_cell))
+        rho_c, rho_new, h, h_new, rho_f, u1, phi, q_cell = (
+            x[0] for x in (rho_c, rho_new, h, h_new, rho_f, u_new, phi, q_cell))
         area = scenario.segments[0].flow_area
         mass_old = float(np.sum(rho_c * dz)) * area
         mass_new = float(np.sum(rho_new * dz)) * area
         if is_loop:
             re = plan.ref_cell
             jl, jr = re, (re + 1) % n
-            bnd = (rho_f[jr] * u_k1[jr] - rho_f[jl] * u_k1[jl]) * area * dt
+            bnd = (rho_f[jr] * u1[jr] - rho_f[jl] * u1[jl]) * area * dt
             pinned = dz[re] * (rho_new[re] - rho_c[re]) * area
             enth_bnd = 0.0  # cyclic fluxes telescope away
         else:
-            bnd = (rho_f[0] * u_k1[0] - rho_f[n] * u_k1[n]) * area * dt
+            bnd = (rho_f[0] * u1[0] - rho_f[n] * u1[n]) * area * dt
             pinned = 0.0
             enth_bnd = (phi[0] - phi[n]) * area * cp * dt
         enth_old = float(np.sum(h * dz)) * area * cp
@@ -483,7 +455,7 @@ def _substep(
         audit["enthalpy_source"] = audit.get("enthalpy_source", 0.0) + src
         audit["max_courant"] = max(audit.get("max_courant", 0.0), float(courant[0]))
 
-    return p_new, T_new, u_k
+    return p_new, T_new, u_new
 
 
 # ===================== public stepping API =====================
@@ -514,7 +486,7 @@ def _advance(
             raise NumericalError(f"non-finite {name} in the start state of episode {_first(bad)}")
     dt = solver_config.substep
     for _ in range(n_sub):
-        p, T, u_f = _substep(plan, scenario, p, T, u_f, v, dt, solver_config, audit)
+        p, T, u_f = _substep(plan, scenario, p, T, u_f, v, dt, audit)
     return p, T, u_f
 
 
@@ -678,8 +650,7 @@ def run_experiments(
 ) -> list[SimulationRecord]:
     """Step a corpus of episodes together, one record per (trajectory, start state).
 
-    The episodes advance in lockstep, each with its own Picard convergence
-    and one stacked pressure solve per sweep, so every record is
+    The episodes advance in lockstep as one batch, and every record is
     bit-identical to stepping its episode alone. The control vector applied
     over [t_k, t_{k+1}) is the trajectory value at the interval's left
     endpoint (zero-order hold at the control cadence). Numerical failures
@@ -727,16 +698,6 @@ def run_experiments(
         )
         for e in range(E)
     ]
-
-
-def run_experiment(
-    scenario: ScenarioConfig,
-    trajectory: InputTrajectory,
-    start: FieldState,
-    solver_config: SolverConfig = SolverConfig(),
-) -> SimulationRecord:
-    """``run_experiments`` of a single episode."""
-    return run_experiments(scenario, [trajectory], [start], solver_config)[0]
 
 
 # ===================== trajectory generation =====================

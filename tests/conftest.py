@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowpsm.solver import generate_trajectories, run_experiment, steady_state
+from flowpsm.solver import generate_trajectories, run_experiments, steady_state
 from flowpsm.training import assemble_dataset, compute_scaling
 from flowpsm.transport import FLIBE, PipeSegment, ScenarioConfig
 
@@ -43,10 +43,7 @@ def tiny_scenario():
 @pytest.fixture(scope="session")
 def tiny_records(tiny_scenario):
     trajs = generate_trajectories(123, tiny_scenario, 3)
-    return [
-        run_experiment(tiny_scenario, tj, steady_state(tiny_scenario, tj.value(0.0)))
-        for tj in trajs
-    ]
+    return run_experiments(tiny_scenario, trajs, [steady_state(tiny_scenario, tj.value(0.0)) for tj in trajs])
 
 
 @pytest.fixture(scope="session")

@@ -225,7 +225,7 @@ def test_exit_code_numerical_error(tmp_path, capsys):
         "scenario": scenario_to_dict(tiny_channel()),
         "n_train": 1,
         "n_test": 0,
-        "solver": {"max_iters": 1},
+        "solver": {"substep": 2.5},  # advective Courant number above 1
     }))
     rc = main(["gen-data", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "x")])
     assert rc == 3
@@ -238,11 +238,12 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     ({"degradation": {"segment_index": 1}}, "friction_multiplier"),
     ({"degradation": {"segment_index": "x", "friction_multiplier": 10.0}}, "segment_index"),
     ({"solver": {"substep": "x"}}, "substep"),
-    ({"solver": {"max_iters": 2.5}}, "max_iters"),
+    ({"solver": {"max_iters": 40}}, "max_iters"),
+    ({"solver": {"tol": 1e-10}}, "tol"),
     ({"solver": 0.05}, "solver"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
-        "substep_not_a_number", "max_iters_not_an_integer", "solver_not_an_object"])
+        "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()),
@@ -390,6 +391,19 @@ def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
     (model / "arch.json").write_text(json.dumps(arch))
     rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e2")])
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'input_dim'")
+
+
+def test_dataset_scenario_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
+    data = _edited_copy(pipeline["data"], tmp_path / "data", "dataset.json",
+                        lambda d: {**d, "scenario": {k: v for k, v in d["scenario"].items() if k != "fluid"}})
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "dataset.json", "'fluid'")
+
+
+def test_arch_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
+    model = _edited_copy(pipeline["psm"], tmp_path / "model", "arch.json", lambda d: {**d, "activation": 5})
+    rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "unknown activation 5")
 
 
 def _edited_copy(src, dst, name, edit):

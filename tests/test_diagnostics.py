@@ -16,7 +16,7 @@ from flowpsm.diagnostics import (
     transfer_learn_twin,
 )
 from flowpsm.network import FIELD_ORDER, forward, input_jacobian
-from flowpsm.solver import generate_trajectories, inject_degradation, run_experiment, steady_state
+from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
 from flowpsm.training import (
     TrainConfig,
     input_layout,
@@ -104,7 +104,7 @@ def test_prediction_errors_accept_drifted_plant(trained, tiny_scenario, tiny_dat
     _, scaling = tiny_dataset
     faulty = inject_degradation(tiny_scenario, 1, 10.0)
     traj = generate_trajectories(7, faulty, 1)[0]
-    rec = run_experiment(faulty, traj, steady_state(faulty, traj.value(0.0)))
+    rec = run_experiments(faulty, [traj], [steady_state(faulty, traj.value(0.0))])[0]
     assert rec.scenario_hash != scenario_fingerprint(tiny_scenario)
     errors = prediction_errors(spec, params, tiny_scenario, scaling, rec)
     assert errors.shape == (rec.n_steps,)

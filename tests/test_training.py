@@ -10,7 +10,7 @@ from flowpsm.errors import NumericalError
 from flowpsm.control import station_predict
 from flowpsm.diagnostics import prediction_errors
 from flowpsm.network import FIELD_ORDER, Workspace, forward, init_params, learning_rate, optimizer_step
-from flowpsm.solver import SolverConfig, run_experiment, steady_state
+from flowpsm.solver import SolverConfig, steady_state
 from flowpsm.solver import _plan
 from flowpsm.training import (
     Batch,

@@ -209,7 +209,7 @@ def _scenario_from_config(cfg: dict):
         raise ConfigError("config must contain exactly one of 'preset' or 'scenario'")
     if "preset" in cfg:
         name = cfg["preset"]
-        if name not in _PRESETS:
+        if not isinstance(name, str) or name not in _PRESETS:
             raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
         scenario = _PRESETS[name]()
     else:
@@ -256,7 +256,8 @@ def _read_dataset(data_dir) -> dict:
         raise DataIoError(f"{path}: {exc}") from exc
     scaling, scaling_hash = load_scaling(data_dir / "scaling.json")
     if scaling_hash != scenario_fingerprint(scenario):
-        raise ConfigError(f"{data_dir}: scaling manifest does not match the scenario")
+        raise DataIoError(f"{data_dir / 'scaling.json'}: scaling manifest does not match the scenario "
+                          f"in {path}")
     return {
         "dir": data_dir,
         "doc": doc,
@@ -310,6 +311,9 @@ def cmd_gen_data(args) -> None:
     n_test = _number(cfg, "n_test", int, 4)
     if n_train < 1 or n_test < 0:
         raise ConfigError("need n_train >= 1 and n_test >= 0")
+    export_csv = cfg.get("export_csv", False)
+    if not isinstance(export_csv, bool):
+        raise ConfigError(f"'export_csv' must be true or false, got {export_csv!r}")
     n_total = n_train + n_test
     trajectories = generate_trajectories(args.seed, scenario, n_total)
 
@@ -324,7 +328,7 @@ def cmd_gen_data(args) -> None:
         save_record(outdir / rel, rec)
         rel_paths.append(rel)
         outputs[rel] = outdir / rel
-        if cfg.get("export_csv", False):
+        if export_csv:
             record_to_csv(outdir / f"records/exp_{i:03d}.csv", rec)
 
     scaling = compute_scaling(records[:n_train], scenario)

@@ -182,14 +182,8 @@ class OInfApprox:
     H_x: np.ndarray  # (R, q)
     H_v: np.ndarray  # (R, p)
     h: np.ndarray  # (R,)
-    horizon: int
-    epsilon: float
     x00: np.ndarray
     v00: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.h.size
 
     def margins(self, delta_x: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
         return self.h - self.H_x @ delta_x - self.H_v @ delta_v
@@ -241,8 +235,6 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int = 50,
         H_x=np.vstack(Hx_blocks),
         H_v=np.vstack(Hv_blocks),
         h=np.concatenate(h_blocks),
-        horizon=horizon,
-        epsilon=epsilon,
         x00=ssm.x00.copy(),
         v00=ssm.v00.copy(),
     )

@@ -3,8 +3,8 @@
 The surrogate maps a scaled input row (z*, t*, v*, x0*) to the three scaled
 field values (p*, u*, T*). Three shared head layers feed one intermediate
 layer, which fans out into three independent tail branches, one per field,
-each ending in a scalar linear output. Hidden activations are tanh
-(identity is available for linear test builds); outputs are identity.
+each ending in a scalar linear output. Hidden activations are tanh;
+outputs are identity.
 
 Every pass goes through one closed-form kernel, ``stacked_forward``. It
 carries the B value rows and k forward-mode tangent channels (directional
@@ -67,12 +67,12 @@ class MlpSpec:
     head_width: int = 200
     intermediate_width: int = 100
     tail_width: int = 100
-    activation: str = "tanh"  # "identity" builds a linear net for exact tests
+    activation: str = "tanh"  # the only hidden activation; kept so arch.json names it
 
     def __post_init__(self) -> None:
         if min(self.input_dim, self.head_width, self.intermediate_width, self.tail_width) < 1:
             raise ConfigError("all widths must be positive")
-        if self.activation not in ("tanh", "identity"):
+        if self.activation != "tanh":
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, int]]]:
@@ -177,7 +177,7 @@ class Workspace:
                  "pong": stack * wide, "g_inter": stack * spec.intermediate_width}
         for name, width in widths.items():
             sizes[name] = stack * width
-            if spec.activation == "tanh" and not name.startswith("out_"):
+            if not name.startswith("out_"):
                 sizes[f"{name}.gate"] = rows * width
                 sizes[f"{name}.da"] = n_directions * rows * width
         self._flat = {key: np.empty(size) for key, size in sizes.items()}
@@ -262,9 +262,11 @@ class StackedPass:
         return out
 
 
-def _layer(params: ParamStore, name: str, h_in: np.ndarray, use_tanh: bool,
+def _layer(params: ParamStore, name: str, h_in: np.ndarray,
            ws: Workspace | None = None, saved: dict | None = None) -> np.ndarray:
     """One stacked dense layer; h_in and the result are (k+1, B, width).
+
+    Hidden layers apply tanh; the ``out_`` layers are linear.
 
     Without a workspace the result is a fresh array, updated in place. With
     one, the result and what the reverse pass reads go into its buffers and
@@ -279,7 +281,7 @@ def _layer(params: ParamStore, name: str, h_in: np.ndarray, use_tanh: bool,
         a = ws.take(name, (n_stack, n_rows, w.shape[0]))
         np.matmul(h_in2, w.T, out=a.reshape(n_stack * n_rows, -1))
     a[0] += params.view(f"{name}.b")
-    if not use_tanh:
+    if name.startswith("out_"):
         if saved is not None:
             saved[name] = (h_in, None, None, None)
         return a
@@ -327,14 +329,10 @@ def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
     h = np.empty(shape) if ws is None else ws.take("input", shape)
     h[0] = x
     h[1:] = d[:, None, :]
-    use_tanh = spec.activation == "tanh"
     for name in _TRUNK:
-        h = _layer(params, name, h, use_tanh, ws, saved)
-    cols = [
-        _layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, use_tanh, ws, saved),
-               False, ws, saved)
-        for fname in FIELD_ORDER
-    ]
+        h = _layer(params, name, h, ws, saved)
+    cols = [_layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, ws, saved), ws, saved)
+            for fname in FIELD_ORDER]
     outputs = None if ws is None else ws.take("outputs", (n_stack, n_rows, 3))
     return StackedPass(spec=spec, params=params, outputs=np.concatenate(cols, axis=2, out=outputs),
                        saved=saved, workspace=ws, pass_index=0 if ws is None else ws.passes)

@@ -24,6 +24,13 @@ Transient scheme (first-order, semi-implicit, staggered):
   loop), a strictly increasing piecewise quadratic in G, solved in closed
   form.
 
+Both rigs run one substep; they differ only in the plan (``_plan``) and in
+their boundary inputs. The plan holds the upwind stencil, whose cells carry
+one ghost at each end (the loop's wrap around; the channel's are T_in at the
+inlet and the last cell at the non-reversing outlet), and the paths of the
+two running sums. The boundary inputs are the channel's u_in and T_in, and
+the loop's pump head with its root in G.
+
 The loop's static pressure boundary at z_set acts as a pressurizer: its cell
 is pinned to the reference (gage zero) pressure and exchanges the tiny
 thermal-expansion makeup flow; every other cell satisfies discrete
@@ -146,6 +153,9 @@ class SimulationRecord:
 
 @dataclass(frozen=True)
 class _Plan:
+    """Per-scenario tables. The rigs differ only in the stencil and paths below
+    and in their boundary inputs."""
+
     grid: Grid
     dzf: np.ndarray  # face control-volume widths
     fric: np.ndarray  # (f/D_h) per face
@@ -157,7 +167,16 @@ class _Plan:
     q_ctrl: np.ndarray  # (n_cells, n_controls) source coupling matrix
     is_loop: bool
     ref_cell: int
-    left: np.ndarray  # cyclic left neighbour of each cell
+    bc: tuple[int, ...]  # control columns of the boundary inputs: (u_in, T_in), or (dp_pump,)
+    # cells padded by a ghost at each end, as columns of [cells | controls]:
+    # face j's upwind cell is cells[j] forward and cells[j + 1] backward
+    cells: np.ndarray
+    faces: np.ndarray  # faces padded alike: advection at face j reads faces[j] and faces[j + 2]
+    dz_pad: np.ndarray  # widths between consecutive padded faces
+    flux_path: tuple  # (cells, face positions): face fluxes are the start face's plus running sources
+    p_path: tuple  # (faces, cell positions): p is p_datum plus p_sign times the running face drops
+    p_sign: float
+    p_datum: float
     min_dz: float
     v_lo: np.ndarray
     v_hi: np.ndarray
@@ -184,32 +203,42 @@ def _plan(scenario: ScenarioConfig) -> _Plan:
 
     dz = grid.dz
     is_loop = scenario.kind == "loop"
-    # face j sits between cells j-1 and j: cyclic on the loop, where faces 0
-    # and n coincide; the channel's end faces see only their own cell
-    w = np.concatenate(([dz[-1] if is_loop else 0.0], dz, [dz[0] if is_loop else 0.0]))
+    names = ("dp_pump",) if is_loop else ("u_in", "T_in")
+    missing = [c for c in names if c not in scenario.control_channels]
+    if missing:
+        raise ConfigError(f"a {scenario.kind} scenario needs the control channels {missing}")
+    bc = tuple(scenario.channel_index(c) for c in names)
+    # face j sits between cells j-1 and j
+    idx = np.arange(n)
+    if is_loop:  # cyclic: faces 0 and n coincide; continuity and p run onward from the pinned cell
+        start = (scenario.reference_cell + 1) % n  # the face leaving the pinned cell
+        w = np.r_[dz[-1], dz, dz[0]]
+        cells, faces = np.r_[n - 1, idx, 0], np.r_[n - 1, idx, n, 1]
+        path = (start + idx[:-1]) % n
+        flux_path, p_path = (path, (np.arange(n + 1) - start) % n), (path, (idx + 1 - start) % n)
+        p_sign, p_datum = 1.0, scenario.reference_pressure
+    else:  # the end faces see only their own cell and advect nothing; the inlet's ghost
+        # is T_in, the outlet's the last cell (its flow does not reverse); p runs back
+        # from the outlet
+        w = np.r_[0.0, dz, 0.0]
+        cells, faces = np.r_[n + bc[1], idx, n - 1], np.r_[0, idx, n, n]
+        flux_path, p_path = (idx, np.arange(n + 1)), (idx[::-1] + 1, n - idx)
+        p_sign, p_datum = -1.0, scenario.outlet_pressure
 
-    def faces(c: np.ndarray) -> np.ndarray:
+    def at_faces(c: np.ndarray) -> np.ndarray:
         ce = np.concatenate(([c[-1]], c, [c[0]]))
         f = (w[:-1] * ce[:-1] + w[1:] * ce[1:]) / (w[:-1] + w[1:])
         if not is_loop:
             f[0], f[-1] = c[0], c[-1]
         return f
 
-    dzf, fric, grav = 0.5 * (w[:-1] + w[1:]), faces(cell_fric), faces(cell_grav)
-
+    fric = at_faces(cell_fric)
     return _Plan(
-        grid=grid,
-        dzf=dzf,
-        fric=fric,
-        half_fric=fric / 2.0,
-        grav=grav,
-        cell_fric=cell_fric,
-        cell_grav=cell_grav,
-        q_fixed=q_fixed,
-        q_ctrl=q_ctrl,
-        is_loop=is_loop,
-        ref_cell=scenario.reference_cell,
-        left=np.roll(np.arange(n), 1),
+        grid=grid, dzf=0.5 * (w[:-1] + w[1:]), fric=fric, half_fric=fric / 2.0, grav=at_faces(cell_grav),
+        cell_fric=cell_fric, cell_grav=cell_grav, q_fixed=q_fixed, q_ctrl=q_ctrl,
+        is_loop=is_loop, ref_cell=scenario.reference_cell, bc=bc,
+        cells=cells, faces=faces, dz_pad=np.r_[dz[-1], dz, dz[0]],
+        flux_path=flux_path, p_path=p_path, p_sign=p_sign, p_datum=p_datum,
         min_dz=float(np.min(dz)),
         v_lo=np.array([r[0] for r in scenario.input_ranges]),
         v_hi=np.array([r[1] for r in scenario.input_ranges]),
@@ -242,10 +271,11 @@ def _face_velocities(plan: _Plan, state: FieldState) -> np.ndarray:
         if uf.size != plan.grid.n_cells + 1:
             raise ConfigError("u_face length must be n_cells + 1")
     elif plan.is_loop:
-        uf = 0.5 * (np.roll(state.u, 1) + state.u)
-        uf = np.append(uf, uf[0])
+        uf = np.append(0.5 * (np.roll(state.u, 1) + state.u), 0.0)
     else:
         uf = np.interp(plan.grid.faces, plan.grid.centers, state.u)  # ends take the end cells
+    if plan.is_loop:
+        uf[-1] = uf[0]  # face n is face 0
     return uf
 
 
@@ -302,24 +332,26 @@ def _loop_mass_flux(plan: _Plan, rho_f: np.ndarray, num: np.ndarray, c: np.ndarr
 # ===================== single substep =====================
 
 
-def _substep(
-    plan: _Plan,
-    scenario: ScenarioConfig,
-    p_c: np.ndarray,
-    T_c: np.ndarray,
-    u_f: np.ndarray,
-    v: np.ndarray,
-    dt: float,
-    audit: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _upwind(x: np.ndarray, forward: np.ndarray) -> np.ndarray:
+    """Per face j, column j of the padded x where the flow runs forward, else column j + 1."""
+    return np.where(forward, x[:, :-1], x[:, 1:])
+
+
+def _running(x: np.ndarray, path: tuple) -> np.ndarray:
+    """Running sums of x's columns in the path's order, read at its positions (0: the empty sum)."""
+    order, pos = path
+    acc = np.zeros((x.shape[0], order.size + 1))
+    np.cumsum(x.take(order, axis=1), axis=1, out=acc[:, 1:])
+    return acc.take(pos, axis=1)
+
+
+def _substep(plan: _Plan, scenario: ScenarioConfig, p_c: np.ndarray, T_c: np.ndarray, u_f: np.ndarray,
+             v: np.ndarray, dt: float, audit: dict | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One substep of E episodes: p_c, T_c (E, n), u_f (E, n + 1), v (E, m)."""
     fluid = scenario.fluid
     a, b, cp = fluid.rho_a, fluid.rho_b, fluid.cp
-    grid = plan.grid
-    n = grid.n_cells
-    dz = grid.dz
-    is_loop = plan.is_loop
-    E = p_c.shape[0]
+    n = plan.grid.n_cells
+    dz = plan.grid.dz
 
     courant = np.abs(u_f).max(axis=1) * dt / plan.min_dz
     if (courant > 1.0).any():
@@ -329,26 +361,19 @@ def _substep(
             "reduce the substep or the velocity range"
         )
 
-    rho_c = density(fluid, T_c)
-    h = rho_c * T_c
+    def padded(T: np.ndarray) -> np.ndarray:
+        """T on the ghost-padded cells, the channel's inlet ghost taking T_in."""
+        return np.concatenate((T, v), axis=1).take(plan.cells, axis=1)
 
-    if not is_loop:
-        T_in = v[:, scenario.channel_index("T_in")]
-        rho_in = a - b * T_in
-        h_in = rho_in * T_in
+    # upwind directions and face values are frozen at the old velocity signs
+    forward = u_f >= 0.0
 
     # --- energy: conservative upwind fluxes of h = rho*T with old velocities ---
-    phi = np.empty((E, n + 1))
-    if is_loop:
-        left = plan.left
-        h_upw = np.where(u_f[:, :n] >= 0.0, h.take(left, axis=1), h)
-        phi[:, :n] = u_f[:, :n] * h_upw
-        phi[:, n] = phi[:, 0]
-    else:
-        phi[:, 1:n] = u_f[:, 1:n] * np.where(u_f[:, 1:n] >= 0.0, h[:, :-1], h[:, 1:])
-        phi[:, 0] = u_f[:, 0] * np.where(u_f[:, 0] >= 0.0, h_in, h[:, 0])
-        phi[:, n] = u_f[:, n] * h[:, -1]  # outflow (flow does not reverse at the outlet)
-
+    T_pad = padded(T_c)
+    rho_pad = density(fluid, T_pad)
+    h_pad = rho_pad * T_pad
+    rho_c, h = rho_pad[:, 1:-1], h_pad[:, 1:-1]
+    phi = u_f * _upwind(h_pad, forward)
     q_cell = plan.q_fixed + v @ plan.q_ctrl.T
     h_new = h - (dt / dz) * (phi[:, 1:] - phi[:, :-1]) + dt * q_cell / cp
     if b > 0.0:
@@ -359,63 +384,31 @@ def _substep(
         T_new = (a - np.sqrt(disc)) / (2.0 * b)
     else:
         T_new = h_new / a
-    rho_new = a - b * T_new
+    rho_new_pad = a - b * padded(T_new)
+    rho_new = rho_new_pad[:, 1:-1]
 
     # --- momentum + continuity ---
-    # upwind directions and face densities are frozen at the old velocity signs
-    rho_f = np.empty((E, n + 1))
-    if is_loop:
-        sign_pos = u_f[:, :n] >= 0.0
-        rho_f[:, :n] = np.where(sign_pos, rho_new.take(left, axis=1), rho_new)
-        rho_f[:, n] = rho_f[:, 0]
-        # explicit upwind advection du/dz at each face
-        adv = np.empty((E, n + 1))
-        grad_left = (u_f[:, :n] - u_f.take(left, axis=1)) / dz[left]  # cell between faces j-1, j
-        grad_right = (u_f[:, 1:] - u_f[:, :n]) / dz  # cell between faces j, j+1
-        adv[:, :n] = u_f[:, :n] * np.where(sign_pos, grad_left, grad_right)
-        adv[:, n] = adv[:, 0]
-    else:
-        rho_f[:, 1:n] = np.where(u_f[:, 1:n] >= 0.0, rho_new[:, :-1], rho_new[:, 1:])
-        rho_f[:, 0] = np.where(u_f[:, 0] >= 0.0, rho_in, rho_new[:, 0])
-        rho_f[:, n] = rho_new[:, -1]
-        adv = np.zeros((E, n + 1))
-        gl = (u_f[:, 1:n] - u_f[:, : n - 1]) / dz[:-1]
-        gr = (u_f[:, 2:] - u_f[:, 1:n]) / dz[1:]
-        adv[:, 1:n] = u_f[:, 1:n] * np.where(u_f[:, 1:n] >= 0.0, gl, gr)
-        adv[:, n] = np.where(u_f[:, n] >= 0.0, u_f[:, n] * (u_f[:, n] - u_f[:, n - 1]) / dz[-1], 0.0)
-
-    m_i = -dz * (rho_new - rho_c) / dt  # continuity source per cell
+    rho_f = _upwind(rho_new_pad, forward)
+    u_pad = u_f.take(plan.faces, axis=1)
+    adv = u_f * _upwind((u_pad[:, 1:] - u_pad[:, :-1]) / plan.dz_pad, forward)  # explicit upwind u du/dz
     num = rho_f * (u_f / dt - adv + plan.grav)
-    if is_loop:
-        # the pump head acts on the wrap face (face 0, which is face n)
-        num[:, 0] += v[:, scenario.channel_index("dp_pump")] / plan.dzf[0]
-        num[:, n] = num[:, 0]
+    m_i = -dz * (rho_new - rho_c) / dt  # continuity source per cell
 
-    # continuity fixes every face's mass flux from one value per episode;
-    # each face's momentum balance then gives its pressure drop
-    flux = np.empty((E, n + 1))
-    if is_loop:
-        # taken in cyclic order from the face leaving the pinned cell, the
-        # faces carry G plus the running sum c of the continuity sources
-        s = plan.ref_cell + 1
-        c = np.zeros((E, n))
-        np.cumsum(np.roll(m_i, -s, axis=1)[:, :-1], axis=1, out=c[:, 1:])
-        c = np.roll(c, s, axis=1)
-        flux[:, :n] = _loop_mass_flux(plan, rho_f[:, :n], num[:, :n], c, dt)[:, None] + c
-        flux[:, n] = flux[:, 0]
+    # continuity fixes every face's mass flux from the start face's; each
+    # face's momentum balance then gives its pressure drop
+    c = _running(m_i, plan.flux_path)
+    if plan.is_loop:
+        # the pump head acts on the wrap face; G is the flux leaving the pinned cell
+        num[:, 0] += v[:, plan.bc[0]] / plan.dzf[0]
+        start = _loop_mass_flux(plan, rho_f[:, :n], num[:, :n], c[:, :n], dt)
     else:
-        flux[:, 0] = rho_f[:, 0] * u_f[:, 0]
-        flux[:, 1:] = flux[:, :1] + np.cumsum(m_i, axis=1)
+        start = rho_f[:, 0] * u_f[:, 0]  # the inflow
+    flux = start[:, None] + c
     u_new = flux / rho_f
     dpf = plan.dzf * (num - (1.0 / dt + plan.half_fric * np.abs(u_new)) * flux)
-    if is_loop:
-        # p summed cell by cell onward from the pinned cell, which keeps the datum
-        p_new = np.zeros((E, n))
-        np.cumsum(np.roll(dpf[:, :n], -s, axis=1)[:, :-1], axis=1, out=p_new[:, :-1])
-        p_new = np.roll(p_new, s, axis=1) + scenario.reference_pressure
-    else:
+    if not plan.is_loop:
         u_new[:, 0] = u_f[:, 0]  # Dirichlet inlet
-        p_new = scenario.outlet_pressure - np.cumsum(dpf[:, :0:-1], axis=1)[:, ::-1]
+    p_new = plan.p_datum + plan.p_sign * _running(dpf, plan.p_path)
 
     if not (np.isfinite(p_new).all() and np.isfinite(u_new).all() and np.isfinite(T_new).all()):
         bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_new).all(axis=1)
@@ -433,7 +426,7 @@ def _substep(
         area = scenario.segments[0].flow_area
         mass_old = float(np.sum(rho_c * dz)) * area
         mass_new = float(np.sum(rho_new * dz)) * area
-        if is_loop:
+        if plan.is_loop:
             re = plan.ref_cell
             jl, jr = re, (re + 1) % n
             bnd = (rho_f[jr] * u1[jr] - rho_f[jl] * u1[jl]) * area * dt
@@ -461,16 +454,9 @@ def _substep(
 # ===================== public stepping API =====================
 
 
-def _advance(
-    plan: _Plan,
-    scenario: ScenarioConfig,
-    p: np.ndarray,
-    T: np.ndarray,
-    u_f: np.ndarray,
-    v: np.ndarray,
-    solver_config: SolverConfig,
-    audit: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _advance(plan: _Plan, scenario: ScenarioConfig, p: np.ndarray, T: np.ndarray, u_f: np.ndarray,
+             v: np.ndarray, solver_config: SolverConfig, audit: dict | None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance E episodes one delta_t under constant controls v (E, m).
 
     p and T are (E, n) and u_f is (E, n + 1); the channel's inlet face takes
@@ -479,7 +465,7 @@ def _advance(
     n_sub = solver_config.n_substeps(scenario.delta_t)
     if not plan.is_loop:
         u_f = u_f.copy()
-        u_f[:, 0] = v[:, scenario.channel_index("u_in")]
+        u_f[:, 0] = v[:, plan.bc[0]]
     for name, x in (("p", p), ("T", T), ("u_face", u_f)):
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
@@ -541,22 +527,20 @@ def _closure_checked(fluid, T: np.ndarray, where: str) -> np.ndarray:
     return T
 
 
-def _steady_faces(plan: _Plan, fluid, T_up: np.ndarray, G: float) -> tuple[np.ndarray, np.ndarray]:
-    """u_face and face dp at mass flux G > 0, T_up being each face's upwind T.
+def _steady_faces(plan: _Plan, fluid, T: np.ndarray, v: np.ndarray, G: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """u_face and face dp at mass flux G > 0, cell T and inputs v; the flow runs forward.
 
     At a fixed point momentum reduces to dp_j = -dzf_j rho_j (f_j |u_j| u_j / 2 + adv_j - g_j).
     """
-    rho_f = density(fluid, T_up)
+    rho_f = density(fluid, np.concatenate((T, v)).take(plan.cells[:-1]))
     u_f = G / rho_f
-    adv = np.zeros_like(u_f)  # the channel's face 0 is the inlet
-    adv[1:] = u_f[1:] * (u_f[1:] - u_f[:-1]) / plan.grid.dz
-    if plan.is_loop:
-        adv[0] = adv[-1]
+    adv = u_f * (u_f - u_f.take(plan.faces[:-2])) / plan.dz_pad[:-1]
     return u_f, -plan.dzf * rho_f * (plan.fric * np.abs(u_f) * u_f / 2.0 + adv - plan.grav)
 
 
-def _loop_state(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.ndarray):
-    """Loop fixed point (T, u_face, face dp): T = T_bar + d(G), G from the pump head.
+def _loop_flow(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.ndarray):
+    """Loop fixed point (G, T): T = T_bar + d(G), G from the pump head.
 
     d is the zero-mean part of cumsum(q dz) / (c_p G). Pinning sum(rho(T) T dz)
     at rho(T_ref) T_ref L gives b T_bar^2 - a T_bar + h_ref + b var(d) = 0
@@ -571,18 +555,17 @@ def _loop_state(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.n
     s = np.cumsum(heat) / fluid.cp
     rho_ref = float(density(fluid, scenario.reference_temperature))
     h_ref = rho_ref * scenario.reference_temperature
-    dp_pump = float(v[scenario.channel_index("dp_pump")])
+    dp_pump = float(v[plan.bc[0]])
 
-    def state(G: float):
+    def temperature(G: float) -> np.ndarray:
         d = s / G
         d -= float(d @ dz) / length
         k = h_ref + b * float((d * d) @ dz) / length
         T = 2.0 * k / (a + np.sqrt(max(a * a - 4.0 * b * k, 0.0))) + d  # exact at b = 0
-        T = _closure_checked(fluid, T, f"loop at G = {G:.6g} kg/m^2/s, pump head {dp_pump} Pa")
-        return (T, *_steady_faces(plan, fluid, np.concatenate(([T[-1]], T)), G))
+        return _closure_checked(fluid, T, f"loop at G = {G:.6g} kg/m^2/s, pump head {dp_pump} Pa")
 
     def residual(G: float) -> float:
-        return -float(np.sum(state(G)[2][:-1])) - dp_pump
+        return -float(np.sum(_steady_faces(plan, fluid, temperature(G), v, G)[1][:-1])) - dp_pump
 
     # expand a bracket from the isothermal friction balance
     drag = float(plan.fric[:-1] @ plan.dzf[:-1]) / (2.0 * rho_ref)
@@ -590,7 +573,8 @@ def _loop_state(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.n
     for _ in range(200):
         r_lo, r_hi = residual(lo), residual(hi)
         if r_lo <= 0.0 <= r_hi:
-            return state(scipy.optimize.brentq(residual, lo, hi))
+            G = scipy.optimize.brentq(residual, lo, hi)
+            return G, temperature(G)
         lo, hi = (lo / 2.0 if r_lo > 0.0 else lo), (hi * 2.0 if r_hi < 0.0 else hi)
     raise NumericalError(
         f"no loop mass flux in [{lo:.3e}, {hi:.3e}] kg/m^2/s balances the pump head {dp_pump} Pa"
@@ -604,7 +588,7 @@ def steady_state(scenario: ScenarioConfig, inputs) -> FieldState:
     sum_{j<=i} q_j dz_j / (G c_p), u_j = G / rho(upwind T), p summed back from
     the outlet. Loop: T_i = theta(G) + s_i / G, theta pinning sum(rho(T) T dz)
     at the uniform ``reference_temperature`` state's value (stepping conserves
-    it), G the pump-head root, p summed from the pinned ``reference_cell``.
+    it), G the pump-head root, p summed onward from the pinned ``reference_cell``.
 
     Raises ConfigError for a wrong-length or out-of-range input, and
     NumericalError when no steady state exists: loop sources that do not
@@ -616,18 +600,18 @@ def steady_state(scenario: ScenarioConfig, inputs) -> FieldState:
     fluid = scenario.fluid
     heat = (plan.q_fixed + plan.q_ctrl @ v) * plan.grid.dz
     if plan.is_loop:
-        T, u_f, dpf = _loop_state(plan, scenario, v, heat)
-        p = np.concatenate(([0.0], np.cumsum(dpf[1:-1])))
-        p += scenario.reference_pressure - p[plan.ref_cell]
+        G, T = _loop_flow(plan, scenario, v, heat)
+        u_f, dpf = _steady_faces(plan, fluid, T, v, G)
+        dpf[0] += v[plan.bc[0]]  # the pump head
     else:
-        u_in, T_in = (float(v[scenario.channel_index(c)]) for c in ("u_in", "T_in"))
+        u_in, T_in = (float(v[i]) for i in plan.bc)
         G = float(density(fluid, T_in)) * u_in
         if not G > 0.0:
             raise NumericalError(f"heated channel has no steady state at inlet mass flux {G} kg/m^2/s")
         T = _closure_checked(fluid, T_in + np.cumsum(heat) / (G * fluid.cp), "heated channel")
-        u_f, dpf = _steady_faces(plan, fluid, np.concatenate(([T_in], T)), G)
+        u_f, dpf = _steady_faces(plan, fluid, T, v, G)
         u_f[0] = u_in
-        p = scenario.outlet_pressure - np.cumsum(dpf[:0:-1])[::-1]
+    p = plan.p_datum + plan.p_sign * _running(dpf[None], plan.p_path)[0]
     if not all(np.all(np.isfinite(x)) for x in (p, u_f, T)):
         raise NumericalError(f"non-finite steady fields at inputs {v}")
     return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,6 +86,10 @@ def density(props: FluidProps, T):
 # ===================== geometry =====================
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PipeSegment:
     """One uniform pipe segment of a rig.
@@ -111,8 +117,8 @@ class PipeSegment:
             raise ConfigError("flow_area must be positive")
         if self.hydraulic_diameter <= 0:
             raise ConfigError("hydraulic_diameter must be positive")
-        if self.n_elements < 1:
-            raise ConfigError("n_elements must be >= 1")
+        if not _is_int(self.n_elements) or self.n_elements < 1:
+            raise ConfigError(f"n_elements must be an integer >= 1, got {self.n_elements!r}")
         if self.friction_factor < 0:
             raise ConfigError("friction_factor must be >= 0")
 
@@ -146,6 +152,13 @@ class ScenarioConfig:
             raise ConfigError("at least one segment required")
         if len(self.control_channels) != len(self.input_ranges):
             raise ConfigError("input_ranges must align with control_channels")
+        if any(len(r) != 2 for r in self.input_ranges):
+            raise ConfigError("each input range must be a (min, max) pair")
+        for name in ("delta_t", "episode_duration", "outlet_pressure", "reference_pressure",
+                     "reference_temperature"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ConfigError(f"{name} must be a finite number, got {x!r}")
         for name, (lo, hi) in zip(self.control_channels, self.input_ranges):
             if not lo < hi:
                 raise ConfigError(f"input range for {name!r} must have min < max")
@@ -164,6 +177,8 @@ class ScenarioConfig:
                         f"segment references unknown control channel "
                         f"{seg.volumetric_source_id!r}"
                     )
+        if not _is_int(self.reference_cell):
+            raise ConfigError(f"reference_cell must be an integer, got {self.reference_cell!r}")
         if self.kind == "loop":
             n_cells = sum(s.n_elements for s in self.segments)
             if not 0 <= self.reference_cell < n_cells:

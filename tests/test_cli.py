@@ -19,6 +19,7 @@ from flowpsm.training import NoiseSpec
 from flowpsm.transport import (
     ConfigError,
     heated_channel_preset,
+    loop_preset,
     scenario_fingerprint,
     scenario_from_dict,
     scenario_to_dict,
@@ -232,6 +233,10 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+_CHANNEL = scenario_to_dict(tiny_channel())
+_LOOP = scenario_to_dict(loop_preset())
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"n_train": "x"}, "n_train"),
     ({"degradation": [1, 10.0]}, "degradation"),
@@ -241,18 +246,34 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     ({"solver": {"max_iters": 40}}, "max_iters"),
     ({"solver": {"tol": 1e-10}}, "tol"),
     ({"solver": 0.05}, "solver"),
+    ({"scenario": None, "preset": ["heated_channel"]}, "preset"),
+    ({"scenario": {**_CHANNEL, "segments": [{**_CHANNEL["segments"][0], "n_elements": 2.5},
+                                            *_CHANNEL["segments"][1:]]}}, "n_elements"),
+    ({"scenario": {**_LOOP, "reference_cell": 1.5}}, "reference_cell"),
+    ({"scenario": {**_LOOP, "control_channels": ["q_source", "pump_head"]}}, "dp_pump"),
+    ({"scenario": {**_CHANNEL, "control_channels": ["u_inlet", "T_in"]}}, "u_in"),
+    ({"scenario": {**_CHANNEL, "control_channels": ["u_in", "T_inlet"]}}, "T_in"),
+    ({"export_csv": "no"}, "export_csv"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [[0.5], [804.65, 884.65]]}}, "input range"),
+    ({"scenario": {**_CHANNEL, "outlet_pressure": "x"}}, "outlet_pressure"),
+    ({"scenario": {**_CHANNEL, "episode_duration": float("nan")}}, "episode_duration"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
-        "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object"])
+        "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object",
+        "preset_not_a_string", "n_elements_fractional", "reference_cell_fractional",
+        "loop_without_dp_pump", "channel_without_u_in", "channel_without_T_in",
+        "export_csv_not_a_boolean", "input_range_not_a_pair", "outlet_pressure_not_a_number",
+        "episode_duration_nan"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()),
-                               "n_train": 1, "n_test": 0, **extra}))
+    doc = {"scenario": _CHANNEL, "n_train": 1, "n_test": 0, **extra}
+    cfg.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
     assert "config error" in err and key in err
+    assert not (tmp_path / "x" / "records").exists()
 
 
 _HOLD = {"references": {"hold": [0.65, 850.0]}, "n_steps": 2, "environment": "model"}
@@ -404,6 +425,13 @@ def test_arch_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
     model = _edited_copy(pipeline["psm"], tmp_path / "model", "arch.json", lambda d: {**d, "activation": 5})
     rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e")])
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "unknown activation 5")
+
+
+def test_scaling_of_another_scenario_exits_4(pipeline, tmp_path, capsys):
+    data = _edited_copy(pipeline["data"], tmp_path / "data", "scaling.json",
+                        lambda d: {**d, "scenario_hash": "0" * 64})
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", "does not match the scenario")
 
 
 def _edited_copy(src, dst, name, edit):

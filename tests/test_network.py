@@ -55,15 +55,14 @@ def test_forward_shapes_and_single_row(params, rng):
 
 def _reference_forward(spec, params, x):
     """Layer-by-layer evaluation written out independently of the kernel."""
-    act = np.tanh if spec.activation == "tanh" else (lambda a: a)
 
     def dense(name, h):
         return h @ params.view(f"{name}.w").T + params.view(f"{name}.b")
 
     h = x
     for name in ("head0", "head1", "head2", "inter"):
-        h = act(dense(name, h))
-    return np.concatenate([dense(f"out_{f}", act(dense(f"tail_{f}", h))) for f in FIELD_ORDER], axis=1)
+        h = np.tanh(dense(name, h))
+    return np.concatenate([dense(f"out_{f}", np.tanh(dense(f"tail_{f}", h))) for f in FIELD_ORDER], axis=1)
 
 
 def test_forward_matches_layer_by_layer_reference(params, rng):
@@ -94,8 +93,7 @@ def test_tangents_match_input_jacobian(params, rng):
 
 
 def test_gradient_of_tangent_loss_matches_finite_difference(rng):
-    # losses built from values and directional derivatives must backprop
-    # exactly, through tanh and through identity activations
+    # losses built from values and directional derivatives must backprop exactly
     x = rng.standard_normal((3, 5))
     dirs = np.eye(5)[[0, 2]]
     weights = rng.standard_normal((3, 3, 3))
@@ -104,38 +102,29 @@ def test_gradient_of_tangent_loss_matches_finite_difference(rng):
         y = stacked_forward(spec, store, x, dirs).outputs
         return float(np.sum(weights * y) + np.sum(y[1:] ** 2))
 
-    for activation in ("tanh", "identity"):
-        spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4,
-                       activation=activation)
-        store = init_params(spec, seed=3)
-        store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
-        run = stacked_forward(spec, store, x, dirs, keep=True)
-        cot = weights.copy()
-        cot[1:] += 2.0 * run.outputs[1:]
-        grad = run.gradient(cot)
+    spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
+    store = init_params(spec, seed=3)
+    store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
+    run = stacked_forward(spec, store, x, dirs, keep=True)
+    cot = weights.copy()
+    cot[1:] += 2.0 * run.outputs[1:]
+    grad = run.gradient(cot)
 
-        h = 1e-6
-        for idx in np.linspace(0, store.n_params - 1, 40).astype(int):
-            old = store.flat[idx]
-            store.flat[idx] = old + h
-            lp = loss_value(spec, store)
-            store.flat[idx] = old - h
-            lm = loss_value(spec, store)
-            store.flat[idx] = old
-            fd = (lp - lm) / (2 * h)
-            assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), (activation, idx)
+    h = 1e-6
+    for idx in np.linspace(0, store.n_params - 1, 40).astype(int):
+        old = store.flat[idx]
+        store.flat[idx] = old + h
+        lp = loss_value(spec, store)
+        store.flat[idx] = old - h
+        lm = loss_value(spec, store)
+        store.flat[idx] = old
+        fd = (lp - lm) / (2 * h)
+        assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), idx
 
 
-def test_identity_activation_builds_linear_map(rng):
-    spec = MlpSpec(input_dim=4, head_width=3, intermediate_width=3, tail_width=2,
-                   activation="identity")
-    params = init_params(spec, seed=0)
-    x = rng.standard_normal((10, 4))
-    e = np.eye(4)[0]
-    J = input_jacobian(spec, params, x, e)
-    assert np.allclose(J, J[0])  # constant Jacobian: the map is linear
-    y0 = forward(spec, params, np.zeros(4))
-    assert np.allclose(forward(spec, params, 2.0 * x), 2.0 * (forward(spec, params, x) - y0) + y0)
+def test_only_the_tanh_activation_is_accepted():
+    with pytest.raises(ConfigError, match="unknown activation 'identity'"):
+        MlpSpec(input_dim=4, activation="identity")
 
 
 def test_field_order_is_three_branches():

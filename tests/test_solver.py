@@ -368,13 +368,13 @@ def test_pinned_loop_substep_matches_dense_oracle():
     state = step(steady_state(sc, lo), hi, sc)  # mid-transient fields
     dt = SolverConfig().substep
     fields = (state.p, state.T, state.u_face)
-    p, T, u_f = _loop_substep(sc, *fields, hi, dt)
+    p, T, u_f = _solver_substep(sc, *fields, hi, dt)
     _assert_matches_oracle((p, T, u_f), _dense_loop_substep(sc, *fields, hi, dt))
     assert p[sc.reference_cell] == sc.reference_pressure
     assert np.max(np.abs(u_f - state.u_face)) > 1e-6  # the substep moved the flow
 
 
-def _loop_substep(sc, p, T, u_f, v, dt):
+def _solver_substep(sc, p, T, u_f, v, dt):
     """The solver's substep of one episode."""
     fields = (p, T, u_f, v)
     return tuple(x[0] for x in solver._substep(solver._plan(sc), sc, *(x[None] for x in fields), dt, None))
@@ -398,13 +398,81 @@ def test_reversed_loop_faces_match_dense_oracle(start):
     n_reversed = [int(np.sum(u_f < 0.0))]
     while n_reversed[-1] > 0 and len(n_reversed) <= 200:  # one substep at a time
         ref = _dense_loop_substep(sc, p, T, u_f, v, dt)
-        p, T, u_f = _loop_substep(sc, p, T, u_f, v, dt)
+        p, T, u_f = _solver_substep(sc, p, T, u_f, v, dt)
         _assert_matches_oracle((p, T, u_f), ref)
         n_reversed.append(int(np.sum(u_f < 0.0)))
     assert n_reversed[-1] == 0, "the loop flow never turned forward"
     assert any(0 < k < u_f.size for k in n_reversed)  # faces of both signs
     if start == "negated_steady":
         assert u_f.size in n_reversed[1:]  # solved with every face reversed
+
+
+def _channel_slice_substep(sc, p_c, T_c, u_f, v, dt):
+    """One channel substep written with the channel's own slices at the inlet,
+    interior and outlet faces: an independent oracle for the solver's stencil,
+    which pads the cells and faces with ghosts shared with the loop."""
+    plan = solver._plan(sc)
+    a, b, cp = sc.fluid.rho_a, sc.fluid.rho_b, sc.fluid.cp
+    dz = plan.grid.dz
+    n = dz.size
+    T_in = v[sc.channel_index("T_in")]
+    rho_in = a - b * T_in
+    rho_c = density(sc.fluid, T_c)
+    h = rho_c * T_c
+    fwd = u_f[1:n] >= 0.0
+    phi = np.empty(n + 1)
+    phi[1:n] = u_f[1:n] * np.where(fwd, h[:-1], h[1:])
+    phi[0] = u_f[0] * (rho_in * T_in if u_f[0] >= 0.0 else h[0])
+    phi[n] = u_f[n] * h[-1]  # the outlet does not reverse
+    h_new = h - (dt / dz) * (phi[1:] - phi[:-1]) + dt * (plan.q_fixed + plan.q_ctrl @ v) / cp
+    T_new = (a - np.sqrt(a * a - 4.0 * b * h_new)) / (2.0 * b)
+    rho_new = a - b * T_new
+    rho_f = np.empty(n + 1)
+    rho_f[1:n] = np.where(fwd, rho_new[:-1], rho_new[1:])
+    rho_f[0] = rho_in if u_f[0] >= 0.0 else rho_new[0]
+    rho_f[n] = rho_new[-1]
+    adv = np.zeros(n + 1)  # none through the inlet, nor through a reversed outlet
+    adv[1:n] = u_f[1:n] * np.where(fwd, (u_f[1:n] - u_f[:-2]) / dz[:-1], (u_f[2:] - u_f[1:n]) / dz[1:])
+    if u_f[n] >= 0.0:
+        adv[n] = u_f[n] * (u_f[n] - u_f[n - 1]) / dz[-1]
+    m_i = -dz * (rho_new - rho_c) / dt
+    num = rho_f * (u_f / dt - adv + plan.grav)
+    flux = rho_f[0] * u_f[0] + np.r_[0.0, np.cumsum(m_i)]
+    u_new = flux / rho_f
+    dpf = plan.dzf * (num - (1.0 / dt + plan.fric / 2.0 * np.abs(u_new)) * flux)
+    u_new[0] = u_f[0]  # Dirichlet inlet
+    return sc.outlet_pressure - np.cumsum(dpf[:0:-1])[::-1], T_new, u_new
+
+
+def test_straddling_channel_faces_match_slice_oracle():
+    # the interior faces run both ways and the outlet face backward; after
+    # the first substep continuity turns the flow forward
+    sc = heated_channel_preset()
+    v = _mid(sc)
+    steady = steady_state(sc, v)
+    u_f = steady.u_face * np.r_[1.0, np.linspace(1.0, -1.0, steady.u_face.size - 1)]
+    assert 0 < np.sum(u_f[1:-1] < 0.0) < u_f.size - 2 and u_f[0] > 0.0 > u_f[-1]
+    p, T = steady.p, steady.T
+    dt = SolverConfig().substep
+    for _ in range(5):  # one substep at a time
+        ref = _channel_slice_substep(sc, p, T, u_f, v, dt)
+        p, T, u_f = _solver_substep(sc, p, T, u_f, v, dt)
+        _assert_matches_oracle((p, T, u_f), ref)
+        assert u_f[0] == v[sc.channel_index("u_in")]
+    assert np.all(u_f > 0.0)
+
+
+def test_loop_face_n_is_face_0():
+    # the loop's faces 0 and n are one face: a carried u_face steps as if
+    # its face-n entry were the face-0 one
+    sc = loop_preset()
+    v = _mid(sc)
+    start = step(steady_state(sc, v), np.array([r[1] for r in sc.input_ranges]), sc)
+    u_open = start.u_face.copy()
+    u_open[-1] *= 1.5
+    closed, opened = step(start, v, sc), step(replace(start, u_face=u_open), v, sc)
+    for f in ("p", "u_face", "T"):
+        assert np.array_equal(getattr(closed, f), getattr(opened, f)), f
 
 
 def _short(sc, steps: int = 3):

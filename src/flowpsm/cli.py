@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,11 +82,12 @@ from .training import (
 )
 from .transport import (
     ConfigError,
+    from_document,
     heated_channel_preset,
     loop_preset,
+    reject_unknown_keys,
     scenario_fingerprint,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 _PRESETS = {"heated_channel": heated_channel_preset, "loop": loop_preset}
@@ -95,14 +97,17 @@ _PRESETS = {"heated_channel": heated_channel_preset, "loop": loop_preset}
 
 
 def _load_json(path, malformed=ConfigError) -> dict:
-    """The parsed file; text that is not JSON raises ``malformed``."""
+    """The JSON object in the file; other text raises ``malformed``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise DataIoError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, or not text
         raise malformed(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise malformed(f"{path}: expected a JSON object")
+    return doc
 
 
 def _mkdir(path: Path) -> Path:
@@ -123,15 +128,12 @@ def _out_dir(args) -> Path:
 _KINDS = {
     "an object": lambda x: isinstance(x, dict),
     "a list of strings": lambda x: isinstance(x, list) and all(isinstance(p, str) for p in x),
-    "an integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
 }
 
 
 def _load_document(path, keys: dict) -> dict:
     """A JSON object data file whose every key in ``keys`` holds the named kind, else a DataIoError."""
     doc = _load_json(path, DataIoError)
-    if not isinstance(doc, dict):
-        raise DataIoError(f"{path}: expected a JSON object")
     for key, kind in keys.items():
         if key not in doc:
             raise DataIoError(f"{path}: missing key {key!r}")
@@ -170,6 +172,23 @@ def _number(cfg: dict, key: str, kind, default=None):
         raise ConfigError(f"{key!r} must be given as {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     return kind(value)
+
+
+def _given(cfg: dict, kinds: dict) -> dict:
+    """The keys of ``kinds`` that ``cfg`` gives, each read by ``_number`` as its kind.
+
+    A key left out keeps the default of the dataclass or function it is
+    passed to, so that default is declared once, by its owner.
+    """
+    return {key: _number(cfg, key, kind) for key, kind in kinds.items() if key in cfg}
+
+
+# Config keys passed through to the owner named in the comment, which holds their defaults.
+_TRAIN_KEYS = {"alpha": float, "beta": float, "epochs": int, "batch_size": int, "base_lr": float,
+               "collocation_size": int}  # TrainConfig
+_GOVERNOR_KEYS = {"horizon": int, "epsilon": float, "update_interval": int}  # CgConfig
+_CALIBRATION_KEYS = {"multiplier": float, "percentile": float}  # calibrate_zeta
+_TWIN_KEYS = {"base_lr": float, "epochs": int, "batch_size": int, "seed": int}  # transfer_learn_twin
 
 
 def _numbers(cfg: dict, key: str, shape: tuple | None, kind=float, default=None) -> np.ndarray:
@@ -216,6 +235,7 @@ def _scenario_from_config(cfg: dict):
         scenario = scenario_from_dict(cfg["scenario"])
     if cfg.get("degradation") is not None:
         deg = _object(cfg, "degradation")
+        reject_unknown_keys(deg, ("segment_index", "friction_multiplier"), "degradation")
         scenario = inject_degradation(
             scenario, _number(deg, "segment_index", int), _number(deg, "friction_multiplier", float)
         )
@@ -224,10 +244,8 @@ def _scenario_from_config(cfg: dict):
 
 def _solver_config(cfg: dict) -> SolverConfig:
     solver = _object(cfg, "solver", {})
-    unknown = set(solver) - {"substep"}
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(substep=_number(solver, "substep", float, SolverConfig().substep))
+    reject_unknown_keys(solver, ("substep",), "solver")
+    return SolverConfig(**_given(solver, {"substep": float}))
 
 
 def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict, outputs: dict,
@@ -260,7 +278,7 @@ def _read_dataset(data_dir) -> dict:
                           f"in {path}")
     return {
         "dir": data_dir,
-        "doc": doc,
+        "inputs": {name: data_dir / name for name in ("dataset.json", "scaling.json")},
         "scenario": scenario,
         "scaling": scaling,
         "train_records": [load_record(data_dir / p) for p in doc["train_records"]],
@@ -270,15 +288,15 @@ def _read_dataset(data_dir) -> dict:
 
 def _read_model(model_dir) -> dict:
     model_dir = Path(model_dir)
-    widths = ("input_dim", "head_width", "intermediate_width", "tail_width")
     path = model_dir / "arch.json"
-    arch = _load_document(path, dict.fromkeys(widths, "an integer"))
+    arch = _load_json(path, DataIoError)
+    names = {f.name for f in fields(MlpSpec)}  # the rest of arch.json is provenance
     try:
-        spec = MlpSpec(**{k: arch[k] for k in widths}, activation=arch.get("activation", "tanh"))
+        spec = from_document(MlpSpec, {k: v for k, v in arch.items() if k in names}, "architecture")
     except ConfigError as exc:  # the file's contents, not the user's config
         raise DataIoError(f"{path}: {exc}") from exc
     params = load_checkpoint(model_dir / "checkpoint.psmw", spec)
-    return {"dir": model_dir, "arch": arch, "spec": spec, "params": params}
+    return {"dir": model_dir, "spec": spec, "params": params}
 
 
 def _noise_from_flag(flag: str) -> NoiseSpec:
@@ -304,6 +322,8 @@ def _noise_from_flag(flag: str) -> NoiseSpec:
 def cmd_gen_data(args) -> None:
     t0 = time.time()
     cfg = _load_json(args.config)
+    reject_unknown_keys(cfg, ("preset", "scenario", "degradation", "solver", "n_train", "n_test",
+                              "export_csv"), "gen-data config")
     outdir = _out_dir(args)
     scenario = _scenario_from_config(cfg)
     solver_cfg = _solver_config(cfg)
@@ -334,7 +354,7 @@ def cmd_gen_data(args) -> None:
     scaling = compute_scaling(records[:n_train], scenario)
     save_scaling(outdir / "scaling.json", scaling, scenario_fingerprint(scenario))
     doc = {
-        "scenario": scenario_to_dict(scenario),
+        "scenario": asdict(scenario),
         "seed": args.seed,
         "n_train": n_train,
         "n_test": n_test,
@@ -356,42 +376,26 @@ def cmd_gen_data(args) -> None:
 def cmd_train(args) -> None:
     t0 = time.time()
     cfg = _load_json(args.config)
+    reject_unknown_keys(cfg, ("widths", "log_every", *_TRAIN_KEYS), "train config")
+    widths = _numbers(cfg, "widths", (3,), int).tolist() if "widths" in cfg else ()
+    weights = {"alpha": 1.0, "beta": 0.0} if args.mode == "ann" else {}
+    config = TrainConfig(**{**_given(cfg, _TRAIN_KEYS), **weights}, seed=args.seed)
+    log_every = _number(cfg, "log_every", int, 25)
+    noise = _noise_from_flag(args.noise)
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
     scenario, scaling = data["scenario"], data["scaling"]
 
-    widths = tuple(_numbers(cfg, "widths", (3,), int, (200, 100, 100)).tolist())
     spec = mlp_for_scenario(scenario, widths)
-    if args.mode == "ann":
-        alpha, beta = 1.0, 0.0
-    else:
-        alpha = _number(cfg, "alpha", float, 0.5)
-        beta = _number(cfg, "beta", float, 0.5)
-    config = TrainConfig(
-        alpha=alpha,
-        beta=beta,
-        epochs=_number(cfg, "epochs", int, 500),
-        batch_size=_number(cfg, "batch_size", int, 2048),
-        base_lr=_number(cfg, "base_lr", float, 1e-3),
-        collocation_size=None if cfg.get("collocation_size") is None
-        else _number(cfg, "collocation_size", int),
-        seed=args.seed,
-    )
-    noise = _noise_from_flag(args.noise)
     dataset = assemble_dataset(data["train_records"], scenario, scaling)
-    params, history = train(spec, dataset, scenario, scaling, config, noise,
-                            log_every=_number(cfg, "log_every", int, 25))
+    params, history = train(spec, dataset, scenario, scaling, config, noise, log_every=log_every)
 
     save_checkpoint(outdir / "checkpoint.psmw", params)
     write_metrics(outdir / "metrics.csv",
                   [(h["epoch"], h["loss_measurement"], h["loss_physics"],
                     h["loss_total"], h["learning_rate"]) for h in history])
     arch = {
-        "input_dim": spec.input_dim,
-        "head_width": spec.head_width,
-        "intermediate_width": spec.intermediate_width,
-        "tail_width": spec.tail_width,
-        "activation": spec.activation,
+        **asdict(spec),
         "fingerprint": mlp_fingerprint(spec),
         "mode": args.mode,
         "noise": args.noise,
@@ -404,8 +408,7 @@ def cmd_train(args) -> None:
         "metrics.csv": outdir / "metrics.csv",
         "arch.json": outdir / "arch.json",
     }
-    _write_manifest(outdir, "train", args.config, args.seed,
-                    {"config": args.config, "dataset.json": data["dir"] / "dataset.json"},
+    _write_manifest(outdir, "train", args.config, args.seed, {"config": args.config, **data["inputs"]},
                     outputs, t0)
     last = history[-1]
     print(f"train[{args.mode}]: {config.epochs} epochs, final L_m {last['loss_measurement']:.3e} "
@@ -457,8 +460,8 @@ def cmd_eval(args) -> None:
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    _write_manifest(outdir, "eval", None, None,
-                    {f"model_{n}": Path(d) / "checkpoint.psmw" for n, d in zip(names, args.model)},
+    models = {f"model_{n}": Path(d) / "checkpoint.psmw" for n, d in zip(names, args.model)}
+    _write_manifest(outdir, "eval", None, None, {**models, **data["inputs"]},
                     {"rmse_table.csv": outdir / "rmse_table.csv"}, t0)
 
 
@@ -471,6 +474,10 @@ def _build_references(cfg: dict, scenario) -> np.ndarray:
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
     ref = _object(cfg, "references")
+    reject_unknown_keys(ref, ("hold", "per_step", "knots"), "references")
+    if len(ref) != 1:
+        raise ConfigError("references must give exactly one of 'hold', 'per_step' or 'knots', "
+                          f"got {sorted(ref)}")
     p = lay.n_controls
     if "hold" in ref:
         return np.tile(_numbers(ref, "hold", (p,)), (n_steps, 1))
@@ -479,17 +486,14 @@ def _build_references(cfg: dict, scenario) -> np.ndarray:
         if "n_steps" in cfg and rows.shape[0] != n_steps:
             raise ConfigError(f"'n_steps' is {n_steps} but 'per_step' has {rows.shape[0]} rows")
         return rows
-    if "knots" in ref:
-        knots = _object(ref, "knots")
-        times = _numbers(knots, "times", (None,))
-        values = _numbers(knots, "values", (times.size, p))
-        if np.any(np.diff(times) <= 0.0):
-            raise ConfigError(f"knot 'times' must increase strictly, got {times.tolist()}")
-        tk = np.arange(n_steps) * scenario.delta_t
-        return np.column_stack(
-            [np.interp(tk, times, values[:, j]) for j in range(p)]
-        )
-    raise ConfigError("references must contain 'hold', 'per_step', or 'knots'")
+    knots = _object(ref, "knots")
+    reject_unknown_keys(knots, ("times", "values"), "knots")
+    times = _numbers(knots, "times", (None,))
+    values = _numbers(knots, "values", (times.size, p))
+    if np.any(np.diff(times) <= 0.0):
+        raise ConfigError(f"knot 'times' must increase strictly, got {times.tolist()}")
+    tk = np.arange(n_steps) * scenario.delta_t
+    return np.column_stack([np.interp(tk, times, values[:, j]) for j in range(p)])
 
 
 def _objects(cfg: dict, key: str) -> list:
@@ -505,17 +509,23 @@ def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, d
     entries = []
     temperature_rows = {}
     for entry in _objects(cfg, "schedule"):
+        reject_unknown_keys(entry, ("from_step", "constraints"), "schedule entry")
         rows = []
         for c in _objects(entry, "constraints"):
             kind = c.get("type", "temperature_cap")
             name = c.get("name", "")
+            if not isinstance(name, str):
+                raise ConfigError(f"a constraint's 'name' must be a string, got {name!r}")
             if kind == "temperature_cap":
+                reject_unknown_keys(c, ("type", "name", "station_index", "cap_kelvin", "cap_celsius"),
+                                    "temperature_cap constraint")
                 cap = _kelvin(c, "cap")
                 station = _number(c, "station_index", int)
                 row = temperature_cap(scenario, scaling, station, cap,
                                       name=name or f"T_cap_{station}")
                 temperature_rows[row.name] = cap
             elif kind == "linear":
+                reject_unknown_keys(c, ("type", "name", "c", "d"), "linear constraint")
                 row = Constraint(c=tuple(_numbers(c, "c", (n_state,)).tolist()), d=_number(c, "d", float),
                                  name=name or "linear")
             else:
@@ -539,6 +549,8 @@ def _q_weight(cfg: dict, p: int) -> tuple | None:
 def cmd_control(args) -> None:
     t0 = time.time()
     cfg = _load_json(args.config)
+    reject_unknown_keys(cfg, ("references", "n_steps", "schedule", "q_weight", "environment", "solver",
+                              *_GOVERNOR_KEYS), "control config")
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
     model = _read_model(args.model)
@@ -546,17 +558,10 @@ def cmd_control(args) -> None:
 
     references = _build_references(cfg, scenario)
     schedule, temperature_rows = _build_schedule(cfg, scenario, scaling)
-    gov = CgConfig(
-        horizon=_number(cfg, "horizon", int, 50),
-        epsilon=_number(cfg, "epsilon", float, 0.01),
-        update_interval=_number(cfg, "update_interval", int, 10),
-        q_weight=_q_weight(cfg, scenario.n_controls),
-    )
-    log = ncg_rollout(
-        model["spec"], model["params"], scenario, scaling, references, schedule,
-        config=gov, solver_config=_solver_config(cfg),
-        environment=cfg.get("environment", "solver"),
-    )
+    gov = CgConfig(**_given(cfg, _GOVERNOR_KEYS), q_weight=_q_weight(cfg, scenario.n_controls))
+    environment = {"environment": cfg["environment"]} if "environment" in cfg else {}
+    log = ncg_rollout(model["spec"], model["params"], scenario, scaling, references, schedule,
+                      config=gov, solver_config=_solver_config(cfg), **environment)
     write_rollout_log(outdir / "rollout.csv", log.steps,
                       control_names=scenario.control_channels,
                       output_names=log.output_names)
@@ -579,7 +584,8 @@ def cmd_control(args) -> None:
             line += f" ({kelvin:+.3f} K vs cap {temperature_rows[name]:.2f} K)"
         print(line)
     _write_manifest(outdir, "control", args.config, None,
-                    {"config": args.config, "checkpoint": Path(args.model) / "checkpoint.psmw"},
+                    {"config": args.config, "checkpoint": Path(args.model) / "checkpoint.psmw",
+                     **data["inputs"]},
                     {"rollout.csv": outdir / "rollout.csv"}, t0)
 
 
@@ -589,32 +595,38 @@ def cmd_control(args) -> None:
 def cmd_diagnose(args) -> None:
     t0 = time.time()
     cfg = _load_json(args.config) if args.config else {}
+    reject_unknown_keys(cfg, ("window", "zeta", "calibration_split", "twin", "n_conditions", "conditions_seed",
+                              "fault_span", *_CALIBRATION_KEYS), "diagnose config")
+    window = _number(cfg, "window", int, DetectorConfig.window)
+    zeta = None if cfg.get("zeta") is None else _number(cfg, "zeta", float)
+    split = cfg.get("calibration_split", "test")
+    if split not in ("test", "train"):
+        raise ConfigError(f"'calibration_split' must be \"test\" or \"train\", got {split!r}")
+    calibration = _given(cfg, _CALIBRATION_KEYS)
+    twin_cfg = _object(cfg, "twin", {})
+    reject_unknown_keys(twin_cfg, _TWIN_KEYS, "twin")
+    twin_settings = _given(twin_cfg, _TWIN_KEYS)
+    n_conditions = _number(cfg, "n_conditions", int, 64)
+    conditions_seed = {"seed": _number(cfg, "conditions_seed", int)} if "conditions_seed" in cfg else {}
+    span = None if cfg.get("fault_span") is None else _numbers(cfg, "fault_span", (2,))
+
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
     model = _read_model(args.model)
     scenario, scaling = data["scenario"], data["scaling"]
     spec, params = model["spec"], model["params"]
-
     streams = [load_record(p) for p in args.stream]
-    stream_errors = [prediction_errors(spec, params, scenario, scaling, rec) for rec in streams]
-    errors = np.concatenate(stream_errors)
 
-    window = _number(cfg, "window", int, 4)
-    zeta = cfg.get("zeta")
     if zeta is None:
-        split = cfg.get("calibration_split", "test")
-        if split not in ("test", "train"):
-            raise ConfigError(f"'calibration_split' must be \"test\" or \"train\", got {split!r}")
         cal_records = data["test_records"] if split == "test" else data["train_records"]
         if not cal_records:
             raise ConfigError(f"no {split} records available to calibrate zeta")
-        cal_errors = [prediction_errors(spec, params, scenario, scaling, r) for r in cal_records]
-        zeta = calibrate_zeta(cal_errors, window,
-                              multiplier=_number(cfg, "multiplier", float, 5.0),
-                              percentile=_number(cfg, "percentile", float, 95.0))
-    else:
-        zeta = _number(cfg, "zeta", float)
-    result = detect(errors, DetectorConfig(zeta=zeta, window=window))
+        # a generator, so calibrate_zeta checks its settings before the errors are computed
+        cal_errors = (prediction_errors(spec, params, scenario, scaling, r) for r in cal_records)
+        zeta = calibrate_zeta(cal_errors, window, **calibration)
+    detector = DetectorConfig(zeta=zeta, window=window)
+    errors = np.concatenate([prediction_errors(spec, params, scenario, scaling, rec) for rec in streams])
+    result = detect(errors, detector)
 
     verdict = [f"threshold zeta = {zeta:.6e}, window = {window} steps"]
     outputs = {}
@@ -625,21 +637,12 @@ def cmd_diagnose(args) -> None:
             f"degradation detected at step {result.trip_index} "
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
-        twin_cfg = _object(cfg, "twin", {})
         stream_ds = assemble_dataset(streams, scenario, scaling, strict=False)
-        twin, hist = transfer_learn_twin(
-            spec, params, stream_ds, scenario, scaling,
-            base_lr=_number(twin_cfg, "base_lr", float, 1e-4),
-            epochs=_number(twin_cfg, "epochs", int, 50),
-            batch_size=_number(twin_cfg, "batch_size", int, 512),
-            seed=_number(twin_cfg, "seed", int, 0),
-        )
+        twin, hist = transfer_learn_twin(spec, params, stream_ds, scenario, scaling, **twin_settings)
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
-        v_star, x0_star = sample_conditions(
-            assemble_dataset(data["train_records"], scenario, scaling), scenario,
-            _number(cfg, "n_conditions", int, 64), seed=_number(cfg, "conditions_seed", int, 0),
-        )
+        v_star, x0_star = sample_conditions(assemble_dataset(data["train_records"], scenario, scaling),
+                                            scenario, n_conditions, **conditions_seed)
         sig = signature(spec, params, twin, scenario, scaling, v_star, x0_star)
         write_signature_csv(outdir / "signature.csv", sig)
         outputs["signature.csv"] = outdir / "signature.csv"
@@ -648,8 +651,7 @@ def cmd_diagnose(args) -> None:
             verdict.append(
                 f"{eq}: peak |dr| = {mag.max():.3e} at z = {sig.z[np.argmax(mag)]:.3f} m"
             )
-        if cfg.get("fault_span") is not None:
-            span = _numbers(cfg, "fault_span", (2,))
+        if span is not None:
             ratios = localization_ratio(sig, (float(span[0]), float(span[1])))
             verdict.append(
                 "localization ratios inside z in "
@@ -665,7 +667,7 @@ def cmd_diagnose(args) -> None:
         raise DataIoError(f"cannot write verdict: {exc}") from exc
     outputs["verdict.txt"] = outdir / "verdict.txt"
     print(text, end="")
-    inputs = {"checkpoint": Path(args.model) / "checkpoint.psmw"}
+    inputs = {"checkpoint": Path(args.model) / "checkpoint.psmw", **data["inputs"]}
     for p in args.stream:
         inputs[Path(p).name] = p
     _write_manifest(outdir, "diagnose", args.config, None, inputs, outputs, t0)
@@ -681,7 +683,7 @@ def cmd_preset(args) -> None:
         raise ConfigError(f"unknown preset {args.name!r}; choose from {sorted(_PRESETS)}")
     scenario = _PRESETS[args.name]()
     path = outdir / "scenario.json"
-    write_json(path, scenario_to_dict(scenario))
+    write_json(path, asdict(scenario))
     _write_manifest(outdir, "preset", None, None, {}, {"scenario.json": path}, t0)
     print(f"preset {args.name} -> {path}")
 

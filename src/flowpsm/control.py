@@ -155,9 +155,6 @@ class ConstraintSchedule:
                 current = cset
         return current
 
-    def change_points(self) -> set:
-        return {s for s, _ in self.entries}
-
 
 def temperature_cap(
     scenario: ScenarioConfig, scaling: ScalingSpec, station_index: int, cap_kelvin: float,
@@ -192,8 +189,7 @@ class OInfApprox:
         return bool(np.all(self.margins(delta_x, delta_v) >= -tol))
 
 
-def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int = 50,
-               epsilon: float = 0.01) -> OInfApprox:
+def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon: float) -> OInfApprox:
     """Finite-horizon output-admissibility rows plus a tightened steady row.
 
     Row block k (0..T) forces c . x_k <= d when v is held constant, with
@@ -204,6 +200,8 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int = 50,
         raise ConfigError("admissible set needs at least one constraint row")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
+    if not np.all(np.isfinite(ssm.A)):
+        raise NumericalError("state matrix A holds non-finite entries")
     rho = ssm.spectral_radius
     if rho >= 1.0:
         raise NumericalError(f"state matrix is not Schur (spectral radius {rho:.4f})")
@@ -365,7 +363,7 @@ def ncg_rollout(
     x_k = observe(state)
     v_prev = scaling.scale_v(refs[0])
     log = RolloutLog()
-    active = schedule.active(0)
+    cset_prev = None
     oinf = None
     ssm = None
     names = []
@@ -379,18 +377,15 @@ def ncg_rollout(
         r_scaled = scaling.scale_v(refs[k])
         relin_due = ssm is None or (k % config.update_interval == 0)
         cset_k = schedule.active(k)
-        constraints_changed = k in schedule.change_points()
-        if cset_k.n_rows > 0 and (relin_due or constraints_changed or oinf is None):
+        if cset_k.n_rows > 0 and (relin_due or cset_k is not cset_prev or oinf is None):
             # linearization refresh first, then the constraint update
             if relin_due:
                 ssm = linearize(spec, params, scenario, scaling, x_k, v_prev)
                 log.relinearizations += 1
             oinf = build_oinf(ssm, cset_k, horizon=config.horizon, epsilon=config.epsilon)
-            active = cset_k
         if cset_k.n_rows == 0:
             v_scaled, status = r_scaled, "no_constraints"
             oinf = None
-            active = cset_k
         else:
             v_scaled, status = cg_solve(oinf, x_k, r_scaled, Q, v_prev)
         v_phys = scaling.unscale_v(v_scaled)
@@ -402,7 +397,7 @@ def ncg_rollout(
             x_k = station_predict(spec, params, scenario, scaling, x_k, v_scaled)
 
         outputs, bounds = [], []
-        by_name = {row.name: row for row in active.rows}
+        by_name = {row.name: row for row in cset_k.rows}
         for nm in names:
             row = by_name.get(nm)
             if row is None:
@@ -415,5 +410,5 @@ def ncg_rollout(
             {"step": k, "r": refs[k].copy(), "v": v_phys, "status": status,
              "outputs": outputs, "bounds": bounds}
         )
-        v_prev = v_scaled
+        v_prev, cset_prev = v_scaled, cset_k
     return log

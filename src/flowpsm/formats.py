@@ -26,14 +26,14 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DataIoError
 from .network import MlpSpec, ParamStore, _layout
 from .solver import SimulationRecord
-from .transport import ScalingSpec
+from .transport import ConfigError, ScalingSpec, from_document
 
 __all__ = [
     "save_record",
@@ -148,16 +148,7 @@ def record_to_csv(path, record: SimulationRecord) -> None:
 
 
 def mlp_fingerprint(spec: MlpSpec) -> str:
-    payload = json.dumps(
-        {
-            "input_dim": spec.input_dim,
-            "head_width": spec.head_width,
-            "intermediate_width": spec.intermediate_width,
-            "tail_width": spec.tail_width,
-            "activation": spec.activation,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(asdict(spec), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -212,6 +203,9 @@ def load_checkpoint(path, spec: MlpSpec) -> ParamStore:
         store.m, store.v, store.step = m, v, step
     if offset != len(blob):
         raise DataIoError(f"{path}: trailing bytes after checkpoint payload")
+    for name, arr in (("parameter", flat), ("first moment", store.m), ("second moment", store.v)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise DataIoError(f"{path}: checkpoint holds a non-finite {name}")
     return store
 
 
@@ -229,7 +223,7 @@ def write_json(path, doc) -> None:
 
 
 def save_scaling(path, scaling: ScalingSpec, scenario_hash: str) -> None:
-    write_json(path, {"scenario_hash": scenario_hash, "scaling": scaling.to_dict()})
+    write_json(path, {"scenario_hash": scenario_hash, "scaling": asdict(scaling)})
 
 
 def load_scaling(path) -> tuple[ScalingSpec, str]:
@@ -241,9 +235,9 @@ def load_scaling(path) -> tuple[ScalingSpec, str]:
     except ValueError as exc:  # not JSON, or not text
         raise DataIoError(f"{path}: malformed scaling manifest: {exc}") from exc
     try:
-        return ScalingSpec.from_dict(doc["scaling"]), doc["scenario_hash"]
-    except (KeyError, TypeError) as exc:
-        raise DataIoError(f"{path}: scaling manifest missing fields: {exc}") from exc
+        return from_document(ScalingSpec, doc["scaling"], "scaling"), doc["scenario_hash"]
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataIoError(f"{path}: malformed scaling manifest: {exc}") from exc
 
 
 # ===================== training metrics =====================

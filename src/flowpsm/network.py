@@ -30,12 +30,12 @@ their results stay valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NumericalError
-from .transport import ConfigError
+from .transport import ConfigError, _is_int
 
 __all__ = [
     "MlpSpec",
@@ -70,8 +70,10 @@ class MlpSpec:
     activation: str = "tanh"  # the only hidden activation; kept so arch.json names it
 
     def __post_init__(self) -> None:
-        if min(self.input_dim, self.head_width, self.intermediate_width, self.tail_width) < 1:
-            raise ConfigError("all widths must be positive")
+        for f in fields(self):
+            width = getattr(self, f.name)
+            if f.name != "activation" and not (_is_int(width) and width >= 1):
+                raise ConfigError(f"{f.name!r} must be an integer >= 1, got {width!r}")
         if self.activation != "tanh":
             raise ConfigError(f"unknown activation {self.activation!r}")
 

@@ -139,15 +139,13 @@ def query_rows(lay: InputLayout, z, t: float, v, x0) -> np.ndarray:
     return rows
 
 
-def mlp_for_scenario(scenario: ScenarioConfig, widths=(200, 100, 100)) -> MlpSpec:
-    """Architecture sized to the scenario's control and sensor counts."""
-    lay = input_layout(scenario)
-    return MlpSpec(
-        input_dim=lay.input_dim,
-        head_width=widths[0],
-        intermediate_width=widths[1],
-        tail_width=widths[2],
-    )
+def mlp_for_scenario(scenario: ScenarioConfig, widths=()) -> MlpSpec:
+    """Architecture sized to the scenario's control and sensor counts.
+
+    ``widths`` gives the head, intermediate and tail widths in that order;
+    those it leaves out keep MlpSpec's defaults.
+    """
+    return MlpSpec(input_layout(scenario).input_dim, *widths)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -44,8 +44,9 @@ __all__ = [
     "heated_channel_preset",
     "loop_preset",
     "scenario_fingerprint",
-    "scenario_to_dict",
     "scenario_from_dict",
+    "from_document",
+    "reject_unknown_keys",
     "ConfigError",
 ]
 
@@ -346,39 +347,6 @@ class ScalingSpec:
         hi = np.asarray(self.v_max)
         return lo + vs * (hi - lo)
 
-    def to_dict(self) -> dict:
-        return {
-            "z_max": self.z_max,
-            "t_max": self.t_max,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "T_min": self.T_min,
-            "T_max": self.T_max,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "v_min": list(self.v_min),
-            "v_max": list(self.v_max),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScalingSpec":
-        return ScalingSpec(
-            z_max=d["z_max"],
-            t_max=d["t_max"],
-            p_min=d["p_min"],
-            p_max=d["p_max"],
-            u_min=d["u_min"],
-            u_max=d["u_max"],
-            T_min=d["T_min"],
-            T_max=d["T_max"],
-            rho_min=d["rho_min"],
-            rho_max=d["rho_max"],
-            v_min=tuple(d["v_min"]),
-            v_max=tuple(d["v_max"]),
-        )
-
 
 # ===================== presets =====================
 
@@ -466,64 +434,45 @@ def loop_preset() -> ScenarioConfig:
 # ===================== serialization =====================
 
 
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-ready dict with documented key names (SI units)."""
-    return {
-        "kind": config.kind,
-        "fluid": {
-            "rho_a": config.fluid.rho_a,
-            "rho_b": config.fluid.rho_b,
-            "cp": config.fluid.cp,
-        },
-        "segments": [
-            {
-                "length": s.length,
-                "flow_area": s.flow_area,
-                "hydraulic_diameter": s.hydraulic_diameter,
-                "n_elements": s.n_elements,
-                "friction_factor": s.friction_factor,
-                "heat_source": s.heat_source,
-                "volumetric_source_id": s.volumetric_source_id,
-                "source_scale": s.source_scale,
-                "gravity_component": s.gravity_component,
-            }
-            for s in config.segments
-        ],
-        "control_channels": list(config.control_channels),
-        "input_ranges": [list(r) for r in config.input_ranges],
-        "sensor_stations": list(config.sensor_stations),
-        "delta_t": config.delta_t,
-        "episode_duration": config.episode_duration,
-        "outlet_pressure": config.outlet_pressure,
-        "reference_pressure": config.reference_pressure,
-        "reference_cell": config.reference_cell,
-        "reference_temperature": config.reference_temperature,
-    }
+def reject_unknown_keys(doc: dict, known, what: str) -> None:
+    """A ConfigError naming every key of ``doc`` that is not in ``known``."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def scenario_from_dict(d: dict) -> ScenarioConfig:
+def _frozen(value):
+    """JSON arrays as tuples, nested ones too, as the frozen dataclasses hold them."""
+    return tuple(_frozen(v) for v in value) if isinstance(value, (list, tuple)) else value
+
+
+def from_document(cls, doc, what: str, **parse):
+    """The dataclass ``cls`` built from the JSON object ``doc``, one key per field.
+
+    A key named in ``parse`` is built by its function, every other value as
+    given with arrays as tuples. ``dataclasses.asdict`` is the inverse. A
+    document that is not an object, lacks a required field, has a key that
+    is not a field, or holds a value of the wrong type is a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {doc!r}")
+    reject_unknown_keys(doc, [f.name for f in fields(cls)], what)
     try:
-        fluid = FluidProps(**d["fluid"])
-        segments = tuple(PipeSegment(**s) for s in d["segments"])
-        return ScenarioConfig(
-            kind=d["kind"],
-            fluid=fluid,
-            segments=segments,
-            control_channels=tuple(d["control_channels"]),
-            input_ranges=tuple(tuple(r) for r in d["input_ranges"]),
-            sensor_stations=tuple(d["sensor_stations"]),
-            delta_t=d["delta_t"],
-            episode_duration=d["episode_duration"],
-            outlet_pressure=d.get("outlet_pressure", 0.0),
-            reference_pressure=d.get("reference_pressure", 0.0),
-            reference_cell=d.get("reference_cell", 0),
-            reference_temperature=d.get("reference_temperature", 873.15),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed scenario config: {exc}") from exc
+        return cls(**{k: parse[k](v) if k in parse else _frozen(v) for k, v in doc.items()})
+    except TypeError as exc:  # a missing field, or a value the constructor cannot compare
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+
+
+def scenario_from_dict(doc) -> ScenarioConfig:
+    """The scenario a JSON object of ``asdict`` shape describes, else a ConfigError."""
+    return from_document(
+        ScenarioConfig, doc, "scenario",
+        fluid=lambda d: from_document(FluidProps, d, "fluid"),
+        segments=lambda segs: tuple(from_document(PipeSegment, s, "segment") for s in segs),
+    )
 
 
 def scenario_fingerprint(config: ScenarioConfig) -> str:
     """Stable hex digest of the full configuration."""
-    payload = json.dumps(scenario_to_dict(config), sort_keys=True)
+    payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

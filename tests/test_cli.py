@@ -7,6 +7,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 import flowpsm
 from flowpsm.cli import _kelvin, _noise_from_flag, main
-from flowpsm.formats import file_digest
+from flowpsm.formats import file_digest, load_checkpoint, save_checkpoint
+from flowpsm.network import MlpSpec
 from flowpsm.training import NoiseSpec
 from flowpsm.transport import (
     ConfigError,
@@ -22,7 +24,6 @@ from flowpsm.transport import (
     loop_preset,
     scenario_fingerprint,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 from conftest import tiny_channel
@@ -35,7 +36,7 @@ def pipeline(tmp_path_factory):
     scenario = tiny_channel()
     gen_cfg = root / "gen.json"
     gen_cfg.write_text(json.dumps({
-        "scenario": scenario_to_dict(scenario),
+        "scenario": asdict(scenario),
         "n_train": 2,
         "n_test": 1,
     }))
@@ -223,7 +224,7 @@ def test_exit_code_io_error(tmp_path, capsys):
 def test_exit_code_numerical_error(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({
-        "scenario": scenario_to_dict(tiny_channel()),
+        "scenario": asdict(tiny_channel()),
         "n_train": 1,
         "n_test": 0,
         "solver": {"substep": 2.5},  # advective Courant number above 1
@@ -233,8 +234,8 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
-_CHANNEL = scenario_to_dict(tiny_channel())
-_LOOP = scenario_to_dict(loop_preset())
+_CHANNEL = asdict(tiny_channel())
+_LOOP = asdict(loop_preset())
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -257,13 +258,21 @@ _LOOP = scenario_to_dict(loop_preset())
     ({"scenario": {**_CHANNEL, "input_ranges": [[0.5], [804.65, 884.65]]}}, "input range"),
     ({"scenario": {**_CHANNEL, "outlet_pressure": "x"}}, "outlet_pressure"),
     ({"scenario": {**_CHANNEL, "episode_duration": float("nan")}}, "episode_duration"),
+    ({"n_trian": 1}, "n_trian"),
+    ({"degradation": {"segment_index": 1, "friction_multiplier": 10.0, "segment": 1}}, "'segment'"),
+    ({"solver": {"substeps": 0.05}}, "substeps"),
+    ({"scenario": {**_CHANNEL, "delta_tt": 5.0}}, "delta_tt"),
+    ({"scenario": {**_CHANNEL, "segments": [{**_CHANNEL["segments"][0], "lenght": 1.0},
+                                            *_CHANNEL["segments"][1:]]}}, "lenght"),
+    ({"scenario": {**_CHANNEL, "fluid": {**_CHANNEL["fluid"], "rho_c": 1.0}}}, "rho_c"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
         "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object",
         "preset_not_a_string", "n_elements_fractional", "reference_cell_fractional",
         "loop_without_dp_pump", "channel_without_u_in", "channel_without_T_in",
         "export_csv_not_a_boolean", "input_range_not_a_pair", "outlet_pressure_not_a_number",
-        "episode_duration_nan"])
+        "episode_duration_nan", "unknown_key", "unknown_degradation_key", "unknown_solver_key",
+        "unknown_scenario_key", "unknown_segment_key", "unknown_fluid_key"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     doc = {"scenario": _CHANNEL, "n_train": 1, "n_test": 0, **extra}
@@ -325,6 +334,32 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
     ("diagnose", {"calibration_split": "bogus"}, "calibration_split"),
     pytest.param("control", {"references": {"per_step": [[0.65, 850.0]]}, "n_steps": 3,
                              "environment": "model"}, "n_steps", id="control-per_step_rows_unlike_n_steps"),
+    pytest.param("train", {"epoch": 3}, "epoch", id="train-unknown_key"),
+    pytest.param("train", [3], "expected a JSON object", id="train-not_an_object"),
+    pytest.param("control", {**_HOLD, "horizn": 5, "update_intervall": 1}, "horizn", id="control-unknown_key"),
+    pytest.param("control", {**_HOLD, "solver": {"substeps": 0.05}}, "substeps",
+                 id="control-unknown_solver_key"),
+    pytest.param("control", {**_HOLD, "references": {"hlod": [0.65, 850.0]}}, "hlod",
+                 id="control-unknown_references_key"),
+    pytest.param("control", {**_HOLD, "references": {"hold": [0.65, 850.0], "per_step": [[0.65, 850.0]] * 2}},
+                 "exactly one", id="control-two_reference_forms"),
+    pytest.param("control", {**_HOLD, "references": {"knots": {"times": [0.0, 10.0],
+                                                               "value": [[0.65, 850.0], [0.6, 850.0]]}}},
+                 "'value'", id="control-unknown_knots_key"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from": 0, "constraints": []}]}, "'from'",
+                 id="control-unknown_schedule_entry_key"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "temperature_cap", "station": 1, "cap_kelvin": 900.0}]}]}, "'station'",
+                 id="control-unknown_temperature_cap_key"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "linear", "c": [0.0] * 12, "d": 1.0, "D": 1.0}]}]}, "'D'", id="control-unknown_linear_key"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_kelvin": 900.0, "name": ["a"]}]}]}, "'name'",
+                 id="control-name_not_a_string"),
+    pytest.param("diagnose", {"windw": 2}, "windw", id="diagnose-unknown_key"),
+    pytest.param("diagnose", {"zeta": 1e6, "twin": {"epoch": 1}}, "'epoch'", id="diagnose-unknown_twin_key"),
+    pytest.param("diagnose", {"zeta": 1e6, "fault_span": [4.0]}, "fault_span",
+                 id="diagnose-fault_span_untripped"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -378,7 +413,7 @@ def test_unwritable_preset_outputs_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["records", "scaling.json", "dataset.json"])
 def test_unwritable_gen_data_outputs_exit_4(tmp_path, capsys, name):
     cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"scenario": scenario_to_dict(tiny_channel()), "n_train": 1, "n_test": 0}))
+    cfg.write_text(json.dumps({"scenario": asdict(tiny_channel()), "n_train": 1, "n_test": 0}))
     out = tmp_path / "out"
     out.mkdir()
     blocked = out / name
@@ -425,6 +460,22 @@ def test_arch_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
     model = _edited_copy(pipeline["psm"], tmp_path / "model", "arch.json", lambda d: {**d, "activation": 5})
     rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e")])
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "unknown activation 5")
+
+
+def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["psm"], model)
+    arch = json.loads((model / "arch.json").read_text())
+    spec = MlpSpec(**{k: arch[k] for k in ("input_dim", "head_width", "intermediate_width", "tail_width")})
+    params = load_checkpoint(model / "checkpoint.psmw", spec)
+    params.flat[3] = np.nan
+    save_checkpoint(model / "checkpoint.psmw", params)
+    cfg = tmp_path / "control.json"
+    cfg.write_text(json.dumps({**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "temperature_cap", "station_index": 1, "cap_kelvin": 900.0}]}]}))
+    rc = main(["control", "--config", str(cfg), "--model", str(model), "--data", str(pipeline["data"]),
+               "--out", str(tmp_path / "roll")])
+    _assert_io_error(rc, capsys.readouterr().err, model / "checkpoint.psmw", "non-finite parameter")
 
 
 def test_scaling_of_another_scenario_exits_4(pipeline, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Linearization, admissible sets, governors, and the governed rollout."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -129,7 +131,6 @@ def test_constraint_schedule_selection():
     assert sched.active(0) is a
     assert sched.active(9) is a
     assert sched.active(10) is b
-    assert sched.change_points() == {0, 10}
     assert ConstraintSchedule().active(5).n_rows == 0
     with pytest.raises(ConfigError):
         ConstraintSchedule(entries=((3, a),))
@@ -176,9 +177,18 @@ def test_oinf_rejects_unstable_map(rng):
     ssm = _toy_ssm(rng, rho=1.05)
     cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
     with pytest.raises(NumericalError):
-        build_oinf(ssm, cset)
+        build_oinf(ssm, cset, horizon=50, epsilon=0.01)
     with pytest.raises(ConfigError):
-        build_oinf(_toy_ssm(rng), ConstraintSet())
+        build_oinf(_toy_ssm(rng), ConstraintSet(), horizon=50, epsilon=0.01)
+
+
+def test_oinf_rejects_non_finite_state_matrix(rng):
+    ssm = _toy_ssm(rng)
+    A = ssm.A.copy()
+    A[1, 2] = np.nan
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
+    with pytest.raises(NumericalError, match="non-finite"):
+        build_oinf(dataclasses.replace(ssm, A=A), cset, horizon=50, epsilon=0.01)
 
 
 def test_srg_kappa_is_maximal(rng):

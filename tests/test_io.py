@@ -128,6 +128,12 @@ def test_mlp_fingerprint_stability_and_sensitivity():
         kwargs = dict(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
         kwargs.update(change)
         assert mlp_fingerprint(MlpSpec(**kwargs)) != a
+    # the digests that checkpoints and arch.json files already carry: the default
+    # widths on the heated channel, and the fixed governor model's 64/32/32
+    assert mlp_fingerprint(MlpSpec(input_dim=22)) == \
+        "f35f000a50f15a5843d831c14c77be41628ea276a62aa8f92715ac5799b123b7"
+    assert mlp_fingerprint(MlpSpec(input_dim=22, head_width=64, intermediate_width=32, tail_width=32)) == \
+        "5d49da80efd51e287df21ee17d37abbc48dc46abdc1bb9c678ea4ac30ae4673d"
 
 
 def test_scaling_manifest_round_trip(tiny_dataset, tiny_records, tmp_path):
@@ -136,7 +142,7 @@ def test_scaling_manifest_round_trip(tiny_dataset, tiny_records, tmp_path):
     save_scaling(path, scaling, tiny_records[0].scenario_hash)
     back, scen_hash = load_scaling(path)
     assert scen_hash == tiny_records[0].scenario_hash
-    assert back.to_dict() == scaling.to_dict()
+    assert back == scaling
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

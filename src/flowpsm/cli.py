@@ -44,6 +44,7 @@ from .diagnostics import (
     sample_conditions,
     signature,
     transfer_learn_twin,
+    twin_config,
 )
 from .errors import DataIoError, NumericalError
 from .formats import (
@@ -188,7 +189,7 @@ _TRAIN_KEYS = {"alpha": float, "beta": float, "epochs": int, "batch_size": int, 
                "collocation_size": int}  # TrainConfig
 _GOVERNOR_KEYS = {"horizon": int, "epsilon": float, "update_interval": int}  # CgConfig
 _CALIBRATION_KEYS = {"multiplier": float, "percentile": float}  # calibrate_zeta
-_TWIN_KEYS = {"base_lr": float, "epochs": int, "batch_size": int, "seed": int}  # transfer_learn_twin
+_TWIN_KEYS = {"base_lr": float, "epochs": int, "batch_size": int, "seed": int}  # twin_config
 
 
 def _numbers(cfg: dict, key: str, shape: tuple | None, kind=float, default=None) -> np.ndarray:
@@ -605,8 +606,10 @@ def cmd_diagnose(args) -> None:
     calibration = _given(cfg, _CALIBRATION_KEYS)
     twin_cfg = _object(cfg, "twin", {})
     reject_unknown_keys(twin_cfg, _TWIN_KEYS, "twin")
-    twin_settings = _given(twin_cfg, _TWIN_KEYS)
+    twin_train = twin_config(**_given(twin_cfg, _TWIN_KEYS))
     n_conditions = _number(cfg, "n_conditions", int, 64)
+    if n_conditions < 1:
+        raise ConfigError(f"'n_conditions' must be >= 1, got {n_conditions}")
     conditions_seed = {"seed": _number(cfg, "conditions_seed", int)} if "conditions_seed" in cfg else {}
     span = None if cfg.get("fault_span") is None else _numbers(cfg, "fault_span", (2,))
 
@@ -638,7 +641,7 @@ def cmd_diagnose(args) -> None:
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
         stream_ds = assemble_dataset(streams, scenario, scaling, strict=False)
-        twin, hist = transfer_learn_twin(spec, params, stream_ds, scenario, scaling, **twin_settings)
+        twin, hist = transfer_learn_twin(spec, params, stream_ds, scenario, scaling, twin_train)
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
         v_star, x0_star = sample_conditions(assemble_dataset(data["train_records"], scenario, scaling),

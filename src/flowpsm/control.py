@@ -5,13 +5,18 @@ is a discrete-time state map x_{k+1} = f(x_k, v_k) on the scaled sensor
 state (q = 3 * n_stations entries, fields-major). ``linearize`` extracts
 its Jacobians A, B about an operating point by forward-mode directional
 derivatives, keeping the zeroth-order term f(x00, v00), so the affine
-prediction is exact at the linearization point.
+prediction is exact at the linearization point. One kernel pass gives both:
+its value rows are f(x00, v00) and its q + p tangent channels the columns
+of A and B.
 
 ``build_oinf`` stacks the output-constraint half-spaces propagated over a
 finite horizon plus a tightened steady-state row, in the delta coordinates
-(x - x00, v - v00). The command governor projects the reference onto them
-exactly, as a least-distance problem solved by one non-negative
-least-squares call.
+(x - x00, v - v00). It works on the r constraint rows only: the rows C A^k
+stack by doubling ([C; CA] times A^2 gives [C; CA; CA^2; CA^3], about
+log2 T matmuls), and the input and drift terms C S_k B, C S_k a0 are block
+cumulative sums of (C A^j)[B a0]. The command governor projects the
+reference onto the half-spaces exactly, as a least-distance problem solved
+by one non-negative least-squares call.
 ``ncg_rollout`` runs the governed loop against the reference solver (or the
 model itself), re-linearizing on a fixed cadence and on every
 constraint-schedule change.
@@ -27,7 +32,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import NumericalError
-from .network import MlpSpec, ParamStore, forward, input_jacobian
+from .network import MlpSpec, ParamStore, forward, stacked_forward
 from .solver import SolverConfig, sensor_readout, steady_state, step
 from .training import input_layout, query_rows, scale_sensors
 from .transport import ConfigError, ScalingSpec, ScenarioConfig, scenario_fingerprint
@@ -78,7 +83,11 @@ class LinearSSM:
 
     @property
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
+        try:
+            eig = np.linalg.eigvals(self.A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalues of the {self.A.shape[0]}-state matrix A: {exc}") from exc
+        return float(np.max(np.abs(eig)))
 
 
 def linearize(
@@ -88,8 +97,9 @@ def linearize(
     """Jacobians of the one-step state map via directional derivatives.
 
     Column j of A is the output tangent along the j-th x0 input axis (and
-    likewise B along the control axes), evaluated at the station rows; one
-    stacked tangent pass gives all q + p columns.
+    likewise B along the control axes), evaluated at the station rows. One
+    stacked pass gives y00 from its value rows and all q + p columns from
+    its tangent channels.
     """
     lay = input_layout(scenario)
     x00 = np.asarray(x00, dtype=float)
@@ -97,13 +107,13 @@ def linearize(
     if x00.shape != (lay.n_state,) or v00.shape != (lay.n_controls,):
         raise ConfigError("linearization point does not match the scenario layout")
     rows = query_rows(lay, scaling.scale_z(scenario.sensor_stations), 1.0, v00, x00)
-    y00 = forward(spec, params, rows).T.ravel()
     q = lay.n_state
     axes = np.eye(lay.input_dim)[np.r_[lay.x0_cols, lay.v_cols]]
-    # (q+p, s, 3) tangents -> fields-major columns, as y00 is laid out
-    J = input_jacobian(spec, params, rows, axes).transpose(0, 2, 1).reshape(axes.shape[0], -1).T
-    A, B = J[:, :q], J[:, q:]
-    return LinearSSM(A=A, B=B, x00=x00.copy(), v00=v00.copy(), y00=y00)
+    out = stacked_forward(spec, params, rows, axes).outputs
+    # (1+q+p, s, 3) -> one fields-major row per channel, as station_predict lays it out
+    Y = out.transpose(0, 2, 1).reshape(out.shape[0], -1)
+    J = Y[1:].T
+    return LinearSSM(A=J[:, :q], B=J[:, q:], x00=x00.copy(), v00=v00.copy(), y00=Y[0])
 
 
 # ===================== constraints =====================
@@ -193,8 +203,12 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
     """Finite-horizon output-admissibility rows plus a tightened steady row.
 
     Row block k (0..T) forces c . x_k <= d when v is held constant, with
-    x_k = x00 + A^k dx + S_k (a0 + B dv), S_k = sum_{j<k} A^j. The steady
-    block tightens d by epsilon * ||c|| so the horizon truncation is safe.
+    x_k = x00 + A^k dx + S_k (a0 + B dv), S_k = sum_{j<k} A^j. Only the r
+    constraint rows are propagated: the blocks C A^k stack by doubling (the
+    first b blocks times A^b give the next b, then A^b squares), and
+    C S_k [B a0] is the cumulative sum of the blocks (C A^j)[B a0], shifted
+    by one block. The steady block tightens d by epsilon * ||c|| so the
+    horizon truncation is safe.
     """
     if constraints.n_rows == 0:
         raise ConfigError("admissible set needs at least one constraint row")
@@ -206,19 +220,27 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
     if rho >= 1.0:
         raise NumericalError(f"state matrix is not Schur (spectral radius {rho:.4f})")
     C, d = constraints.stacked()
-    q = ssm.A.shape[0]
+    r, q = C.shape
+    p = ssm.B.shape[1]
+    n = horizon + 1
     a0 = ssm.offset
     d_tilde = d - C @ ssm.x00
 
-    Hx_blocks, Hv_blocks, h_blocks = [], [], []
-    Ak = np.eye(q)
-    Sk = np.zeros((q, q))
-    for _ in range(horizon + 1):
-        Hx_blocks.append(C @ Ak)
-        Hv_blocks.append(C @ Sk @ ssm.B)
-        h_blocks.append(d_tilde - C @ Sk @ a0)
-        Sk = Sk + Ak
-        Ak = ssm.A @ Ak
+    # blocks C A^k, k = 0..T: with b blocks stacked and Ab = A^b, the first
+    # (up to) b blocks times Ab are the next ones
+    H_x = np.zeros(((n + 1) * r, q))  # the last block is the steady row's, zero
+    H_x[:r] = C
+    Ab, b = ssm.A, 1
+    while b < n:
+        m = min(b, n - b)
+        np.matmul(H_x[: m * r], Ab, out=H_x[b * r : (b + m) * r])
+        b += m
+        if b < n:
+            Ab = Ab @ Ab
+    # block k of CS is C S_k [B a0] = sum_{j<k} (C A^j)[B a0]
+    W = (H_x[: n * r] @ np.column_stack([ssm.B, a0])).reshape(n, r, p + 1)
+    CS = np.zeros_like(W)
+    np.cumsum(W[:-1], axis=0, out=CS[1:])
     # steady state: x_ss = x00 + (I - A)^{-1} (a0 + B dv)
     I_minus_A = np.eye(q) - ssm.A
     try:
@@ -226,13 +248,11 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
     except np.linalg.LinAlgError as exc:
         raise NumericalError("I - A is singular; steady-state row unavailable") from exc
     g0, Gb = G[:, 0], G[:, 1:]
-    Hx_blocks.append(np.zeros_like(C))
-    Hv_blocks.append(C @ Gb)
-    h_blocks.append(d_tilde - C @ g0 - epsilon * np.linalg.norm(C, axis=1))
     return OInfApprox(
-        H_x=np.vstack(Hx_blocks),
-        H_v=np.vstack(Hv_blocks),
-        h=np.concatenate(h_blocks),
+        H_x=H_x,
+        H_v=np.vstack([CS[:, :, :p].reshape(n * r, p), C @ Gb]),
+        h=np.concatenate([(d_tilde - CS[:, :, p]).ravel(),
+                          d_tilde - C @ g0 - epsilon * np.linalg.norm(C, axis=1)]),
         x00=ssm.x00.copy(),
         v00=ssm.v00.copy(),
     )
@@ -251,21 +271,26 @@ def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.nda
     (Lawson & Hanson 1974, ch. 23). A zero residual means no x satisfies
     the rows. Returns the minimizer with status ok | infeasible.
     """
-    L = np.linalg.cholesky(E)
-    v_free = -np.linalg.solve(E, F)
-    g = gamma - M @ v_free
-    if np.all(g >= 0.0):
-        return v_free, "ok"
-    G = np.linalg.solve(L, M.T).T  # M L^{-T}
-    n = v_free.size
-    A = -np.vstack([G.T, g])
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    u, _ = nnls(A, e)
-    r = A @ u - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
-    if -r[n] <= np.finfo(float).eps:
-        return v_free, "infeasible"
-    v = v_free + np.linalg.solve(L.T, -r[:n] / r[n])
+    try:
+        L = np.linalg.cholesky(E)
+        v_free = -np.linalg.solve(E, F)
+        g = gamma - M @ v_free
+        if np.all(g >= 0.0):
+            return v_free, "ok"
+        G = np.linalg.solve(L, M.T).T  # M L^{-T}
+        n = v_free.size
+        A = -np.vstack([G.T, g])
+        e = np.zeros(n + 1)
+        e[n] = 1.0
+        u, _ = nnls(A, e)
+        r = A @ u - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
+        if -r[n] <= np.finfo(float).eps:
+            return v_free, "infeasible"
+        v = v_free + np.linalg.solve(L.T, -r[:n] / r[n])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"least-distance QP over {M.shape[0]} rows: {exc} (E must be symmetric positive definite)"
+        ) from exc
     if np.any(M @ v > gamma + 1e-6):
         return v, "infeasible"
     return v, "ok"

@@ -43,6 +43,7 @@ __all__ = [
     "prediction_errors",
     "detect",
     "calibrate_zeta",
+    "twin_config",
     "transfer_learn_twin",
     "sample_conditions",
     "pde_residuals",
@@ -158,33 +159,28 @@ def calibrate_zeta(
 # ===================== twin retraining =====================
 
 
+def twin_config(base_lr: float = 1e-4, epochs: int = 50, batch_size: int = 512, seed: int = 0) -> TrainConfig:
+    """Training settings of the twin: measurement loss only, at a tenth of the usual learning rate."""
+    return TrainConfig(alpha=1.0, beta=0.0, epochs=epochs, batch_size=batch_size, base_lr=base_lr, seed=seed)
+
+
 def transfer_learn_twin(
     spec: MlpSpec,
     params: ParamStore,
     dataset: Dataset,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
-    base_lr: float = 1e-4,
-    epochs: int = 50,
-    batch_size: int = 512,
-    seed: int = 0,
+    config: TrainConfig,
 ) -> tuple[ParamStore, list[dict]]:
     """Retrain a copy of the nominal parameters on post-fault data.
 
-    Measurement loss only, at a tenth of the usual learning rate, so the
-    twin drifts just far enough to absorb the plant's changed dynamics
-    while staying comparable to the nominal model. Optimizer moments start
-    fresh; training aborts if the loss blows past 10x its first epoch.
+    ``config`` comes from ``twin_config``: measurement loss only, at a tenth
+    of the usual learning rate, so the twin drifts just far enough to absorb
+    the plant's changed dynamics while staying comparable to the nominal
+    model. Optimizer moments start fresh; training aborts if the loss blows
+    past 10x its first epoch.
     """
     twin = ParamStore(spec=params.spec, flat=params.flat.copy(), layout=params.layout)
-    config = TrainConfig(
-        alpha=1.0,
-        beta=0.0,
-        epochs=epochs,
-        batch_size=batch_size,
-        base_lr=base_lr,
-        seed=seed,
-    )
     return train(spec, dataset, scenario, scaling, config, params=twin, abort_ratio=10.0)
 
 

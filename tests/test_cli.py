@@ -360,6 +360,10 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
     pytest.param("diagnose", {"zeta": 1e6, "twin": {"epoch": 1}}, "'epoch'", id="diagnose-unknown_twin_key"),
     pytest.param("diagnose", {"zeta": 1e6, "fault_span": [4.0]}, "fault_span",
                  id="diagnose-fault_span_untripped"),
+    pytest.param("diagnose", {"zeta": 1e6, "twin": {"epochs": 0}, "n_conditions": 0}, "epochs",
+                 id="diagnose-twin_epochs_untripped"),
+    pytest.param("diagnose", {"zeta": 1e6, "n_conditions": 0}, "n_conditions",
+                 id="diagnose-n_conditions_untripped"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"

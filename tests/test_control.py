@@ -21,13 +21,13 @@ from flowpsm.control import (
     station_predict,
     temperature_cap,
 )
-from flowpsm import control
+from flowpsm import control, network
 from flowpsm.errors import NumericalError
 from flowpsm.network import forward, init_params
 from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
 from flowpsm.transport import ConfigError
 
-from oracles import srg_kappa
+from oracles import oinf_rows_by_powers, srg_kappa
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +99,21 @@ def test_linearize_makes_one_tangent_pass(trained, tiny_scenario, tiny_dataset, 
     _, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
     calls = []
-    original = control.input_jacobian
+    original = network.stacked_forward
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(np.shape(args[3]))
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(control, "input_jacobian", counting)
-    linearize(spec, params, tiny_scenario, scaling, np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5))
+    # both names, so a pass through forward or input_jacobian counts too
+    monkeypatch.setattr(network, "stacked_forward", counting)
+    monkeypatch.setattr(control, "stacked_forward", counting)
+    x00, v00 = np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5)
+    ssm = linearize(spec, params, tiny_scenario, scaling, x00, v00)
     assert calls == [(lay.n_state + lay.n_controls, lay.input_dim)]
+    monkeypatch.undo()
+    y = station_predict(spec, params, tiny_scenario, scaling, x00, v00)
+    assert np.max(np.abs(ssm.y00 - y)) <= 1e-14 * np.max(np.abs(y))
 
 
 def test_temperature_cap_one_hot(tiny_scenario, tiny_dataset):
@@ -171,6 +177,20 @@ def test_oinf_agrees_with_explicit_simulation(rng):
         agree += member == brute
     # the epsilon-tightened steady row may exclude a thin boundary layer
     assert agree >= 290
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 50, 64])
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_oinf_matches_the_per_power_rows(rng, horizon, n_rows):
+    for rho in (0.3, 0.9, 0.99):
+        ssm = _toy_ssm(rng, q=18, p=2, rho=rho)
+        cset = ConstraintSet(rows=tuple(
+            Constraint(c=tuple(rng.standard_normal(18)), d=float(rng.uniform(0.5, 1.5))) for _ in range(n_rows)
+        ))
+        oinf = build_oinf(ssm, cset, horizon=horizon, epsilon=0.01)
+        for got, ref in zip((oinf.H_x, oinf.H_v, oinf.h), oinf_rows_by_powers(ssm, cset, horizon, 0.01)):
+            assert got.shape == ref.shape == ((horizon + 2) * n_rows,) + ref.shape[1:]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_oinf_rejects_unstable_map(rng):
@@ -272,6 +292,21 @@ def test_least_distance_qp_nearly_parallel_rows():
     v, status = least_distance_qp(E, F, M, gamma)
     assert status == "ok"
     assert v[0] == pytest.approx(-0.0745104, abs=1e-12)
+
+
+def test_least_distance_qp_rejects_indefinite_weight():
+    E = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    M = np.array([[1.0, 0.0]])
+    with pytest.raises(NumericalError, match="positive definite"):
+        least_distance_qp(E, np.zeros(2), M, np.array([-1.0]))
+
+
+def test_spectral_radius_of_non_finite_matrix_is_numerical_error(rng):
+    ssm = _toy_ssm(rng)
+    A = ssm.A.copy()
+    A[0, 0] = np.inf
+    with pytest.raises(NumericalError, match="eigenvalues"):
+        dataclasses.replace(ssm, A=A).spectral_radius
 
 
 def test_cg_solve_returns_reference_when_admissible(rng):

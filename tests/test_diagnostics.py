@@ -14,6 +14,7 @@ from flowpsm.diagnostics import (
     sample_conditions,
     signature,
     transfer_learn_twin,
+    twin_config,
 )
 from flowpsm.network import FIELD_ORDER, forward, input_jacobian
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
@@ -181,7 +182,7 @@ def test_signature_scaled_rows_are_unit_peak(trained, tiny_scenario, tiny_datase
     dataset, scaling = tiny_dataset
     v, x0 = sample_conditions(dataset, tiny_scenario, 4, seed=3)
     twin, _ = transfer_learn_twin(
-        spec, params, dataset, tiny_scenario, scaling, epochs=1, batch_size=128, seed=4
+        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
     )
     sig = signature(spec, params, twin, tiny_scenario, scaling, v, x0)
     assert np.allclose(sig.difference, sig.twin - sig.nominal)
@@ -196,7 +197,7 @@ def test_transfer_learn_twin_leaves_nominal_untouched(trained, tiny_scenario, ti
     dataset, scaling = tiny_dataset
     before = params.flat.copy()
     twin, history = transfer_learn_twin(
-        spec, params, dataset, tiny_scenario, scaling, epochs=2, batch_size=128, seed=4
+        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=2, batch_size=128, seed=4)
     )
     assert twin is not params
     assert np.array_equal(params.flat, before)

@@ -43,6 +43,7 @@ from .diagnostics import (
     prediction_errors,
     sample_conditions,
     signature,
+    span_mask,
     transfer_learn_twin,
     twin_config,
 )
@@ -83,6 +84,7 @@ from .training import (
 )
 from .transport import (
     ConfigError,
+    build_grid,
     from_document,
     heated_channel_preset,
     loop_preset,
@@ -611,7 +613,7 @@ def cmd_diagnose(args) -> None:
     if n_conditions < 1:
         raise ConfigError(f"'n_conditions' must be >= 1, got {n_conditions}")
     conditions_seed = {"seed": _number(cfg, "conditions_seed", int)} if "conditions_seed" in cfg else {}
-    span = None if cfg.get("fault_span") is None else _numbers(cfg, "fault_span", (2,))
+    span = None if cfg.get("fault_span") is None else tuple(map(float, _numbers(cfg, "fault_span", (2,))))
 
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
@@ -619,6 +621,11 @@ def cmd_diagnose(args) -> None:
     scenario, scaling = data["scenario"], data["scaling"]
     spec, params = model["spec"], model["params"]
     streams = [load_record(p) for p in args.stream]
+    if span is not None:
+        try:
+            span_mask(build_grid(scenario).centers, span)
+        except ConfigError as exc:
+            raise ConfigError(f"'fault_span': {exc}") from exc
 
     if zeta is None:
         cal_records = data["test_records"] if split == "test" else data["train_records"]
@@ -655,7 +662,7 @@ def cmd_diagnose(args) -> None:
                 f"{eq}: peak |dr| = {mag.max():.3e} at z = {sig.z[np.argmax(mag)]:.3f} m"
             )
         if span is not None:
-            ratios = localization_ratio(sig, (float(span[0]), float(span[1])))
+            ratios = localization_ratio(sig, span)
             verdict.append(
                 "localization ratios inside z in "
                 f"[{span[0]:g}, {span[1]:g}] m: "

@@ -49,6 +49,7 @@ __all__ = [
     "pde_residuals",
     "ResidualSignature",
     "signature",
+    "span_mask",
     "localization_ratio",
 ]
 
@@ -300,18 +301,29 @@ def signature(
     )
 
 
+def span_mask(z: np.ndarray, span: tuple[float, float]) -> np.ndarray:
+    """Which grid centers ``z`` lie in ``span`` = (lo, hi).
+
+    Raises ConfigError unless lo < hi and the span covers some but not all
+    of them, so a span can be checked against the scenario's grid before
+    any detection work.
+    """
+    lo, hi = span
+    if not lo < hi:
+        raise ConfigError(f"span [{lo:g}, {hi:g}] must satisfy lo < hi")
+    inside = (z >= lo) & (z <= hi)
+    if not inside.any() or inside.all():
+        raise ConfigError(f"span [{lo:g}, {hi:g}] must cover some but not all grid centers")
+    return inside
+
+
 def localization_ratio(sig: ResidualSignature, span: tuple[float, float]) -> dict:
     """Peak |residual difference| inside a span over the peak outside, per equation.
 
     A ratio well above 1 for exactly one balance equation localizes the
     fault both spatially (the span) and physically (the equation).
     """
-    lo, hi = span
-    if not lo < hi:
-        raise ConfigError("span must satisfy lo < hi")
-    inside = (sig.z >= lo) & (sig.z <= hi)
-    if not inside.any() or inside.all():
-        raise ConfigError("span must cover some but not all grid centers")
+    inside = span_mask(sig.z, span)
     out = {}
     for i, eq in enumerate(sig.equations):
         mag = np.abs(sig.difference[i])

@@ -4,7 +4,10 @@ The surrogate maps a scaled input row (z*, t*, v*, x0*) to the three scaled
 field values (p*, u*, T*). Three shared head layers feed one intermediate
 layer, which fans out into three independent tail branches, one per field,
 each ending in a scalar linear output. Hidden activations are tanh;
-outputs are identity.
+outputs are identity. The kernel runs this as one chain of layers,
+``CHAIN``; its ``tails`` and ``outs`` carry a leading branch axis of 3 (the
+trunk's layers one of 1), with tensors that are views into the unchanged
+flat parameter layout.
 
 Every pass goes through one closed-form kernel, ``stacked_forward``. It
 carries the B value rows and k forward-mode tangent channels (directional
@@ -13,18 +16,12 @@ stacked ((k+1)B, w) matmul: the bias enters the value rows only, and the
 tanh gate 1 - h^2 scales the tangent rows. ``StackedPass.gradient`` is the
 hand-written reverse pass through that stack (forward-over-reverse), so a
 loss built from values and directional derivatives gets its exact
-parameter gradient. ``forward`` and ``input_jacobian`` are the kernel's
-value and tangent outputs.
+parameter gradient. ``forward`` is the kernel's value output.
 
-A pass made for the reverse (``keep``) writes its activations, the saved
-tanh gates and pre-gate tangent rows, its outputs and the reverse pass's
-scratch into a ``Workspace``. Training holds one per pass kind for the whole
-run, sized for its largest batch, so no batch maps fresh pages; a smaller
-batch uses the leading part of each buffer. The reverse pass shares one set
-of scratch across layers. A StackedPass built on a workspace is valid until
-the next pass on that workspace. Passes without ``keep`` (``forward``,
-``input_jacobian``, linearization, residual maps) allocate fresh arrays, so
-their results stay valid.
+Only a pass run in a ``Workspace`` can be reversed: it keeps what the
+reverse pass reads in the workspace's buffers, which training reuses batch
+after batch. Passes without one (``forward``, linearization, residual maps)
+allocate fresh arrays, so their results stay valid.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ __all__ = [
     "Workspace",
     "stacked_forward",
     "forward",
-    "input_jacobian",
     "optimizer_step",
     "learning_rate",
     "FIELD_ORDER",
@@ -108,6 +104,12 @@ class ParamStore:
     step: int = 0
     _views: dict = field(default_factory=dict, repr=False)
 
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per CHAIN layer, each with a leading branch axis."""
+        if "chain" not in self._views:
+            self._views["chain"] = _chain_views(self.flat, self.layout)
+        return self._views["chain"]
+
     def view(self, name: str) -> np.ndarray:
         """Writable ndarray view into the flat vector for one layer tensor."""
         cached = self._views.get(name)
@@ -151,17 +153,34 @@ def init_params(spec: MlpSpec, seed: int) -> ParamStore:
 
 # ===================== forward passes =====================
 
-_TRUNK = ("head0", "head1", "head2", "inter")
+CHAIN = ("head0", "head1", "head2", "inter", "tails", "outs")  # the kernel's layers, in order
+
+
+def _chain_views(flat: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of ``flat`` per CHAIN layer, each with a leading branch axis.
+
+    A trunk tensor is its slice of the vector. The fields' [tail.w, tail.b,
+    out.w, out.b] blocks have one size and end the vector, so a tails or outs
+    tensor is one column slice of those blocks stacked as rows.
+    """
+    n = len(FIELD_ORDER)
+    t0 = layout[-4 * n][2]
+    blocks = flat[t0:].reshape(n, -1)
+    views = [flat[lo:hi].reshape(1, *shape) for _, shape, lo, hi in layout[: -4 * n]]
+    views += [blocks[:, lo - t0 : hi - t0].reshape(n, *shape)
+              for _, shape, lo, hi in layout[-4 * n : -4 * (n - 1)]]
+    return list(zip(views[::2], views[1::2]))
 
 
 class Workspace:
-    """Buffers that keep-passes of up to ``rows`` rows write into, pass after pass.
+    """Buffers that passes of up to ``rows`` rows write into, pass after pass.
 
     It holds every layer's output stack, the tanh gate and pre-gate tangent
     rows the reverse pass reads, the stacked outputs, and one set of reverse
-    scratch shared by all layers. Each buffer is flat; a pass of n rows uses
-    its leading, contiguous part. A StackedPass built on a workspace is valid
-    until the next pass on that workspace, which overwrites it.
+    scratch shared by all layers. Each buffer is flat and grows to the
+    largest pass that takes it; a pass of n rows uses its leading, contiguous
+    part. A StackedPass built on a workspace is valid until the next pass on
+    that workspace, which overwrites it.
     """
 
     def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0) -> None:
@@ -170,23 +189,18 @@ class Workspace:
         self.spec = spec
         self.rows = rows
         self.n_directions = n_directions
-        self.passes = 0  # keep-passes made on this workspace
-        stack = (n_directions + 1) * rows
-        widths = {name: out for name, (out, _) in spec.layer_shapes()}
-        wide = max(widths.values())
-        sizes = {"input": stack * spec.input_dim, "outputs": stack * 3,
-                 "g_a": stack * wide, "g_sum": rows * wide, "ping": stack * wide,
-                 "pong": stack * wide, "g_inter": stack * spec.intermediate_width}
-        for name, width in widths.items():
-            sizes[name] = stack * width
-            if not name.startswith("out_"):
-                sizes[f"{name}.gate"] = rows * width
-                sizes[f"{name}.da"] = n_directions * rows * width
-        self._flat = {key: np.empty(size) for key, size in sizes.items()}
+        self.passes = 0  # passes made on this workspace
+        self._flat: dict[str, np.ndarray] = {}
+        layout = _layout(spec)
+        self._grad = np.empty(layout[-1][3])  # the reverse pass's flat gradient
+        self._grad_layers = _chain_views(self._grad, layout)
 
     def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         """The leading part of one buffer, as a contiguous array of ``shape``."""
-        return self._flat[key][: math.prod(shape)].reshape(shape)
+        size = math.prod(shape)
+        if key not in self._flat or self._flat[key].size < size:
+            self._flat[key] = np.empty(size)
+        return self._flat[key][:size].reshape(shape)
 
 
 @dataclass
@@ -194,120 +208,100 @@ class StackedPass:
     """One kernel call: stacked outputs, plus what the reverse pass reads.
 
     ``outputs[0]`` is the (B, 3) field triple per row and ``outputs[1 + i]``
-    its directional derivative along direction i. A keep-pass lives in its
-    workspace and is valid until the next pass on that workspace.
+    its directional derivative along direction i. A pass run in a workspace
+    lives there and is valid until the next pass on that workspace.
     """
 
-    spec: MlpSpec
     params: ParamStore
     outputs: np.ndarray  # (k+1, B, 3)
-    saved: dict | None  # layer name -> (input stack, tanh value h, pre-gate tangent rows, gate 1 - h^2)
+    saved: list | None  # per CHAIN layer: (input stack, tanh value h, pre-gate tangent rows, gate 1 - h^2)
     workspace: Workspace | None = None
     pass_index: int = 0  # the workspace's pass count when this pass was made
 
     def gradient(self, cotangent) -> np.ndarray:
         """Flat parameter gradient of sum(cotangent * outputs), aligned with the layout."""
-        if self.saved is None:
-            raise ValueError("stacked_forward was called without keep=True")
-        if self.workspace.passes != self.pass_index:
+        ws = self.workspace
+        if ws is None:
+            raise ValueError("only a pass run in a Workspace saves what the reverse pass reads")
+        if ws.passes != self.pass_index:
             raise ValueError("a later pass on this workspace has overwritten the saved activations")
         g_out = np.asarray(cotangent, dtype=np.float64)
         if g_out.shape != self.outputs.shape:
             raise ConfigError("cotangent shape does not match the stacked outputs")
-        grad = ParamStore(spec=self.spec, flat=np.zeros_like(self.params.flat),
-                          layout=self.params.layout)
-        n_stack, n_rows, _ = g_out.shape
-        ws = self.workspace
-        g_inter = ws.take("g_inter", (n_stack, n_rows, self.spec.intermediate_width))
-        for f, fname in enumerate(FIELD_ORDER):
-            g = self._layer_vjp(f"out_{fname}", g_out[:, :, f : f + 1], grad, "ping")
-            if f == 0:
-                self._layer_vjp(f"tail_{fname}", g, grad, g_inter)
+        g_h = g_out[..., None].transpose(2, 0, 1, 3)  # the outs layer's (branch, stack, row, 1) cotangent
+        layers = zip(self.saved, self.params.layers(), ws._grad_layers)
+        for i, ((h_in, h, da, gate), (w, _), (g_w, g_b)) in reversed(list(enumerate(layers))):
+            n, n_stack, n_rows, width = g_h.shape
+            if gate is None:  # the linear outs
+                g_a = g_h
+            elif n_stack == 1:  # no tangent rows
+                g_a = np.multiply(g_h, gate[:, None], out=ws.take("g_a", g_h.shape))
             else:
-                g_inter += self._layer_vjp(f"tail_{fname}", g, grad, "pong")
-        g = g_inter
-        for name, out in zip(reversed(_TRUNK), ("ping", "pong", "ping", None)):
-            g = self._layer_vjp(name, g, grad, out)
-        return grad.flat
-
-    def _layer_vjp(self, name: str, g_h: np.ndarray, grad: ParamStore, out) -> np.ndarray | None:
-        """Weight and bias gradients of one layer.
-
-        Its input cotangent goes to ``out`` (an array, or the name of a
-        workspace buffer) and is returned; with ``out`` None it is skipped.
-        """
-        h_in, h, da, gate = self.saved[name]
-        ws = self.workspace
-        if gate is None:
-            g_a = g_h
-        elif g_h.shape[0] == 1:  # no tangent rows
-            g_a = np.multiply(g_h, gate, out=ws.take("g_a", g_h.shape))
-        else:
-            g_a = ws.take("g_a", g_h.shape)
-            g_sum = np.sum(np.multiply(g_h[1:], da, out=g_a[1:]), axis=0,
-                           out=ws.take("g_sum", gate.shape))
-            v = np.multiply(2.0, h, out=g_a[0])
-            v *= g_sum
-            np.subtract(g_h[0], v, out=v)
-            v *= gate
-            np.multiply(g_h[1:], gate, out=g_a[1:])
-        rows = g_a.shape[0] * g_a.shape[1]
-        w = self.params.view(f"{name}.w")
-        g_a2 = g_a.reshape(rows, -1)
-        np.matmul(g_a2.T, h_in.reshape(rows, -1), out=grad.view(f"{name}.w"))
-        np.sum(g_a[0], axis=0, out=grad.view(f"{name}.b"))
-        if out is None:
-            return None
-        if isinstance(out, str):
-            out = ws.take(out, h_in.shape)
-        np.matmul(g_a2, w, out=out.reshape(rows, -1))
-        return out
+                g_a = ws.take("g_a", g_h.shape)
+                g_sum = np.sum(np.multiply(g_h[:, 1:], da, out=g_a[:, 1:]), axis=1,
+                               out=ws.take("g_sum", gate.shape))
+                v = np.multiply(2.0, h, out=g_a[:, 0])
+                v *= g_sum
+                np.subtract(g_h[:, 0], v, out=v)
+                v *= gate
+                np.multiply(g_h[:, 1:], gate[:, None], out=g_a[:, 1:])
+            g_a2 = g_a.reshape(n, n_stack * n_rows, width)
+            np.matmul(g_a2.swapaxes(1, 2), h_in.reshape(h_in.shape[0], n_stack * n_rows, -1), out=g_w)
+            # the outs' cotangent keeps the caller's layout; summed from a contiguous
+            # copy, each branch's bias sum runs along its rows whatever that layout is
+            np.sum(g_a[:, 0] if gate is not None else np.ascontiguousarray(g_a[:, 0]), axis=1, out=g_b)
+            if i == 0:  # head0's input cotangent is not needed
+                break
+            g_in = ws.take(("ping", "pong")[i % 2], (n, n_stack, n_rows, w.shape[2]))
+            np.matmul(g_a2, w, out=g_in.reshape(n, n_stack * n_rows, -1))
+            if h_in.shape[0] < n:  # h_in fed every branch, so its cotangent is their sum
+                for part in g_in[1:]:
+                    g_in[0] += part
+            g_h = g_in[: h_in.shape[0]]
+        return ws._grad.copy()  # the views tile it, so every entry was written
 
 
-def _layer(params: ParamStore, name: str, h_in: np.ndarray,
-           ws: Workspace | None = None, saved: dict | None = None) -> np.ndarray:
-    """One stacked dense layer; h_in and the result are (k+1, B, width).
+def _take(ws: Workspace | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace's buffer for ``key``, or a fresh array when there is no workspace."""
+    return np.empty(shape) if ws is None else ws.take(key, shape)
 
-    Hidden layers apply tanh; the ``out_`` layers are linear.
 
-    Without a workspace the result is a fresh array, updated in place. With
-    one, the result and what the reverse pass reads go into its buffers and
-    are recorded in ``saved``.
+def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
+           ws: Workspace | None, saved: list | None) -> np.ndarray:
+    """One stacked dense layer on every branch; the result is (branches, k+1, B, width).
+
+    An unbranched ``h_in`` feeds every branch. Hidden layers apply tanh; the
+    ``outs`` layer is linear. With a workspace, the result and what the
+    reverse pass reads go into its buffers and are appended to ``saved``.
     """
-    n_stack, n_rows, _ = h_in.shape
-    w = params.view(f"{name}.w")
-    h_in2 = h_in.reshape(n_stack * n_rows, -1)
-    if ws is None:
-        a = (h_in2 @ w.T).reshape(n_stack, n_rows, -1)
-    else:
-        a = ws.take(name, (n_stack, n_rows, w.shape[0]))
-        np.matmul(h_in2, w.T, out=a.reshape(n_stack * n_rows, -1))
-    a[0] += params.view(f"{name}.b")
-    if name.startswith("out_"):
+    _, n_stack, n_rows, _ = h_in.shape
+    n, width = w.shape[:2]
+    a = _take(ws, name, (n, n_stack, n_rows, width))
+    np.matmul(h_in.reshape(h_in.shape[0], n_stack * n_rows, -1), w.swapaxes(1, 2),
+              out=a.reshape(n, n_stack * n_rows, width))
+    a[:, 0] += b[:, None]
+    h = da = gate = None
+    if name != "outs":
+        h = np.tanh(a[:, 0], out=a[:, 0])
+        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape))
+        np.subtract(1.0, gate, out=gate)
         if saved is not None:
-            saved[name] = (h_in, None, None, None)
-        return a
-    h = np.tanh(a[0], out=a[0])
-    gate = h * h if ws is None else np.multiply(h, h, out=ws.take(f"{name}.gate", h.shape))
-    np.subtract(1.0, gate, out=gate)
+            da = ws.take(f"{name}.da", a[:, 1:].shape)
+            np.copyto(da, a[:, 1:])
+        a[:, 1:] *= gate[:, None]
     if saved is not None:
-        da = ws.take(f"{name}.da", a[1:].shape)
-        np.copyto(da, a[1:])
-        saved[name] = (h_in, h, da, gate)
-    a[1:] *= gate
+        saved.append((h_in, h, da, gate))
     return a
 
 
 def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
-                    keep: bool = False, workspace: Workspace | None = None) -> StackedPass:
+                    workspace: Workspace | None = None) -> StackedPass:
     """Values and directional derivatives of the net in one stacked pass.
 
     ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
-    input-space directions applied to every row. With ``keep`` the layer
-    activations are saved so ``gradient`` can run the reverse pass. A keep
-    pass writes into ``workspace`` (a fresh one when None), which must have
-    k directions and at least B rows; passing a workspace implies ``keep``.
-    Without ``keep`` every array is fresh and the pass saves nothing.
+    input-space directions applied to every row. A pass in ``workspace``
+    (k directions, at least B rows) saves what ``gradient`` reads; without
+    one every array is fresh and the pass saves nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
@@ -317,27 +311,25 @@ def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
         )
     n_stack, n_rows = 1 + d.shape[0], x.shape[0]
     ws, saved = workspace, None
-    if keep or ws is not None:
-        if ws is None:
-            ws = Workspace(spec, n_rows, d.shape[0])
+    if ws is not None:
         if ws.spec != spec or ws.n_directions != d.shape[0] or n_rows > ws.rows:
             raise ConfigError(
                 f"workspace holds {ws.rows} rows with {ws.n_directions} directions; "
                 f"the pass needs {n_rows} rows with {d.shape[0]}"
             )
         ws.passes += 1
-        saved = {}
-    shape = (n_stack, n_rows, spec.input_dim)
-    h = np.empty(shape) if ws is None else ws.take("input", shape)
-    h[0] = x
-    h[1:] = d[:, None, :]
-    for name in _TRUNK:
-        h = _layer(params, name, h, ws, saved)
-    cols = [_layer(params, f"out_{fname}", _layer(params, f"tail_{fname}", h, ws, saved), ws, saved)
-            for fname in FIELD_ORDER]
-    outputs = None if ws is None else ws.take("outputs", (n_stack, n_rows, 3))
-    return StackedPass(spec=spec, params=params, outputs=np.concatenate(cols, axis=2, out=outputs),
-                       saved=saved, workspace=ws, pass_index=0 if ws is None else ws.passes)
+        saved = []
+    shape = (1, n_stack, n_rows, spec.input_dim)
+    h = _take(ws, "input", shape)
+    h[0, 0] = x
+    h[0, 1:] = d[:, None, :]
+    for name, (w, b) in zip(CHAIN, params.layers()):
+        h = _layer(name, w, b, h, ws, saved)
+    shape = (n_stack, n_rows, len(FIELD_ORDER))
+    outputs = _take(ws, "outputs", shape)
+    np.copyto(outputs, h[..., 0].transpose(1, 2, 0))
+    return StackedPass(params=params, outputs=outputs, saved=saved,
+                       workspace=ws, pass_index=0 if ws is None else ws.passes)
 
 
 def forward(spec: MlpSpec, params: ParamStore, x) -> np.ndarray:
@@ -345,22 +337,6 @@ def forward(spec: MlpSpec, params: ParamStore, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = stacked_forward(spec, params, np.atleast_2d(x)).outputs[0]
     return out[0] if x.ndim == 1 else out
-
-
-def input_jacobian(spec: MlpSpec, params: ParamStore, x, directions) -> np.ndarray:
-    """Directional derivatives d(outputs)/d(inputs) . direction for a stack of directions.
-
-    ``directions`` is one input-space vector, giving an array with x's batch
-    shape and 3 output columns, or a (k, input_dim) stack, giving one such
-    array per direction along a leading axis. Each direction applies to
-    every row.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = np.asarray(directions, dtype=np.float64)
-    out = stacked_forward(spec, params, np.atleast_2d(x), np.atleast_2d(d)).outputs[1:]
-    if x.ndim == 1:
-        out = out[:, 0]
-    return out[0] if d.ndim == 1 else out
 
 
 # ===================== optimizer =====================

@@ -159,8 +159,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("none", "homoscedastic", "heteroscedastic"):
             raise ConfigError(f"unknown noise mode {self.mode!r}")
-        if self.sigma < 0 or self.xi < 0:
-            raise ConfigError("noise parameters must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.sigma, self.xi)):
+            raise ConfigError(f"noise parameters must be finite and nonnegative, got {self.sigma!r}, {self.xi!r}")
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,7 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
 
     Returns the loss, the residuals, and the loss's flat parameter gradient,
     from one kernel pass along the z* and t* axes and its reverse. The pass
-    runs in ``workspace`` (two directions) when one is given.
+    runs in ``workspace`` (two directions), or in a fresh one when None.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
     if colloc.ndim != 2 or colloc.shape[1] != spec.input_dim:
@@ -469,7 +469,8 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
     axes = np.eye(spec.input_dim)[[lay.z_col, lay.t_col]]
-    run = stacked_forward(spec, params, colloc, axes, keep=True, workspace=workspace)
+    run = stacked_forward(spec, params, colloc, axes,
+                          workspace=workspace or Workspace(spec, colloc.shape[0], 2))
     outs, tans_z, tans_t = (y.T for y in run.outputs)
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
@@ -489,10 +490,10 @@ def loss_and_gradient(spec: MlpSpec, params: ParamStore, batch: Batch, collocati
 
     ``collocation`` is None when beta is 0; L_p is then 0 and not evaluated.
     ``workspaces`` holds the measurement and physics passes' workspaces;
-    without it each pass gets fresh buffers.
+    without it each pass gets a fresh one.
     """
-    ws_m, ws_p = workspaces or (None, None)
-    run = stacked_forward(spec, params, batch.inputs, keep=True, workspace=ws_m)
+    ws_m, ws_p = workspaces or (Workspace(spec, batch.inputs.shape[0]), None)
+    run = stacked_forward(spec, params, batch.inputs, workspace=ws_m)
     loss_m = measurement_loss(run.outputs[0], batch.targets)
     g_pred = np.tanh(run.outputs[0] - batch.targets) * (alpha / batch.targets.size)
     grad = run.gradient(g_pred[None])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 
 from flowpsm.control import ConstraintSet, LinearSSM, OInfApprox
+from flowpsm.network import FIELD_ORDER, ParamStore
 
 
 def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray) -> float:
@@ -52,3 +53,56 @@ def oinf_rows_by_powers(ssm: LinearSSM, constraints: ConstraintSet, horizon: int
     Hv_blocks.append(C @ G[:, 1:])
     h_blocks.append(d_tilde - C @ G[:, 0] - epsilon * np.linalg.norm(C, axis=1))
     return np.vstack(Hx_blocks), np.vstack(Hv_blocks), np.concatenate(h_blocks)
+
+
+def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, cotangent: np.ndarray):
+    """Stacked outputs and flat parameter gradient of the net, one field's tail at a time.
+
+    The trunk and each field's tail and output are run layer by layer as
+    (k+1)B-row matmuls, in the same numpy operations and order as the
+    kernel, so ``stacked_forward`` and ``StackedPass.gradient`` must match
+    it bit for bit. The three tails' input cotangents are summed p, u, T.
+    """
+    saved = {}
+
+    def layer(name, h_in, hidden=True):
+        n_stack, n_rows, _ = h_in.shape
+        a = (h_in.reshape(n_stack * n_rows, -1) @ params.view(f"{name}.w").T).reshape(n_stack, n_rows, -1)
+        a[0] += params.view(f"{name}.b")
+        h = da = gate = None
+        if hidden:
+            h = np.tanh(a[0], out=a[0])
+            gate = 1.0 - h * h
+            da = a[1:].copy()
+            a[1:] *= gate
+        saved[name] = (h_in, h, da, gate)
+        return a
+
+    def layer_vjp(name, g_h):
+        h_in, h, da, gate = saved[name]
+        if gate is None:
+            g_a = g_h
+        elif g_h.shape[0] == 1:
+            g_a = g_h * gate
+        else:
+            g_a = np.empty_like(g_h)
+            g_a[0] = (g_h[0] - 2.0 * h * np.sum(g_h[1:] * da, axis=0)) * gate
+            g_a[1:] = g_h[1:] * gate
+        rows = g_a.shape[0] * g_a.shape[1]
+        grad.view(f"{name}.w")[...] = g_a.reshape(rows, -1).T @ h_in.reshape(rows, -1)
+        grad.view(f"{name}.b")[...] = np.sum(g_a[0], axis=0)
+        return (g_a.reshape(rows, -1) @ params.view(f"{name}.w")).reshape(h_in.shape)
+
+    h = np.concatenate([x[None], np.broadcast_to(directions[:, None, :], (len(directions), *x.shape))])
+    for name in ("head0", "head1", "head2", "inter"):
+        h = layer(name, h)
+    outputs = np.concatenate([layer(f"out_{f}", layer(f"tail_{f}", h), hidden=False) for f in FIELD_ORDER],
+                             axis=2)
+    grad = ParamStore(spec=params.spec, flat=np.zeros_like(params.flat), layout=params.layout)
+    g_p, g_u, g_T = (layer_vjp(f"tail_{f}", layer_vjp(f"out_{f}", cotangent[:, :, i : i + 1]))
+                     for i, f in enumerate(FIELD_ORDER))
+    g = g_p + g_u + g_T
+    for name in ("inter", "head2", "head1"):
+        g = layer_vjp(name, g)
+    layer_vjp("head0", g)
+    return outputs, grad.flat

@@ -364,6 +364,10 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
                  id="diagnose-twin_epochs_untripped"),
     pytest.param("diagnose", {"zeta": 1e6, "n_conditions": 0}, "n_conditions",
                  id="diagnose-n_conditions_untripped"),
+    pytest.param("diagnose", {"zeta": 1e6, "fault_span": [5.0, 4.0]}, "fault_span",
+                 id="diagnose-fault_span_reversed_untripped"),
+    pytest.param("diagnose", {"zeta": 1e6, "fault_span": [100.0, 200.0]}, "fault_span",
+                 id="diagnose-fault_span_off_the_grid_untripped"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -545,6 +549,16 @@ def test_missing_out_dir_is_config_error(pipeline, capsys, monkeypatch):
     rc = main(["preset", "--name", "loop"])
     assert rc == 2
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["homoscedastic:nan", "heteroscedastic:inf"])
+def test_non_finite_noise_flag_exits_2(pipeline, tmp_path, capsys, flag):
+    rc = main(["train", "--config", str(pipeline["train_cfg"]), "--data", str(pipeline["data"]),
+               "--noise", flag, "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "config error" in err and "finite" in err
 
 
 def test_kelvin_and_noise_helpers():

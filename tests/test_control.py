@@ -105,7 +105,7 @@ def test_linearize_makes_one_tangent_pass(trained, tiny_scenario, tiny_dataset, 
         calls.append(np.shape(args[3]))
         return original(*args, **kwargs)
 
-    # both names, so a pass through forward or input_jacobian counts too
+    # both names, so a pass through forward counts too
     monkeypatch.setattr(network, "stacked_forward", counting)
     monkeypatch.setattr(control, "stacked_forward", counting)
     x00, v00 = np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5)

@@ -16,7 +16,7 @@ from flowpsm.diagnostics import (
     transfer_learn_twin,
     twin_config,
 )
-from flowpsm.network import FIELD_ORDER, forward, input_jacobian
+from flowpsm.network import FIELD_ORDER, forward, stacked_forward
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
 from flowpsm.training import (
     TrainConfig,
@@ -157,8 +157,8 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
         rows[:, lay.t_col] = 0.5
         rows[:, lay.v_cols] = vi
         rows[:, lay.x0_cols] = xi
-        tan_z = input_jacobian(spec, params, rows, np.eye(lay.input_dim)[lay.z_col])
-        tan_t = input_jacobian(spec, params, rows, np.eye(lay.input_dim)[lay.t_col])
+        tan_z = stacked_forward(spec, params, rows, np.eye(lay.input_dim)[[lay.z_col]]).outputs[1]
+        tan_t = stacked_forward(spec, params, rows, np.eye(lay.input_dim)[[lay.t_col]]).outputs[1]
         closures = pointwise_closures(tiny_scenario, z, scaling.unscale_v(rows[:, lay.v_cols]))
         expected.append(physics_residuals(forward(spec, params, rows).T, tan_z.T, tan_t.T,
                                           closures, tiny_scenario, scaling))

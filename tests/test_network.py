@@ -9,16 +9,17 @@ from flowpsm.network import (
     ADAM_EPS,
     FIELD_ORDER,
     MlpSpec,
+    ParamStore,
     Workspace,
     forward,
     init_params,
-    input_jacobian,
     learning_rate,
     optimizer_step,
     stacked_forward,
 )
 from flowpsm.errors import NumericalError
 from flowpsm.transport import ConfigError
+from oracles import per_field_pass
 
 SPEC = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
 
@@ -70,26 +71,45 @@ def test_forward_matches_layer_by_layer_reference(params, rng):
     assert np.allclose(forward(SPEC, params, x), _reference_forward(SPEC, params, x), atol=1e-12)
 
 
-def test_input_jacobian_matches_finite_difference(params, rng):
+def test_tangents_match_finite_difference(params, rng):
     x = rng.standard_normal((4, 5))
     h = 1e-6
     dirs = np.vstack([np.eye(5), rng.standard_normal((2, 5))])
-    J = input_jacobian(SPEC, params, x, dirs)  # one pass for all seven directions
+    J = stacked_forward(SPEC, params, x, dirs).outputs[1:]  # one pass for all seven directions
     assert J.shape == (7, 4, 3)
     for d, got in zip(dirs, J):
         fd = (forward(SPEC, params, x + h * d) - forward(SPEC, params, x - h * d)) / (2 * h)
         assert np.allclose(got, fd, atol=1e-7)
-    assert np.allclose(input_jacobian(SPEC, params, x[0], dirs[2]), J[2, 0])
+    assert np.allclose(stacked_forward(SPEC, params, x[:1], dirs[2:3]).outputs[1, 0], J[2, 0])
 
 
-def test_tangents_match_input_jacobian(params, rng):
+def test_tangents_match_one_direction_passes(params, rng):
     x = rng.standard_normal((4, 5))
     dirs = np.eye(5)[[1, 3]]
     run = stacked_forward(SPEC, params, x, dirs)
     assert run.outputs.shape == (3, 4, 3)
     assert np.array_equal(run.outputs[0], forward(SPEC, params, x))
     for d, got in zip(dirs, run.outputs[1:]):
-        assert np.allclose(got, input_jacobian(SPEC, params, x, d), atol=1e-12)
+        assert np.allclose(got, stacked_forward(SPEC, params, x, d[None]).outputs[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
+def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
+    # row counts whose cotangent columns take a different BLAS path by stride, and both
+    # cotangent layouts the losses pass: (k+1, B, 3) rows and (k+1, 3, B) transposed
+    spec = MlpSpec(5, *widths)
+    store = init_params(spec, seed=2)
+    store.flat += 0.05 * rng.standard_normal(store.n_params)
+    for k in (0, 2):
+        for n_rows in (1, 7, 130):
+            x, dirs = rng.standard_normal((n_rows, 5)), rng.standard_normal((k, 5))
+            for cot in (rng.standard_normal((k + 1, n_rows, 3)),
+                        rng.standard_normal((k + 1, 3, n_rows)).transpose(0, 2, 1)):
+                want_out, want_grad = per_field_pass(store, x, dirs, cot)
+                run = stacked_forward(spec, store, x, dirs, workspace=Workspace(spec, n_rows, k))
+                assert run.outputs.tobytes() == want_out.tobytes()
+                assert stacked_forward(spec, store, x, dirs).outputs.tobytes() == want_out.tobytes()
+                assert run.gradient(cot).tobytes() == want_grad.tobytes()
 
 
 def test_gradient_of_tangent_loss_matches_finite_difference(rng):
@@ -105,7 +125,7 @@ def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
     store = init_params(spec, seed=3)
     store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
-    run = stacked_forward(spec, store, x, dirs, keep=True)
+    run = stacked_forward(spec, store, x, dirs, workspace=Workspace(spec, 3, 2))
     cot = weights.copy()
     cot[1:] += 2.0 * run.outputs[1:]
     grad = run.gradient(cot)
@@ -162,21 +182,51 @@ def test_optimizer_rejects_non_finite_gradient(params):
 
 
 def test_gradient_zero_in_unused_tail_branches(params, rng):
-    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], keep=True)
-    cot = np.zeros_like(run.outputs)
-    cot[:, :, 0] = rng.standard_normal((3, 2))  # only p carries a cotangent
-    g = run.gradient(cot)
-    assert g.shape == params.flat.shape
+    # a loss on one field alone reaches its own tail and output, and none of the other two
+    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]],
+                          workspace=Workspace(SPEC, 2, 2))
 
-    def block(name):
+    def block(g, name):
         start, stop = next((s, e) for nm, _, s, e in params.layout if nm == name)
         return g[start:stop]
 
-    for branch in ("tail_u", "tail_T", "out_u", "out_T"):
-        assert np.all(block(f"{branch}.w") == 0.0)
-        assert np.all(block(f"{branch}.b") == 0.0)
-    for name in ("out_p.w", "tail_p.w", "head0.w"):
-        assert np.any(block(name) != 0.0)
+    for f, field in enumerate(FIELD_ORDER):
+        cot = np.zeros_like(run.outputs)
+        cot[:, :, f] = rng.standard_normal((3, 2))
+        g = run.gradient(cot)
+        assert g.shape == params.flat.shape
+        for other in FIELD_ORDER:
+            for name in (f"tail_{other}.w", f"tail_{other}.b", f"out_{other}.w", f"out_{other}.b"):
+                assert np.all(block(g, name) == 0.0) == (other != field), name
+        assert np.any(block(g, "head0.w") != 0.0)
+
+
+def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
+    x, dirs = rng.standard_normal((5, 5)), rng.standard_normal((2, 5))
+    before = stacked_forward(SPEC, params, x, dirs).outputs.copy()
+    for name in ("tail_u.w", "tail_u.b", "out_u.w", "out_u.b"):
+        params.view(name)[...] += rng.standard_normal(params.view(name).shape)
+    for ws in (None, Workspace(SPEC, 5, 2)):
+        after = stacked_forward(SPEC, params, x, dirs, workspace=ws).outputs
+        assert np.array_equal(after[..., [0, 2]], before[..., [0, 2]])  # p and T, values and tangents
+        assert np.all(after[..., 1] != before[..., 1])
+
+
+def test_each_store_reads_its_own_parameters(rng):
+    x = rng.standard_normal((4, 5))
+    a, b = init_params(SPEC, 1), init_params(SPEC, 2)
+    ya, yb = forward(SPEC, a, x), forward(SPEC, b, x)  # both stores now hold cached views
+    twin = ParamStore(spec=SPEC, flat=a.flat.copy(), layout=a.layout)
+    twin.flat *= 0.5
+    for store, y in ((a, ya), (b, yb), (twin, forward(SPEC, twin, x))):
+        assert np.allclose(y, _reference_forward(SPEC, store, x), atol=1e-12)
+        assert np.array_equal(forward(SPEC, store, x), y)
+    assert not np.allclose(ya, yb)
+    cot = rng.standard_normal((1, 4, 3))
+    ws = Workspace(SPEC, 4)
+    g_a = stacked_forward(SPEC, a, x, workspace=ws).gradient(cot)
+    g_twin = stacked_forward(SPEC, twin, x, workspace=ws).gradient(cot)
+    assert not np.allclose(g_a, g_twin)
 
 
 def test_stacked_forward_validates_shapes(params, rng):
@@ -185,7 +235,7 @@ def test_stacked_forward_validates_shapes(params, rng):
         stacked_forward(SPEC, params, x[:, :4])
     with pytest.raises(ConfigError):
         stacked_forward(SPEC, params, x, np.eye(4))
-    run = stacked_forward(SPEC, params, x, np.eye(5)[:2], keep=True)
+    run = stacked_forward(SPEC, params, x, np.eye(5)[:2], workspace=Workspace(SPEC, 3, 2))
     with pytest.raises(ConfigError):
         run.gradient(np.zeros((2, 3, 3)))
 
@@ -197,15 +247,15 @@ def test_gradient_needs_saved_activations(params, rng):
 
 
 def test_workspace_reuse_matches_fresh_passes(params, rng):
-    # one workspace, row counts that shrink and grow again: every pass and
-    # gradient is bit-identical to a pass on fresh buffers and to no-keep outputs
+    # one workspace, row counts that grow its buffers, shrink and grow again: every
+    # pass and gradient is bit-identical to a fresh workspace's and to workspace-free outputs
     for k in (0, 2):
         ws = Workspace(SPEC, rows=7, n_directions=k)
         dirs = rng.standard_normal((k, 5))
-        for n_rows in (7, 3, 7, 1, 5):
+        for n_rows in (3, 7, 1, 7, 5):
             x = rng.standard_normal((n_rows, 5))
             cot = rng.standard_normal((k + 1, n_rows, 3))
-            fresh = stacked_forward(SPEC, params, x, dirs, keep=True)
+            fresh = stacked_forward(SPEC, params, x, dirs, workspace=Workspace(SPEC, n_rows, k))
             reused = stacked_forward(SPEC, params, x, dirs, workspace=ws)
             assert np.array_equal(reused.outputs, fresh.outputs)
             assert np.array_equal(reused.outputs, stacked_forward(SPEC, params, x, dirs).outputs)
@@ -228,15 +278,17 @@ def test_workspace_rejects_misuse(params, rng):
         first.gradient(np.zeros_like(first.outputs))
 
 
-def test_no_keep_results_survive_later_calls(params, rng):
+def test_passes_without_workspace_survive_later_calls(params, rng):
     x, dirs = rng.standard_normal((6, 5)), np.eye(5)[:2]
     y = forward(SPEC, params, x)
-    J = input_jacobian(SPEC, params, x, dirs)
-    y0, J0 = y.copy(), J.copy()
+    J = stacked_forward(SPEC, params, x, dirs).outputs[1:]
     ws = Workspace(SPEC, rows=6, n_directions=2)
+    g = stacked_forward(SPEC, params, x, dirs, workspace=ws).gradient(np.ones((3, 6, 3)))
+    y0, J0, g0 = y.copy(), J.copy(), g.copy()
     for _ in range(2):
         x2 = rng.standard_normal((6, 5))
         forward(SPEC, params, x2)
-        input_jacobian(SPEC, params, x2, dirs)
+        stacked_forward(SPEC, params, x2, dirs)
         stacked_forward(SPEC, params, x2, dirs, workspace=ws).gradient(np.ones((3, 6, 3)))
     assert np.array_equal(y, y0) and np.array_equal(J, J0)
+    assert np.array_equal(g, g0)  # a gradient is the caller's, not the workspace's

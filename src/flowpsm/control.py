@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import NumericalError
 from .network import MlpSpec, ParamStore, forward, stacked_forward
@@ -282,6 +281,8 @@ def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.nda
         A = -np.vstack([G.T, g])
         e = np.zeros(n + 1)
         e[n] = 1.0
+        # on first use, not at import: scipy.optimize would triple the CLI's start-up
+        from scipy.optimize import nnls
         u, _ = nnls(A, e)
         r = A @ u - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
         if -r[n] <= np.finfo(float).eps:

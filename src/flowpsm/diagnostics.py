@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import MlpSpec, ParamStore, forward, stacked_forward
+from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, stacked_forward
 from .solver import SimulationRecord
 from .training import (
     Dataset,
@@ -188,6 +188,7 @@ def transfer_learn_twin(
 # ===================== residual signatures =====================
 
 _MID_STEP = 0.5  # scaled t* at which the residual profiles are taken
+_RESIDUAL_CHUNK = 640  # rows per kernel pass, so a pass's scratch stays small at any condition count
 
 
 def sample_conditions(
@@ -239,7 +240,11 @@ def pde_residuals(
     rows = query_rows(lay, scaling.scale_z(zc), _MID_STEP, v_star, x0_star)
 
     axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
-    outs, tan_z, tan_t = (y.T for y in stacked_forward(spec, params, rows, axes).outputs)
+    stacked = np.empty((1 + len(axes), len(rows), len(FIELD_ORDER)))
+    for lo in range(0, len(rows), _RESIDUAL_CHUNK):
+        stacked[:, lo : lo + _RESIDUAL_CHUNK] = stacked_forward(
+            spec, params, rows[lo : lo + _RESIDUAL_CHUNK], axes).outputs
+    outs, tan_z, tan_t = (y.T for y in stacked)
 
     closures = pointwise_closures(
         scenario, np.tile(zc, n_cond), scaling.unscale_v(rows[:, lay.v_cols])

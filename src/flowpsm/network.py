@@ -360,9 +360,19 @@ def optimizer_step(params: ParamStore, grad: np.ndarray, lr: float) -> ParamStor
         params.m = np.zeros_like(params.flat)
         params.v = np.zeros_like(params.flat)
     params.step += 1
-    params.m = ADAM_BETA1 * params.m + (1.0 - ADAM_BETA1) * grad
-    params.v = ADAM_BETA2 * params.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = params.m / (1.0 - ADAM_BETA1**params.step)
-    v_hat = params.v / (1.0 - ADAM_BETA2**params.step)
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = params.m, params.v
+    # the fresh-array formula's ufuncs in its order, on the moments and two scratch vectors: bit-identical
+    step, v_hat = np.empty_like(m), np.empty_like(v)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1**params.step, out=step)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**params.step, out=v_hat)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    step *= lr
+    step /= v_hat
+    params.flat -= step
     return params

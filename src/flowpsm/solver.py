@@ -56,7 +56,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalError
 from .transport import (
@@ -573,6 +572,8 @@ def _loop_flow(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.nd
     for _ in range(200):
         r_lo, r_hi = residual(lo), residual(hi)
         if r_lo <= 0.0 <= r_hi:
+            # on first use, not at import: scipy.optimize would triple the CLI's start-up
+            import scipy.optimize
             G = scipy.optimize.brentq(residual, lo, hi)
             return G, temperature(G)
         lo, hi = (lo / 2.0 if r_lo > 0.0 else lo), (hi * 2.0 if r_hi < 0.0 else hi)

@@ -50,8 +50,6 @@ __all__ = [
     "ConfigError",
 ]
 
-FIELDS = ("p", "u", "T")
-
 
 class ConfigError(ValueError):
     """A configuration violates a documented invariant."""

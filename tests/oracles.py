@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 
 from flowpsm.control import ConstraintSet, LinearSSM, OInfApprox
-from flowpsm.network import FIELD_ORDER, ParamStore
+from flowpsm.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIELD_ORDER, ParamStore
 
 
 def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray) -> float:
@@ -106,3 +106,17 @@ def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, co
         g = layer_vjp(name, g)
     layer_vjp("head0", g)
     return outputs, grad.flat
+
+
+def adam_out_of_place(flat: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, grad: np.ndarray,
+                      lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Adam step written as fresh-array expressions; returns the new (flat, m, v).
+
+    ``step`` is the 1-based count after this update. ``optimizer_step`` runs
+    the same ufuncs in place, so it must match this bit for bit.
+    """
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    return flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v

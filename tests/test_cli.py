@@ -595,6 +595,53 @@ def test_console_script_version():
     assert out.stdout.strip() == f"flowpsm {project['version']}"
 
 
+def _scipy_modules_after(code: str, *args) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code`` (this process has scipy loaded)."""
+    report = "\nprint('scipy:', *sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code + report, *map(str, args)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1].split()[1:]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_modules_after("import flowpsm.cli") == []
+
+
+def test_heated_channel_chain_loads_no_scipy(tmp_path):
+    # preset, gen-data, train and eval need no root finder and no QP
+    chain = """
+import json
+from pathlib import Path
+from flowpsm.cli import main
+root = Path(sys.argv[1])
+assert main(["preset", "--name", "heated_channel", "--out", str(root / "preset")]) == 0
+scenario = json.loads((root / "preset" / "scenario.json").read_text())
+scenario["episode_duration"] = 20.0
+(root / "gen.json").write_text(json.dumps({"scenario": scenario, "n_train": 1, "n_test": 1}))
+(root / "train.json").write_text(json.dumps(
+    {"widths": [8, 6, 4], "epochs": 2, "batch_size": 64, "collocation_size": 16, "log_every": 0}))
+assert main(["gen-data", "--config", str(root / "gen.json"), "--out", str(root / "data")]) == 0
+assert main(["train", "--config", str(root / "train.json"), "--data", str(root / "data"),
+             "--out", str(root / "psm")]) == 0
+assert main(["eval", "--model", str(root / "psm"), "--data", str(root / "data"),
+             "--out", str(root / "eval")]) == 0
+"""
+    assert _scipy_modules_after(chain, tmp_path) == []
+    assert (tmp_path / "eval" / "rmse_table.csv").is_file()
+
+
+def test_loop_steady_state_loads_scipy_optimize_on_demand():
+    code = """
+from flowpsm.solver import steady_state
+from flowpsm.transport import loop_preset
+scenario = loop_preset()
+assert "scipy.optimize" not in sys.modules
+steady_state(scenario, [sum(r) / 2.0 for r in scenario.input_ranges])
+"""
+    assert "scipy.optimize" in _scipy_modules_after(code)
+
+
 def test_every_exported_name_resolves():
     for info in pkgutil.iter_modules(flowpsm.__path__):
         module = importlib.import_module(f"flowpsm.{info.name}")

@@ -16,7 +16,8 @@ from flowpsm.diagnostics import (
     transfer_learn_twin,
     twin_config,
 )
-from flowpsm.network import FIELD_ORDER, forward, stacked_forward
+from flowpsm.formats import load_checkpoint, save_checkpoint
+from flowpsm.network import FIELD_ORDER, forward, optimizer_step, stacked_forward
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
 from flowpsm.training import (
     TrainConfig,
@@ -24,6 +25,7 @@ from flowpsm.training import (
     mlp_for_scenario,
     physics_residuals,
     pointwise_closures,
+    query_rows,
     train,
 )
 from flowpsm.transport import ConfigError, build_grid, scenario_fingerprint
@@ -166,6 +168,26 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
         assert np.allclose(part, np.mean([e[i] for e in expected], axis=0), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_conditions", [1, 100])
+def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenario, tiny_dataset,
+                                                            n_conditions):
+    # 100 conditions on the 9-cell channel are 900 rows: a full chunk of the pass and a partial one
+    spec, params = trained
+    dataset, scaling = tiny_dataset
+    lay = input_layout(tiny_scenario)
+    picked = dataset.inputs[np.random.default_rng(5).integers(dataset.n_samples, size=n_conditions)]
+    v, x0 = picked[:, lay.v_cols], picked[:, lay.x0_cols]
+    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0)
+    rows = query_rows(lay, scaling.scale_z(z), 0.5, v, x0)
+    axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
+    outs, tan_z, tan_t = (y.T for y in stacked_forward(spec, params, rows, axes).outputs)
+    closures = pointwise_closures(tiny_scenario, np.tile(z, n_conditions),
+                                  scaling.unscale_v(rows[:, lay.v_cols]))
+    expected = physics_residuals(outs, tan_z, tan_t, closures, tiny_scenario, scaling)
+    for part, full in zip((res.mass, res.momentum, res.energy), expected):
+        assert np.array_equal(part, full.reshape(n_conditions, z.size).mean(axis=0))
+
+
 def test_signature_of_identical_models_is_null(trained, tiny_scenario, tiny_dataset):
     spec, params = trained
     dataset, scaling = tiny_dataset
@@ -206,6 +228,26 @@ def test_transfer_learn_twin_leaves_nominal_untouched(trained, tiny_scenario, ti
     # measurement-only objective
     assert all(row["loss_physics"] == 0.0 for row in history)
     assert history[0]["learning_rate"] == pytest.approx(1e-4)
+
+
+def test_twin_and_loaded_stores_share_no_arrays_with_their_source(trained, tiny_scenario, tiny_dataset,
+                                                                   tmp_path):
+    # optimizer_step updates the moments in place, so a shared array would train two stores at once
+    spec, params = trained
+    dataset, scaling = tiny_dataset
+    assert params.m is not None
+    before = [a.copy() for a in (params.flat, params.m, params.v)]
+    twin, _ = transfer_learn_twin(
+        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
+    )
+    save_checkpoint(tmp_path / "w.psmw", params)
+    loaded = load_checkpoint(tmp_path / "w.psmw", spec)
+    for store in (twin, loaded):
+        for mine in (store.flat, store.m, store.v):
+            assert not any(np.shares_memory(mine, theirs) for theirs in (params.flat, params.m, params.v))
+    optimizer_step(loaded, np.ones(loaded.n_params), 1e-3)
+    for now, then in zip((params.flat, params.m, params.v), before):
+        assert np.array_equal(now, then)
 
 
 def _hand_signature():

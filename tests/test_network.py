@@ -19,7 +19,7 @@ from flowpsm.network import (
 )
 from flowpsm.errors import NumericalError
 from flowpsm.transport import ConfigError
-from oracles import per_field_pass
+from oracles import adam_out_of_place, per_field_pass
 
 SPEC = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
 
@@ -172,6 +172,22 @@ def test_optimizer_step_matches_adam_reference(params, rng):
     expected = before - 1e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     assert np.allclose(params.flat, expected, atol=1e-15)
     assert params.step == 1
+
+
+def test_optimizer_step_matches_the_out_of_place_update_bit_for_bit(params, rng):
+    flat, m, v = params.flat.copy(), np.zeros(params.n_params), np.zeros(params.n_params)
+    for step in range(1, 51):
+        grad = rng.standard_normal(params.n_params) * 10.0 ** rng.uniform(-6, 2)
+        lr = learning_rate(1e-3, step)
+        optimizer_step(params, grad, lr)
+        flat, m, v = adam_out_of_place(flat, m, v, step, grad, lr)
+        assert np.array_equal(params.flat, flat)
+        assert np.array_equal(params.m, m) and np.array_equal(params.v, v)
+        if step == 1:
+            moments = (params.m, params.v)
+        # updated in place: the store keeps the moment arrays its first step made
+        assert params.m is moments[0] and params.v is moments[1]
+    assert params.step == 50
 
 
 def test_optimizer_rejects_non_finite_gradient(params):

@@ -266,6 +266,7 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
 
 
 def _read_dataset(data_dir) -> dict:
+    """The data directory's scenario and scaling, checked; ``_load_split`` reads its records."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
     doc = _load_document(path, {"scenario": "an object",
@@ -284,9 +285,13 @@ def _read_dataset(data_dir) -> dict:
         "inputs": {name: data_dir / name for name in ("dataset.json", "scaling.json")},
         "scenario": scenario,
         "scaling": scaling,
-        "train_records": [load_record(data_dir / p) for p in doc["train_records"]],
-        "test_records": [load_record(data_dir / p) for p in doc["test_records"]],
+        "splits": {"train": doc["train_records"], "test": doc["test_records"]},
     }
+
+
+def _load_split(data: dict, split: str) -> list:
+    """The records of the dataset's "train" or "test" split, loaded where a command uses them."""
+    return [load_record(data["dir"] / p) for p in data["splits"][split]]
 
 
 def _read_model(model_dir) -> dict:
@@ -390,7 +395,7 @@ def cmd_train(args) -> None:
     scenario, scaling = data["scenario"], data["scaling"]
 
     spec = mlp_for_scenario(scenario, widths)
-    dataset = assemble_dataset(data["train_records"], scenario, scaling)
+    dataset = assemble_dataset(_load_split(data, "train"), scenario, scaling)
     params, history = train(spec, dataset, scenario, scaling, config, noise, log_every=log_every)
 
     save_checkpoint(outdir / "checkpoint.psmw", params)
@@ -427,9 +432,9 @@ def cmd_eval(args) -> None:
     if not 1 <= len(args.model) <= 2:
         raise ConfigError("eval takes one or two --model directories")
     data = _read_dataset(args.data)
-    records = data["test_records"] if args.split == "test" else data["train_records"]
-    if not records:
+    if not data["splits"][args.split]:
         raise ConfigError(f"dataset has no {args.split} records")
+    records = _load_split(data, args.split)
 
     names, tables = [], []
     for model_dir in args.model:
@@ -628,11 +633,10 @@ def cmd_diagnose(args) -> None:
             raise ConfigError(f"'fault_span': {exc}") from exc
 
     if zeta is None:
-        cal_records = data["test_records"] if split == "test" else data["train_records"]
-        if not cal_records:
+        if not data["splits"][split]:
             raise ConfigError(f"no {split} records available to calibrate zeta")
         # a generator, so calibrate_zeta checks its settings before the errors are computed
-        cal_errors = (prediction_errors(spec, params, scenario, scaling, r) for r in cal_records)
+        cal_errors = (prediction_errors(spec, params, scenario, scaling, r) for r in _load_split(data, split))
         zeta = calibrate_zeta(cal_errors, window, **calibration)
     detector = DetectorConfig(zeta=zeta, window=window)
     errors = np.concatenate([prediction_errors(spec, params, scenario, scaling, rec) for rec in streams])
@@ -651,7 +655,7 @@ def cmd_diagnose(args) -> None:
         twin, hist = transfer_learn_twin(spec, params, stream_ds, scenario, scaling, twin_train)
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
-        v_star, x0_star = sample_conditions(assemble_dataset(data["train_records"], scenario, scaling),
+        v_star, x0_star = sample_conditions(assemble_dataset(_load_split(data, "train"), scenario, scaling),
                                             scenario, n_conditions, **conditions_seed)
         sig = signature(spec, params, twin, scenario, scaling, v_star, x0_star)
         write_signature_csv(outdir / "signature.csv", sig)

@@ -53,6 +53,7 @@ constant control vector and advances the full interval in substeps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,168 +287,110 @@ def _first(bad: np.ndarray) -> int:
 # ===================== loop mass flux =====================
 
 
-def _rising_root(a: np.ndarray, w: np.ndarray, c: np.ndarray, rhs: np.ndarray, sigma) -> np.ndarray:
-    """Per row, the G at which sum_j [a_j (G + c_j) + sigma_j w_j (G + c_j)^2] = rhs while rising.
+def _rising_root(a: np.ndarray, a_sum: float, d: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per row, the G at which sum_j [a_j (G + c_j) + d_j (G + c_j)^2] = rhs while rising.
 
-    a is (k,), w and c are (E, k), rhs is (E,), and sigma is +-1 per face
-    (or a scalar). The quadratic A2 G^2 + A1 G + A0 rises (2 A2 G + A1 =
-    sqrt(disc)) at this root, taken in the form without cancellation.
+    a is (k,) with sum a_sum, and d, c are (E, k) and rhs is (E,); d_j is
+    face j's friction weight, negated where the face runs backward. The
+    quadratic A2 G^2 + A1 G + A0 rises (2 A2 G + A1 = sqrt(disc)) at this
+    root, taken in the form without cancellation.
     """
-    d = sigma * w
+    dc = d * c
     A2 = d.sum(axis=1)
-    A1 = a.sum() + 2.0 * (d * c).sum(axis=1)
-    A0 = (a * c).sum(axis=1) + (d * c * c).sum(axis=1) - rhs
+    A1 = a_sum + 2.0 * dc.sum(axis=1)
+    A0 = (a * c).sum(axis=1) + (dc * c).sum(axis=1) - rhs
+    disc = A1 * A1 - 4.0 * A2 * A0
+    if disc.min() >= 0.0 and A1.min() > 0.0:  # every row takes the first form, with no 0/0
+        return 2.0 * A0 / (-A1 - np.sqrt(disc))
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught as non-finite
-        s = np.sqrt(A1 * A1 - 4.0 * A2 * A0)
+        s = np.sqrt(disc)
         return np.where(A1 > 0.0, 2.0 * A0 / (-A1 - s), (s - A1) / (2.0 * A2))
 
 
-def _loop_mass_flux(plan: _Plan, rho_f: np.ndarray, num: np.ndarray, c: np.ndarray, dt: float) -> np.ndarray:
+def _loop_mass_flux(dzf: np.ndarray, a: np.ndarray, a_sum: float, wf: np.ndarray, rho_f: np.ndarray,
+                    num: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The mass flux G (E,) leaving the pinned cell, face j carrying G + c_j.
 
-    rho_f, num and c are (E, n), one column per loop face. G is the root of
-    the loop momentum integral r(G) = sum_j dzf_j [(G + c_j)/dt +
-    f_j |G + c_j| (G + c_j) / (2 rho_j)] - sum_j dzf_j num_j, where the face
-    pressure drops sum to zero. r rises strictly and is quadratic between
-    the breakpoints G = -c_j. With every face forward at the all-forward
-    quadratic's root, that root is G. Otherwise the sign of r at each
-    breakpoint tells which faces run forward at the root, and the quadratic
-    of that piece gives G.
+    rho_f, num and c are (E, n), one column per loop face; dzf, a = dzf / dt
+    (with sum a_sum) and wf = dzf f / 2 are the faces' fixed weights. G is
+    the root of the loop momentum integral r(G) = sum_j dzf_j [(G + c_j)/dt
+    + f_j |G + c_j| (G + c_j) / (2 rho_j)] - sum_j dzf_j num_j, where the
+    face pressure drops sum to zero. r rises strictly and is quadratic
+    between the breakpoints G = -c_j. With every face forward at the
+    all-forward quadratic's root, that root is G. Otherwise the sign of r at
+    each breakpoint tells which faces run forward at the root, and the
+    quadratic of that piece gives G.
     """
-    n = plan.grid.n_cells
-    a = plan.dzf[:n] / dt
-    w = plan.dzf[:n] * plan.half_fric[:n] / rho_f
-    rhs = (plan.dzf[:n] * num).sum(axis=1)
-    G = _rising_root(a, w, c, rhs, 1.0)
-    back = (G[:, None] + c < 0.0).any(axis=1)
-    if back.any():
-        wb, cb = w[back], c[back]
-        x = cb[:, None, :] - cb[:, :, None]  # x[e, k, j] = G + c_j at G = -c_k
-        r = (a * x + wb[:, None, :] * np.abs(x) * x).sum(axis=2) - rhs[back, None]
-        G[back] = _rising_root(a, wb, cb, rhs[back], np.where(r <= 0.0, 1.0, -1.0))
+    w = wf / rho_f
+    rhs = (dzf * num).sum(axis=1)
+    G = _rising_root(a, a_sum, w, c, rhs)
+    x = G[:, None] + c
+    if not x.min() >= 0.0:  # a face runs backward (or G is NaN, which no row flags)
+        back = (x < 0.0).any(axis=1)
+        if back.any():
+            wb, cb = w[back], c[back]
+            x = cb[:, None, :] - cb[:, :, None]  # x[e, k, j] = G + c_j at G = -c_k
+            r = (a * x + wb[:, None, :] * np.abs(x) * x).sum(axis=2) - rhs[back, None]
+            G[back] = _rising_root(a, a_sum, np.where(r <= 0.0, 1.0, -1.0) * wb, cb, rhs[back])
     return G
 
 
-# ===================== single substep =====================
+# ===================== substeps =====================
 
 
-def _upwind(x: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Per face j, column j of the padded x where the flow runs forward, else column j + 1."""
-    return np.where(forward, x[:, :-1], x[:, 1:])
+def _upwind(x: np.ndarray, forward: np.ndarray | None) -> np.ndarray:
+    """Per face j, column j of the padded x where the flow runs forward, else column j + 1.
+
+    ``forward`` is None when every face runs forward.
+    """
+    return x[:, :-1] if forward is None else np.where(forward, x[:, :-1], x[:, 1:])
 
 
-def _running(x: np.ndarray, path: tuple) -> np.ndarray:
-    """Running sums of x's columns in the path's order, read at its positions (0: the empty sum)."""
+def _running(x: np.ndarray, path: tuple, acc: np.ndarray) -> np.ndarray:
+    """Running sums of x's columns in the path's order, read at its positions (0: the empty sum).
+
+    acc is (E, len(order) + 1) scratch whose column 0 is zero and stays so.
+    """
     order, pos = path
-    acc = np.zeros((x.shape[0], order.size + 1))
-    np.cumsum(x.take(order, axis=1), axis=1, out=acc[:, 1:])
+    x.take(order, axis=1).cumsum(axis=1, out=acc[:, 1:])
     return acc.take(pos, axis=1)
 
 
-def _substep(plan: _Plan, scenario: ScenarioConfig, p_c: np.ndarray, T_c: np.ndarray, u_f: np.ndarray,
-             v: np.ndarray, dt: float, audit: dict | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One substep of E episodes: p_c, T_c (E, n), u_f (E, n + 1), v (E, m)."""
-    fluid = scenario.fluid
-    a, b, cp = fluid.rho_a, fluid.rho_b, fluid.cp
-    n = plan.grid.n_cells
-    dz = plan.grid.dz
+def _audit_substep(audit: dict, plan: _Plan, scenario: ScenarioConfig, dt: float, courant: float,
+                   rho_c, rho_new, h, h_new, rho_f, u1, phi, q_cell) -> None:
+    """Accumulate one substep of a single episode (1D arrays) into the audit.
 
-    courant = np.abs(u_f).max(axis=1) * dt / plan.min_dz
-    if (courant > 1.0).any():
-        ep = _first(courant > 1.0)
-        raise NumericalError(
-            f"advective Courant number {courant[ep]:.3f} > 1 at substep {dt} s in episode {ep}; "
-            "reduce the substep or the velocity range"
-        )
-
-    def padded(T: np.ndarray) -> np.ndarray:
-        """T on the ghost-padded cells, the channel's inlet ghost taking T_in."""
-        return np.concatenate((T, v), axis=1).take(plan.cells, axis=1)
-
-    # upwind directions and face values are frozen at the old velocity signs
-    forward = u_f >= 0.0
-
-    # --- energy: conservative upwind fluxes of h = rho*T with old velocities ---
-    T_pad = padded(T_c)
-    rho_pad = density(fluid, T_pad)
-    h_pad = rho_pad * T_pad
-    rho_c, h = rho_pad[:, 1:-1], h_pad[:, 1:-1]
-    phi = u_f * _upwind(h_pad, forward)
-    q_cell = plan.q_fixed + v @ plan.q_ctrl.T
-    h_new = h - (dt / dz) * (phi[:, 1:] - phi[:, :-1]) + dt * q_cell / cp
-    if b > 0.0:
-        disc = a * a - 4.0 * b * h_new
-        if (disc <= 0.0).any():
-            ep = _first((disc <= 0.0).any(axis=1))
-            raise NumericalError(f"energy update left the closure's invertible range in episode {ep}")
-        T_new = (a - np.sqrt(disc)) / (2.0 * b)
-    else:
-        T_new = h_new / a
-    rho_new_pad = a - b * padded(T_new)
-    rho_new = rho_new_pad[:, 1:-1]
-
-    # --- momentum + continuity ---
-    rho_f = _upwind(rho_new_pad, forward)
-    u_pad = u_f.take(plan.faces, axis=1)
-    adv = u_f * _upwind((u_pad[:, 1:] - u_pad[:, :-1]) / plan.dz_pad, forward)  # explicit upwind u du/dz
-    num = rho_f * (u_f / dt - adv + plan.grav)
-    m_i = -dz * (rho_new - rho_c) / dt  # continuity source per cell
-
-    # continuity fixes every face's mass flux from the start face's; each
-    # face's momentum balance then gives its pressure drop
-    c = _running(m_i, plan.flux_path)
+    mass_change = mass_boundary + pinned_mass_change on both rigs: every
+    cell but the loop's pinned one satisfies continuity exactly, so the
+    boundary term is the net inflow into those cells (on the loop, what the
+    pinned cell passes to its neighbours), and the pinned cell's own change
+    is reported apart.
+    """
+    n, dz, cp = plan.grid.n_cells, plan.grid.dz, scenario.fluid.cp
+    area = scenario.segments[0].flow_area
+    mass_old = float(np.sum(rho_c * dz)) * area
+    mass_new = float(np.sum(rho_new * dz)) * area
     if plan.is_loop:
-        # the pump head acts on the wrap face; G is the flux leaving the pinned cell
-        num[:, 0] += v[:, plan.bc[0]] / plan.dzf[0]
-        start = _loop_mass_flux(plan, rho_f[:, :n], num[:, :n], c[:, :n], dt)
+        re = plan.ref_cell
+        jl, jr = re, (re + 1) % n
+        bnd = (rho_f[jr] * u1[jr] - rho_f[jl] * u1[jl]) * area * dt
+        pinned = dz[re] * (rho_new[re] - rho_c[re]) * area
+        enth_bnd = 0.0  # cyclic fluxes telescope away
     else:
-        start = rho_f[:, 0] * u_f[:, 0]  # the inflow
-    flux = start[:, None] + c
-    u_new = flux / rho_f
-    dpf = plan.dzf * (num - (1.0 / dt + plan.half_fric * np.abs(u_new)) * flux)
-    if not plan.is_loop:
-        u_new[:, 0] = u_f[:, 0]  # Dirichlet inlet
-    p_new = plan.p_datum + plan.p_sign * _running(dpf, plan.p_path)
-
-    if not (np.isfinite(p_new).all() and np.isfinite(u_new).all() and np.isfinite(T_new).all()):
-        bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_new).all(axis=1)
-                & np.isfinite(T_new).all(axis=1))
-        raise NumericalError(f"non-finite fields after substep in episode {_first(bad)}")
-
-    if audit is not None:
-        # a single episode; mass_change = mass_boundary + pinned_mass_change
-        # on both rigs: every cell but the loop's pinned one satisfies
-        # continuity exactly, so the boundary term is the net inflow into
-        # those cells (on the loop, what the pinned cell passes to its
-        # neighbours), and the pinned cell's own change is reported apart
-        rho_c, rho_new, h, h_new, rho_f, u1, phi, q_cell = (
-            x[0] for x in (rho_c, rho_new, h, h_new, rho_f, u_new, phi, q_cell))
-        area = scenario.segments[0].flow_area
-        mass_old = float(np.sum(rho_c * dz)) * area
-        mass_new = float(np.sum(rho_new * dz)) * area
-        if plan.is_loop:
-            re = plan.ref_cell
-            jl, jr = re, (re + 1) % n
-            bnd = (rho_f[jr] * u1[jr] - rho_f[jl] * u1[jl]) * area * dt
-            pinned = dz[re] * (rho_new[re] - rho_c[re]) * area
-            enth_bnd = 0.0  # cyclic fluxes telescope away
-        else:
-            bnd = (rho_f[0] * u1[0] - rho_f[n] * u1[n]) * area * dt
-            pinned = 0.0
-            enth_bnd = (phi[0] - phi[n]) * area * cp * dt
-        enth_old = float(np.sum(h * dz)) * area * cp
-        enth_new = float(np.sum(h_new * dz)) * area * cp
-        src = float(np.sum(q_cell * dz)) * area * dt
-        audit["mass_change"] = audit.get("mass_change", 0.0) + (mass_new - mass_old)
-        audit["mass_boundary"] = audit.get("mass_boundary", 0.0) + bnd
-        audit["pinned_mass_change"] = audit.get("pinned_mass_change", 0.0) + pinned
-        audit["mass_total"] = mass_new
-        audit["enthalpy_change"] = audit.get("enthalpy_change", 0.0) + (enth_new - enth_old)
-        audit["enthalpy_boundary"] = audit.get("enthalpy_boundary", 0.0) + enth_bnd
-        audit["enthalpy_source"] = audit.get("enthalpy_source", 0.0) + src
-        audit["max_courant"] = max(audit.get("max_courant", 0.0), float(courant[0]))
-
-    return p_new, T_new, u_new
+        bnd = (rho_f[0] * u1[0] - rho_f[n] * u1[n]) * area * dt
+        pinned = 0.0
+        enth_bnd = (phi[0] - phi[n]) * area * cp * dt
+    enth_old = float(np.sum(h * dz)) * area * cp
+    enth_new = float(np.sum(h_new * dz)) * area * cp
+    src = float(np.sum(q_cell * dz)) * area * dt
+    audit["mass_change"] = audit.get("mass_change", 0.0) + (mass_new - mass_old)
+    audit["mass_boundary"] = audit.get("mass_boundary", 0.0) + bnd
+    audit["pinned_mass_change"] = audit.get("pinned_mass_change", 0.0) + pinned
+    audit["mass_total"] = mass_new
+    audit["enthalpy_change"] = audit.get("enthalpy_change", 0.0) + (enth_new - enth_old)
+    audit["enthalpy_boundary"] = audit.get("enthalpy_boundary", 0.0) + enth_bnd
+    audit["enthalpy_source"] = audit.get("enthalpy_source", 0.0) + src
+    audit["max_courant"] = max(audit.get("max_courant", 0.0), courant)
 
 
 # ===================== public stepping API =====================
@@ -456,10 +399,18 @@ def _substep(plan: _Plan, scenario: ScenarioConfig, p_c: np.ndarray, T_c: np.nda
 def _advance(plan: _Plan, scenario: ScenarioConfig, p: np.ndarray, T: np.ndarray, u_f: np.ndarray,
              v: np.ndarray, solver_config: SolverConfig, audit: dict | None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance E episodes one delta_t under constant controls v (E, m).
+    """Advance E episodes one delta_t under constant controls v (E, m), substep by substep.
 
     p and T are (E, n) and u_f is (E, n + 1); the channel's inlet face takes
-    each episode's u_in. Non-finite start fields raise NumericalError.
+    each episode's u_in. Non-finite start fields raise NumericalError, and so
+    does a substep whose Courant number exceeds 1, whose energy update leaves
+    the closure's invertible range, or whose fields are not finite, naming
+    the episode.
+
+    What the controls and the substep fix is formed once, before the first
+    substep: the source and pump terms, dt/dz and the loop's face weights.
+    Each substep starts from the padded T and rho the last one left, and
+    writes into scratch arrays that live only for this call.
     """
     n_sub = solver_config.n_substeps(scenario.delta_t)
     if not plan.is_loop:
@@ -469,10 +420,93 @@ def _advance(plan: _Plan, scenario: ScenarioConfig, p: np.ndarray, T: np.ndarray
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             raise NumericalError(f"non-finite {name} in the start state of episode {_first(bad)}")
+
+    fluid = scenario.fluid
+    a, b, cp = fluid.rho_a, fluid.rho_b, fluid.cp
     dt = solver_config.substep
+    n, E = plan.grid.n_cells, T.shape[0]
+    dt_dz, neg_dz = dt / plan.grid.dz, -plan.grid.dz
+    q_cell = plan.q_fixed + v @ plan.q_ctrl.T
+    source = dt * q_cell / cp
+    if plan.is_loop:
+        pump = v[:, plan.bc[0]] / plan.dzf[0]  # the pump head acts on the wrap face
+        dzf = plan.dzf[:n]
+        a_loop = dzf / dt
+        loop_weights = (dzf, a_loop, a_loop.sum(), dzf * plan.half_fric[:n])
+    # T on the ghost-padded cells, as columns of [T | v]: the channel's inlet ghost takes T_in
+    T_v = np.empty((E, n + v.shape[1]))
+    T_v[:, n:] = v
+    T_v[:, :n] = T
+    T_pad = T_v.take(plan.cells, axis=1)
+    rho_pad = density(fluid, T_pad)
+    u_pad = np.empty((E, plan.faces.size))
+    flux_acc = np.zeros((E, plan.flux_path[0].size + 1))
+    p_acc = np.zeros((E, plan.p_path[0].size + 1))
+
     for _ in range(n_sub):
-        p, T, u_f = _substep(plan, scenario, p, T, u_f, v, dt, audit)
-    return p, T, u_f
+        lo, hi = u_f.min(), u_f.max()
+        if max(hi, -lo) * dt / plan.min_dz > 1.0:
+            courant = np.abs(u_f).max(axis=1) * dt / plan.min_dz
+            ep = _first(courant > 1.0)
+            raise NumericalError(
+                f"advective Courant number {courant[ep]:.3f} > 1 at substep {dt} s in episode {ep}; "
+                "reduce the substep or the velocity range"
+            )
+        # upwind directions and face values are frozen at the old velocity signs
+        forward = None if lo >= 0.0 else u_f >= 0.0
+
+        # --- energy: conservative upwind fluxes of h = rho*T with old velocities ---
+        h_pad = rho_pad * T_pad
+        phi = u_f * _upwind(h_pad, forward)
+        h_new = h_pad[:, 1:-1] - dt_dz * (phi[:, 1:] - phi[:, :-1]) + source
+        if b > 0.0:
+            disc = a * a - 4.0 * b * h_new
+            if not disc.min() > 0.0:  # a NaN is left to the finite check
+                bad = (disc <= 0.0).any(axis=1)
+                if bad.any():
+                    raise NumericalError(
+                        f"energy update left the closure's invertible range in episode {_first(bad)}")
+            T_new = (a - np.sqrt(disc)) / (2.0 * b)
+        else:
+            T_new = h_new / a
+        rho_c = rho_pad[:, 1:-1]
+        T_v[:, :n] = T_new
+        T_v.take(plan.cells, axis=1, out=T_pad, mode="clip")  # indices in range: "clip" skips a buffered copy
+        rho_pad = a - b * T_pad
+        rho_new = rho_pad[:, 1:-1]
+
+        # --- momentum + continuity ---
+        rho_f = _upwind(rho_pad, forward)
+        u_f.take(plan.faces, axis=1, out=u_pad, mode="clip")
+        adv = u_f * _upwind((u_pad[:, 1:] - u_pad[:, :-1]) / plan.dz_pad, forward)  # explicit upwind u du/dz
+        num = rho_f * (u_f / dt - adv + plan.grav)
+        m_i = neg_dz * (rho_new - rho_c) / dt  # continuity source per cell
+
+        # continuity fixes every face's mass flux from the start face's; each
+        # face's momentum balance then gives its pressure drop
+        c = _running(m_i, plan.flux_path, flux_acc)
+        if plan.is_loop:  # G is the flux leaving the pinned cell
+            num[:, 0] += pump
+            start = _loop_mass_flux(*loop_weights, rho_f[:, :n], num[:, :n], c[:, :n])
+        else:
+            start = rho_f[:, 0] * u_f[:, 0]  # the inflow
+        flux = start[:, None] + c
+        u_new = flux / rho_f
+        dpf = plan.dzf * (num - (1.0 / dt + plan.half_fric * np.abs(u_new)) * flux)
+        if not plan.is_loop:
+            u_new[:, 0] = u_f[:, 0]  # Dirichlet inlet
+        p_new = plan.p_datum + plan.p_sign * _running(dpf, plan.p_path, p_acc)
+
+        if not math.isfinite(p_new.sum() + u_new.sum() + T_new.sum()):  # a NaN or infinity (or a sum's overflow)
+            bad = ~(np.isfinite(p_new).all(axis=1) & np.isfinite(u_new).all(axis=1)
+                    & np.isfinite(T_new).all(axis=1))
+            if bad.any():
+                raise NumericalError(f"non-finite fields after substep in episode {_first(bad)}")
+        if audit is not None:
+            _audit_substep(audit, plan, scenario, dt, float(max(hi, -lo) * dt / plan.min_dz),
+                           *(x[0] for x in (rho_c, rho_new, h_pad[:, 1:-1], h_new, rho_f, u_new, phi, q_cell)))
+        u_f = u_new
+    return p_new, T_new, u_f
 
 
 def _step_one(state: FieldState, inputs, scenario: ScenarioConfig, solver_config: SolverConfig,
@@ -612,7 +646,8 @@ def steady_state(scenario: ScenarioConfig, inputs) -> FieldState:
         T = _closure_checked(fluid, T_in + np.cumsum(heat) / (G * fluid.cp), "heated channel")
         u_f, dpf = _steady_faces(plan, fluid, T, v, G)
         u_f[0] = u_in
-    p = plan.p_datum + plan.p_sign * _running(dpf[None], plan.p_path)[0]
+    acc = np.zeros((1, plan.p_path[0].size + 1))
+    p = plan.p_datum + plan.p_sign * _running(dpf[None], plan.p_path, acc)[0]
     if not all(np.all(np.isfinite(x)) for x in (p, u_f, T)):
         raise NumericalError(f"non-finite steady fields at inputs {v}")
     return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)

@@ -529,6 +529,40 @@ def test_record_lists_that_are_not_strings_exit_4(pipeline, tmp_path, capsys, ke
     _assert_io_error(rc, capsys.readouterr().err, data / "dataset.json", repr(key), "a list of strings")
 
 
+def test_commands_load_only_the_record_files_they_read(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    stream = str(pipeline["data"] / "records/exp_002.psmd")
+    (data / "records/exp_002.psmd").unlink()  # the test split
+    rc = main(["train", "--config", str(pipeline["train_cfg"]), "--data", str(data), "--seed", "2",
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    assert file_digest(tmp_path / "m/checkpoint.psmw") == file_digest(pipeline["psm"] / "checkpoint.psmw")
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--split", "train",
+               "--out", str(tmp_path / "e1")])
+    assert rc == 0
+    rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e2")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "records/exp_002.psmd")
+
+    # with no record file left, control reads none, and nor does diagnose given zeta on a quiet stream
+    for rel in ("records/exp_000.psmd", "records/exp_001.psmd"):
+        (data / rel).unlink()
+    cfg = tmp_path / "control.json"
+    cfg.write_text(json.dumps(_HOLD))
+    rc = main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]), "--data", str(data),
+               "--out", str(tmp_path / "roll")])
+    assert rc == 0
+    cfg = tmp_path / "diag.json"
+    cfg.write_text(json.dumps({"zeta": 1e6, "window": 2}))
+    rc = main(["diagnose", "--config", str(cfg), "--model", str(pipeline["psm"]), "--data", str(data),
+               "--stream", stream, "--out", str(tmp_path / "quiet")])
+    assert rc == 0
+    cfg.write_text(json.dumps({"window": 2}))  # zeta calibrated on the missing test split
+    rc = main(["diagnose", "--config", str(cfg), "--model", str(pipeline["psm"]), "--data", str(data),
+               "--stream", stream, "--out", str(tmp_path / "calibrated")])
+    _assert_io_error(rc, capsys.readouterr().err, data / "records/exp_002.psmd")
+
+
 @pytest.mark.parametrize("value", ["x", 8.5, True], ids=["string", "fraction", "boolean"])
 def test_arch_width_that_is_not_an_integer_exits_4(pipeline, tmp_path, capsys, value):
     model = _edited_copy(pipeline["psm"], tmp_path / "model", "arch.json", lambda d: {**d, "head_width": value})

@@ -375,9 +375,10 @@ def test_pinned_loop_substep_matches_dense_oracle():
 
 
 def _solver_substep(sc, p, T, u_f, v, dt):
-    """The solver's substep of one episode."""
+    """The solver's substep of one episode: an advance over a delta_t of one substep."""
     fields = (p, T, u_f, v)
-    return tuple(x[0] for x in solver._substep(solver._plan(sc), sc, *(x[None] for x in fields), dt, None))
+    return tuple(x[0] for x in solver._advance(solver._plan(sc), replace(sc, delta_t=dt),
+                                               *(x[None] for x in fields), SolverConfig(dt), None))
 
 
 def _assert_matches_oracle(got, ref):
@@ -385,15 +386,23 @@ def _assert_matches_oracle(got, ref):
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * STEADY_SCALES[name], name
 
 
+def _reversed_loop_start(sc, start: str) -> FieldState:
+    """The steady state at the mid inputs with some or all of its faces run backward.
+
+    The negated steady state runs backward against the pump, slows, and
+    turns forward; the straddling start has faces of both signs.
+    """
+    steady = steady_state(sc, _mid(sc))
+    u_f = {"negated_steady": -steady.u_face, "straddling": steady.u_face - np.mean(steady.u_face)}[start]
+    return replace(steady, u_face=u_f)
+
+
 @pytest.mark.parametrize("start", ["negated_steady", "straddling"])
 def test_reversed_loop_faces_match_dense_oracle(start):
-    # the negated steady state runs backward against the pump, slows, and
-    # turns forward; the straddling start has faces of both signs
     sc = _loop_pinned_mid_heater_leg()
     v = _mid(sc)
-    steady = steady_state(sc, v)
-    u_f = {"negated_steady": -steady.u_face, "straddling": steady.u_face - np.mean(steady.u_face)}[start]
-    p, T = steady.p, steady.T
+    state = _reversed_loop_start(sc, start)
+    p, T, u_f = state.p, state.T, state.u_face
     dt = SolverConfig().substep
     n_reversed = [int(np.sum(u_f < 0.0))]
     while n_reversed[-1] > 0 and len(n_reversed) <= 200:  # one substep at a time
@@ -479,21 +488,43 @@ def _short(sc, steps: int = 3):
     return replace(sc, episode_duration=steps * sc.delta_t)
 
 
-@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset, _loop_x10_friction])
-def test_run_experiments_matches_single_episodes(preset):
-    sc = _short(preset())
-    lo = np.array([r[0] for r in sc.input_ranges])
-    hold = InputTrajectory(channels=sc.control_channels,
-                           knot_times=tuple(np.zeros(1) for _ in lo),
-                           knot_values=tuple(np.array([x]) for x in lo))
-    trajs = [hold] + generate_trajectories(3, sc, 2)
-    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+def _hold(sc, values) -> InputTrajectory:
+    """Controls held at ``values`` throughout."""
+    return InputTrajectory(channels=sc.control_channels,
+                           knot_times=tuple(np.zeros(1) for _ in values),
+                           knot_values=tuple(np.array([x]) for x in values))
+
+
+def _assert_batch_matches_single_episodes(sc, trajs, starts):
     alone = [run_experiments(sc, [tj], [st])[0] for tj, st in zip(trajs, starts)]
     together = run_experiments(sc, trajs, starts)
     for a, b in zip(alone, together):
         for f in ("times", "p", "u", "T", "v", "sensors", "station_z", "grid_z"):
             assert np.array_equal(getattr(a, f), getattr(b, f)), f
         assert a.scenario_hash == b.scenario_hash
+
+
+@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset, _loop_x10_friction])
+def test_run_experiments_matches_single_episodes(preset):
+    sc = _short(preset())
+    trajs = [_hold(sc, [r[0] for r in sc.input_ranges])] + generate_trajectories(3, sc, 2)
+    _assert_batch_matches_single_episodes(sc, trajs, [steady_state(sc, tj.value(0.0)) for tj in trajs])
+
+
+@pytest.mark.parametrize("start", ["negated_steady", "straddling"])
+def test_run_experiments_mixes_reversed_and_forward_loop_episodes(start):
+    # episode 1 runs backward while episodes 0 and 2 run forward, so one
+    # substep picks each face's upwind side and, for the loop's mass flux,
+    # searches the breakpoints of episode 1 only; once episode 1 turns
+    # forward the batch takes the all-forward shortcut
+    sc = _short(_loop_pinned_mid_heater_leg())
+    trajs = generate_trajectories(3, sc, 2)
+    trajs.insert(1, _hold(sc, _mid(sc)))
+    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    starts[1] = _reversed_loop_start(sc, start)
+    assert np.any(starts[1].u_face < 0.0) and all(np.all(starts[e].u_face > 0.0) for e in (0, 2))
+    _assert_batch_matches_single_episodes(sc, trajs, starts)
+    assert np.all(run_experiments(sc, trajs[1:2], starts[1:2])[0].u[-1] > 0.0)
 
 
 def test_run_experiments_names_the_failing_episode(scenario):
@@ -505,6 +536,30 @@ def test_run_experiments_names_the_failing_episode(scenario):
         run_experiments(sc, trajs, starts)
     with pytest.raises(ConfigError):
         run_experiments(sc, trajs, starts[:2])
+
+
+def _below_the_vertex(fluid, T):
+    """T just below the closure's vertex rho_a / (2 rho_b), which the heated cells pass in one substep."""
+    return np.full_like(T, fluid.rho_a / (2.0 * fluid.rho_b) - 2.0)
+
+
+def _overflowing_cell(fluid, T):
+    """T with one cell so cold that h = rho T overflows."""
+    return np.where(np.arange(T.size) == 3, -1e200, T)
+
+
+@pytest.mark.parametrize("message, broken_T", [
+    ("energy update left the closure's invertible range", _below_the_vertex),
+    ("non-finite fields after substep", _overflowing_cell),
+], ids=["closure", "non_finite"])
+def test_substep_failures_name_the_episode(scenario, message, broken_T):
+    sc = _short(scenario)
+    trajs = generate_trajectories(9, sc, 3)
+    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    starts[1] = replace(starts[1], T=broken_T(sc.fluid, starts[1].T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=rf"{message} in episode 1$"):
+            run_experiments(sc, trajs, starts)
 
 
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])

@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -52,6 +51,7 @@ from .formats import (
     RunManifest,
     file_digest,
     load_checkpoint,
+    load_json,
     load_record,
     load_scaling,
     mlp_fingerprint,
@@ -63,6 +63,7 @@ from .formats import (
     write_metrics,
     write_rollout_log,
     write_signature_csv,
+    write_text,
 )
 from .network import MlpSpec
 from .solver import (
@@ -99,20 +100,6 @@ _PRESETS = {"heated_channel": heated_channel_preset, "loop": loop_preset}
 # ===================== shared plumbing =====================
 
 
-def _load_json(path, malformed=ConfigError) -> dict:
-    """The JSON object in the file; other text raises ``malformed``."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataIoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not text
-        raise malformed(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise malformed(f"{path}: expected a JSON object")
-    return doc
-
-
 def _mkdir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -136,7 +123,7 @@ _KINDS = {
 
 def _load_document(path, keys: dict) -> dict:
     """A JSON object data file whose every key in ``keys`` holds the named kind, else a DataIoError."""
-    doc = _load_json(path, DataIoError)
+    doc = load_json(path, DataIoError)
     for key, kind in keys.items():
         if key not in doc:
             raise DataIoError(f"{path}: missing key {key!r}")
@@ -258,6 +245,7 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
         config_path=None if config_path is None else str(config_path),
         seed=seed,
         tool_version=__version__,
+        started_unix=t0,
         input_digests={k: file_digest(v) for k, v in inputs.items()},
         output_digests={k: file_digest(v) for k, v in outputs.items()},
         duration_s=round(time.time() - t0, 3),
@@ -297,7 +285,7 @@ def _load_split(data: dict, split: str) -> list:
 def _read_model(model_dir) -> dict:
     model_dir = Path(model_dir)
     path = model_dir / "arch.json"
-    arch = _load_json(path, DataIoError)
+    arch = load_json(path, DataIoError)
     names = {f.name for f in fields(MlpSpec)}  # the rest of arch.json is provenance
     try:
         spec = from_document(MlpSpec, {k: v for k, v in arch.items() if k in names}, "architecture")
@@ -329,7 +317,7 @@ def _noise_from_flag(flag: str) -> NoiseSpec:
 
 def cmd_gen_data(args) -> None:
     t0 = time.time()
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     reject_unknown_keys(cfg, ("preset", "scenario", "degradation", "solver", "n_train", "n_test",
                               "export_csv"), "gen-data config")
     outdir = _out_dir(args)
@@ -383,7 +371,7 @@ def cmd_gen_data(args) -> None:
 
 def cmd_train(args) -> None:
     t0 = time.time()
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     reject_unknown_keys(cfg, ("widths", "log_every", *_TRAIN_KEYS), "train config")
     widths = _numbers(cfg, "widths", (3,), int).tolist() if "widths" in cfg else ()
     weights = {"alpha": 1.0, "beta": 0.0} if args.mode == "ann" else {}
@@ -447,8 +435,7 @@ def cmd_eval(args) -> None:
                                        data["scaling"], records))
 
     stats = ("mean_rmse", "max_rmse", "overall_rmse")
-    header = ["field", "statistic"] + names + (["ratio"] if len(names) == 2 else [])
-    rows = []
+    rows = [["field", "statistic"] + names + (["ratio"] if len(names) == 2 else [])]  # header first
     for fld in ("p", "u", "T"):
         for stat in stats:
             vals = [t[fld][stat] for t in tables]
@@ -456,16 +443,9 @@ def cmd_eval(args) -> None:
             if len(vals) == 2:
                 row.append(f"{vals[0] / vals[1]:.4f}" if vals[1] else "inf")
             rows.append(row)
-    try:
-        with open(outdir / "rmse_table.csv", "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise DataIoError(f"cannot write RMSE table: {exc}") from exc
+    write_text(outdir / "rmse_table.csv", "".join(",".join(row) + "\n" for row in rows))
 
-    widths = [max(len(h), max(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     models = {f"model_{n}": Path(d) / "checkpoint.psmw" for n, d in zip(names, args.model)}
@@ -556,7 +536,7 @@ def _q_weight(cfg: dict, p: int) -> tuple | None:
 
 def cmd_control(args) -> None:
     t0 = time.time()
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     reject_unknown_keys(cfg, ("references", "n_steps", "schedule", "q_weight", "environment", "solver",
                               *_GOVERNOR_KEYS), "control config")
     outdir = _out_dir(args)
@@ -602,7 +582,7 @@ def cmd_control(args) -> None:
 
 def cmd_diagnose(args) -> None:
     t0 = time.time()
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = load_json(args.config) if args.config else {}
     reject_unknown_keys(cfg, ("window", "zeta", "calibration_split", "twin", "n_conditions", "conditions_seed",
                               "fault_span", *_CALIBRATION_KEYS), "diagnose config")
     window = _number(cfg, "window", int, DetectorConfig.window)
@@ -674,11 +654,7 @@ def cmd_diagnose(args) -> None:
             )
 
     text = "\n".join(verdict) + "\n"
-    try:
-        with open(outdir / "verdict.txt", "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataIoError(f"cannot write verdict: {exc}") from exc
+    write_text(outdir / "verdict.txt", text)
     outputs["verdict.txt"] = outdir / "verdict.txt"
     print(text, end="")
     inputs = {"checkpoint": Path(args.model) / "checkpoint.psmw", **data["inputs"]}

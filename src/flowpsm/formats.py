@@ -17,6 +17,11 @@ checkpoint (.psmw)
 Loading verifies magic, version, and hashes; the checkpoint round-trip is
 bit-exact including optimizer moments. CSV companions are tidy long-format
 tables with documented headers, written for plotting out of process.
+
+This is the one module that opens files. An output is written to a temporary
+file beside it and moved into place, so readers see it whole or not at all and
+an interrupted write leaves the old file. Text is UTF-8. A file that cannot be
+read or written raises DataIoError naming it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
-import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,7 +55,9 @@ __all__ = [
     "write_signature_csv",
     "RunManifest",
     "file_digest",
+    "load_json",
     "write_json",
+    "write_text",
 ]
 
 _RECORD_MAGIC = b"PSMD"
@@ -64,6 +72,44 @@ def _hash_bytes(hex_digest: str) -> bytes:
     return raw
 
 
+# ===================== file access =====================
+
+
+@contextmanager
+def _output(path, binary: bool = False):
+    """A file beside ``path`` (plain ``open``: umask permissions) moved over it if the block succeeds.
+
+    Any exception removes the file and leaves ``path`` as it was; an OSError
+    becomes a DataIoError naming ``path``. Text is UTF-8, newlines as given.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataIoError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _read(path) -> bytes:
+    """The file's bytes; DataIoError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataIoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """``text`` as the file's UTF-8 contents; DataIoError if unwritable."""
+    with _output(path) as fh:
+        fh.write(text)
+
+
 # ===================== simulation records =====================
 
 
@@ -72,25 +118,18 @@ def save_record(path, record: SimulationRecord) -> None:
     n_cells = record.grid_z.size
     n_stations = record.station_z.size
     n_controls = record.v.shape[1]
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_RECORD_MAGIC)
-            fh.write(struct.pack("<H", _VERSION))
-            fh.write(_hash_bytes(record.scenario_hash))
-            fh.write(struct.pack("<IIII", n_times, n_cells, n_stations, n_controls))
-            for arr in (record.times, record.grid_z, record.station_z,
-                        record.p, record.u, record.T, record.v, record.sensors):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise DataIoError(f"cannot write record {path}: {exc}") from exc
+    with _output(path, binary=True) as fh:
+        fh.write(_RECORD_MAGIC)
+        fh.write(struct.pack("<H", _VERSION))
+        fh.write(_hash_bytes(record.scenario_hash))
+        fh.write(struct.pack("<IIII", n_times, n_cells, n_stations, n_controls))
+        for arr in (record.times, record.grid_z, record.station_z,
+                    record.p, record.u, record.T, record.v, record.sensors):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_record(path) -> SimulationRecord:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataIoError(f"cannot read record {path}: {exc}") from exc
+    blob = _read(path)
     if blob[:4] != _RECORD_MAGIC:
         raise DataIoError(f"{path}: not a simulation record (bad magic)")
     (version,) = struct.unpack_from("<H", blob, 4)
@@ -129,19 +168,16 @@ def load_record(path) -> SimulationRecord:
 def record_to_csv(path, record: SimulationRecord) -> None:
     """Tidy long format: one row per (time, z) with fields and held controls."""
     n_controls = record.v.shape[1]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "z", "p", "u", "T"] + [f"v{i}" for i in range(n_controls)])
-            for k, t in enumerate(record.times):
-                for j, z in enumerate(record.grid_z):
-                    writer.writerow(
-                        [f"{t:.9g}", f"{z:.9g}",
-                         f"{record.p[k, j]:.17g}", f"{record.u[k, j]:.17g}", f"{record.T[k, j]:.17g}"]
-                        + [f"{record.v[k, i]:.17g}" for i in range(n_controls)]
-                    )
-    except OSError as exc:
-        raise DataIoError(f"cannot write csv {path}: {exc}") from exc
+    with _output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "z", "p", "u", "T"] + [f"v{i}" for i in range(n_controls)])
+        for k, t in enumerate(record.times):
+            for j, z in enumerate(record.grid_z):
+                writer.writerow(
+                    [f"{t:.9g}", f"{z:.9g}",
+                     f"{record.p[k, j]:.17g}", f"{record.u[k, j]:.17g}", f"{record.T[k, j]:.17g}"]
+                    + [f"{record.v[k, i]:.17g}" for i in range(n_controls)]
+                )
 
 
 # ===================== checkpoints =====================
@@ -153,29 +189,22 @@ def mlp_fingerprint(spec: MlpSpec) -> str:
 
 
 def save_checkpoint(path, params: ParamStore) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<H", _VERSION))
-            fh.write(_hash_bytes(mlp_fingerprint(params.spec)))
-            fh.write(struct.pack("<Q", params.n_params))
-            fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
-            has_moments = params.m is not None
-            fh.write(struct.pack("<B", 1 if has_moments else 0))
-            if has_moments:
-                fh.write(struct.pack("<Q", params.step))
-                fh.write(np.ascontiguousarray(params.m, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(params.v, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise DataIoError(f"cannot write checkpoint {path}: {exc}") from exc
+    with _output(path, binary=True) as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<H", _VERSION))
+        fh.write(_hash_bytes(mlp_fingerprint(params.spec)))
+        fh.write(struct.pack("<Q", params.n_params))
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
+        has_moments = params.m is not None
+        fh.write(struct.pack("<B", 1 if has_moments else 0))
+        if has_moments:
+            fh.write(struct.pack("<Q", params.step))
+            fh.write(np.ascontiguousarray(params.m, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(params.v, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, spec: MlpSpec) -> ParamStore:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataIoError(f"cannot read checkpoint {path}: {exc}") from exc
+    blob = _read(path)
     if blob[:4] != _CKPT_MAGIC:
         raise DataIoError(f"{path}: not a checkpoint (bad magic)")
     (version,) = struct.unpack_from("<H", blob, 4)
@@ -212,14 +241,22 @@ def load_checkpoint(path, spec: MlpSpec) -> ParamStore:
 # ===================== JSON documents =====================
 
 
+def load_json(path, malformed=ConfigError) -> dict:
+    """The JSON object in the UTF-8 file; other content raises ``malformed`` with a message."""
+    try:
+        doc = json.loads(_read(path).decode("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise malformed(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise malformed(f"{path}: expected a JSON object")
+    return doc
+
+
 def write_json(path, doc) -> None:
     """Indented, key-sorted JSON with a trailing newline; DataIoError if unwritable."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataIoError(f"cannot write {path}: {exc}") from exc
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_scaling(path, scaling: ScalingSpec, scenario_hash: str) -> None:
@@ -227,13 +264,7 @@ def save_scaling(path, scaling: ScalingSpec, scenario_hash: str) -> None:
 
 
 def load_scaling(path) -> tuple[ScalingSpec, str]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataIoError(f"cannot read scaling manifest {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not text
-        raise DataIoError(f"{path}: malformed scaling manifest: {exc}") from exc
+    doc = load_json(path, lambda msg: DataIoError(f"malformed scaling manifest: {msg}"))
     try:
         return from_document(ScalingSpec, doc["scaling"], "scaling"), doc["scenario_hash"]
     except (KeyError, TypeError, ConfigError) as exc:
@@ -247,14 +278,11 @@ METRICS_HEADER = ("epoch", "loss_measurement", "loss_physics", "loss_total", "le
 
 def write_metrics(path, rows) -> None:
     """rows: iterable of (epoch, L_m, L_p, L_total, lr) tuples."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
-            for row in rows:
-                writer.writerow([f"{x:.10g}" if isinstance(x, float) else x for x in row])
-    except OSError as exc:
-        raise DataIoError(f"cannot write metrics {path}: {exc}") from exc
+    with _output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        for row in rows:
+            writer.writerow([f"{x:.10g}" if isinstance(x, float) else x for x in row])
 
 
 # ===================== rollout and signature logs =====================
@@ -270,41 +298,35 @@ def write_rollout_log(path, rows, control_names, output_names) -> None:
         + [f"y_{o}" for o in output_names]
         + [f"bound_{o}" for o in output_names]
     )
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [row["step"]]
-                    + [f"{x:.17g}" for x in row["r"]]
-                    + [f"{x:.17g}" for x in row["v"]]
-                    + [row["status"]]
-                    + [f"{x:.17g}" for x in row["outputs"]]
-                    + [("" if b is None else f"{b:.17g}") for b in row["bounds"]]
-                )
-    except OSError as exc:
-        raise DataIoError(f"cannot write rollout log {path}: {exc}") from exc
+    with _output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [row["step"]]
+                + [f"{x:.17g}" for x in row["r"]]
+                + [f"{x:.17g}" for x in row["v"]]
+                + [row["status"]]
+                + [f"{x:.17g}" for x in row["outputs"]]
+                + [("" if b is None else f"{b:.17g}") for b in row["bounds"]]
+            )
 
 
 def write_signature_csv(path, signature) -> None:
     """Residual signature rows: (z, equation, r_nom, r_twin, r_diff, r_scaled)."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "equation", "r_nominal", "r_twin", "r_diff", "r_scaled"])
-            for row, eq in enumerate(signature.equations):
-                nom = signature.nominal[row]
-                twin = signature.twin[row]
-                diff = signature.difference[row]
-                scaled = signature.scaled[row]
-                for i, z in enumerate(signature.z):
-                    writer.writerow(
-                        [f"{z:.9g}", eq, f"{nom[i]:.17g}", f"{twin[i]:.17g}",
-                         f"{diff[i]:.17g}", f"{scaled[i]:.17g}"]
-                    )
-    except OSError as exc:
-        raise DataIoError(f"cannot write signature {path}: {exc}") from exc
+    with _output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z", "equation", "r_nominal", "r_twin", "r_diff", "r_scaled"])
+        for row, eq in enumerate(signature.equations):
+            nom = signature.nominal[row]
+            twin = signature.twin[row]
+            diff = signature.difference[row]
+            scaled = signature.scaled[row]
+            for i, z in enumerate(signature.z):
+                writer.writerow(
+                    [f"{z:.9g}", eq, f"{nom[i]:.17g}", f"{twin[i]:.17g}",
+                     f"{diff[i]:.17g}", f"{scaled[i]:.17g}"]
+                )
 
 
 # ===================== run manifest =====================
@@ -329,10 +351,10 @@ class RunManifest:
     config_path: str | None
     seed: int | None
     tool_version: str
+    started_unix: float  # time.time() when the command started
     input_digests: dict = field(default_factory=dict)
     output_digests: dict = field(default_factory=dict)
     duration_s: float = 0.0
-    started_unix: float = field(default_factory=time.time)
 
     def save(self, path) -> None:
         write_json(path, self.__dict__)

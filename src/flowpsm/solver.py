@@ -325,8 +325,8 @@ def _loop_mass_flux(dzf: np.ndarray, a: np.ndarray, a_sum: float, wf: np.ndarray
     rhs = (dzf * num).sum(axis=1)
     G = _rising_root(a, a_sum, w, c, rhs)
     x = G[:, None] + c
-    if not x.min() >= 0.0:  # a face runs backward (or G is NaN, which no row flags)
-        back = (x < 0.0).any(axis=1)
+    if not x.min() >= 0.0:  # a face runs backward, or the all-forward quadratic has no real root
+        back = ~(x >= 0.0).all(axis=1)  # NaN rows included
         if back.any():
             wb, cb = w[back], c[back]
             x = cb[:, None, :] - cb[:, :, None]  # x[e, k, j] = G + c_j at G = -c_k

@@ -7,6 +7,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -405,6 +406,10 @@ def _assert_io_error(rc, err, *names):
         assert str(name) in err
 
 
+def _assert_no_temp_file(out):
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_unwritable_preset_outputs_exit_4(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -416,6 +421,7 @@ def test_unwritable_preset_outputs_exit_4(tmp_path, capsys):
         (out / name).mkdir(parents=True)
         rc = main(["preset", "--name", "loop", "--out", str(out)])
         _assert_io_error(rc, capsys.readouterr().err, out / name)
+        _assert_no_temp_file(out)
 
 
 @pytest.mark.parametrize("name", ["records", "scaling.json", "dataset.json"])
@@ -431,6 +437,41 @@ def test_unwritable_gen_data_outputs_exit_4(tmp_path, capsys, name):
         blocked.mkdir()
     rc = main(["gen-data", "--config", str(cfg), "--seed", "5", "--out", str(out)])
     _assert_io_error(rc, capsys.readouterr().err, blocked)
+    _assert_no_temp_file(out)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "checkpoint.psmw"), ("train", "metrics.csv"), ("eval", "rmse_table.csv"), ("control", "rollout.csv"),
+    ("diagnose", "verdict.txt"), ("diagnose", "signature.csv"),
+])
+def test_unwritable_command_outputs_exit_4(pipeline, tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = tmp_path / "cfg.json"
+    model_data = ["--model", str(pipeline["psm"]), "--data", str(pipeline["data"])]
+    if command == "train":
+        argv = ["--config", str(pipeline["train_cfg"]), "--data", str(pipeline["data"]), "--seed", "2"]
+    elif command == "eval":
+        argv = model_data
+    elif command == "control":
+        cfg.write_text(json.dumps(_HOLD))
+        argv = ["--config", str(cfg), *model_data]
+    else:  # a quiet stream writes no signature, so that case trips
+        cfg.write_text(json.dumps(_TRIP if name == "signature.csv" else {"zeta": 1e6, "window": 2}))
+        argv = ["--config", str(cfg), *model_data, "--stream", str(pipeline["data"] / "records/exp_002.psmd")]
+    rc = main([command, *argv, "--out", str(out)])
+    _assert_io_error(rc, capsys.readouterr().err, out / name)
+    _assert_no_temp_file(out)
+
+
+def test_manifest_records_when_the_command_started(pipeline, tmp_path):
+    out = tmp_path / "eval"
+    before = time.time()
+    assert main(["eval", "--model", str(pipeline["psm"]), "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+    after = time.time()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert before <= manifest["started_unix"]
+    assert manifest["started_unix"] + manifest["duration_s"] <= after + 0.001
 
 
 def test_unwritable_arch_exits_4(pipeline, tmp_path, capsys):
@@ -439,6 +480,7 @@ def test_unwritable_arch_exits_4(pipeline, tmp_path, capsys):
     rc = main(["train", "--config", str(pipeline["train_cfg"]), "--data", str(pipeline["data"]),
                "--seed", "2", "--out", str(out)])
     _assert_io_error(rc, capsys.readouterr().err, out / "arch.json")
+    _assert_no_temp_file(out)
 
 
 def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):

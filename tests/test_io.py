@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
+from flowpsm import formats
 from flowpsm.diagnostics import ResidualSignature
 from flowpsm.errors import DataIoError
 from flowpsm.formats import (
@@ -21,9 +25,11 @@ from flowpsm.formats import (
     save_checkpoint,
     save_record,
     save_scaling,
+    write_json,
     write_metrics,
     write_rollout_log,
     write_signature_csv,
+    write_text,
 )
 from flowpsm.network import MlpSpec, init_params, optimizer_step
 
@@ -224,7 +230,7 @@ def test_file_digest_matches_hashlib(tmp_path):
 def test_run_manifest_save(tmp_path):
     manifest = RunManifest(
         command="gen-data", config_path="cfg.json", seed=7, tool_version="0.1.0",
-        input_digests={"cfg.json": "ab"}, output_digests={"dataset.json": "cd"},
+        started_unix=1.7e9, input_digests={"cfg.json": "ab"}, output_digests={"dataset.json": "cd"},
         duration_s=1.5,
     )
     path = tmp_path / "manifest.json"
@@ -234,4 +240,105 @@ def test_run_manifest_save(tmp_path):
     assert doc["seed"] == 7
     assert doc["input_digests"] == {"cfg.json": "ab"}
     assert doc["output_digests"] == {"dataset.json": "cd"}
-    assert "started_unix" in doc
+    assert doc["started_unix"] == 1.7e9
+
+
+_SIGNATURE = ResidualSignature(
+    z=np.array([0.0, 1.0]), equations=("mass",), nominal=np.zeros((1, 2)),
+    twin=np.ones((1, 2)), difference=np.ones((1, 2)), scaled=np.ones((1, 2)),
+)
+_ROLLOUT_ROW = {"step": 0, "r": [0.6], "v": [0.6], "status": "ok", "outputs": [0.9], "bounds": [None]}
+# every writer, by the name a failing case reports, called on a path with small valid contents
+WRITERS = {
+    "save_record": lambda path, rec, scaling: save_record(path, rec),
+    "record_to_csv": lambda path, rec, scaling: record_to_csv(path, rec),
+    "save_checkpoint": lambda path, rec, scaling: save_checkpoint(path, init_params(SPEC, seed=3)),
+    "write_json": lambda path, rec, scaling: write_json(path, {"a": [1, 2]}),
+    "save_scaling": lambda path, rec, scaling: save_scaling(path, scaling, rec.scenario_hash),
+    "RunManifest.save": lambda path, rec, scaling: RunManifest(
+        command="preset", config_path=None, seed=None, tool_version="0", started_unix=0.0).save(path),
+    "write_metrics": lambda path, rec, scaling: write_metrics(path, [(1, 0.5, 0.25, 0.75, 1e-3)]),
+    "write_rollout_log": lambda path, rec, scaling: write_rollout_log(path, [_ROLLOUT_ROW], ["u"], ["T"]),
+    "write_signature_csv": lambda path, rec, scaling: write_signature_csv(path, _SIGNATURE),
+    "write_text": lambda path, rec, scaling: write_text(path, "verdict\n"),
+}
+
+
+class _FailingFile:
+    """An open file whose first write stores half its data and then raises ``exc``."""
+
+    def __init__(self, fh, exc):
+        self._fh, self._exc = fh, exc
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise self._exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["os_error", "keyboard_interrupt"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_interrupted_write_leaves_the_old_file(tiny_records, tiny_dataset, tmp_path, monkeypatch, writer, exc):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "target"
+    target.write_bytes(b"old contents\n")
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(args[0])
+        return _FailingFile(open(*args, **kwargs), exc)
+
+    monkeypatch.setattr(formats, "open", failing_open, raising=False)
+    if isinstance(exc, OSError):
+        with pytest.raises(DataIoError, match=re.escape(f"cannot write {target}")):
+            WRITERS[writer](target, tiny_records[0], tiny_dataset[1])
+    else:
+        with pytest.raises(KeyboardInterrupt) as info:
+            WRITERS[writer](target, tiny_records[0], tiny_dataset[1])
+        assert info.value is exc
+    assert opened  # the failure came partway through the write
+    assert target.read_bytes() == b"old contents\n"
+    assert os.listdir(out) == ["target"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writes_replace_the_target_whole(tiny_records, tiny_dataset, tmp_path, writer):
+    out = tmp_path / "out"
+    out.mkdir()
+    fresh, old = out / "fresh", out / "old"
+    WRITERS[writer](fresh, tiny_records[0], tiny_dataset[1])
+    old.write_bytes(b"old contents, longer than nothing\n" * 1000)
+    WRITERS[writer](old, tiny_records[0], tiny_dataset[1])
+    assert old.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(out)) == ["fresh", "old"]
+
+
+def test_new_outputs_get_the_umask_permissions(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        write_text(tmp_path / "new.txt", "x")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(mask)
+    mode = stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode) == 0o640
+
+
+def test_an_output_that_is_a_symlink_is_replaced(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("kept\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(kept)
+    write_text(link, "new\n")
+    assert not link.is_symlink()
+    assert link.read_text() == "new\n"
+    assert kept.read_text() == "kept\n"

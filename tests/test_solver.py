@@ -279,12 +279,36 @@ def test_step_matches_step_with_audit(preset):
         assert np.array_equal(getattr(plain, f), getattr(audited, f)), f
 
 
-@pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset, _loop_pinned_mid_heater_leg])
-def test_step_with_audit_closes_mass_and_enthalpy(preset):
+def _loop_x1000_friction():
+    return _loop_with({i: {"friction_factor": 1000.0 * seg.friction_factor}
+                       for i, seg in enumerate(loop_preset().segments)})
+
+
+def _low_steady(sc):
+    return steady_state(sc, np.array([r[0] for r in sc.input_ranges]))
+
+
+def _tripled_reversal(sc):
+    """Three times the negated steady velocities at the mid inputs.
+
+    Under heavy friction the all-forward momentum quadratic has no real
+    root here, so the loop's mass flux must come from the breakpoint search.
+    """
+    steady = steady_state(sc, _mid(sc))
+    return replace(steady, u=-3.0 * steady.u, u_face=-3.0 * steady.u_face)
+
+
+@pytest.mark.parametrize("preset, initial", [
+    (heated_channel_preset, _low_steady),
+    (loop_preset, _low_steady),
+    (_loop_pinned_mid_heater_leg, _low_steady),
+    (_loop_x1000_friction, _tripled_reversal),
+], ids=["heated_channel_preset", "loop_preset", "_loop_pinned_mid_heater_leg", "loop_x1000_friction_reversed"])
+def test_step_with_audit_closes_mass_and_enthalpy(preset, initial):
     sc = preset()
-    # start steady at the low end of the ranges and step at mid inputs, so
-    # the audit sees a real transient
-    state = start = steady_state(sc, np.array([r[0] for r in sc.input_ranges]))
+    # step at mid inputs from a start away from their steady state, so the
+    # audit sees a real transient
+    state = start = initial(sc)
     v = _mid(sc)
     grid = build_grid(sc)
     area = sc.segments[0].flow_area

@@ -65,7 +65,7 @@ from .formats import (
     write_signature_csv,
     write_text,
 )
-from .network import MlpSpec
+from .network import MlpSpec, ParamStore, init_params
 from .solver import (
     SolverConfig,
     generate_trajectories,
@@ -282,7 +282,8 @@ def _load_split(data: dict, split: str) -> list:
     return [load_record(data["dir"] / p) for p in data["splits"][split]]
 
 
-def _read_model(model_dir) -> dict:
+def _read_model(model_dir) -> ParamStore:
+    """The model directory's trained store, its architecture read from arch.json."""
     model_dir = Path(model_dir)
     path = model_dir / "arch.json"
     arch = load_json(path, DataIoError)
@@ -291,8 +292,7 @@ def _read_model(model_dir) -> dict:
         spec = from_document(MlpSpec, {k: v for k, v in arch.items() if k in names}, "architecture")
     except ConfigError as exc:  # the file's contents, not the user's config
         raise DataIoError(f"{path}: {exc}") from exc
-    params = load_checkpoint(model_dir / "checkpoint.psmw", spec)
-    return {"dir": model_dir, "spec": spec, "params": params}
+    return load_checkpoint(model_dir / "checkpoint.psmw", spec)
 
 
 def _noise_from_flag(flag: str) -> NoiseSpec:
@@ -345,7 +345,9 @@ def cmd_gen_data(args) -> None:
         rel_paths.append(rel)
         outputs[rel] = outdir / rel
         if export_csv:
-            record_to_csv(outdir / f"records/exp_{i:03d}.csv", rec)
+            csv_rel = f"records/exp_{i:03d}.csv"
+            record_to_csv(outdir / csv_rel, rec)
+            outputs[csv_rel] = outdir / csv_rel
 
     scaling = compute_scaling(records[:n_train], scenario)
     save_scaling(outdir / "scaling.json", scaling, scenario_fingerprint(scenario))
@@ -384,7 +386,8 @@ def cmd_train(args) -> None:
 
     spec = mlp_for_scenario(scenario, widths)
     dataset = assemble_dataset(_load_split(data, "train"), scenario, scaling)
-    params, history = train(spec, dataset, scenario, scaling, config, noise, log_every=log_every)
+    params, history = train(init_params(spec, config.seed), dataset, scenario, scaling, config, noise,
+                            log_every=log_every)
 
     save_checkpoint(outdir / "checkpoint.psmw", params)
     write_metrics(outdir / "metrics.csv",
@@ -426,13 +429,12 @@ def cmd_eval(args) -> None:
 
     names, tables = [], []
     for model_dir in args.model:
-        model = _read_model(model_dir)
+        params = _read_model(model_dir)
         name = Path(model_dir).name or "model"
         while name in names:
             name += "_b"
         names.append(name)
-        tables.append(evaluate_records(model["spec"], model["params"], data["scenario"],
-                                       data["scaling"], records))
+        tables.append(evaluate_records(params, data["scenario"], data["scaling"], records))
 
     stats = ("mean_rmse", "max_rmse", "overall_rmse")
     rows = [["field", "statistic"] + names + (["ratio"] if len(names) == 2 else [])]  # header first
@@ -541,14 +543,14 @@ def cmd_control(args) -> None:
                               *_GOVERNOR_KEYS), "control config")
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
-    model = _read_model(args.model)
+    params = _read_model(args.model)
     scenario, scaling = data["scenario"], data["scaling"]
 
     references = _build_references(cfg, scenario)
     schedule, temperature_rows = _build_schedule(cfg, scenario, scaling)
     gov = CgConfig(**_given(cfg, _GOVERNOR_KEYS), q_weight=_q_weight(cfg, scenario.n_controls))
     environment = {"environment": cfg["environment"]} if "environment" in cfg else {}
-    log = ncg_rollout(model["spec"], model["params"], scenario, scaling, references, schedule,
+    log = ncg_rollout(params, scenario, scaling, references, schedule,
                       config=gov, solver_config=_solver_config(cfg), **environment)
     write_rollout_log(outdir / "rollout.csv", log.steps,
                       control_names=scenario.control_channels,
@@ -602,9 +604,12 @@ def cmd_diagnose(args) -> None:
 
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
-    model = _read_model(args.model)
+    params = _read_model(args.model)
     scenario, scaling = data["scenario"], data["scaling"]
-    spec, params = model["spec"], model["params"]
+    steps = round(scenario.episode_duration / scenario.delta_t) * len(data["splits"]["train"])
+    n_rows = 2 * steps * len(scenario.sensor_stations)  # the train corpus sample_conditions draws from
+    if n_conditions > n_rows:
+        raise ConfigError(f"'n_conditions' is {n_conditions}, above the {n_rows} rows of the train corpus")
     streams = [load_record(p) for p in args.stream]
     if span is not None:
         try:
@@ -616,10 +621,10 @@ def cmd_diagnose(args) -> None:
         if not data["splits"][split]:
             raise ConfigError(f"no {split} records available to calibrate zeta")
         # a generator, so calibrate_zeta checks its settings before the errors are computed
-        cal_errors = (prediction_errors(spec, params, scenario, scaling, r) for r in _load_split(data, split))
+        cal_errors = (prediction_errors(params, scenario, scaling, r) for r in _load_split(data, split))
         zeta = calibrate_zeta(cal_errors, window, **calibration)
     detector = DetectorConfig(zeta=zeta, window=window)
-    errors = np.concatenate([prediction_errors(spec, params, scenario, scaling, rec) for rec in streams])
+    errors = np.concatenate([prediction_errors(params, scenario, scaling, rec) for rec in streams])
     result = detect(errors, detector)
 
     verdict = [f"threshold zeta = {zeta:.6e}, window = {window} steps"]
@@ -632,12 +637,12 @@ def cmd_diagnose(args) -> None:
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
         stream_ds = assemble_dataset(streams, scenario, scaling, strict=False)
-        twin, hist = transfer_learn_twin(spec, params, stream_ds, scenario, scaling, twin_train)
+        twin, hist = transfer_learn_twin(params, stream_ds, scenario, scaling, twin_train)
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
         v_star, x0_star = sample_conditions(assemble_dataset(_load_split(data, "train"), scenario, scaling),
                                             scenario, n_conditions, **conditions_seed)
-        sig = signature(spec, params, twin, scenario, scaling, v_star, x0_star)
+        sig = signature(params, twin, scenario, scaling, v_star, x0_star)
         write_signature_csv(outdir / "signature.csv", sig)
         outputs["signature.csv"] = outdir / "signature.csv"
         for i, eq in enumerate(sig.equations):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .network import MlpSpec, ParamStore, forward, stacked_forward
+from .network import ParamStore, forward, stacked_forward
 from .solver import SolverConfig, sensor_readout, steady_state, step
 from .training import input_layout, query_rows, scale_sensors
 from .transport import ConfigError, ScalingSpec, ScenarioConfig, scenario_fingerprint
@@ -57,12 +57,11 @@ __all__ = [
 
 
 def station_predict(
-    spec: MlpSpec, params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec,
-    x: np.ndarray, v: np.ndarray,
+    params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec, x: np.ndarray, v: np.ndarray,
 ) -> np.ndarray:
     """One-step state map: scaled sensor state and input -> next scaled state."""
     rows = query_rows(input_layout(scenario), scaling.scale_z(scenario.sensor_stations), 1.0, v, x)
-    return forward(spec, params, rows).T.ravel()  # (s, 3) -> fields-major (q,)
+    return forward(params, rows).T.ravel()  # (s, 3) -> fields-major (q,)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ class LinearSSM:
 
 
 def linearize(
-    spec: MlpSpec, params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec,
-    x00: np.ndarray, v00: np.ndarray,
+    params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec, x00: np.ndarray, v00: np.ndarray,
 ) -> LinearSSM:
     """Jacobians of the one-step state map via directional derivatives.
 
@@ -108,7 +106,7 @@ def linearize(
     rows = query_rows(lay, scaling.scale_z(scenario.sensor_stations), 1.0, v00, x00)
     q = lay.n_state
     axes = np.eye(lay.input_dim)[np.r_[lay.x0_cols, lay.v_cols]]
-    out = stacked_forward(spec, params, rows, axes).outputs
+    out = stacked_forward(params, rows, axes)
     # (1+q+p, s, 3) -> one fields-major row per channel, as station_predict lays it out
     Y = out.transpose(0, 2, 1).reshape(out.shape[0], -1)
     J = Y[1:].T
@@ -353,7 +351,6 @@ class RolloutLog:
 
 
 def ncg_rollout(
-    spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
@@ -406,7 +403,7 @@ def ncg_rollout(
         if cset_k.n_rows > 0 and (relin_due or cset_k is not cset_prev or oinf is None):
             # linearization refresh first, then the constraint update
             if relin_due:
-                ssm = linearize(spec, params, scenario, scaling, x_k, v_prev)
+                ssm = linearize(params, scenario, scaling, x_k, v_prev)
                 log.relinearizations += 1
             oinf = build_oinf(ssm, cset_k, horizon=config.horizon, epsilon=config.epsilon)
         if cset_k.n_rows == 0:
@@ -420,7 +417,7 @@ def ncg_rollout(
             state = step(state, v_phys, scenario, solver_config)
             x_k = observe(state)
         else:
-            x_k = station_predict(spec, params, scenario, scaling, x_k, v_scaled)
+            x_k = station_predict(params, scenario, scaling, x_k, v_scaled)
 
         outputs, bounds = [], []
         by_name = {row.name: row for row in cset_k.rows}

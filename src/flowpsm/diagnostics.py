@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FIELD_ORDER, MlpSpec, ParamStore, forward, stacked_forward
+from .network import FIELD_ORDER, ParamStore, forward, stacked_forward
 from .solver import SimulationRecord
 from .training import (
     Dataset,
@@ -86,7 +86,6 @@ class DetectionResult:
 
 
 def prediction_errors(
-    spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
@@ -106,7 +105,7 @@ def prediction_errors(
     scaled = scale_sensors(scaling, record.sensors)  # (K+1, 3s)
     rows = query_rows(input_layout(scenario), scaling.scale_z(record.station_z), 1.0,
                       scaling.scale_v(record.v[:K]), scaled[:K])
-    pred = forward(spec, params, rows).reshape(K, s, 3)
+    pred = forward(params, rows).reshape(K, s, 3)
     truth = scaled[1:].reshape(K, 3, s).transpose(0, 2, 1)  # (K, s, 3)
     return np.mean((pred - truth) ** 2, axis=(1, 2))
 
@@ -166,7 +165,6 @@ def twin_config(base_lr: float = 1e-4, epochs: int = 50, batch_size: int = 512, 
 
 
 def transfer_learn_twin(
-    spec: MlpSpec,
     params: ParamStore,
     dataset: Dataset,
     scenario: ScenarioConfig,
@@ -182,7 +180,7 @@ def transfer_learn_twin(
     past 10x its first epoch.
     """
     twin = ParamStore(spec=params.spec, flat=params.flat.copy(), layout=params.layout)
-    return train(spec, dataset, scenario, scaling, config, params=twin, abort_ratio=10.0)
+    return train(twin, dataset, scenario, scaling, config, abort_ratio=10.0)
 
 
 # ===================== residual signatures =====================
@@ -211,7 +209,6 @@ def sample_conditions(
 
 
 def pde_residuals(
-    spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
@@ -242,8 +239,8 @@ def pde_residuals(
     axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
     stacked = np.empty((1 + len(axes), len(rows), len(FIELD_ORDER)))
     for lo in range(0, len(rows), _RESIDUAL_CHUNK):
-        stacked[:, lo : lo + _RESIDUAL_CHUNK] = stacked_forward(
-            spec, params, rows[lo : lo + _RESIDUAL_CHUNK], axes).outputs
+        chunk = slice(lo, lo + _RESIDUAL_CHUNK)
+        stacked[:, chunk] = stacked_forward(params, rows[chunk], axes)
     outs, tan_z, tan_t = (y.T for y in stacked)
 
     closures = pointwise_closures(
@@ -272,7 +269,6 @@ class ResidualSignature:
 
 
 def signature(
-    spec: MlpSpec,
     nominal_params: ParamStore,
     twin_params: ParamStore,
     scenario: ScenarioConfig,
@@ -285,8 +281,8 @@ def signature(
     Both models see the same condition rows; the changed physics then
     cancels everywhere except where the twin learned different dynamics.
     """
-    z, nom = pde_residuals(spec, nominal_params, scenario, scaling, v_star, x0_star)
-    _, tw = pde_residuals(spec, twin_params, scenario, scaling, v_star, x0_star)
+    z, nom = pde_residuals(nominal_params, scenario, scaling, v_star, x0_star)
+    _, tw = pde_residuals(twin_params, scenario, scaling, v_star, x0_star)
     equations = ("mass", "momentum", "energy")
     nominal = np.stack([getattr(nom, eq) for eq in equations])
     twin = np.stack([getattr(tw, eq) for eq in equations])

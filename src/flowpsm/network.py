@@ -13,15 +13,15 @@ Every pass goes through one closed-form kernel, ``stacked_forward``. It
 carries the B value rows and k forward-mode tangent channels (directional
 derivatives along chosen input directions) through each layer as a single
 stacked ((k+1)B, w) matmul: the bias enters the value rows only, and the
-tanh gate 1 - h^2 scales the tangent rows. ``StackedPass.gradient`` is the
-hand-written reverse pass through that stack (forward-over-reverse), so a
-loss built from values and directional derivatives gets its exact
-parameter gradient. ``forward`` is the kernel's value output.
+tanh gate 1 - h^2 scales the tangent rows. ``forward`` is the kernel's value
+output. A ``ParamStore`` is the model: its ``spec`` is the architecture.
 
-Only a pass run in a ``Workspace`` can be reversed: it keeps what the
-reverse pass reads in the workspace's buffers, which training reuses batch
-after batch. Passes without one (``forward``, linearization, residual maps)
-allocate fresh arrays, so their results stay valid.
+A pass run in a ``Workspace`` records in the workspace's buffers, which
+training reuses batch after batch, what the reverse pass reads;
+``Workspace.gradient`` is that hand-written reverse of the last pass
+(forward-over-reverse), so a loss built from values and directional
+derivatives gets its exact parameter gradient. Passes without one
+(``forward``, linearization, residual maps) allocate fresh arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "MlpSpec",
     "ParamStore",
     "init_params",
-    "StackedPass",
     "Workspace",
     "stacked_forward",
     "forward",
@@ -179,8 +178,7 @@ class Workspace:
     rows the reverse pass reads, the stacked outputs, and one set of reverse
     scratch shared by all layers. Each buffer is flat and grows to the
     largest pass that takes it; a pass of n rows uses its leading, contiguous
-    part. A StackedPass built on a workspace is valid until the next pass on
-    that workspace, which overwrites it.
+    part. ``gradient`` reverses the last pass, which the next one overwrites.
     """
 
     def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0) -> None:
@@ -189,11 +187,11 @@ class Workspace:
         self.spec = spec
         self.rows = rows
         self.n_directions = n_directions
-        self.passes = 0  # passes made on this workspace
         self._flat: dict[str, np.ndarray] = {}
         layout = _layout(spec)
         self._grad = np.empty(layout[-1][3])  # the reverse pass's flat gradient
         self._grad_layers = _chain_views(self._grad, layout)
+        self._last = None  # last pass: store, outputs, per CHAIN layer (input stack, h, pre-gate tangents, gate)
 
     def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         """The leading part of one buffer, as a contiguous array of ``shape``."""
@@ -202,44 +200,26 @@ class Workspace:
             self._flat[key] = np.empty(size)
         return self._flat[key][:size].reshape(shape)
 
-
-@dataclass
-class StackedPass:
-    """One kernel call: stacked outputs, plus what the reverse pass reads.
-
-    ``outputs[0]`` is the (B, 3) field triple per row and ``outputs[1 + i]``
-    its directional derivative along direction i. A pass run in a workspace
-    lives there and is valid until the next pass on that workspace.
-    """
-
-    params: ParamStore
-    outputs: np.ndarray  # (k+1, B, 3)
-    saved: list | None  # per CHAIN layer: (input stack, tanh value h, pre-gate tangent rows, gate 1 - h^2)
-    workspace: Workspace | None = None
-    pass_index: int = 0  # the workspace's pass count when this pass was made
-
     def gradient(self, cotangent) -> np.ndarray:
-        """Flat parameter gradient of sum(cotangent * outputs), aligned with the layout."""
-        ws = self.workspace
-        if ws is None:
-            raise ValueError("only a pass run in a Workspace saves what the reverse pass reads")
-        if ws.passes != self.pass_index:
-            raise ValueError("a later pass on this workspace has overwritten the saved activations")
+        """Flat parameter gradient of sum(cotangent * outputs) of the last pass, aligned with the layout."""
+        if self._last is None:
+            raise ValueError("no pass has run in this workspace")
+        params, outputs, saved = self._last
         g_out = np.asarray(cotangent, dtype=np.float64)
-        if g_out.shape != self.outputs.shape:
+        if g_out.shape != outputs.shape:
             raise ConfigError("cotangent shape does not match the stacked outputs")
         g_h = g_out[..., None].transpose(2, 0, 1, 3)  # the outs layer's (branch, stack, row, 1) cotangent
-        layers = zip(self.saved, self.params.layers(), ws._grad_layers)
+        layers = zip(saved, params.layers(), self._grad_layers)
         for i, ((h_in, h, da, gate), (w, _), (g_w, g_b)) in reversed(list(enumerate(layers))):
             n, n_stack, n_rows, width = g_h.shape
             if gate is None:  # the linear outs
                 g_a = g_h
             elif n_stack == 1:  # no tangent rows
-                g_a = np.multiply(g_h, gate[:, None], out=ws.take("g_a", g_h.shape))
+                g_a = np.multiply(g_h, gate[:, None], out=self.take("g_a", g_h.shape))
             else:
-                g_a = ws.take("g_a", g_h.shape)
+                g_a = self.take("g_a", g_h.shape)
                 g_sum = np.sum(np.multiply(g_h[:, 1:], da, out=g_a[:, 1:]), axis=1,
-                               out=ws.take("g_sum", gate.shape))
+                               out=self.take("g_sum", gate.shape))
                 v = np.multiply(2.0, h, out=g_a[:, 0])
                 v *= g_sum
                 np.subtract(g_h[:, 0], v, out=v)
@@ -252,13 +232,13 @@ class StackedPass:
             np.sum(g_a[:, 0] if gate is not None else np.ascontiguousarray(g_a[:, 0]), axis=1, out=g_b)
             if i == 0:  # head0's input cotangent is not needed
                 break
-            g_in = ws.take(("ping", "pong")[i % 2], (n, n_stack, n_rows, w.shape[2]))
+            g_in = self.take(("ping", "pong")[i % 2], (n, n_stack, n_rows, w.shape[2]))
             np.matmul(g_a2, w, out=g_in.reshape(n, n_stack * n_rows, -1))
             if h_in.shape[0] < n:  # h_in fed every branch, so its cotangent is their sum
                 for part in g_in[1:]:
                     g_in[0] += part
             g_h = g_in[: h_in.shape[0]]
-        return ws._grad.copy()  # the views tile it, so every entry was written
+        return self._grad.copy()  # the views tile it, so every entry was written
 
 
 def _take(ws: Workspace | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -294,15 +274,17 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
     return a
 
 
-def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
-                    workspace: Workspace | None = None) -> StackedPass:
+def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace | None = None) -> np.ndarray:
     """Values and directional derivatives of the net in one stacked pass.
 
     ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
-    input-space directions applied to every row. A pass in ``workspace``
-    (k directions, at least B rows) saves what ``gradient`` reads; without
-    one every array is fresh and the pass saves nothing.
+    input-space directions applied to every row. Returns the (k+1, B, 3)
+    outputs: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
+    along direction i. A pass in ``workspace`` (k directions, at least B
+    rows) lives in its buffers and records what ``workspace.gradient``
+    reads; without one every array is fresh.
     """
+    spec = params.spec
     x = np.asarray(x, dtype=np.float64)
     d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
     if x.ndim != 2 or d.ndim != 2 or x.shape[1] != spec.input_dim or d.shape[1] != spec.input_dim:
@@ -317,25 +299,24 @@ def stacked_forward(spec: MlpSpec, params: ParamStore, x, directions=None,
                 f"workspace holds {ws.rows} rows with {ws.n_directions} directions; "
                 f"the pass needs {n_rows} rows with {d.shape[0]}"
             )
-        ws.passes += 1
-        saved = []
+        ws._last, saved = None, []
     shape = (1, n_stack, n_rows, spec.input_dim)
     h = _take(ws, "input", shape)
     h[0, 0] = x
     h[0, 1:] = d[:, None, :]
     for name, (w, b) in zip(CHAIN, params.layers()):
         h = _layer(name, w, b, h, ws, saved)
-    shape = (n_stack, n_rows, len(FIELD_ORDER))
-    outputs = _take(ws, "outputs", shape)
+    outputs = _take(ws, "outputs", (n_stack, n_rows, len(FIELD_ORDER)))
     np.copyto(outputs, h[..., 0].transpose(1, 2, 0))
-    return StackedPass(params=params, outputs=outputs, saved=saved,
-                       workspace=ws, pass_index=0 if ws is None else ws.passes)
+    if ws is not None:
+        ws._last = (params, outputs, saved)
+    return outputs
 
 
-def forward(spec: MlpSpec, params: ParamStore, x) -> np.ndarray:
+def forward(params: ParamStore, x) -> np.ndarray:
     """Batched evaluation: (batch, input_dim) -> (batch, 3); one row -> (3,)."""
     x = np.asarray(x, dtype=np.float64)
-    out = stacked_forward(spec, params, np.atleast_2d(x)).outputs[0]
+    out = stacked_forward(params, np.atleast_2d(x))[0]
     return out[0] if x.ndim == 1 else out
 
 

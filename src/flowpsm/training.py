@@ -39,7 +39,6 @@ from .network import (
     ParamStore,
     Workspace,
     forward,
-    init_params,
     learning_rate,
     optimizer_step,
     stacked_forward,
@@ -448,17 +447,16 @@ def physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling,
     return g_outs, g_tans_z, g_tans_t
 
 
-def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
-                 scenario: ScenarioConfig, scaling: ScalingSpec,
-                 workspace: Workspace | None = None) -> tuple[float, PdeResidualSet, np.ndarray]:
+def physics_loss(params: ParamStore, collocation: np.ndarray, scenario: ScenarioConfig,
+                 scaling: ScalingSpec, workspace: Workspace) -> tuple[float, PdeResidualSet, np.ndarray]:
     """Mean Log-Cosh of the nondimensional residuals at collocation inputs.
 
     Returns the loss, the residuals, and the loss's flat parameter gradient,
-    from one kernel pass along the z* and t* axes and its reverse. The pass
-    runs in ``workspace`` (two directions), or in a fresh one when None.
+    from one kernel pass along the z* and t* axes, run in ``workspace`` (two
+    directions), and its reverse.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
-    if colloc.ndim != 2 or colloc.shape[1] != spec.input_dim:
+    if colloc.ndim != 2 or colloc.shape[1] != params.spec.input_dim:
         raise ConfigError("collocation batch shape does not match the network input")
     lay = input_layout(scenario)
     z_star = colloc[:, lay.z_col]
@@ -468,38 +466,34 @@ def physics_loss(spec: MlpSpec, params: ParamStore, collocation: np.ndarray,
     v_phys = scaling.unscale_v(colloc[:, lay.v_cols])
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
-    axes = np.eye(spec.input_dim)[[lay.z_col, lay.t_col]]
-    run = stacked_forward(spec, params, colloc, axes,
-                          workspace=workspace or Workspace(spec, colloc.shape[0], 2))
-    outs, tans_z, tans_t = (y.T for y in run.outputs)
+    axes = np.eye(params.spec.input_dim)[[lay.z_col, lay.t_col]]
+    outs, tans_z, tans_t = (y.T for y in stacked_forward(params, colloc, axes, workspace))
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
     # the derivative of Log-Cosh is tanh
     cotangents = [np.tanh(r) * (1.0 / (3.0 * r.size)) for r in residuals]
     g_stacks = physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling, cotangents)
-    grad = run.gradient(np.stack(g_stacks).transpose(0, 2, 1))
+    grad = workspace.gradient(np.stack(g_stacks).transpose(0, 2, 1))
     return loss, PdeResidualSet(*residuals), grad
 
 
-def loss_and_gradient(spec: MlpSpec, params: ParamStore, batch: Batch, collocation,
-                      scenario: ScenarioConfig, scaling: ScalingSpec,
-                      alpha: float, beta: float,
-                      workspaces: tuple[Workspace, Workspace | None] | None = None
-                      ) -> tuple[float, float, np.ndarray]:
+def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
+                      scenario: ScenarioConfig, scaling: ScalingSpec, alpha: float, beta: float,
+                      workspaces: tuple[Workspace, Workspace | None]) -> tuple[float, float, np.ndarray]:
     """L_m, L_p and the flat parameter gradient of alpha*L_m + beta*L_p.
 
     ``collocation`` is None when beta is 0; L_p is then 0 and not evaluated.
-    ``workspaces`` holds the measurement and physics passes' workspaces;
-    without it each pass gets a fresh one.
+    ``workspaces`` holds the measurement pass's workspace and the physics
+    pass's (two directions; None when beta is 0).
     """
-    ws_m, ws_p = workspaces or (Workspace(spec, batch.inputs.shape[0]), None)
-    run = stacked_forward(spec, params, batch.inputs, workspace=ws_m)
-    loss_m = measurement_loss(run.outputs[0], batch.targets)
-    g_pred = np.tanh(run.outputs[0] - batch.targets) * (alpha / batch.targets.size)
-    grad = run.gradient(g_pred[None])
+    ws_m, ws_p = workspaces
+    pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
+    loss_m = measurement_loss(pred, batch.targets)
+    g_pred = np.tanh(pred - batch.targets) * (alpha / batch.targets.size)
+    grad = ws_m.gradient(g_pred[None])
     if collocation is None:
         return loss_m, 0.0, grad
-    loss_p, _, grad_p = physics_loss(spec, params, collocation, scenario, scaling, ws_p)
+    loss_p, _, grad_p = physics_loss(params, collocation, scenario, scaling, ws_p)
     return loss_m, loss_p, grad + beta * grad_p
 
 
@@ -526,17 +520,16 @@ def sample_collocation(rng, batch_size: int, batch: Batch, layout: InputLayout) 
 
 
 def train(
-    spec: MlpSpec,
+    params: ParamStore,
     dataset: Dataset,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
     config: TrainConfig,
     noise: NoiseSpec = NoiseSpec(),
-    params: ParamStore | None = None,
     log_every: int = 0,
     abort_ratio: float | None = None,
 ) -> tuple[ParamStore, list[dict]]:
-    """Minibatch training of the total loss alpha*L_m + beta*L_p.
+    """Minibatch training of the total loss alpha*L_m + beta*L_p, in place on ``params``.
 
     Per batch: noise the measurement rows, evaluate the measurement loss,
     and when beta > 0 draw fresh collocation points (inheriting the noisy
@@ -552,10 +545,9 @@ def train(
     if dataset.scenario_hash != scenario_fingerprint(scenario):
         raise ConfigError("dataset was assembled under a different scenario")
     lay = input_layout(scenario)
+    spec = params.spec
     if lay.input_dim != spec.input_dim:
         raise ConfigError("network input width does not match the scenario layout")
-    if params is None:
-        params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
     n = dataset.n_samples
     workspaces = (Workspace(spec, min(config.batch_size, n)),
@@ -573,7 +565,7 @@ def train(
             colloc = None
             if config.beta > 0.0:
                 colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            lm_val, lp_val, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
+            lm_val, lp_val, grad = loss_and_gradient(params, batch, colloc, scenario, scaling,
                                                      config.alpha, config.beta, workspaces)
             if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
                 raise NumericalError(
@@ -609,7 +601,6 @@ def train(
 
 
 def rollout_evaluate(
-    spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
@@ -633,7 +624,7 @@ def rollout_evaluate(
     err = {name: np.empty((K, n)) for name in FIELD_ORDER}
     for k in range(K):
         # predictions at t = delta_t on the grid, then at the stations
-        y = forward(spec, params, query_rows(lay, z_star, 1.0, scaling.scale_v(record.v[k]), x0))
+        y = forward(params, query_rows(lay, z_star, 1.0, scaling.scale_v(record.v[k]), x0))
         for f, name in enumerate(FIELD_ORDER):
             err[name][k] = scaling.unscale_field(name, y[:n, f]) - getattr(record, name)[k + 1]
         x0 = y[n:].T.ravel()  # (s,3) -> fields-major (3s,)
@@ -641,7 +632,6 @@ def rollout_evaluate(
 
 
 def evaluate_records(
-    spec: MlpSpec,
     params: ParamStore,
     scenario: ScenarioConfig,
     scaling: ScalingSpec,
@@ -654,7 +644,7 @@ def evaluate_records(
     """
     sq = {name: None for name in FIELD_ORDER}
     for rec in records:
-        errors = rollout_evaluate(spec, params, scenario, scaling, rec)
+        errors = rollout_evaluate(params, scenario, scaling, rec)
         for name in FIELD_ORDER:
             e2 = errors[name] ** 2
             sq[name] = e2 if sq[name] is None else sq[name] + e2

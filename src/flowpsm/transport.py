@@ -55,6 +55,14 @@ class ConfigError(ValueError):
     """A configuration violates a documented invariant."""
 
 
+def _check_finite(obj, names) -> None:
+    """A ConfigError naming the first field of ``obj`` in ``names`` that is not a finite real number."""
+    for name in names:
+        x = getattr(obj, name)
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+            raise ConfigError(f"{name} must be a finite number, got {x!r}")
+
+
 # ===================== fluid properties =====================
 
 
@@ -67,6 +75,7 @@ class FluidProps:
     cp: float  # J/kg/K
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("rho_a", "rho_b", "cp"))
         if self.rho_a <= 0:
             raise ConfigError("rho_a must be positive")
         if self.cp <= 0:
@@ -110,6 +119,8 @@ class PipeSegment:
     gravity_component: float = 0.0  # m/s^2 along the flow axis
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("length", "flow_area", "hydraulic_diameter", "friction_factor", "heat_source",
+                             "source_scale", "gravity_component"))
         if self.length <= 0:
             raise ConfigError("segment length must be positive")
         if self.flow_area <= 0:
@@ -153,11 +164,8 @@ class ScenarioConfig:
             raise ConfigError("input_ranges must align with control_channels")
         if any(len(r) != 2 for r in self.input_ranges):
             raise ConfigError("each input range must be a (min, max) pair")
-        for name in ("delta_t", "episode_duration", "outlet_pressure", "reference_pressure",
-                     "reference_temperature"):
-            x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-                raise ConfigError(f"{name} must be a finite number, got {x!r}")
+        _check_finite(self, ("delta_t", "episode_duration", "outlet_pressure", "reference_pressure",
+                             "reference_temperature"))
         for name, (lo, hi) in zip(self.control_channels, self.input_ranges):
             if not lo < hi:
                 raise ConfigError(f"input range for {name!r} must have min < max")

@@ -60,7 +60,7 @@ def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, co
 
     The trunk and each field's tail and output are run layer by layer as
     (k+1)B-row matmuls, in the same numpy operations and order as the
-    kernel, so ``stacked_forward`` and ``StackedPass.gradient`` must match
+    kernel, so ``stacked_forward`` and ``Workspace.gradient`` must match
     it bit for bit. The three tails' input cotangents are summed p, u, T.
     """
     saved = {}

@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline on a tiny scenario, plus exit-code contracts."""
 
 import csv
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -75,6 +76,16 @@ def test_gen_data_outputs(pipeline):
     assert manifest["command"] == "gen-data"
     assert manifest["seed"] == 5
     assert "records/exp_000.psmd" in manifest["output_digests"]
+
+
+def test_gen_data_manifest_digests_exported_csv_records(tmp_path):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"scenario": _CHANNEL, "n_train": 1, "n_test": 1, "export_csv": True}))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    digests = json.loads((out / "manifest.json").read_text())["output_digests"]
+    for rel in ("records/exp_000.csv", "records/exp_001.csv"):
+        assert digests[rel] == hashlib.sha256((out / rel).read_bytes()).hexdigest()
 
 
 def test_gen_data_is_deterministic(pipeline, tmp_path):
@@ -239,6 +250,13 @@ _CHANNEL = asdict(tiny_channel())
 _LOOP = asdict(loop_preset())
 
 
+def _segment(scenario: dict, index: int, **values) -> dict:
+    """The scenario document with the given keys of segment ``index`` replaced."""
+    segments = list(scenario["segments"])
+    segments[index] = {**segments[index], **values}
+    return {**scenario, "segments": segments}
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"n_train": "x"}, "n_train"),
     ({"degradation": [1, 10.0]}, "degradation"),
@@ -266,6 +284,16 @@ _LOOP = asdict(loop_preset())
     ({"scenario": {**_CHANNEL, "segments": [{**_CHANNEL["segments"][0], "lenght": 1.0},
                                             *_CHANNEL["segments"][1:]]}}, "lenght"),
     ({"scenario": {**_CHANNEL, "fluid": {**_CHANNEL["fluid"], "rho_c": 1.0}}}, "rho_c"),
+    ({"scenario": {**_CHANNEL, "fluid": {**_CHANNEL["fluid"], "rho_b": "x"}}}, "rho_b"),
+    ({"scenario": _segment(_CHANNEL, 0, heat_source="x")}, "heat_source"),
+    ({"scenario": _segment(_CHANNEL, 0, gravity_component="x")}, "gravity_component"),
+    ({"scenario": _segment(_LOOP, 1, source_scale="x")}, "source_scale"),
+    ({"scenario": _segment(_CHANNEL, 0, length=True)}, "length"),
+    ({"scenario": _segment(_CHANNEL, 0, friction_factor=True)}, "friction_factor"),
+    ({"scenario": _segment(_CHANNEL, 0, hydraulic_diameter=True)}, "hydraulic_diameter"),
+    ({"scenario": _segment(_CHANNEL, 0, source_scale=True)}, "source_scale"),
+    ({"scenario": _segment(_CHANNEL, 0, length=float("inf"))}, "length"),
+    ({"scenario": _segment(_CHANNEL, 0, friction_factor=float("nan"))}, "friction_factor"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
         "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object",
@@ -273,7 +301,10 @@ _LOOP = asdict(loop_preset())
         "loop_without_dp_pump", "channel_without_u_in", "channel_without_T_in",
         "export_csv_not_a_boolean", "input_range_not_a_pair", "outlet_pressure_not_a_number",
         "episode_duration_nan", "unknown_key", "unknown_degradation_key", "unknown_solver_key",
-        "unknown_scenario_key", "unknown_segment_key", "unknown_fluid_key"])
+        "unknown_scenario_key", "unknown_segment_key", "unknown_fluid_key", "rho_b_not_a_number",
+        "heat_source_not_a_number", "gravity_component_not_a_number", "loop_heater_source_scale_not_a_number",
+        "length_boolean", "friction_factor_boolean", "hydraulic_diameter_boolean", "source_scale_boolean",
+        "length_infinite", "friction_factor_nan"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     doc = {"scenario": _CHANNEL, "n_train": 1, "n_test": 0, **extra}
@@ -369,6 +400,8 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
                  id="diagnose-fault_span_reversed_untripped"),
     pytest.param("diagnose", {"zeta": 1e6, "fault_span": [100.0, 200.0]}, "fault_span",
                  id="diagnose-fault_span_off_the_grid_untripped"),
+    pytest.param("diagnose", {"zeta": 1e6, "n_conditions": 10**6}, "n_conditions",
+                 id="diagnose-n_conditions_above_the_corpus_untripped"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -384,6 +417,7 @@ def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key)
     assert rc == 2
     assert "Traceback" not in err
     assert "config error" in err and key in err
+    assert not (tmp_path / "out" / "verdict.txt").exists()
 
 
 def test_control_per_step_rows_set_the_step_count(pipeline, tmp_path):

@@ -34,9 +34,9 @@ from oracles import oinf_rows_by_powers, srg_kappa
 def trained(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
-    params, _ = train(spec, dataset, tiny_scenario, scaling,
+    params, _ = train(init_params(spec, 2), dataset, tiny_scenario, scaling,
                       TrainConfig(epochs=5, batch_size=128, collocation_size=32, seed=2))
-    return spec, params
+    return params
 
 
 def _toy_ssm(rng, q=3, p=2, rho=0.6):
@@ -50,69 +50,69 @@ def _toy_ssm(rng, q=3, p=2, rho=0.6):
 
 
 def test_station_predict_matches_forward(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     scenario = tiny_scenario
     _, scaling = tiny_dataset
     lay = input_layout(scenario)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.2, 0.8, lay.n_state)
     v = rng.uniform(0.2, 0.8, lay.n_controls)
-    got = station_predict(spec, params, scenario, scaling, x, v)
+    got = station_predict(params, scenario, scaling, x, v)
     rows = np.zeros((lay.n_stations, lay.input_dim))
     rows[:, lay.z_col] = scaling.scale_z(np.asarray(scenario.sensor_stations))
     rows[:, lay.t_col] = 1.0
     rows[:, lay.v_cols] = v
     rows[:, lay.x0_cols] = x
-    assert np.allclose(got, forward(spec, params, rows).T.ravel())
+    assert np.allclose(got, forward(params, rows).T.ravel())
 
 
 def test_linearize_matches_finite_differences(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     scenario = tiny_scenario
     _, scaling = tiny_dataset
     lay = input_layout(scenario)
     rng = np.random.default_rng(3)
     x00 = rng.uniform(0.3, 0.7, lay.n_state)
     v00 = rng.uniform(0.3, 0.7, lay.n_controls)
-    ssm = linearize(spec, params, scenario, scaling, x00, v00)
-    f0 = station_predict(spec, params, scenario, scaling, x00, v00)
+    ssm = linearize(params, scenario, scaling, x00, v00)
+    f0 = station_predict(params, scenario, scaling, x00, v00)
     assert np.allclose(ssm.y00, f0)
     h = 1e-6
     for j in range(lay.n_state):
         e = np.zeros(lay.n_state)
         e[j] = h
-        fd = (station_predict(spec, params, scenario, scaling, x00 + e, v00)
-              - station_predict(spec, params, scenario, scaling, x00 - e, v00)) / (2 * h)
+        fd = (station_predict(params, scenario, scaling, x00 + e, v00)
+              - station_predict(params, scenario, scaling, x00 - e, v00)) / (2 * h)
         assert np.allclose(ssm.A[:, j], fd, atol=1e-6)
     for j in range(lay.n_controls):
         e = np.zeros(lay.n_controls)
         e[j] = h
-        fd = (station_predict(spec, params, scenario, scaling, x00, v00 + e)
-              - station_predict(spec, params, scenario, scaling, x00, v00 - e)) / (2 * h)
+        fd = (station_predict(params, scenario, scaling, x00, v00 + e)
+              - station_predict(params, scenario, scaling, x00, v00 - e)) / (2 * h)
         assert np.allclose(ssm.B[:, j], fd, atol=1e-6)
     with pytest.raises(ConfigError):
-        linearize(spec, params, scenario, scaling, x00[:-1], v00)
+        linearize(params, scenario, scaling, x00[:-1], v00)
 
 
 def test_linearize_makes_one_tangent_pass(trained, tiny_scenario, tiny_dataset, monkeypatch):
-    spec, params = trained
+    params = trained
     _, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
     calls = []
     original = network.stacked_forward
 
     def counting(*args, **kwargs):
-        calls.append(np.shape(args[3]))
+        calls.append(np.shape(args[2]))
         return original(*args, **kwargs)
 
     # both names, so a pass through forward counts too
     monkeypatch.setattr(network, "stacked_forward", counting)
     monkeypatch.setattr(control, "stacked_forward", counting)
     x00, v00 = np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5)
-    ssm = linearize(spec, params, tiny_scenario, scaling, x00, v00)
+    ssm = linearize(params, tiny_scenario, scaling, x00, v00)
     assert calls == [(lay.n_state + lay.n_controls, lay.input_dim)]
     monkeypatch.undo()
-    y = station_predict(spec, params, tiny_scenario, scaling, x00, v00)
+    y = station_predict(params, tiny_scenario, scaling, x00, v00)
     assert np.max(np.abs(ssm.y00 - y)) <= 1e-14 * np.max(np.abs(y))
 
 
@@ -350,12 +350,12 @@ def test_nonsymmetric_q_weight_projects_like_its_symmetric_part(rng):
 def test_ncg_rollout_passthrough_without_constraints(
     trained, tiny_scenario, tiny_dataset
 ):
-    spec, params = trained
+    params = trained
     scenario = tiny_scenario
     _, scaling = tiny_dataset
     refs = np.tile([0.65, 850.0], (4, 1))
     refs[2] = [0.7, 860.0]
-    log = ncg_rollout(spec, params, scenario, scaling, refs, ConstraintSchedule(),
+    log = ncg_rollout(params, scenario, scaling, refs, ConstraintSchedule(),
                       environment="model")
     assert len(log.steps) == 4
     assert np.allclose([row["v"] for row in log.steps], refs)
@@ -364,12 +364,12 @@ def test_ncg_rollout_passthrough_without_constraints(
 
 
 def test_ncg_rollout_validates_inputs(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     scenario = tiny_scenario
     _, scaling = tiny_dataset
     with pytest.raises(ConfigError):
-        ncg_rollout(spec, params, scenario, scaling, np.zeros((3, 5)),
+        ncg_rollout(params, scenario, scaling, np.zeros((3, 5)),
                     ConstraintSchedule(), environment="model")
     with pytest.raises(ConfigError):
-        ncg_rollout(spec, params, scenario, scaling, np.tile([0.65, 850.0], (3, 1)),
+        ncg_rollout(params, scenario, scaling, np.tile([0.65, 850.0], (3, 1)),
                     ConstraintSchedule(), environment="plant")

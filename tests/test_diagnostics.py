@@ -17,7 +17,7 @@ from flowpsm.diagnostics import (
     twin_config,
 )
 from flowpsm.formats import load_checkpoint, save_checkpoint
-from flowpsm.network import FIELD_ORDER, forward, optimizer_step, stacked_forward
+from flowpsm.network import FIELD_ORDER, forward, init_params, optimizer_step, stacked_forward
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
 from flowpsm.training import (
     TrainConfig,
@@ -35,9 +35,9 @@ from flowpsm.transport import ConfigError, build_grid, scenario_fingerprint
 def trained(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
-    params, _ = train(spec, dataset, tiny_scenario, scaling,
+    params, _ = train(init_params(spec, 2), dataset, tiny_scenario, scaling,
                       TrainConfig(epochs=5, batch_size=128, collocation_size=32, seed=2))
-    return spec, params
+    return params
 
 
 def test_detector_windows_and_latching():
@@ -78,10 +78,10 @@ def test_calibrate_zeta_percentile_math():
 
 
 def test_prediction_errors_manual_recompute(trained, tiny_scenario, tiny_dataset, tiny_records):
-    spec, params = trained
+    params = trained
     _, scaling = tiny_dataset
     rec = tiny_records[2]  # held-out episode
-    errors = prediction_errors(spec, params, tiny_scenario, scaling, rec)
+    errors = prediction_errors(params, tiny_scenario, scaling, rec)
     assert errors.shape == (rec.n_steps,)
     assert np.all(errors >= 0.0)
 
@@ -96,20 +96,20 @@ def test_prediction_errors_manual_recompute(trained, tiny_scenario, tiny_dataset
         rows[:, lay.t_col] = 1.0
         rows[:, lay.v_cols] = scaling.scale_v(rec.v[k])
         rows[:, lay.x0_cols] = scaled[k].ravel()
-        pred = forward(spec, params, rows)
+        pred = forward(params, rows)
         truth = scaled[k + 1].T
         assert errors[k] == pytest.approx(np.mean((pred - truth) ** 2))
 
 
 def test_prediction_errors_accept_drifted_plant(trained, tiny_scenario, tiny_dataset):
     # a degraded plant changes the scenario hash but not the I/O layout
-    spec, params = trained
+    params = trained
     _, scaling = tiny_dataset
     faulty = inject_degradation(tiny_scenario, 1, 10.0)
     traj = generate_trajectories(7, faulty, 1)[0]
     rec = run_experiments(faulty, [traj], [steady_state(faulty, traj.value(0.0))])[0]
     assert rec.scenario_hash != scenario_fingerprint(tiny_scenario)
-    errors = prediction_errors(spec, params, tiny_scenario, scaling, rec)
+    errors = prediction_errors(params, tiny_scenario, scaling, rec)
     assert errors.shape == (rec.n_steps,)
 
 
@@ -132,26 +132,26 @@ def test_sample_conditions_membership_and_determinism(tiny_scenario, tiny_datase
 
 
 def test_pde_residuals_shapes_and_validation(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     v, x0 = sample_conditions(dataset, tiny_scenario, 3, seed=1)
-    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0)
+    z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     assert np.array_equal(z, build_grid(tiny_scenario).centers)
     for part in (res.mass, res.momentum, res.energy):
         assert part.shape == z.shape
         assert np.all(np.isfinite(part))
     with pytest.raises(ConfigError):
-        pde_residuals(spec, params, tiny_scenario, scaling, v[:2], x0)
+        pde_residuals(params, tiny_scenario, scaling, v[:2], x0)
     with pytest.raises(ConfigError):
-        pde_residuals(spec, params, tiny_scenario, scaling, v[:, :1], x0[: v.shape[0]])
+        pde_residuals(params, tiny_scenario, scaling, v[:, :1], x0[: v.shape[0]])
 
 
 def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
     v, x0 = sample_conditions(dataset, tiny_scenario, 2, seed=4)
-    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0)
+    z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     expected = []
     for vi, xi in zip(v, x0):
         rows = np.zeros((z.size, lay.input_dim))
@@ -159,10 +159,10 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
         rows[:, lay.t_col] = 0.5
         rows[:, lay.v_cols] = vi
         rows[:, lay.x0_cols] = xi
-        tan_z = stacked_forward(spec, params, rows, np.eye(lay.input_dim)[[lay.z_col]]).outputs[1]
-        tan_t = stacked_forward(spec, params, rows, np.eye(lay.input_dim)[[lay.t_col]]).outputs[1]
+        tan_z = stacked_forward(params, rows, np.eye(lay.input_dim)[[lay.z_col]])[1]
+        tan_t = stacked_forward(params, rows, np.eye(lay.input_dim)[[lay.t_col]])[1]
         closures = pointwise_closures(tiny_scenario, z, scaling.unscale_v(rows[:, lay.v_cols]))
-        expected.append(physics_residuals(forward(spec, params, rows).T, tan_z.T, tan_t.T,
+        expected.append(physics_residuals(forward(params, rows).T, tan_z.T, tan_t.T,
                                           closures, tiny_scenario, scaling))
     for i, part in enumerate((res.mass, res.momentum, res.energy)):
         assert np.allclose(part, np.mean([e[i] for e in expected], axis=0), rtol=1e-12, atol=1e-14)
@@ -172,15 +172,15 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
 def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenario, tiny_dataset,
                                                             n_conditions):
     # 100 conditions on the 9-cell channel are 900 rows: a full chunk of the pass and a partial one
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
     picked = dataset.inputs[np.random.default_rng(5).integers(dataset.n_samples, size=n_conditions)]
     v, x0 = picked[:, lay.v_cols], picked[:, lay.x0_cols]
-    z, res = pde_residuals(spec, params, tiny_scenario, scaling, v, x0)
+    z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     rows = query_rows(lay, scaling.scale_z(z), 0.5, v, x0)
     axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
-    outs, tan_z, tan_t = (y.T for y in stacked_forward(spec, params, rows, axes).outputs)
+    outs, tan_z, tan_t = (y.T for y in stacked_forward(params, rows, axes))
     closures = pointwise_closures(tiny_scenario, np.tile(z, n_conditions),
                                   scaling.unscale_v(rows[:, lay.v_cols]))
     expected = physics_residuals(outs, tan_z, tan_t, closures, tiny_scenario, scaling)
@@ -189,10 +189,10 @@ def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenar
 
 
 def test_signature_of_identical_models_is_null(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     v, x0 = sample_conditions(dataset, tiny_scenario, 4, seed=3)
-    sig = signature(spec, params, params, tiny_scenario, scaling, v, x0)
+    sig = signature(params, params, tiny_scenario, scaling, v, x0)
     assert sig.equations == ("mass", "momentum", "energy")
     assert np.all(sig.difference == 0.0)
     assert np.all(sig.scaled == 0.0)
@@ -200,13 +200,13 @@ def test_signature_of_identical_models_is_null(trained, tiny_scenario, tiny_data
 
 
 def test_signature_scaled_rows_are_unit_peak(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     v, x0 = sample_conditions(dataset, tiny_scenario, 4, seed=3)
     twin, _ = transfer_learn_twin(
-        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
+        params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
     )
-    sig = signature(spec, params, twin, tiny_scenario, scaling, v, x0)
+    sig = signature(params, twin, tiny_scenario, scaling, v, x0)
     assert np.allclose(sig.difference, sig.twin - sig.nominal)
     for i in range(len(sig.equations)):
         if np.any(sig.difference[i] != 0.0):
@@ -215,11 +215,11 @@ def test_signature_scaled_rows_are_unit_peak(trained, tiny_scenario, tiny_datase
 
 
 def test_transfer_learn_twin_leaves_nominal_untouched(trained, tiny_scenario, tiny_dataset):
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     before = params.flat.copy()
     twin, history = transfer_learn_twin(
-        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=2, batch_size=128, seed=4)
+        params, dataset, tiny_scenario, scaling, twin_config(epochs=2, batch_size=128, seed=4)
     )
     assert twin is not params
     assert np.array_equal(params.flat, before)
@@ -233,15 +233,15 @@ def test_transfer_learn_twin_leaves_nominal_untouched(trained, tiny_scenario, ti
 def test_twin_and_loaded_stores_share_no_arrays_with_their_source(trained, tiny_scenario, tiny_dataset,
                                                                    tmp_path):
     # optimizer_step updates the moments in place, so a shared array would train two stores at once
-    spec, params = trained
+    params = trained
     dataset, scaling = tiny_dataset
     assert params.m is not None
     before = [a.copy() for a in (params.flat, params.m, params.v)]
     twin, _ = transfer_learn_twin(
-        spec, params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
+        params, dataset, tiny_scenario, scaling, twin_config(epochs=1, batch_size=128, seed=4)
     )
     save_checkpoint(tmp_path / "w.psmw", params)
-    loaded = load_checkpoint(tmp_path / "w.psmw", spec)
+    loaded = load_checkpoint(tmp_path / "w.psmw", params.spec)
     for store in (twin, loaded):
         for mine in (store.flat, store.m, store.v):
             assert not any(np.shares_memory(mine, theirs) for theirs in (params.flat, params.m, params.v))

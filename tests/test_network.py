@@ -47,11 +47,11 @@ def test_views_alias_flat_vector(params):
 
 def test_forward_shapes_and_single_row(params, rng):
     x = rng.standard_normal((7, 5))
-    y = forward(SPEC, params, x)
+    y = forward(params, x)
     assert y.shape == (7, 3)
-    assert np.allclose(forward(SPEC, params, x[0]), y[0])
+    assert np.allclose(forward(params, x[0]), y[0])
     with pytest.raises(ConfigError):
-        forward(SPEC, params, np.zeros((2, 4)))
+        forward(params, np.zeros((2, 4)))
 
 
 def _reference_forward(spec, params, x):
@@ -68,29 +68,29 @@ def _reference_forward(spec, params, x):
 
 def test_forward_matches_layer_by_layer_reference(params, rng):
     x = rng.standard_normal((6, 5))
-    assert np.allclose(forward(SPEC, params, x), _reference_forward(SPEC, params, x), atol=1e-12)
+    assert np.allclose(forward(params, x), _reference_forward(SPEC, params, x), atol=1e-12)
 
 
 def test_tangents_match_finite_difference(params, rng):
     x = rng.standard_normal((4, 5))
     h = 1e-6
     dirs = np.vstack([np.eye(5), rng.standard_normal((2, 5))])
-    J = stacked_forward(SPEC, params, x, dirs).outputs[1:]  # one pass for all seven directions
+    J = stacked_forward(params, x, dirs)[1:]  # one pass for all seven directions
     assert J.shape == (7, 4, 3)
     for d, got in zip(dirs, J):
-        fd = (forward(SPEC, params, x + h * d) - forward(SPEC, params, x - h * d)) / (2 * h)
+        fd = (forward(params, x + h * d) - forward(params, x - h * d)) / (2 * h)
         assert np.allclose(got, fd, atol=1e-7)
-    assert np.allclose(stacked_forward(SPEC, params, x[:1], dirs[2:3]).outputs[1, 0], J[2, 0])
+    assert np.allclose(stacked_forward(params, x[:1], dirs[2:3])[1, 0], J[2, 0])
 
 
 def test_tangents_match_one_direction_passes(params, rng):
     x = rng.standard_normal((4, 5))
     dirs = np.eye(5)[[1, 3]]
-    run = stacked_forward(SPEC, params, x, dirs)
-    assert run.outputs.shape == (3, 4, 3)
-    assert np.array_equal(run.outputs[0], forward(SPEC, params, x))
-    for d, got in zip(dirs, run.outputs[1:]):
-        assert np.allclose(got, stacked_forward(SPEC, params, x, d[None]).outputs[1], atol=1e-12)
+    out = stacked_forward(params, x, dirs)
+    assert out.shape == (3, 4, 3)
+    assert np.array_equal(out[0], forward(params, x))
+    for d, got in zip(dirs, out[1:]):
+        assert np.allclose(got, stacked_forward(params, x, d[None])[1], atol=1e-12)
 
 
 @pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
@@ -106,10 +106,10 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
             for cot in (rng.standard_normal((k + 1, n_rows, 3)),
                         rng.standard_normal((k + 1, 3, n_rows)).transpose(0, 2, 1)):
                 want_out, want_grad = per_field_pass(store, x, dirs, cot)
-                run = stacked_forward(spec, store, x, dirs, workspace=Workspace(spec, n_rows, k))
-                assert run.outputs.tobytes() == want_out.tobytes()
-                assert stacked_forward(spec, store, x, dirs).outputs.tobytes() == want_out.tobytes()
-                assert run.gradient(cot).tobytes() == want_grad.tobytes()
+                ws = Workspace(spec, n_rows, k)
+                assert stacked_forward(store, x, dirs, workspace=ws).tobytes() == want_out.tobytes()
+                assert stacked_forward(store, x, dirs).tobytes() == want_out.tobytes()
+                assert ws.gradient(cot).tobytes() == want_grad.tobytes()
 
 
 def test_gradient_of_tangent_loss_matches_finite_difference(rng):
@@ -118,25 +118,25 @@ def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     dirs = np.eye(5)[[0, 2]]
     weights = rng.standard_normal((3, 3, 3))
 
-    def loss_value(spec, store):
-        y = stacked_forward(spec, store, x, dirs).outputs
+    def loss_value(store):
+        y = stacked_forward(store, x, dirs)
         return float(np.sum(weights * y) + np.sum(y[1:] ** 2))
 
     spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
     store = init_params(spec, seed=3)
     store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
-    run = stacked_forward(spec, store, x, dirs, workspace=Workspace(spec, 3, 2))
+    ws = Workspace(spec, 3, 2)
     cot = weights.copy()
-    cot[1:] += 2.0 * run.outputs[1:]
-    grad = run.gradient(cot)
+    cot[1:] += 2.0 * stacked_forward(store, x, dirs, workspace=ws)[1:]
+    grad = ws.gradient(cot)
 
     h = 1e-6
     for idx in np.linspace(0, store.n_params - 1, 40).astype(int):
         old = store.flat[idx]
         store.flat[idx] = old + h
-        lp = loss_value(spec, store)
+        lp = loss_value(store)
         store.flat[idx] = old - h
-        lm = loss_value(spec, store)
+        lm = loss_value(store)
         store.flat[idx] = old
         fd = (lp - lm) / (2 * h)
         assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), idx
@@ -199,17 +199,17 @@ def test_optimizer_rejects_non_finite_gradient(params):
 
 def test_gradient_zero_in_unused_tail_branches(params, rng):
     # a loss on one field alone reaches its own tail and output, and none of the other two
-    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]],
-                          workspace=Workspace(SPEC, 2, 2))
+    ws = Workspace(SPEC, 2, 2)
+    out = stacked_forward(params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], workspace=ws)
 
     def block(g, name):
         start, stop = next((s, e) for nm, _, s, e in params.layout if nm == name)
         return g[start:stop]
 
     for f, field in enumerate(FIELD_ORDER):
-        cot = np.zeros_like(run.outputs)
+        cot = np.zeros_like(out)
         cot[:, :, f] = rng.standard_normal((3, 2))
-        g = run.gradient(cot)
+        g = ws.gradient(cot)
         assert g.shape == params.flat.shape
         for other in FIELD_ORDER:
             for name in (f"tail_{other}.w", f"tail_{other}.b", f"out_{other}.w", f"out_{other}.b"):
@@ -219,11 +219,11 @@ def test_gradient_zero_in_unused_tail_branches(params, rng):
 
 def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
     x, dirs = rng.standard_normal((5, 5)), rng.standard_normal((2, 5))
-    before = stacked_forward(SPEC, params, x, dirs).outputs.copy()
+    before = stacked_forward(params, x, dirs).copy()
     for name in ("tail_u.w", "tail_u.b", "out_u.w", "out_u.b"):
         params.view(name)[...] += rng.standard_normal(params.view(name).shape)
     for ws in (None, Workspace(SPEC, 5, 2)):
-        after = stacked_forward(SPEC, params, x, dirs, workspace=ws).outputs
+        after = stacked_forward(params, x, dirs, workspace=ws)
         assert np.array_equal(after[..., [0, 2]], before[..., [0, 2]])  # p and T, values and tangents
         assert np.all(after[..., 1] != before[..., 1])
 
@@ -231,35 +231,51 @@ def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
 def test_each_store_reads_its_own_parameters(rng):
     x = rng.standard_normal((4, 5))
     a, b = init_params(SPEC, 1), init_params(SPEC, 2)
-    ya, yb = forward(SPEC, a, x), forward(SPEC, b, x)  # both stores now hold cached views
+    ya, yb = forward(a, x), forward(b, x)  # both stores now hold cached views
     twin = ParamStore(spec=SPEC, flat=a.flat.copy(), layout=a.layout)
     twin.flat *= 0.5
-    for store, y in ((a, ya), (b, yb), (twin, forward(SPEC, twin, x))):
+    for store, y in ((a, ya), (b, yb), (twin, forward(twin, x))):
         assert np.allclose(y, _reference_forward(SPEC, store, x), atol=1e-12)
-        assert np.array_equal(forward(SPEC, store, x), y)
+        assert np.array_equal(forward(store, x), y)
     assert not np.allclose(ya, yb)
     cot = rng.standard_normal((1, 4, 3))
     ws = Workspace(SPEC, 4)
-    g_a = stacked_forward(SPEC, a, x, workspace=ws).gradient(cot)
-    g_twin = stacked_forward(SPEC, twin, x, workspace=ws).gradient(cot)
+    stacked_forward(a, x, workspace=ws)
+    g_a = ws.gradient(cot)
+    stacked_forward(twin, x, workspace=ws)
+    g_twin = ws.gradient(cot)
     assert not np.allclose(g_a, g_twin)
 
 
 def test_stacked_forward_validates_shapes(params, rng):
     x = rng.standard_normal((3, 5))
     with pytest.raises(ConfigError):
-        stacked_forward(SPEC, params, x[:, :4])
+        stacked_forward(params, x[:, :4])
     with pytest.raises(ConfigError):
-        stacked_forward(SPEC, params, x, np.eye(4))
-    run = stacked_forward(SPEC, params, x, np.eye(5)[:2], workspace=Workspace(SPEC, 3, 2))
+        stacked_forward(params, x, np.eye(4))
+    ws = Workspace(SPEC, 3, 2)
+    stacked_forward(params, x, np.eye(5)[:2], workspace=ws)
     with pytest.raises(ConfigError):
-        run.gradient(np.zeros((2, 3, 3)))
+        ws.gradient(np.zeros((2, 3, 3)))
 
 
-def test_gradient_needs_saved_activations(params, rng):
-    run = stacked_forward(SPEC, params, rng.standard_normal((2, 5)))
-    with pytest.raises(ValueError):
-        run.gradient(np.zeros_like(run.outputs))
+def test_gradient_needs_saved_activations():
+    with pytest.raises(ValueError, match="no pass"):  # nothing to reverse before the first pass
+        Workspace(SPEC, 2).gradient(np.zeros((1, 2, 3)))
+
+
+def test_gradient_reverses_the_last_pass(params, rng):
+    # passes of 7, 3 and 5 rows on one workspace: its gradient is the 5-row pass's, bit for bit
+    ws, fresh = Workspace(SPEC, rows=7, n_directions=2), Workspace(SPEC, rows=5, n_directions=2)
+    dirs = rng.standard_normal((2, 5))
+    for n_rows in (7, 3, 5):
+        x = rng.standard_normal((n_rows, 5))
+        stacked_forward(params, x, dirs, workspace=ws)
+    stacked_forward(params, x, dirs, workspace=fresh)
+    cot = rng.standard_normal((3, 5, 3))
+    assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
+    with pytest.raises(ConfigError):  # a cotangent shaped for the 7-row pass
+        ws.gradient(np.zeros((3, 7, 3)))
 
 
 def test_workspace_reuse_matches_fresh_passes(params, rng):
@@ -271,40 +287,39 @@ def test_workspace_reuse_matches_fresh_passes(params, rng):
         for n_rows in (3, 7, 1, 7, 5):
             x = rng.standard_normal((n_rows, 5))
             cot = rng.standard_normal((k + 1, n_rows, 3))
-            fresh = stacked_forward(SPEC, params, x, dirs, workspace=Workspace(SPEC, n_rows, k))
-            reused = stacked_forward(SPEC, params, x, dirs, workspace=ws)
-            assert np.array_equal(reused.outputs, fresh.outputs)
-            assert np.array_equal(reused.outputs, stacked_forward(SPEC, params, x, dirs).outputs)
-            assert np.array_equal(reused.gradient(cot), fresh.gradient(cot))
+            fresh_ws = Workspace(SPEC, n_rows, k)
+            fresh = stacked_forward(params, x, dirs, workspace=fresh_ws)
+            reused = stacked_forward(params, x, dirs, workspace=ws)
+            assert np.array_equal(reused, fresh)
+            assert np.array_equal(reused, stacked_forward(params, x, dirs))
+            assert np.array_equal(ws.gradient(cot), fresh_ws.gradient(cot))
 
 
 def test_workspace_rejects_misuse(params, rng):
     ws = Workspace(SPEC, rows=4, n_directions=2)
     x, dirs = rng.standard_normal((4, 5)), np.eye(5)[:2]
     with pytest.raises(ConfigError):
-        stacked_forward(SPEC, params, rng.standard_normal((5, 5)), dirs, workspace=ws)
+        stacked_forward(params, rng.standard_normal((5, 5)), dirs, workspace=ws)
     with pytest.raises(ConfigError):
-        stacked_forward(SPEC, params, x, dirs[:1], workspace=ws)
+        stacked_forward(params, x, dirs[:1], workspace=ws)
     other = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=5)
     with pytest.raises(ConfigError):
-        stacked_forward(other, init_params(other, 0), x, dirs, workspace=ws)
-    first = stacked_forward(SPEC, params, x, dirs, workspace=ws)
-    stacked_forward(SPEC, params, x[:2], dirs, workspace=ws)
-    with pytest.raises(ValueError):  # the later pass overwrote what it saved
-        first.gradient(np.zeros_like(first.outputs))
+        stacked_forward(init_params(other, 0), x, dirs, workspace=ws)
 
 
 def test_passes_without_workspace_survive_later_calls(params, rng):
     x, dirs = rng.standard_normal((6, 5)), np.eye(5)[:2]
-    y = forward(SPEC, params, x)
-    J = stacked_forward(SPEC, params, x, dirs).outputs[1:]
+    y = forward(params, x)
+    J = stacked_forward(params, x, dirs)[1:]
     ws = Workspace(SPEC, rows=6, n_directions=2)
-    g = stacked_forward(SPEC, params, x, dirs, workspace=ws).gradient(np.ones((3, 6, 3)))
+    stacked_forward(params, x, dirs, workspace=ws)
+    g = ws.gradient(np.ones((3, 6, 3)))
     y0, J0, g0 = y.copy(), J.copy(), g.copy()
     for _ in range(2):
         x2 = rng.standard_normal((6, 5))
-        forward(SPEC, params, x2)
-        stacked_forward(SPEC, params, x2, dirs)
-        stacked_forward(SPEC, params, x2, dirs, workspace=ws).gradient(np.ones((3, 6, 3)))
+        forward(params, x2)
+        stacked_forward(params, x2, dirs)
+        stacked_forward(params, x2, dirs, workspace=ws)
+        ws.gradient(np.ones((3, 6, 3)))
     assert np.array_equal(y, y0) and np.array_equal(J, J0)
     assert np.array_equal(g, g0)  # a gradient is the caller's, not the workspace's

@@ -262,6 +262,6 @@ def test_signature_of_model_with_itself_vanishes(tiny_scenario, tiny_dataset, se
     spec = mlp_for_scenario(tiny_scenario, widths=(6, 5, 4))
     params = init_params(spec, seed=seed)
     v, x0 = sample_conditions(dataset, tiny_scenario, 2, seed=seed)
-    sig = signature(spec, params, params, tiny_scenario, scaling, v, x0)
+    sig = signature(params, params, tiny_scenario, scaling, v, x0)
     assert np.all(sig.difference == 0.0)
     assert np.all(sig.scaled == 0.0)

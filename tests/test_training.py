@@ -101,14 +101,14 @@ def test_corpus_rows_are_the_rows_the_model_is_queried_with(tiny_scenario, tiny_
     s = rec.station_z.size
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 3)
-    errors = prediction_errors(spec, params, tiny_scenario, scaling, rec)
+    errors = prediction_errors(params, tiny_scenario, scaling, rec)
     for k in (0, 5, rec.n_steps - 1):
         ahead = slice(2 * k * s + s, 2 * (k + 1) * s)
         x_k, v_k = scale_sensors(scaling, rec.sensors[k]), scaling.scale_v(rec.v[k])
         rows = query_rows(lay, scaling.scale_z(rec.station_z), 1.0, v_k, x_k)
         assert np.array_equal(dataset.inputs[ahead], rows)
-        pred = forward(spec, params, rows)
-        assert np.allclose(station_predict(spec, params, tiny_scenario, scaling, x_k, v_k),
+        pred = forward(params, rows)
+        assert np.allclose(station_predict(params, tiny_scenario, scaling, x_k, v_k),
                            pred.T.ravel(), rtol=1e-13, atol=0.0)
         assert errors[k] == pytest.approx(np.mean((pred - dataset.targets[ahead]) ** 2), rel=1e-12)
 
@@ -255,10 +255,11 @@ def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
     batch = _full_batch(dataset)
-    lm, lp, grad = loss_and_gradient(spec, params, batch, None, tiny_scenario, scaling, 1.0, 0.0)
+    workspaces = (Workspace(spec, batch.inputs.shape[0]), None)
+    lm, lp, grad = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 1.0, 0.0, workspaces)
     assert lp == 0.0
-    assert lm == measurement_loss(forward(spec, params, batch.inputs), batch.targets)
-    _, _, half = loss_and_gradient(spec, params, batch, None, tiny_scenario, scaling, 0.5, 0.0)
+    assert lm == measurement_loss(forward(params, batch.inputs), batch.targets)
+    _, _, half = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 0.5, 0.0, workspaces)
     assert np.allclose(half, 0.5 * grad, rtol=1e-14, atol=0.0)
 
 
@@ -319,12 +320,13 @@ def test_physics_loss_validates_collocation(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
+    ws = Workspace(spec, 4, 2)
     with pytest.raises(ConfigError):
-        physics_loss(spec, params, np.zeros((4, 3)), tiny_scenario, scaling)
+        physics_loss(params, np.zeros((4, 3)), tiny_scenario, scaling, ws)
     bad = np.zeros((4, spec.input_dim))
     bad[:, 0] = 2.0
     with pytest.raises(ConfigError):
-        physics_loss(spec, params, bad, tiny_scenario, scaling)
+        physics_loss(params, bad, tiny_scenario, scaling, ws)
 
 
 def test_training_loss_gradient_matches_finite_difference(rng):
@@ -344,7 +346,7 @@ def test_training_loss_gradient_matches_finite_difference(rng):
                   targets=rng.uniform(0.0, 1.0, (16, 3)))
     colloc = sample_collocation(rng, 48, batch, lay)
     # centre the u scaling on the median prediction so |u| sees both signs
-    u_star = forward(spec, params, colloc)[:, 1]
+    u_star = forward(params, colloc)[:, 1]
     u_min = -float(np.median(u_star))
     scaling = ScalingSpec(
         z_max=scenario.total_length, t_max=scenario.delta_t,
@@ -355,13 +357,14 @@ def test_training_loss_gradient_matches_finite_difference(rng):
     u = u_star + u_min
     assert np.any(u > 0.0) and np.any(u < 0.0)
     alpha, beta = 0.3, 0.7
-    lm, lp, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling, alpha, beta)
+    workspaces = (Workspace(spec, 16), Workspace(spec, 48, 2))
+    lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling, alpha, beta, workspaces)
     fric, grav, q = pointwise_closures(scenario, scaling.unscale_z(colloc[:, 0]),
                                        scaling.unscale_v(colloc[:, lay.v_cols]))
     assert np.all(fric > 0.0) and len(set(grav)) == 3 and len(set(np.sign(q))) == 3
 
     def total(store):
-        lm, lp, _ = loss_and_gradient(spec, store, batch, colloc, scenario, scaling, alpha, beta)
+        lm, lp, _ = loss_and_gradient(store, batch, colloc, scenario, scaling, alpha, beta, workspaces)
         return alpha * lm + beta * lp
 
     h = 1e-6
@@ -380,8 +383,8 @@ def test_train_runs_and_is_deterministic(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     cfg = TrainConfig(epochs=3, batch_size=64, base_lr=1e-3, collocation_size=32, seed=5)
-    p1, h1 = train(spec, dataset, tiny_scenario, scaling, cfg)
-    p2, h2 = train(spec, dataset, tiny_scenario, scaling, cfg)
+    p1, h1 = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
+    p2, h2 = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
     assert np.array_equal(p1.flat, p2.flat)
     assert [r["loss_total"] for r in h1] == [r["loss_total"] for r in h2]
     assert len(h1) == 3
@@ -394,7 +397,7 @@ def test_train_data_only_mode_skips_physics(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     cfg = TrainConfig(alpha=1.0, beta=0.0, epochs=2, batch_size=64, seed=5)
-    _, hist = train(spec, dataset, tiny_scenario, scaling, cfg)
+    _, hist = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
     assert all(r["loss_physics"] == 0.0 for r in hist)
 
 
@@ -413,19 +416,19 @@ def test_train_abort_ratio_guards_divergence(tiny_scenario, tiny_dataset):
     cfg = TrainConfig(epochs=2, batch_size=64, seed=5)
     with pytest.raises(NumericalError):
         # ratio below 1 makes the first epoch itself trip the guard
-        train(spec, dataset, tiny_scenario, scaling, cfg, abort_ratio=0.5)
+        train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg, abort_ratio=0.5)
 
 
 def test_rollout_evaluate_shapes_and_table(tiny_scenario, tiny_records, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     cfg = TrainConfig(epochs=5, batch_size=128, collocation_size=32, seed=2)
-    params, _ = train(spec, dataset, tiny_scenario, scaling, cfg)
+    params, _ = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
     rec = tiny_records[2]
-    errors = rollout_evaluate(spec, params, tiny_scenario, scaling, rec)
+    errors = rollout_evaluate(params, tiny_scenario, scaling, rec)
     assert set(errors) == {"p", "u", "T"}
     assert errors["T"].shape == (rec.n_steps, rec.grid_z.size)
-    table = evaluate_records(spec, params, tiny_scenario, scaling, [rec])
+    table = evaluate_records(params, tiny_scenario, scaling, [rec])
     assert set(table) == {"p", "u", "T"}
     assert table["T"]["overall_rmse"] == pytest.approx(np.sqrt(np.mean(errors["T"] ** 2)))
     assert table["T"]["mean_rmse"] == pytest.approx(np.mean(np.abs(errors["T"])))  # one record
@@ -436,12 +439,12 @@ def test_train_rejects_mismatched_dataset(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(heated_channel_preset(), widths=(8, 6, 4))
     with pytest.raises(ConfigError):
-        train(spec, dataset, heated_channel_preset(), scaling,
+        train(init_params(spec, 0), dataset, heated_channel_preset(), scaling,
               TrainConfig(epochs=1, batch_size=32))
 
 
 def _reference_train(spec, dataset, scenario, scaling, config, noise):
-    """train's loop written out, each loss on fresh buffers (no workspaces)."""
+    """train's loop written out, each loss on fresh workspaces."""
     lay = input_layout(scenario)
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -455,8 +458,9 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
             idx = perm[start : start + config.batch_size]
             batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            lm, lp, grad = loss_and_gradient(spec, params, batch, colloc, scenario, scaling,
-                                             config.alpha, config.beta)
+            workspaces = (Workspace(spec, idx.size), Workspace(spec, config.n_collocation, 2))
+            lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling,
+                                             config.alpha, config.beta, workspaces)
             optimizer_step(params, grad, lr)
             sum_lm += lm * idx.size
             sum_lp += lp * idx.size
@@ -474,7 +478,7 @@ def test_train_workspaces_match_fresh_passes(tiny_scenario, tiny_dataset):
     config = TrainConfig(epochs=3, batch_size=50, collocation_size=37, base_lr=1e-2, seed=4)
     assert dataset.n_samples % config.batch_size != 0
     noise = NoiseSpec(mode="homoscedastic", sigma=0.01)
-    params, history = train(spec, dataset, tiny_scenario, scaling, config, noise)
+    params, history = train(init_params(spec, config.seed), dataset, tiny_scenario, scaling, config, noise)
     ref_params, ref_history = _reference_train(spec, dataset, tiny_scenario, scaling, config, noise)
     assert params.flat.tobytes() == ref_params.flat.tobytes()
     assert history == ref_history
@@ -495,7 +499,7 @@ def test_psm_batches_reuse_their_pages(tiny_scenario, tiny_dataset):
 
     def one_batch():
         colloc = sample_collocation(rng, 256, batch, lay)
-        _, _, grad = loss_and_gradient(spec, params, batch, colloc, tiny_scenario, scaling,
+        _, _, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling,
                                        0.5, 0.5, workspaces)
         optimizer_step(params, grad, 1e-3)
 

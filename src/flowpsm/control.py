@@ -26,6 +26,7 @@ All governor math runs in scaled units; rollout logs report physical ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +189,21 @@ class OInfApprox:
     h: np.ndarray  # (R,)
     x00: np.ndarray
     v00: np.ndarray
+    _whitened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def margins(self, delta_x: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
         return self.h - self.H_x @ delta_x - self.H_v @ delta_v
+
+    def whitened(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W, H_v W) with W = L^{-T}, 2Q = LL': ``cg_solve``'s factors, formed once per Q."""
+        key = Q.tobytes()
+        if key not in self._whitened:
+            try:
+                W = np.linalg.inv(np.linalg.cholesky(2.0 * Q)).T
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"weighting Q: {exc} (Q must be symmetric positive definite)") from exc
+            self._whitened[key] = (W, self.H_v @ W)
+        return self._whitened[key]
 
     def contains(self, delta_x: np.ndarray, delta_v: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(self.margins(delta_x, delta_v) >= -tol))
@@ -258,6 +271,101 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
 # ===================== governors =====================
 
 
+def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """z minimizing ||A z - b||, or None when A's last column depends on the others.
+
+    Modified Gram-Schmidt on the columns of [A b], which is backward stable
+    for least squares (Bjorck 1967), then back substitution. The last
+    column counts as dependent when its part orthogonal to the others is
+    lost beside their part at a factor 0.01, Lawson & Hanson's test.
+    """
+    k = A.shape[1]
+    V = np.empty((k + 1, A.shape[0]))  # rows: the columns, then b
+    V[:k] = A.T
+    V[k] = b
+    R = np.zeros((k, k + 1))
+    for i in range(k):
+        r_ii = math.sqrt(V[i] @ V[i])
+        if i == k - 1:
+            unorm = math.sqrt(R[:i, i] @ R[:i, i])
+            if not (unorm + 0.01 * r_ii) - unorm > 0.0:
+                return None
+        R[i, i] = r_ii
+        q = V[i] / r_ii
+        R[i, i + 1:] = V[i + 1:] @ q
+        V[i + 1:] -= R[i, i + 1:, None] * q
+    z = np.empty(k)
+    for i in reversed(range(k)):
+        z[i] = (R[i, k] - R[i, i + 1:k] @ z[i + 1:]) / R[i, i]
+    return z
+
+
+def _nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
+    """x >= 0 minimizing ||A x - b||, by Lawson & Hanson's active-set method (1974, ch. 23).
+
+    The passive set P starts empty. Each outer step moves in the column of
+    largest gradient w = A'(b - Ax), if it is independent of P and takes a
+    positive coefficient, and stops when no w_j > 0 is left or P has one
+    column per row. Each inner step solves least squares on P and, while a
+    coefficient is not positive, moves x toward that solution until one
+    reaches 0 and drops it from P. Raises NumericalError when the inner
+    steps, counted as least-squares solves on P, pass ``maxiter`` (default 3n).
+    """
+    m, n = A.shape
+    maxiter = 3 * n if maxiter is None else maxiter
+    x, P, steps = np.zeros(n), [], 0
+    w = A.T @ b
+    while len(P) < m:
+        w[P] = 0.0
+        j = int(np.argmax(w))
+        if not w[j] > 0.0:
+            break
+        z = _least_squares(A[:, P + [j]], b)
+        if z is None or not z[-1] > 0.0:
+            w[j] = 0.0  # not a candidate until w is formed again
+            continue
+        P.append(j)
+        while True:
+            steps += 1
+            if steps > maxiter:
+                raise NumericalError(f"non-negative least squares did not converge in {maxiter} steps")
+            if not (neg := z <= 0.0).any():
+                break
+            xp = x[P]
+            t = np.where(neg, xp / np.where(neg, xp - z, 1.0), 2.0)  # step to each coefficient's zero
+            k = int(np.argmin(t))
+            xp += t[k] * (z - xp)
+            xp[k] = 0.0
+            x[P] = np.maximum(xp, 0.0)
+            P = [i for i, xi in zip(P, xp) if xi > 0.0]
+            z = _least_squares(A[:, P], b)
+        x[P] = z
+        w = A.T @ (b - A @ x)
+    return x
+
+
+def _least_distance(G: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """x of least norm with G x <= g, or None when no x satisfies the rows.
+
+    One non-negative least-squares call on [G'; g'] u ~ e_{n+1} solves it
+    (Lawson & Hanson 1974, ch. 23): its residual r gives x = -r[:n] / r[n],
+    and r = 0 means the rows are inconsistent. An x that breaks a row by
+    more than 1e-6 counts as infeasible too.
+    """
+    n = G.shape[1]
+    A = -np.vstack([G.T, g])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    try:
+        r = A @ _nnls(A, e) - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
+    except NumericalError as exc:
+        raise NumericalError(f"least-distance QP over {G.shape[0]} rows: {exc}") from exc
+    if -r[n] <= np.finfo(float).eps:
+        return None
+    x = -r[:n] / r[n]
+    return None if np.any(G @ x > g + 1e-6) else x
+
+
 def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray
                       ) -> tuple[np.ndarray, str]:
     """min 0.5 v'Ev + F'v  s.t.  Mv <= gamma, solved exactly.
@@ -265,8 +373,8 @@ def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.nda
     With E = LL' and x = L'(v - v_free), v_free = -E^{-1}F, the problem is
     the least-distance problem min ||x|| s.t. Gx <= g (G = M L^{-T},
     g = gamma - M v_free), which one non-negative least-squares call solves
-    (Lawson & Hanson 1974, ch. 23). A zero residual means no x satisfies
-    the rows. Returns the minimizer with status ok | infeasible.
+    (Lawson & Hanson 1974, ch. 23). Returns the minimizer with status
+    ok | infeasible; an infeasible QP returns v_free.
     """
     try:
         L = np.linalg.cholesky(E)
@@ -274,25 +382,14 @@ def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.nda
         g = gamma - M @ v_free
         if np.all(g >= 0.0):
             return v_free, "ok"
-        G = np.linalg.solve(L, M.T).T  # M L^{-T}
-        n = v_free.size
-        A = -np.vstack([G.T, g])
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        # on first use, not at import: scipy.optimize would triple the CLI's start-up
-        from scipy.optimize import nnls
-        u, _ = nnls(A, e)
-        r = A @ u - e  # ||r||^2 = -r[n] = 1 / (1 + ||x||^2) at the solution
-        if -r[n] <= np.finfo(float).eps:
+        x = _least_distance(np.linalg.solve(L, M.T).T, g)  # G = M L^{-T}
+        if x is None:
             return v_free, "infeasible"
-        v = v_free + np.linalg.solve(L.T, -r[:n] / r[n])
+        return v_free + np.linalg.solve(L.T, x), "ok"
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"least-distance QP over {M.shape[0]} rows: {exc} (E must be symmetric positive definite)"
         ) from exc
-    if np.any(M @ v > gamma + 1e-6):
-        return v, "infeasible"
-    return v, "ok"
 
 
 def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
@@ -300,21 +397,21 @@ def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
     """Command governor: project r_k onto the admissible inputs at x_k.
 
     Solves min ||v - r_k||_Q^2 over the O-infinity rows with the state
-    fixed. A reference inside the set to 1e-9 passes through as
-    at_reference; an empty admissible set falls back to v_prev with
-    status fallback_infeasible.
+    fixed: ``least_distance_qp`` with E = 2Q and F = -2Q dr, whose free
+    minimizer is dr itself and whose factors ``oinf.whitened`` keeps. A
+    reference inside the set to 1e-9 passes through as at_reference; an
+    empty admissible set falls back to v_prev with status
+    fallback_infeasible.
     """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
     if oinf.contains(dx, dr):
         return np.asarray(r_k, dtype=float), "at_reference"
-    E = 2.0 * Q
-    F = -2.0 * (Q @ dr)
-    gamma = oinf.h - oinf.H_x @ dx
-    dv, status = least_distance_qp(E, F, oinf.H_v, gamma)
-    if status != "ok":
-        return np.asarray(v_prev, dtype=float), f"fallback_{status}"
-    return oinf.v00 + dv, "ok"
+    W, G = oinf.whitened(Q)
+    x = _least_distance(G, oinf.margins(dx, dr))
+    if x is None:
+        return np.asarray(v_prev, dtype=float), "fallback_infeasible"
+    return oinf.v00 + dr + W @ x, "ok"
 
 
 # ===================== governed rollout =====================

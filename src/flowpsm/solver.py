@@ -560,6 +560,53 @@ def _closure_checked(fluid, T: np.ndarray, where: str) -> np.ndarray:
     return T
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, where: str,
+            maxiter: int = 100) -> float:
+    """Root of f between xpre and xcur, where f takes the values fpre and fcur of opposite signs.
+
+    Brent's method (Brent 1973, ch. 4) with xtol = 2e-12 and rtol = 4 eps:
+    inverse quadratic or secant steps, bisecting whenever a step would not
+    shrink the bracket fast enough. The update order is the classic C
+    ``brentq``'s, so the root is the same float. Raises NumericalError, led
+    by ``where``, when ``maxiter`` iterations do not converge.
+    """
+    xtol, rtol = 2e-12, 4.0 * np.finfo(float).eps
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(f"{where}: Brent's method did not converge in {maxiter} iterations "
+                         f"(last iterate {xcur:.6e})")
+
+
 def _steady_faces(plan: _Plan, fluid, T: np.ndarray, v: np.ndarray, G: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """u_face and face dp at mass flux G > 0, cell T and inputs v; the flow runs forward.
@@ -577,7 +624,8 @@ def _loop_flow(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.nd
 
     d is the zero-mean part of cumsum(q dz) / (c_p G). Pinning sum(rho(T) T dz)
     at rho(T_ref) T_ref L gives b T_bar^2 - a T_bar + h_ref + b var(d) = 0
-    (smaller root); G is the root of sum(-dp_j) = dp_pump.
+    (smaller root); G is the root of sum(-dp_j) = dp_pump, bracketed from the
+    isothermal friction balance and found by Brent's method (Brent 1973).
     """
     fluid, dz = scenario.fluid, plan.grid.dz
     a, b, length = fluid.rho_a, fluid.rho_b, float(np.sum(dz))
@@ -606,9 +654,8 @@ def _loop_flow(plan: _Plan, scenario: ScenarioConfig, v: np.ndarray, heat: np.nd
     for _ in range(200):
         r_lo, r_hi = residual(lo), residual(hi)
         if r_lo <= 0.0 <= r_hi:
-            # on first use, not at import: scipy.optimize would triple the CLI's start-up
-            import scipy.optimize
-            G = scipy.optimize.brentq(residual, lo, hi)
+            G = _brentq(residual, float(lo), float(hi), r_lo, r_hi,
+                        f"loop mass flux in [{lo:.3e}, {hi:.3e}] kg/m^2/s at pump head {dp_pump} Pa")
             return G, temperature(G)
         lo, hi = (lo / 2.0 if r_lo > 0.0 else lo), (hi * 2.0 if r_hi < 0.0 else hi)
     raise NumericalError(

@@ -55,12 +55,20 @@ class ConfigError(ValueError):
     """A configuration violates a documented invariant."""
 
 
+def _check_number(name: str, x) -> None:
+    """A ConfigError naming ``name`` unless x is a finite real number (not a boolean) a float can hold."""
+    try:
+        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite number, got {x!r}")
+
+
 def _check_finite(obj, names) -> None:
     """A ConfigError naming the first field of ``obj`` in ``names`` that is not a finite real number."""
     for name in names:
-        x = getattr(obj, name)
-        if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-            raise ConfigError(f"{name} must be a finite number, got {x!r}")
+        _check_number(name, getattr(obj, name))
 
 
 # ===================== fluid properties =====================
@@ -164,6 +172,11 @@ class ScenarioConfig:
             raise ConfigError("input_ranges must align with control_channels")
         if any(len(r) != 2 for r in self.input_ranges):
             raise ConfigError("each input range must be a (min, max) pair")
+        for r in self.input_ranges:
+            for x in r:
+                _check_number("input_ranges entry", x)
+        for z in self.sensor_stations:
+            _check_number("sensor_stations entry", z)
         _check_finite(self, ("delta_t", "episode_duration", "outlet_pressure", "reference_pressure",
                              "reference_temperature"))
         for name, (lo, hi) in zip(self.control_channels, self.input_ranges):

@@ -1,10 +1,12 @@
 """End-to-end CLI pipeline on a tiny scenario, plus exit-code contracts."""
 
 import csv
+import functools
 import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -294,6 +296,12 @@ def _segment(scenario: dict, index: int, **values) -> dict:
     ({"scenario": _segment(_CHANNEL, 0, source_scale=True)}, "source_scale"),
     ({"scenario": _segment(_CHANNEL, 0, length=float("inf"))}, "length"),
     ({"scenario": _segment(_CHANNEL, 0, friction_factor=float("nan"))}, "friction_factor"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [["a", "b"], [804.65, 884.65]]}}, "input_ranges"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [[0.5, float("inf")], [804.65, 884.65]]}}, "input_ranges"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [[0.5, float("nan")], [804.65, 884.65]]}}, "input_ranges"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [[True, 2], [804.65, 884.65]]}}, "input_ranges"),
+    ({"scenario": {**_CHANNEL, "input_ranges": [[0.5, 10**400], [804.65, 884.65]]}}, "input_ranges"),
+    ({"scenario": {**_CHANNEL, "sensor_stations": [True, *_CHANNEL["sensor_stations"][1:]]}}, "sensor_stations"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
         "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object",
@@ -304,7 +312,8 @@ def _segment(scenario: dict, index: int, **values) -> dict:
         "unknown_scenario_key", "unknown_segment_key", "unknown_fluid_key", "rho_b_not_a_number",
         "heat_source_not_a_number", "gravity_component_not_a_number", "loop_heater_source_scale_not_a_number",
         "length_boolean", "friction_factor_boolean", "hydraulic_diameter_boolean", "source_scale_boolean",
-        "length_infinite", "friction_factor_nan"])
+        "length_infinite", "friction_factor_nan", "input_range_strings", "input_range_infinite",
+        "input_range_nan", "input_range_boolean", "input_range_beyond_float", "sensor_station_boolean"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     doc = {"scenario": _CHANNEL, "n_train": 1, "n_test": 0, **extra}
@@ -418,6 +427,29 @@ def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key)
     assert "Traceback" not in err
     assert "config error" in err and key in err
     assert not (tmp_path / "out" / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize("module, routine, command", [
+    ("solver", "_brentq", "gen-data"),
+    ("control", "_nnls", "control"),
+], ids=["loop_mass_flux", "least_distance_qp"])
+def test_solver_that_does_not_converge_exits_3(pipeline, tmp_path, capsys, monkeypatch, module, routine, command):
+    # each routine may take no step, so a loop steady state or a projection cannot converge
+    mod = importlib.import_module(f"flowpsm.{module}")
+    monkeypatch.setattr(mod, routine, functools.partial(getattr(mod, routine), maxiter=0))
+    cfg = tmp_path / "cfg.json"
+    if command == "gen-data":
+        cfg.write_text(json.dumps({"scenario": _LOOP, "n_train": 1, "n_test": 0}))
+        argv, context = [], r"loop mass flux in \[.+\] kg/m\^2/s at pump head"
+    else:
+        cfg.write_text(json.dumps({**_HOLD, "references": {"hold": [0.65, 860.0]}, "schedule": [
+            {"from_step": 0, "constraints": [{"type": "temperature_cap", "station_index": 1, "cap_kelvin": 855.0}]}]}))
+        argv, context = ["--model", str(pipeline["psm"]), "--data", str(pipeline["data"])], r"QP over \d+ rows"
+    rc = main([command, "--config", str(cfg), *argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert re.search(context + ".*did not converge in 0", err), err
 
 
 def test_control_per_step_rows_set_the_step_count(pipeline, tmp_path):
@@ -741,15 +773,30 @@ assert main(["eval", "--model", str(root / "psm"), "--data", str(root / "data"),
     assert (tmp_path / "eval" / "rmse_table.csv").is_file()
 
 
-def test_loop_steady_state_loads_scipy_optimize_on_demand():
-    code = """
-from flowpsm.solver import steady_state
+def test_loop_gen_data_and_projecting_control_load_no_scipy(pipeline, tmp_path):
+    # the loop's root finder and the governor's NNLS are the package's own
+    chain = """
+import csv
+import json
+from dataclasses import asdict, replace
+from pathlib import Path
+from flowpsm.cli import main
 from flowpsm.transport import loop_preset
-scenario = loop_preset()
-assert "scipy.optimize" not in sys.modules
-steady_state(scenario, [sum(r) / 2.0 for r in scenario.input_ranges])
+root, psm, data = (Path(a) for a in sys.argv[1:4])
+scenario = asdict(replace(loop_preset(), episode_duration=10.0))
+(root / "gen.json").write_text(json.dumps({"scenario": scenario, "n_train": 1, "n_test": 0}))
+assert main(["gen-data", "--config", str(root / "gen.json"), "--out", str(root / "loop")]) == 0
+(root / "control.json").write_text(json.dumps({
+    "references": {"hold": [0.65, 860.0]}, "n_steps": 2, "environment": "model", "horizon": 20,
+    "schedule": [{"from_step": 0, "constraints": [
+        {"type": "temperature_cap", "station_index": 1, "cap_kelvin": 855.0}]}]}))
+assert main(["control", "--config", str(root / "control.json"), "--model", str(psm), "--data", str(data),
+             "--out", str(root / "control")]) == 0
+with open(root / "control" / "rollout.csv", newline="") as fh:
+    statuses = {row["status"] for row in csv.DictReader(fh)}
+assert statuses & {"ok", "fallback_infeasible"}, statuses  # the least-distance QP ran
 """
-    assert "scipy.optimize" in _scipy_modules_after(code)
+    assert _scipy_modules_after(chain, tmp_path, pipeline["psm"], pipeline["data"]) == []
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,6 @@
 """Reference solver: steady states, stepping, records, trajectories."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,52 @@ def test_steady_state_without_a_steady_state_raises(scenario):
         replace(s, heat_source=1.0e4 * s.heat_source) for s in scenario.segments))
     with pytest.raises(NumericalError, match="invertible"):
         steady_state(hot, np.array([0.65, 844.65]))
+
+
+@pytest.mark.parametrize("make", [loop_preset, _loop_x10_friction], ids=["nominal", "x10_friction"])
+def test_loop_mass_flux_is_brentq_bit_for_bit(monkeypatch, make):
+    # _brentq ports the reference Brent root finder step for step, so G is the
+    # same float on a grid of heater powers and pump heads spanning the slack
+    from scipy.optimize import brentq
+
+    roots = []
+    own = solver._brentq
+
+    def both(f, xa, xb, *args):
+        G = own(f, xa, xb, *args)
+        roots.append((G, brentq(f, xa, xb)))
+        return G
+
+    monkeypatch.setattr(solver, "_brentq", both)
+    sc = make()
+    lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
+    for q in np.linspace(-0.1, 1.1, 7):
+        for dp in np.linspace(-0.1, 1.1, 9):
+            steady_state(sc, lo + np.array([q, dp]) * (hi - lo))
+    assert len(roots) == 63
+    assert all(G == ref for G, ref in roots)
+
+
+def test_brentq_is_the_reference_root_on_curved_functions():
+    # the loop residual is nearly linear, so its roots take 3-4 steps; cubics
+    # with a sine ripple exercise the extrapolation and bisection branches too
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        c = rng.uniform(-5.0, 5.0, 4)
+        a, b = -rng.uniform(0.0, 100.0), rng.uniform(1e-3, 300.0)
+
+        def f(x):
+            return c[0] * (x - c[1]) ** 3 + c[2] * (x - c[1]) + c[3] * math.sin(x)
+
+        fa, fb = f(a), f(b)
+        if (fa < 0.0) == (fb < 0.0):
+            continue
+        assert solver._brentq(f, a, b, fa, fb, "test") == brentq(f, a, b)
+        checked += 1
+    assert checked > 100
 
 
 STEADY_SCALES = {"p": 1.0e3, "u": 1.0, "T": 100.0}  # Pa, m/s, K

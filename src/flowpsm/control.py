@@ -49,7 +49,6 @@ __all__ = [
     "linearize",
     "build_oinf",
     "cg_solve",
-    "least_distance_qp",
     "ncg_rollout",
 ]
 
@@ -366,40 +365,15 @@ def _least_distance(G: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return None if np.any(G @ x > g + 1e-6) else x
 
 
-def least_distance_qp(E: np.ndarray, F: np.ndarray, M: np.ndarray, gamma: np.ndarray
-                      ) -> tuple[np.ndarray, str]:
-    """min 0.5 v'Ev + F'v  s.t.  Mv <= gamma, solved exactly.
-
-    With E = LL' and x = L'(v - v_free), v_free = -E^{-1}F, the problem is
-    the least-distance problem min ||x|| s.t. Gx <= g (G = M L^{-T},
-    g = gamma - M v_free), which one non-negative least-squares call solves
-    (Lawson & Hanson 1974, ch. 23). Returns the minimizer with status
-    ok | infeasible; an infeasible QP returns v_free.
-    """
-    try:
-        L = np.linalg.cholesky(E)
-        v_free = -np.linalg.solve(E, F)
-        g = gamma - M @ v_free
-        if np.all(g >= 0.0):
-            return v_free, "ok"
-        x = _least_distance(np.linalg.solve(L, M.T).T, g)  # G = M L^{-T}
-        if x is None:
-            return v_free, "infeasible"
-        return v_free + np.linalg.solve(L.T, x), "ok"
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"least-distance QP over {M.shape[0]} rows: {exc} (E must be symmetric positive definite)"
-        ) from exc
-
-
 def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
              v_prev: np.ndarray) -> tuple[np.ndarray, str]:
     """Command governor: project r_k onto the admissible inputs at x_k.
 
     Solves min ||v - r_k||_Q^2 over the O-infinity rows with the state
-    fixed: ``least_distance_qp`` with E = 2Q and F = -2Q dr, whose free
-    minimizer is dr itself and whose factors ``oinf.whitened`` keeps. A
-    reference inside the set to 1e-9 passes through as at_reference; an
+    fixed. With 2Q = LL' and x = L'(v - r_k) it is the least-distance
+    problem min ||x|| s.t. Gx <= g, where G = H_v L^{-T} is one of the
+    factors ``oinf.whitened`` keeps and g the rows' margins at (x_k, r_k).
+    A reference inside the set to 1e-9 passes through as at_reference; an
     empty admissible set falls back to v_prev with status
     fallback_infeasible.
     """

@@ -22,6 +22,12 @@ training reuses batch after batch, what the reverse pass reads;
 (forward-over-reverse), so a loss built from values and directional
 derivatives gets its exact parameter gradient. Passes without one
 (``forward``, linearization, residual maps) allocate fresh arrays.
+
+A pass takes its precision from the store it is given. A store whose flat
+vector is float32, as training's copy of the parameters is, runs the pass
+and its reverse in float32 in float32 buffers; ``Workspace.gradient`` still
+returns float64. The stores that training updates, saves and loads are
+float64, so every other pass runs in float64.
 """
 
 from __future__ import annotations
@@ -188,24 +194,34 @@ class Workspace:
         self.rows = rows
         self.n_directions = n_directions
         self._flat: dict[str, np.ndarray] = {}
-        layout = _layout(spec)
-        self._grad = np.empty(layout[-1][3])  # the reverse pass's flat gradient
-        self._grad_layers = _chain_views(self._grad, layout)
+        # the reverse pass's flat gradient and its CHAIN views, in the last pass's dtype like every buffer
+        self._grad = self._grad_layers = None
         self._last = None  # last pass: store, outputs, per CHAIN layer (input stack, h, pre-gate tangents, gate)
 
+    def _hold(self, dtype: np.dtype) -> None:
+        """Keep buffers of ``dtype`` for the pass about to run, dropping those of another precision."""
+        if self._grad is None or self._grad.dtype != dtype:
+            layout = _layout(self.spec)
+            self._flat = {}
+            self._grad = np.empty(layout[-1][3], dtype)
+            self._grad_layers = _chain_views(self._grad, layout)
+
     def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The leading part of one buffer, as a contiguous array of ``shape``."""
+        """The leading part of one buffer, as a contiguous array of ``shape`` in the workspace's dtype."""
         size = math.prod(shape)
         if key not in self._flat or self._flat[key].size < size:
-            self._flat[key] = np.empty(size)
+            self._flat[key] = np.empty(size, self._grad.dtype)
         return self._flat[key][:size].reshape(shape)
 
     def gradient(self, cotangent) -> np.ndarray:
-        """Flat parameter gradient of sum(cotangent * outputs) of the last pass, aligned with the layout."""
+        """Flat parameter gradient of sum(cotangent * outputs) of the last pass, aligned with the layout.
+
+        The reverse runs in the pass's precision; the gradient is returned as float64.
+        """
         if self._last is None:
             raise ValueError("no pass has run in this workspace")
         params, outputs, saved = self._last
-        g_out = np.asarray(cotangent, dtype=np.float64)
+        g_out = np.asarray(cotangent, dtype=self._grad.dtype)
         if g_out.shape != outputs.shape:
             raise ConfigError("cotangent shape does not match the stacked outputs")
         g_h = g_out[..., None].transpose(2, 0, 1, 3)  # the outs layer's (branch, stack, row, 1) cotangent
@@ -238,12 +254,12 @@ class Workspace:
                 for part in g_in[1:]:
                     g_in[0] += part
             g_h = g_in[: h_in.shape[0]]
-        return self._grad.copy()  # the views tile it, so every entry was written
+        return self._grad.astype(np.float64)  # a copy; the views tile it, so every entry was written
 
 
-def _take(ws: Workspace | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's buffer for ``key``, or a fresh array when there is no workspace."""
-    return np.empty(shape) if ws is None else ws.take(key, shape)
+def _take(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The workspace's buffer for ``key``, or a fresh ``dtype`` array when there is no workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape)
 
 
 def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
@@ -256,14 +272,14 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
     """
     _, n_stack, n_rows, _ = h_in.shape
     n, width = w.shape[:2]
-    a = _take(ws, name, (n, n_stack, n_rows, width))
+    a = _take(ws, name, (n, n_stack, n_rows, width), w.dtype)
     np.matmul(h_in.reshape(h_in.shape[0], n_stack * n_rows, -1), w.swapaxes(1, 2),
               out=a.reshape(n, n_stack * n_rows, width))
     a[:, 0] += b[:, None]
     h = da = gate = None
     if name != "outs":
         h = np.tanh(a[:, 0], out=a[:, 0])
-        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape))
+        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape, w.dtype))
         np.subtract(1.0, gate, out=gate)
         if saved is not None:
             da = ws.take(f"{name}.da", a[:, 1:].shape)
@@ -282,9 +298,10 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
     outputs: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
     along direction i. A pass in ``workspace`` (k directions, at least B
     rows) lives in its buffers and records what ``workspace.gradient``
-    reads; without one every array is fresh.
+    reads; without one every array is fresh. The pass runs, and returns its
+    outputs, in the dtype of ``params.flat``.
     """
-    spec = params.spec
+    spec, dtype = params.spec, params.flat.dtype
     x = np.asarray(x, dtype=np.float64)
     d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
     if x.ndim != 2 or d.ndim != 2 or x.shape[1] != spec.input_dim or d.shape[1] != spec.input_dim:
@@ -299,14 +316,15 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
                 f"workspace holds {ws.rows} rows with {ws.n_directions} directions; "
                 f"the pass needs {n_rows} rows with {d.shape[0]}"
             )
+        ws._hold(dtype)
         ws._last, saved = None, []
     shape = (1, n_stack, n_rows, spec.input_dim)
-    h = _take(ws, "input", shape)
+    h = _take(ws, "input", shape, dtype)
     h[0, 0] = x
     h[0, 1:] = d[:, None, :]
     for name, (w, b) in zip(CHAIN, params.layers()):
         h = _layer(name, w, b, h, ws, saved)
-    outputs = _take(ws, "outputs", (n_stack, n_rows, len(FIELD_ORDER)))
+    outputs = _take(ws, "outputs", (n_stack, n_rows, len(FIELD_ORDER)), dtype)
     np.copyto(outputs, h[..., 0].transpose(1, 2, 0))
     if ws is not None:
         ws._last = (params, outputs, saved)

@@ -23,6 +23,12 @@ network kernel's tangent channels along the z* and t* axes, and the three
 residuals are nondimensionalized (see ``PdeResidualSet``) before a Log-Cosh
 penalty against zero. ``physics_residuals_adjoint`` carries the loss
 gradient back onto those values and tangents for the kernel's reverse pass.
+
+``train`` runs both kernel passes and their reverse in float32 on one
+float32 copy of the store, refreshed after each optimizer step (mixed
+precision, Micikevicius et al. 2018). The store, its Adam moments, the
+losses, the residuals and their adjoints stay float64: the losses cast the
+pass outputs to float64 before using them.
 """
 
 from __future__ import annotations
@@ -467,7 +473,8 @@ def physics_loss(params: ParamStore, collocation: np.ndarray, scenario: Scenario
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
 
     axes = np.eye(params.spec.input_dim)[[lay.z_col, lay.t_col]]
-    outs, tans_z, tans_t = (y.T for y in stacked_forward(params, colloc, axes, workspace))
+    stack = np.asarray(stacked_forward(params, colloc, axes, workspace), dtype=np.float64)
+    outs, tans_z, tans_t = (y.T for y in stack)
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
     # the derivative of Log-Cosh is tanh
@@ -487,7 +494,7 @@ def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
     pass's (two directions; None when beta is 0).
     """
     ws_m, ws_p = workspaces
-    pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
+    pred = np.asarray(stacked_forward(params, batch.inputs, workspace=ws_m)[0], dtype=np.float64)
     loss_m = measurement_loss(pred, batch.targets)
     g_pred = np.tanh(pred - batch.targets) * (alpha / batch.targets.size)
     grad = ws_m.gradient(g_pred[None])
@@ -535,7 +542,9 @@ def train(
     and when beta > 0 draw fresh collocation points (inheriting the noisy
     (x0, v) rows) for the physics loss; one optimizer step per batch with
     the step-decay learning rate. The measurement and physics passes each
-    reuse one workspace, sized for the largest batch, for the whole run.
+    reuse one workspace, sized for the largest batch, for the whole run,
+    and both run in float32 on one float32 copy of ``params``, refreshed in
+    place after each step; ``params`` and its moments stay float64.
     Returns the trained store and one history dict per epoch with keys
     epoch, loss_measurement, loss_physics, loss_total, learning_rate.
 
@@ -550,6 +559,7 @@ def train(
         raise ConfigError("network input width does not match the scenario layout")
     rng = np.random.default_rng(config.seed)
     n = dataset.n_samples
+    shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)  # the passes' float32 copy
     workspaces = (Workspace(spec, min(config.batch_size, n)),
                   Workspace(spec, config.n_collocation, 2) if config.beta > 0.0 else None)
     history: list[dict] = []
@@ -565,13 +575,14 @@ def train(
             colloc = None
             if config.beta > 0.0:
                 colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            lm_val, lp_val, grad = loss_and_gradient(params, batch, colloc, scenario, scaling,
+            lm_val, lp_val, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
                                                      config.alpha, config.beta, workspaces)
             if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}"
                 )
             optimizer_step(params, grad, lr)
+            np.copyto(shadow.flat, params.flat)
             b = idx.size
             sum_lm += lm_val * b
             sum_lp += lp_val * b

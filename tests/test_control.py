@@ -15,7 +15,6 @@ from flowpsm.control import (
     OInfApprox,
     build_oinf,
     cg_solve,
-    least_distance_qp,
     linearize,
     ncg_rollout,
     station_predict,
@@ -232,6 +231,23 @@ def test_srg_kappa_is_maximal(rng):
     assert clipped > 0
 
 
+def _governor_qp(E, F, M, gamma):
+    """min 0.5 v'Ev + F'v s.t. Mv <= gamma, solved by ``cg_solve``.
+
+    It is the governor's projection, weighted by Q = E/2, of the free
+    minimizer v_free = -E^{-1}F onto rows that read no state; an empty set
+    returns v_free. Returns (v, status, v_free).
+    """
+    v_free = -np.linalg.solve(E, F)
+    oinf = OInfApprox(H_x=np.zeros((M.shape[0], 1)), H_v=M, h=gamma, x00=np.zeros(1), v00=np.zeros(M.shape[1]))
+    return (*cg_solve(oinf, oinf.x00, v_free, 0.5 * E, v_free), v_free)
+
+
+def _projected(M, gamma, v_free):
+    """cg_solve's status of a feasible QP: a reference inside the rows to 1e-9 passes through."""
+    return "at_reference" if np.all(M @ v_free <= gamma + 1e-9) else "ok"
+
+
 def test_least_distance_qp_single_constraint_closed_form(rng):
     # min ||v - r||^2 s.t. c.v <= d has the analytic projection solution
     for _ in range(20):
@@ -241,9 +257,9 @@ def test_least_distance_qp_single_constraint_closed_form(rng):
         d = rng.standard_normal() * 0.5
         E = 2.0 * np.eye(p)
         F = -2.0 * r
-        v, status = least_distance_qp(E, F, c[None, :], np.array([d]))
+        v, status, v_free = _governor_qp(E, F, c[None, :], np.array([d]))
         expected = r - max(0.0, (c @ r - d) / (c @ c)) * c
-        assert status == "ok"
+        assert status == _projected(c[None, :], np.array([d]), v_free)
         assert np.allclose(v, expected, atol=1e-8)
 
 
@@ -255,8 +271,8 @@ def test_least_distance_qp_matches_slsqp_on_random_qps(rng):
         F = rng.standard_normal(p)
         M = rng.standard_normal((6, p))
         gamma = rng.uniform(0.1, 1.0, 6)  # v=0 strictly feasible
-        v, status = least_distance_qp(E, F, M, gamma)
-        assert status == "ok"
+        v, status, v_free = _governor_qp(E, F, M, gamma)
+        assert status == _projected(M, gamma, v_free)
         ref = minimize(
             lambda x: 0.5 * x @ E @ x + F @ x,
             np.zeros(p),
@@ -274,12 +290,12 @@ def test_least_distance_qp_flags_infeasible():
     F = np.zeros(1)
     M = np.array([[1.0], [-1.0]])
     gamma = np.array([-1.0, -1.0])
-    _, status = least_distance_qp(E, F, M, gamma)
-    assert status == "infeasible"
+    _, status, _ = _governor_qp(E, F, M, gamma)
+    assert status == "fallback_infeasible"
     # an impossible constant row (0 <= -0.5) is infeasible outright
     M2 = np.zeros((1, 1))
-    _, status2 = least_distance_qp(E, F, M2, np.array([-0.5]))
-    assert status2 == "infeasible"
+    _, status2, _ = _governor_qp(E, F, M2, np.array([-0.5]))
+    assert status2 == "fallback_infeasible"
 
 
 def test_least_distance_qp_nearly_parallel_rows():
@@ -289,16 +305,16 @@ def test_least_distance_qp_nearly_parallel_rows():
     F = np.array([2.0])
     M = np.array([[-3.70], [-3.75]])
     gamma = np.array([3.70 * 0.0745131, 3.75 * 0.0745104])
-    v, status = least_distance_qp(E, F, M, gamma)
+    v, status, _ = _governor_qp(E, F, M, gamma)
     assert status == "ok"
     assert v[0] == pytest.approx(-0.0745104, abs=1e-12)
 
 
 def test_least_distance_qp_rejects_indefinite_weight():
-    E = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    E = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1: Q = E/2 is indefinite
     M = np.array([[1.0, 0.0]])
     with pytest.raises(NumericalError, match="positive definite"):
-        least_distance_qp(E, np.zeros(2), M, np.array([-1.0]))
+        _governor_qp(E, np.zeros(2), M, np.array([-1.0]))
 
 
 def test_spectral_radius_of_non_finite_matrix_is_numerical_error(rng):

@@ -112,6 +112,70 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
                 assert ws.gradient(cot).tobytes() == want_grad.tobytes()
 
 
+def _float32_copy(store):
+    return ParamStore(spec=store.spec, flat=store.flat.astype(np.float32), layout=store.layout)
+
+
+@pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
+def test_float32_store_runs_a_float32_pass_and_reverse(rng, widths):
+    # every buffer, output and reverse scratch is float32, and the pass and its reverse
+    # are the per-field reference run in float32, bit for bit: a scalar that promoted a
+    # step to float64 would change its rounding even where the result lands in float32
+    spec = MlpSpec(5, *widths)
+    store = init_params(spec, seed=2)
+    store.flat += 0.05 * rng.standard_normal(store.n_params)
+    low = _float32_copy(store)
+    f32 = np.dtype(np.float32)
+    for k in (0, 2):
+        x, dirs = rng.standard_normal((130, 5)), rng.standard_normal((k, 5))
+        cot = rng.standard_normal((k + 1, 130, 3))
+        ws = Workspace(spec, 130, k)
+        out = stacked_forward(low, x, dirs, workspace=ws)
+        grad = ws.gradient(cot)
+        assert out.dtype == f32 and stacked_forward(low, x, dirs).dtype == f32
+        assert grad.dtype == np.float64
+        assert {b.dtype for b in ws._flat.values()} == {f32} and ws._grad.dtype == f32
+        want_out, want_grad = per_field_pass(low, x.astype(f32), dirs.astype(f32), cot.astype(f32))
+        assert out.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
+def test_float32_pass_agrees_with_float64_within_a_bound_from_its_eps(rng, widths):
+    # The float32 pass rounds the parameters and inputs once and each layer's sums
+    # and tanh; tanh is 1-Lipschitz and the fan-in-scaled weights keep each layer's
+    # gain near 1, so each of the six layers adds a few eps of the largest magnitude.
+    # 32 eps (3.8e-6) of the largest float64 magnitude bounds values, z*/t* tangents
+    # and the gradient, with a margin of about 8 over the 4 eps these draws reach.
+    bound = 32 * np.finfo(np.float32).eps
+    spec = MlpSpec(5, *widths)
+    store = init_params(spec, seed=2)
+    store.flat += 0.05 * rng.standard_normal(store.n_params)
+    x, axes = rng.uniform(0.0, 1.0, (256, 5)), np.eye(5)[[0, 1]]  # the z* and t* axes
+    cot = rng.standard_normal((3, 256, 3))
+    passes = []
+    for params in (store, _float32_copy(store)):
+        ws = Workspace(spec, 256, 2)
+        out = stacked_forward(params, x, axes, workspace=ws)
+        passes.append((out[0], out[1], out[2], ws.gradient(cot)))
+    for name, want, got in zip(("values", "z* tangents", "t* tangents", "gradient"), *passes):
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), name
+
+
+def test_workspace_follows_the_precision_of_each_store(params, rng):
+    # one workspace alternating float64 and float32 stores: each pass and gradient is
+    # bit-identical to a fresh workspace's
+    ws = Workspace(SPEC, rows=6, n_directions=2)
+    dirs = rng.standard_normal((2, 5))
+    for store in (params, _float32_copy(params), params, _float32_copy(params)):
+        x, cot = rng.standard_normal((6, 5)), rng.standard_normal((3, 6, 3))
+        fresh = Workspace(SPEC, rows=6, n_directions=2)
+        out = stacked_forward(store, x, dirs, workspace=ws)
+        want = stacked_forward(store, x, dirs, workspace=fresh)
+        assert out.dtype == store.flat.dtype and out.tobytes() == want.tobytes()
+        assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
+
+
 def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     # losses built from values and directional derivatives must backprop exactly
     x = rng.standard_normal((3, 5))

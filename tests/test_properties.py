@@ -10,9 +10,9 @@ from flowpsm.control import (
     Constraint,
     ConstraintSet,
     LinearSSM,
+    OInfApprox,
     build_oinf,
     cg_solve,
-    least_distance_qp,
 )
 from flowpsm import control
 from flowpsm.diagnostics import sample_conditions, signature
@@ -149,8 +149,10 @@ def test_qp_single_constraint_is_euclidean_projection(seed):
     if np.linalg.norm(c) < 1e-6:
         return
     d = float(rng.standard_normal())
-    v, status = least_distance_qp(2.0 * np.eye(p), -2.0 * r, c[None, :], np.array([d]))
-    assert status == "ok"
+    # the governor's QP on one row that reads no state, with Q = I
+    oinf = OInfApprox(H_x=np.zeros((1, 1)), H_v=c[None, :], h=np.array([d]), x00=np.zeros(1), v00=np.zeros(p))
+    v, status = cg_solve(oinf, oinf.x00, r, np.eye(p), r)
+    assert status == ("at_reference" if c @ r <= d + 1e-9 else "ok")  # inside to 1e-9 passes through
     expected = r - max(0.0, (c @ r - d) / (c @ c)) * c
     assert np.allclose(v, expected, atol=1e-7)
 
@@ -266,7 +268,7 @@ def test_nnls_matches_the_reference(seed, m, n, ldp):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    if ldp:  # least_distance_qp's system [G'; g'] u ~ e, negated
+    if ldp:  # _least_distance's system [G'; g'] u ~ e, negated
         b = np.zeros(m)
         b[-1] = 1.0
     x = control._nnls(A, b)

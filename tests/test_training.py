@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from flowpsm.errors import NumericalError
-from flowpsm.control import station_predict
-from flowpsm.diagnostics import prediction_errors
-from flowpsm.network import FIELD_ORDER, Workspace, forward, init_params, learning_rate, optimizer_step
+from flowpsm.control import linearize, station_predict
+from flowpsm.diagnostics import pde_residuals, prediction_errors
+from flowpsm.formats import load_checkpoint, save_checkpoint
+from flowpsm.network import (
+    FIELD_ORDER,
+    ParamStore,
+    Workspace,
+    forward,
+    init_params,
+    learning_rate,
+    optimizer_step,
+)
 from flowpsm.solver import SolverConfig, steady_state
 from flowpsm.solver import _plan
 from flowpsm.training import (
@@ -385,7 +394,8 @@ def test_train_runs_and_is_deterministic(tiny_scenario, tiny_dataset):
     cfg = TrainConfig(epochs=3, batch_size=64, base_lr=1e-3, collocation_size=32, seed=5)
     p1, h1 = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
     p2, h2 = train(init_params(spec, cfg.seed), dataset, tiny_scenario, scaling, cfg)
-    assert np.array_equal(p1.flat, p2.flat)
+    for a, b in ((p1.flat, p2.flat), (p1.m, p2.m), (p1.v, p2.v)):  # float32 passes, bit-identical runs
+        assert a.tobytes() == b.tobytes()
     assert [r["loss_total"] for r in h1] == [r["loss_total"] for r in h2]
     assert len(h1) == 3
     assert h1[0]["learning_rate"] == 1e-3
@@ -444,7 +454,7 @@ def test_train_rejects_mismatched_dataset(tiny_scenario, tiny_dataset):
 
 
 def _reference_train(spec, dataset, scenario, scaling, config, noise):
-    """train's loop written out, each loss on fresh workspaces."""
+    """train's loop written out, each loss on fresh workspaces and a fresh float32 cast of the store."""
     lay = input_layout(scenario)
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -459,7 +469,8 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
             batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
             workspaces = (Workspace(spec, idx.size), Workspace(spec, config.n_collocation, 2))
-            lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling,
+            shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)
+            lm, lp, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
                                              config.alpha, config.beta, workspaces)
             optimizer_step(params, grad, lr)
             sum_lm += lm * idx.size
@@ -472,7 +483,8 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
 
 def test_train_workspaces_match_fresh_passes(tiny_scenario, tiny_dataset):
     # a ragged last batch and a collocation count unlike the batch size: the
-    # reused workspaces give bit-identical parameters and history
+    # reused workspaces and the float32 copy refreshed in place give
+    # bit-identical parameters and history
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     config = TrainConfig(epochs=3, batch_size=50, collocation_size=37, base_lr=1e-2, seed=4)
@@ -482,6 +494,28 @@ def test_train_workspaces_match_fresh_passes(tiny_scenario, tiny_dataset):
     ref_params, ref_history = _reference_train(spec, dataset, tiny_scenario, scaling, config, noise)
     assert params.flat.tobytes() == ref_params.flat.tobytes()
     assert history == ref_history
+
+
+def test_train_keeps_float64_master_parameters(tiny_scenario, tiny_dataset, tmp_path):
+    # the passes run on a float32 copy; the store and its moments stay float64, the
+    # checkpoint round-trips bit-exactly, and the passes outside train run in float64
+    dataset, scaling = tiny_dataset
+    spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
+    config = TrainConfig(epochs=2, batch_size=64, collocation_size=32, seed=5)
+    params, _ = train(init_params(spec, config.seed), dataset, tiny_scenario, scaling, config)
+    assert {a.dtype for a in (params.flat, params.m, params.v)} == {np.dtype(np.float64)}
+    save_checkpoint(tmp_path / "model.psmw", params)
+    back = load_checkpoint(tmp_path / "model.psmw", spec)
+    assert back.step == params.step
+    for got, saved in ((back.flat, params.flat), (back.m, params.m), (back.v, params.v)):
+        assert got.dtype == saved.dtype and got.tobytes() == saved.tobytes()
+    lay = input_layout(tiny_scenario)
+    assert forward(params, dataset.inputs[:5]).dtype == np.float64
+    ssm = linearize(params, tiny_scenario, scaling, np.full(lay.n_state, 0.5), np.full(lay.n_controls, 0.5))
+    assert {a.dtype for a in (ssm.A, ssm.B, ssm.y00)} == {np.dtype(np.float64)}
+    _, res = pde_residuals(params, tiny_scenario, scaling, dataset.inputs[:2, lay.v_cols],
+                           dataset.inputs[:2, lay.x0_cols])
+    assert {a.dtype for a in (res.mass, res.momentum, res.energy)} == {np.dtype(np.float64)}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")

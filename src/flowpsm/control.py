@@ -105,7 +105,9 @@ def linearize(
         raise ConfigError("linearization point does not match the scenario layout")
     rows = query_rows(lay, scaling.scale_z(scenario.sensor_stations), 1.0, v00, x00)
     q = lay.n_state
-    axes = np.eye(lay.input_dim)[np.r_[lay.x0_cols, lay.v_cols]]
+    axes = np.zeros((q + lay.n_controls, lay.input_dim))  # one unit input direction per channel
+    np.fill_diagonal(axes[:q, lay.x0_cols], 1.0)  # channel i < q: x0 axis i
+    np.fill_diagonal(axes[q:, lay.v_cols], 1.0)  # channel q + j: control axis j
     out = stacked_forward(params, rows, axes)
     # (1+q+p, s, 3) -> one fields-major row per channel, as station_predict lays it out
     Y = out.transpose(0, 2, 1).reshape(out.shape[0], -1)
@@ -146,7 +148,11 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class ConstraintSchedule:
-    """Piecewise-constant constraint sets: (start_step, set) entries."""
+    """Piecewise-constant constraint sets: (start_step, set) entries.
+
+    The rollout log keys each row by its name, so the rows of one entry need
+    distinct names; an entry after it may reuse a name to change that bound.
+    """
 
     entries: tuple = ()  # ((step, ConstraintSet), ...) steps strictly increasing from 0
 
@@ -154,6 +160,12 @@ class ConstraintSchedule:
         steps = [s for s, _ in self.entries]
         if steps and (steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:]))):
             raise ConfigError("schedule steps must increase strictly from 0")
+        for start, cset in self.entries:
+            names = [row.name for row in cset.rows]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ConfigError(f"constraint name {name!r} repeats in the schedule entry from step {start}; "
+                                      "each row of an entry needs its own name")
 
     def active(self, k: int) -> ConstraintSet:
         current = ConstraintSet()
@@ -177,6 +189,8 @@ def temperature_cap(
 
 
 # ===================== admissible set =====================
+
+ADMIT_TOL = 1e-9  # a margin down to -ADMIT_TOL still counts as inside the admissible set
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ class OInfApprox:
             self._whitened[key] = (W, self.H_v @ W)
         return self._whitened[key]
 
-    def contains(self, delta_x: np.ndarray, delta_v: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, delta_x: np.ndarray, delta_v: np.ndarray, tol: float = ADMIT_TOL) -> bool:
         return bool(np.all(self.margins(delta_x, delta_v) >= -tol))
 
 
@@ -216,18 +230,21 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
     constraint rows are propagated: the blocks C A^k stack by doubling (the
     first b blocks times A^b give the next b, then A^b squares), and
     C S_k [B a0] is the cumulative sum of the blocks (C A^j)[B a0], shifted
-    by one block. The steady block tightens d by epsilon * ||c|| so the
-    horizon truncation is safe.
+    by one block. The steady block tightens d by epsilon * ||c|| (epsilon
+    >= 0) so the horizon truncation is safe.
+
+    A must be Schur. The last power the doubling forms, A^b, certifies it
+    when ||A^b||_F < 1, since rho(A)^b <= ||A^b||_F; otherwise (a strongly
+    non-normal A, or one that is not Schur) the eigenvalues decide.
     """
     if constraints.n_rows == 0:
         raise ConfigError("admissible set needs at least one constraint row")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
+    if not epsilon >= 0.0:
+        raise ConfigError(f"epsilon must be >= 0, got {epsilon!r}")
     if not np.all(np.isfinite(ssm.A)):
         raise NumericalError("state matrix A holds non-finite entries")
-    rho = ssm.spectral_radius
-    if rho >= 1.0:
-        raise NumericalError(f"state matrix is not Schur (spectral radius {rho:.4f})")
     C, d = constraints.stacked()
     r, q = C.shape
     p = ssm.B.shape[1]
@@ -240,12 +257,16 @@ def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon
     H_x = np.zeros(((n + 1) * r, q))  # the last block is the steady row's, zero
     H_x[:r] = C
     Ab, b = ssm.A, 1
-    while b < n:
-        m = min(b, n - b)
-        np.matmul(H_x[: m * r], Ab, out=H_x[b * r : (b + m) * r])
-        b += m
-        if b < n:
-            Ab = Ab @ Ab
+    with np.errstate(over="ignore", invalid="ignore"):  # the powers of a non-Schur A may overflow
+        while b < n:
+            m = min(b, n - b)
+            np.matmul(H_x[: m * r], Ab, out=H_x[b * r : (b + m) * r])
+            b += m
+            if b < n:
+                Ab = Ab @ Ab
+        certified = np.linalg.norm(Ab) < 1.0
+    if not certified and (rho := ssm.spectral_radius) >= 1.0:
+        raise NumericalError(f"state matrix is not Schur (spectral radius {rho:.4f})")
     # block k of CS is C S_k [B a0] = sum_{j<k} (C A^j)[B a0]
     W = (H_x[: n * r] @ np.column_stack([ssm.B, a0])).reshape(n, r, p + 1)
     CS = np.zeros_like(W)
@@ -372,17 +393,18 @@ def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
     Solves min ||v - r_k||_Q^2 over the O-infinity rows with the state
     fixed. With 2Q = LL' and x = L'(v - r_k) it is the least-distance
     problem min ||x|| s.t. Gx <= g, where G = H_v L^{-T} is one of the
-    factors ``oinf.whitened`` keeps and g the rows' margins at (x_k, r_k).
-    A reference inside the set to 1e-9 passes through as at_reference; an
-    empty admissible set falls back to v_prev with status
-    fallback_infeasible.
+    factors ``oinf.whitened`` keeps and g the rows' margins at (x_k, r_k),
+    formed once. A reference whose margins are all >= -1e-9 (``contains``'s
+    tolerance) passes through as at_reference; an empty admissible set
+    falls back to v_prev with status fallback_infeasible.
     """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
-    if oinf.contains(dx, dr):
+    g = oinf.margins(dx, dr)
+    if np.all(g >= -ADMIT_TOL):
         return np.asarray(r_k, dtype=float), "at_reference"
     W, G = oinf.whitened(Q)
-    x = _least_distance(G, oinf.margins(dx, dr))
+    x = _least_distance(G, g)
     if x is None:
         return np.asarray(v_prev, dtype=float), "fallback_infeasible"
     return oinf.v00 + dr + W @ x, "ok"
@@ -401,6 +423,8 @@ class CgConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.update_interval < 1:
             raise ConfigError("horizon and update_interval must be >= 1")
+        if not self.epsilon >= 0.0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     def weight_matrix(self, p: int) -> np.ndarray:
         if self.q_weight is None:

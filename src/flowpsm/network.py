@@ -21,7 +21,10 @@ training reuses batch after batch, what the reverse pass reads;
 ``Workspace.gradient`` is that hand-written reverse of the last pass
 (forward-over-reverse), so a loss built from values and directional
 derivatives gets its exact parameter gradient. Passes without one
-(``forward``, linearization, residual maps) allocate fresh arrays.
+(``forward``, linearization, residual maps) allocate fresh arrays. A
+value-only pass without one (``forward``: model steps, eval rollouts,
+prediction errors) forms no tanh gate, since neither tangent rows nor a
+reverse read it; its values are bit-identical to a gated pass's.
 
 A pass takes its precision from the store it is given. A store whose flat
 vector is float32, as training's copy of the parameters is, runs the pass
@@ -267,7 +270,8 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
     """One stacked dense layer on every branch; the result is (branches, k+1, B, width).
 
     An unbranched ``h_in`` feeds every branch. Hidden layers apply tanh; the
-    ``outs`` layer is linear. With a workspace, the result and what the
+    ``outs`` layer is linear. The tanh gate is formed only when tangent rows
+    or a reverse pass read it. With a workspace, the result and what the
     reverse pass reads go into its buffers and are appended to ``saved``.
     """
     _, n_stack, n_rows, _ = h_in.shape
@@ -279,12 +283,13 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
     h = da = gate = None
     if name != "outs":
         h = np.tanh(a[:, 0], out=a[:, 0])
-        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape, w.dtype))
-        np.subtract(1.0, gate, out=gate)
-        if saved is not None:
-            da = ws.take(f"{name}.da", a[:, 1:].shape)
-            np.copyto(da, a[:, 1:])
-        a[:, 1:] *= gate[:, None]
+        if n_stack > 1 or saved is not None:  # tangent rows or a reverse pass read the gate
+            gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape, w.dtype))
+            np.subtract(1.0, gate, out=gate)
+            if saved is not None:
+                da = ws.take(f"{name}.da", a[:, 1:].shape)
+                np.copyto(da, a[:, 1:])
+            a[:, 1:] *= gate[:, None]
     if saved is not None:
         saved.append((h_in, h, da, gate))
     return a

@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline on a tiny scenario, plus exit-code contracts."""
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -172,6 +173,22 @@ def test_control_with_temperature_cap(pipeline, tmp_path, capsys):
     with open(out / "rollout.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert "y_T_cap_1" in header and "bound_T_cap_1" in header
+
+
+def test_control_reuses_a_name_across_schedule_entries(pipeline, tmp_path):
+    # a later entry that repeats a name changes that row's bound in the same log column
+    cfg = tmp_path / "control.json"
+    cfg.write_text(json.dumps({**_HOLD, "n_steps": 3, "schedule": [
+        {"from_step": 0, "constraints": [{"station_index": 1, "cap_kelvin": 900.0}]},
+        {"from_step": 2, "constraints": [{"station_index": 1, "cap_kelvin": 880.0}]}]}))
+    out = tmp_path / "roll"
+    assert main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]),
+                 "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+    with open(out / "rollout.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [k for k in rows[0] if k.endswith("T_cap_1")] == ["y_T_cap_1", "bound_T_cap_1"]
+    bounds = [float(r["bound_T_cap_1"]) for r in rows]
+    assert bounds[0] == bounds[1] > bounds[2]
 
 
 def test_diagnose_quiet_stream(pipeline, tmp_path, capsys):
@@ -411,6 +428,18 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
                  id="diagnose-fault_span_off_the_grid_untripped"),
     pytest.param("diagnose", {"zeta": 1e6, "n_conditions": 10**6}, "n_conditions",
                  id="diagnose-n_conditions_above_the_corpus_untripped"),
+    pytest.param("control", {**_HOLD, "epsilon": -1.0}, "epsilon", id="control-negative_epsilon"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"type": "linear", "c": [1.0] + [0.0] * 11, "d": 1.0},
+        {"type": "linear", "c": [0.0, 1.0] + [0.0] * 10, "d": 1.0}]}]}, "'linear'",
+                 id="control-repeated_default_linear_name"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_kelvin": 900.0}, {"station_index": 1, "cap_kelvin": 880.0}]}]}, "'T_cap_1'",
+                 id="control-repeated_default_cap_name"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_kelvin": 900.0, "name": "hot"},
+        {"station_index": 2, "cap_kelvin": 880.0, "name": "hot"}]}]}, "'hot'",
+                 id="control-repeated_given_name"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -450,6 +479,27 @@ def test_solver_that_does_not_converge_exits_3(pipeline, tmp_path, capsys, monke
     assert rc == 3
     assert "Traceback" not in err
     assert re.search(context + ".*did not converge in 0", err), err
+
+
+def test_control_with_a_non_schur_linearization_exits_3(pipeline, tmp_path, capsys, monkeypatch):
+    # the linearized state matrix is replaced by 1.05 I: the command names its spectral radius
+    control = importlib.import_module("flowpsm.control")
+    linearize = control.linearize
+
+    def unstable(*args):
+        ssm = linearize(*args)
+        return dataclasses.replace(ssm, A=1.05 * np.eye(ssm.A.shape[0]))
+
+    monkeypatch.setattr(control, "linearize", unstable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_HOLD, "schedule": [
+        {"from_step": 0, "constraints": [{"station_index": 1, "cap_kelvin": 900.0}]}]}))
+    rc = main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]), "--data", str(pipeline["data"]),
+               "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "state matrix is not Schur (spectral radius 1.0500)" in err
 
 
 def test_control_per_step_rows_set_the_step_count(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Linearization, admissible sets, governors, and the governed rollout."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,11 @@ def test_constraint_schedule_selection():
         ConstraintSchedule(entries=((3, a),))
     with pytest.raises(ConfigError):
         ConstraintSchedule(entries=((0, a), (0, b)))
+    ConstraintSchedule(entries=((0, a), (10, a)))  # a name may return in a later entry
+    for names in (("a", "a"), ("", "")):  # given or left empty, a name repeats within one entry
+        twice = ConstraintSet(rows=tuple(Constraint(c=(1.0,), d=0.5, name=nm) for nm in names))
+        with pytest.raises(ConfigError, match=f"{names[0]!r} repeats"):
+            ConstraintSchedule(entries=((0, twice),))
     with pytest.raises(ConfigError):
         ConstraintSet(rows=(Constraint(c=(np.nan,), d=0.0),))
 
@@ -199,6 +205,80 @@ def test_oinf_rejects_unstable_map(rng):
         build_oinf(ssm, cset, horizon=50, epsilon=0.01)
     with pytest.raises(ConfigError):
         build_oinf(_toy_ssm(rng), ConstraintSet(), horizon=50, epsilon=0.01)
+
+
+def _count_eigenvalue_checks(monkeypatch) -> list:
+    """Patch ``LinearSSM.spectral_radius`` to record each call; returns the record."""
+    calls, radius = [], LinearSSM.spectral_radius.fget
+
+    def counted(ssm):
+        calls.append(ssm)
+        return radius(ssm)
+
+    monkeypatch.setattr(LinearSSM, "spectral_radius", property(counted))
+    return calls
+
+
+def _assert_rows_by_powers(oinf, ssm, cset, horizon, epsilon):
+    for got, ref in zip((oinf.H_x, oinf.H_v, oinf.h), oinf_rows_by_powers(ssm, cset, horizon, epsilon)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_oinf_certifies_schur_from_the_last_power(rng, monkeypatch):
+    # a normal Schur A: A^32 (horizon 50) is far below norm 1, so no eigenvalues are taken
+    calls = _count_eigenvalue_checks(monkeypatch)
+    ssm = _toy_ssm(rng, rho=0.6)
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
+    _assert_rows_by_powers(build_oinf(ssm, cset, horizon=50, epsilon=0.01), ssm, cset, 50, 0.01)
+    assert calls == []
+
+
+def test_oinf_falls_back_to_eigenvalues_for_a_non_normal_schur_matrix(rng, monkeypatch):
+    # rho = 0.9, but the off-diagonal entry makes ||A^32||_F about 1.2e3: the certificate
+    # fails, the eigenvalues admit A, and the rows are the per-power ones
+    calls = _count_eigenvalue_checks(monkeypatch)
+    A = 0.9 * np.eye(3)
+    A[0, 2] = 1e3
+    ssm = dataclasses.replace(_toy_ssm(rng), A=A)
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0), Constraint(c=(0.0, 1.0, -1.0), d=0.5)))
+    assert np.linalg.norm(np.linalg.matrix_power(A, 32)) >= 1.0
+    _assert_rows_by_powers(build_oinf(ssm, cset, horizon=50, epsilon=0.01), ssm, cset, 50, 0.01)
+    assert calls == [ssm]
+
+
+@pytest.mark.parametrize("rho", [1.0 + 1e-3, 1e12])
+@pytest.mark.parametrize("horizon", [1, 50])
+def test_oinf_rejects_a_non_schur_matrix_naming_rho_without_a_warning(rng, rho, horizon):
+    # at 1e12 the doubling's powers overflow; that must stay silent, and the error names rho
+    ssm = _toy_ssm(rng, rho=rho)
+    named = f"{np.max(np.abs(np.linalg.eigvals(ssm.A))):.4f}"
+    assert float(named) == pytest.approx(rho, rel=1e-6)
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"not Schur \(spectral radius {named}\)"):
+            build_oinf(ssm, cset, horizon=horizon, epsilon=0.01)
+
+
+def test_oinf_at_horizon_1_certifies_from_a_itself(rng, monkeypatch):
+    # horizon 1 squares nothing, so b = 1 and the certificate is ||A||_F < 1
+    calls = _count_eigenvalue_checks(monkeypatch)
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
+    small = _toy_ssm(rng, rho=0.6)
+    small = dataclasses.replace(small, A=0.5 * small.A / np.linalg.norm(small.A))
+    _assert_rows_by_powers(build_oinf(small, cset, horizon=1, epsilon=0.01), small, cset, 1, 0.01)
+    assert calls == []
+    large = dataclasses.replace(small, A=np.diag([0.95, 0.9, -0.9]))  # Schur, ||A||_F = 1.6
+    _assert_rows_by_powers(build_oinf(large, cset, horizon=1, epsilon=0.01), large, cset, 1, 0.01)
+    assert calls == [large]
+
+
+def test_oinf_rejects_a_negative_epsilon(rng):
+    cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=1.0),))
+    with pytest.raises(ConfigError, match="epsilon"):
+        build_oinf(_toy_ssm(rng), cset, horizon=10, epsilon=-1e-3)
+    build_oinf(_toy_ssm(rng), cset, horizon=10, epsilon=0.0)
 
 
 def test_oinf_rejects_non_finite_state_matrix(rng):
@@ -335,9 +415,25 @@ def test_cg_solve_returns_reference_when_admissible(rng):
     assert np.allclose(v, r)
 
 
+def test_cg_solve_passes_a_reference_within_1e9_of_the_set():
+    # the smallest margin at the reference is exactly h[0]: -1e-9 passes as at_reference,
+    # -2e-9 is projected onto the row
+    for h0, want in ((-1e-9, "at_reference"), (-2e-9, "ok")):
+        oinf = OInfApprox(H_x=np.zeros((2, 1)), H_v=np.eye(2), h=np.array([h0, 1.0]),
+                          x00=np.zeros(1), v00=np.zeros(2))
+        v, status = cg_solve(oinf, oinf.x00, np.zeros(2), np.eye(2), np.ones(2))
+        assert status == want
+        if want == "at_reference":
+            assert np.array_equal(v, np.zeros(2))
+        else:
+            assert v[0] == pytest.approx(h0, abs=1e-15) and v[1] == pytest.approx(0.0, abs=1e-15)
+
+
 def test_cg_config_validation():
     with pytest.raises(ConfigError):
         CgConfig(horizon=0)
+    with pytest.raises(ConfigError, match="epsilon"):
+        CgConfig(epsilon=-1.0)
     with pytest.raises(ConfigError):
         CgConfig(q_weight=(1.0, 0.0, 0.0, -1.0)).weight_matrix(2)
     assert np.allclose(CgConfig().weight_matrix(2), np.eye(2))

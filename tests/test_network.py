@@ -110,6 +110,8 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
                 assert stacked_forward(store, x, dirs, workspace=ws).tobytes() == want_out.tobytes()
                 assert stacked_forward(store, x, dirs).tobytes() == want_out.tobytes()
                 assert ws.gradient(cot).tobytes() == want_grad.tobytes()
+            if k == 0:  # a value-only pass without a workspace forms no gate; its values are the same
+                assert forward(store, x).tobytes() == want_out[0].tobytes()
 
 
 def _float32_copy(store):
@@ -132,11 +134,12 @@ def test_float32_store_runs_a_float32_pass_and_reverse(rng, widths):
         ws = Workspace(spec, 130, k)
         out = stacked_forward(low, x, dirs, workspace=ws)
         grad = ws.gradient(cot)
-        assert out.dtype == f32 and stacked_forward(low, x, dirs).dtype == f32
+        fresh = stacked_forward(low, x, dirs)  # at k = 0, a value-only pass that forms no gate
+        assert out.dtype == f32 and fresh.dtype == f32
         assert grad.dtype == np.float64
         assert {b.dtype for b in ws._flat.values()} == {f32} and ws._grad.dtype == f32
         want_out, want_grad = per_field_pass(low, x.astype(f32), dirs.astype(f32), cot.astype(f32))
-        assert out.tobytes() == want_out.tobytes()
+        assert out.tobytes() == want_out.tobytes() and fresh.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.astype(np.float64).tobytes()
 
 

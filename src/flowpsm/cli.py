@@ -6,8 +6,11 @@ numeric parameters live in JSON config files; flags carry only paths, seeds,
 and mode toggles. Every command writes a manifest.json with input and output
 digests so reruns under a fixed seed can be verified byte for byte.
 
-Temperatures are Kelvin internally; config keys documented as *_kelvin also
-accept a *_celsius variant which is converted on read.
+Every JSON document a command reads goes through ``transport.from_document``.
+Each key is declared once: by the dataclass or keyword-only parameter its
+value is passed to, or, if only the command uses it, by the command's own
+declaration below. Temperatures are Kelvin internally; a temperature_cap row
+may give its cap as cap_celsius instead of cap_kelvin, the one *_celsius key.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -16,12 +19,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -85,11 +90,12 @@ from .training import (
 )
 from .transport import (
     ConfigError,
+    ScenarioConfig,
+    _check_value,
     build_grid,
     from_document,
     heated_channel_preset,
     loop_preset,
-    reject_unknown_keys,
     scenario_fingerprint,
     scenario_from_dict,
 )
@@ -115,83 +121,9 @@ def _out_dir(args) -> Path:
     return _mkdir(Path(out))
 
 
-_KINDS = {
-    "an object": lambda x: isinstance(x, dict),
-    "a list of strings": lambda x: isinstance(x, list) and all(isinstance(p, str) for p in x),
-}
-
-
-def _load_document(path, keys: dict) -> dict:
-    """A JSON object data file whose every key in ``keys`` holds the named kind, else a DataIoError."""
-    doc = load_json(path, DataIoError)
-    for key, kind in keys.items():
-        if key not in doc:
-            raise DataIoError(f"{path}: missing key {key!r}")
-        if not _KINDS[kind](doc[key]):
-            raise DataIoError(f"{path}: {key!r} must be {kind}, got {doc[key]!r}")
-    return doc
-
-
-def _kelvin(cfg: dict, base: str, required: bool = True) -> float | None:
-    """Read a temperature that may be given as <base>_kelvin or <base>_celsius."""
-    k_key, c_key = f"{base}_kelvin", f"{base}_celsius"
-    if k_key in cfg and c_key in cfg:
-        raise ConfigError(f"give either {k_key} or {c_key}, not both")
-    if k_key in cfg:
-        return _number(cfg, k_key, float)
-    if c_key in cfg:
-        return _number(cfg, c_key, float) + 273.15
-    if required:
-        raise ConfigError(f"missing {k_key} (or {c_key})")
-    return None
-
-
-def _number(cfg: dict, key: str, kind, default=None):
-    """cfg[key] (required without a default) as int or float, else a ConfigError.
-
-    JSON numbers only: a string, a boolean, a non-finite value, or a
-    fractional value for an int key is rejected.
-    """
-    if default is None and key not in cfg:
-        raise ConfigError(f"missing {key!r}")
-    value = cfg.get(key, default)
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and isinstance(value, float):
-        ok = math.isfinite(value) and (kind is float or value.is_integer())
-    if not ok:
-        raise ConfigError(f"{key!r} must be given as {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}")
-    return kind(value)
-
-
-def _given(cfg: dict, kinds: dict) -> dict:
-    """The keys of ``kinds`` that ``cfg`` gives, each read by ``_number`` as its kind.
-
-    A key left out keeps the default of the dataclass or function it is
-    passed to, so that default is declared once, by its owner.
-    """
-    return {key: _number(cfg, key, kind) for key, kind in kinds.items() if key in cfg}
-
-
-# Config keys passed through to the owner named in the comment, which holds their defaults.
-_TRAIN_KEYS = {"alpha": float, "beta": float, "epochs": int, "batch_size": int, "base_lr": float,
-               "collocation_size": int}  # TrainConfig
-_GOVERNOR_KEYS = {"horizon": int, "epsilon": float, "update_interval": int}  # CgConfig
-_CALIBRATION_KEYS = {"multiplier": float, "percentile": float}  # calibrate_zeta
-_TWIN_KEYS = {"base_lr": float, "epochs": int, "batch_size": int, "seed": int}  # twin_config
-
-
-def _numbers(cfg: dict, key: str, shape: tuple | None, kind=float, default=None) -> np.ndarray:
-    """cfg[key] (required without a default) as an array of JSON numbers.
-
-    Each entry is checked as by ``_number``. ``shape`` is the required
-    shape, with None for a free length, or None for any rectangular shape.
-    A scalar where an array is due, a ragged or mis-shaped array, or a bad
-    entry is a ConfigError naming the key.
-    """
-    if default is None and key not in cfg:
-        raise ConfigError(f"missing {key!r}")
-    value = cfg.get(key, default)
+def _numbers(value, key: str, shape: tuple | None, kind=float) -> np.ndarray:
+    """The config's ``key``, ``value``, as an array of ``kind`` of ``shape`` (None for a free length, or
+    None for any rectangular shape), else a ConfigError naming the key; each entry by ``_check_value``."""
     try:
         arr = np.array(value, dtype=object)
     except ValueError:  # ragged in a way numpy cannot hold as objects
@@ -200,42 +132,12 @@ def _numbers(cfg: dict, key: str, shape: tuple | None, kind=float, default=None)
             n is not None and n != m for n, m in zip(shape, arr.shape))):
         dims = ", ".join("n" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise ConfigError(f"{key!r} must be an array of numbers of shape ({dims}), got {value!r}")
-    return np.array([_number({key: x}, key, kind) for x in arr.flat], dtype=kind).reshape(arr.shape)
+    for x in arr.flat:
+        _check_value(key, x, kind)
+    return np.array(list(arr.flat), dtype=kind).reshape(arr.shape)
 
 
-def _object(cfg: dict, key: str, default=None) -> dict:
-    """cfg[key] (required without a default) as a JSON object, else a ConfigError."""
-    if default is None and key not in cfg:
-        raise ConfigError(f"missing {key!r}")
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be an object, got {value!r}")
-    return value
-
-
-def _scenario_from_config(cfg: dict):
-    if ("preset" in cfg) == ("scenario" in cfg):
-        raise ConfigError("config must contain exactly one of 'preset' or 'scenario'")
-    if "preset" in cfg:
-        name = cfg["preset"]
-        if not isinstance(name, str) or name not in _PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-        scenario = _PRESETS[name]()
-    else:
-        scenario = scenario_from_dict(cfg["scenario"])
-    if cfg.get("degradation") is not None:
-        deg = _object(cfg, "degradation")
-        reject_unknown_keys(deg, ("segment_index", "friction_multiplier"), "degradation")
-        scenario = inject_degradation(
-            scenario, _number(deg, "segment_index", int), _number(deg, "friction_multiplier", float)
-        )
-    return scenario
-
-
-def _solver_config(cfg: dict) -> SolverConfig:
-    solver = _object(cfg, "solver", {})
-    reject_unknown_keys(solver, ("substep",), "solver")
-    return SolverConfig(**_given(solver, {"substep": float}))
+_solver = partial(from_document, SolverConfig, what="solver")  # a config's solver object
 
 
 def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict, outputs: dict,
@@ -253,27 +155,40 @@ def _write_manifest(outdir: Path, command: str, config_path, seed, inputs: dict,
     manifest.save(outdir / "manifest.json")
 
 
+def _read_data_file(path: Path, owner, what: str, **parse):
+    """``owner`` read by ``from_document`` from a data file, whose other keys are provenance; else a DataIoError."""
+    doc = load_json(path, DataIoError)
+    names = {f.name for f in fields(owner)}
+    try:
+        return from_document(owner, {k: v for k, v in doc.items() if k in names}, what, **parse)
+    except ConfigError as exc:  # the file's contents, not the user's config
+        raise DataIoError(f"{path}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Dataset:
+    """The keys of a data directory's dataset.json that the commands read."""
+
+    scenario: ScenarioConfig
+    train_records: tuple[str, ...]  # record paths relative to the data directory
+    test_records: tuple[str, ...]
+
+
 def _read_dataset(data_dir) -> dict:
     """The data directory's scenario and scaling, checked; ``_load_split`` reads its records."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
-    doc = _load_document(path, {"scenario": "an object",
-                                "train_records": "a list of strings",
-                                "test_records": "a list of strings"})
-    try:
-        scenario = scenario_from_dict(doc["scenario"])
-    except ConfigError as exc:  # the file's contents, not the user's config
-        raise DataIoError(f"{path}: {exc}") from exc
+    dataset = _read_data_file(path, _Dataset, "dataset", scenario=scenario_from_dict)
     scaling, scaling_hash = load_scaling(data_dir / "scaling.json")
-    if scaling_hash != scenario_fingerprint(scenario):
+    if scaling_hash != scenario_fingerprint(dataset.scenario):
         raise DataIoError(f"{data_dir / 'scaling.json'}: scaling manifest does not match the scenario "
                           f"in {path}")
     return {
         "dir": data_dir,
         "inputs": {name: data_dir / name for name in ("dataset.json", "scaling.json")},
-        "scenario": scenario,
+        "scenario": dataset.scenario,
         "scaling": scaling,
-        "splits": {"train": doc["train_records"], "test": doc["test_records"]},
+        "splits": {"train": dataset.train_records, "test": dataset.test_records},
     }
 
 
@@ -285,13 +200,7 @@ def _load_split(data: dict, split: str) -> list:
 def _read_model(model_dir) -> ParamStore:
     """The model directory's trained store, its architecture read from arch.json."""
     model_dir = Path(model_dir)
-    path = model_dir / "arch.json"
-    arch = load_json(path, DataIoError)
-    names = {f.name for f in fields(MlpSpec)}  # the rest of arch.json is provenance
-    try:
-        spec = from_document(MlpSpec, {k: v for k, v in arch.items() if k in names}, "architecture")
-    except ConfigError as exc:  # the file's contents, not the user's config
-        raise DataIoError(f"{path}: {exc}") from exc
+    spec = _read_data_file(model_dir / "arch.json", MlpSpec, "architecture")
     return load_checkpoint(model_dir / "checkpoint.psmw", spec)
 
 
@@ -315,26 +224,40 @@ def _noise_from_flag(flag: str) -> NoiseSpec:
 # ===================== gen-data =====================
 
 
+@dataclass(frozen=True)
+class _GenData:
+    """The gen-data config; ``solver`` holds SolverConfig's keys, ``degradation`` inject_degradation's."""
+
+    preset: str | None = None  # exactly one of preset and scenario
+    scenario: ScenarioConfig | None = None
+    degradation: partial | None = None  # inject_degradation with the document's keys bound
+    solver: SolverConfig = SolverConfig()
+    n_train: int = 16
+    n_test: int = 4
+    export_csv: bool = False
+
+    def __post_init__(self) -> None:
+        if (self.preset is None) == (self.scenario is None):
+            raise ConfigError("config must contain exactly one of 'preset' or 'scenario'")
+        if self.preset is not None and self.preset not in _PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(_PRESETS)}")
+        if self.n_train < 1 or self.n_test < 0:
+            raise ConfigError("need n_train >= 1 and n_test >= 0")
+
+
 def cmd_gen_data(args) -> None:
     t0 = time.time()
-    cfg = load_json(args.config)
-    reject_unknown_keys(cfg, ("preset", "scenario", "degradation", "solver", "n_train", "n_test",
-                              "export_csv"), "gen-data config")
+    cfg = from_document(_GenData, load_json(args.config), "gen-data config", scenario=scenario_from_dict,
+                        solver=_solver,
+                        degradation=lambda d: from_document(inject_degradation, d, "degradation"))
     outdir = _out_dir(args)
-    scenario = _scenario_from_config(cfg)
-    solver_cfg = _solver_config(cfg)
-    n_train = _number(cfg, "n_train", int, 16)
-    n_test = _number(cfg, "n_test", int, 4)
-    if n_train < 1 or n_test < 0:
-        raise ConfigError("need n_train >= 1 and n_test >= 0")
-    export_csv = cfg.get("export_csv", False)
-    if not isinstance(export_csv, bool):
-        raise ConfigError(f"'export_csv' must be true or false, got {export_csv!r}")
-    n_total = n_train + n_test
-    trajectories = generate_trajectories(args.seed, scenario, n_total)
+    scenario = cfg.scenario or _PRESETS[cfg.preset]()
+    if cfg.degradation is not None:
+        scenario = cfg.degradation(scenario)
+    trajectories = generate_trajectories(args.seed, scenario, cfg.n_train + cfg.n_test)
 
     records = run_experiments(scenario, trajectories,
-                              [steady_state(scenario, traj.value(0.0)) for traj in trajectories], solver_cfg)
+                              [steady_state(scenario, traj.value(0.0)) for traj in trajectories], cfg.solver)
 
     _mkdir(outdir / "records")
     rel_paths = []
@@ -344,50 +267,57 @@ def cmd_gen_data(args) -> None:
         save_record(outdir / rel, rec)
         rel_paths.append(rel)
         outputs[rel] = outdir / rel
-        if export_csv:
+        if cfg.export_csv:
             csv_rel = f"records/exp_{i:03d}.csv"
             record_to_csv(outdir / csv_rel, rec)
             outputs[csv_rel] = outdir / csv_rel
 
-    scaling = compute_scaling(records[:n_train], scenario)
+    scaling = compute_scaling(records[:cfg.n_train], scenario)
     save_scaling(outdir / "scaling.json", scaling, scenario_fingerprint(scenario))
     doc = {
         "scenario": asdict(scenario),
         "seed": args.seed,
-        "n_train": n_train,
-        "n_test": n_test,
+        "n_train": cfg.n_train,
+        "n_test": cfg.n_test,
         "delta_t": scenario.delta_t,
-        "train_records": rel_paths[:n_train],
-        "test_records": rel_paths[n_train:],
+        "train_records": rel_paths[:cfg.n_train],
+        "test_records": rel_paths[cfg.n_train:],
     }
     write_json(outdir / "dataset.json", doc)
     outputs["scaling.json"] = outdir / "scaling.json"
     outputs["dataset.json"] = outdir / "dataset.json"
     _write_manifest(outdir, "gen-data", args.config, args.seed,
                     {"config": args.config}, outputs, t0)
-    print(f"gen-data: {n_train} train + {n_test} test records -> {outdir}")
+    print(f"gen-data: {cfg.n_train} train + {cfg.n_test} test records -> {outdir}")
 
 
 # ===================== train =====================
 
 
+@dataclass(frozen=True)
+class _Train:
+    """The train config's own keys; the rest are TrainConfig's, but for seed, which --seed gives."""
+
+    widths: tuple = ()  # head, intermediate and tail; MlpSpec's defaults when left out
+    log_every: int = 25
+
+
 def cmd_train(args) -> None:
     t0 = time.time()
-    cfg = load_json(args.config)
-    reject_unknown_keys(cfg, ("widths", "log_every", *_TRAIN_KEYS), "train config")
-    widths = _numbers(cfg, "widths", (3,), int).tolist() if "widths" in cfg else ()
-    weights = {"alpha": 1.0, "beta": 0.0} if args.mode == "ann" else {}
-    config = TrainConfig(**{**_given(cfg, _TRAIN_KEYS), **weights}, seed=args.seed)
-    log_every = _number(cfg, "log_every", int, 25)
+    config, own = from_document(
+        (partial(TrainConfig, seed=args.seed), _Train), load_json(args.config), "train config",
+        widths=lambda v: tuple(_numbers(v, "widths", (3,), int).tolist()))
+    if args.mode == "ann":
+        config = replace(config, alpha=1.0, beta=0.0)
     noise = _noise_from_flag(args.noise)
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
     scenario, scaling = data["scenario"], data["scaling"]
 
-    spec = mlp_for_scenario(scenario, widths)
+    spec = mlp_for_scenario(scenario, own.widths)
     dataset = assemble_dataset(_load_split(data, "train"), scenario, scaling)
     params, history = train(init_params(spec, config.seed), dataset, scenario, scaling, config, noise,
-                            log_every=log_every)
+                            log_every=own.log_every)
 
     save_checkpoint(outdir / "checkpoint.psmw", params)
     write_metrics(outdir / "metrics.csv",
@@ -458,100 +388,110 @@ def cmd_eval(args) -> None:
 # ===================== control =====================
 
 
-def _build_references(cfg: dict, scenario) -> np.ndarray:
-    lay = input_layout(scenario)
-    n_steps = _number(cfg, "n_steps", int, round(scenario.episode_duration / scenario.delta_t))
-    if n_steps < 1:
-        raise ConfigError("n_steps must be >= 1")
-    ref = _object(cfg, "references")
-    reject_unknown_keys(ref, ("hold", "per_step", "knots"), "references")
-    if len(ref) != 1:
+@dataclass(frozen=True)
+class _Control:
+    """The control config's own keys; horizon, epsilon, update_interval and q_weight are CgConfig's."""
+
+    references: dict  # exactly one of the forms _References declares
+    n_steps: int | None = None  # the scenario's episode_duration / delta_t
+    schedule: tuple[dict, ...] = ()  # entries that _Entry declares
+    environment: Literal["solver", "model"] = "solver"
+    solver: SolverConfig = SolverConfig()
+
+
+@dataclass(frozen=True)
+class _References:
+    hold: tuple | None = None  # one row of inputs, held for n_steps
+    per_step: tuple | None = None  # one row per step
+    knots: dict | None = None  # times and values, interpolated at each step
+
+
+@dataclass(frozen=True)
+class _Knots:
+    times: tuple
+    values: tuple
+
+
+@dataclass(frozen=True)
+class _Entry:
+    from_step: int
+    constraints: tuple[dict, ...] = ()  # rows of temperature_cap's keys or Constraint's, and a type
+
+
+def _build_references(doc: dict, n_steps: int | None, scenario) -> np.ndarray:
+    ref = from_document(_References, doc, "references")
+    if len(doc) != 1:
         raise ConfigError("references must give exactly one of 'hold', 'per_step' or 'knots', "
-                          f"got {sorted(ref)}")
-    p = lay.n_controls
-    if "hold" in ref:
-        return np.tile(_numbers(ref, "hold", (p,)), (n_steps, 1))
-    if "per_step" in ref:
-        rows = _numbers(ref, "per_step", (None, p))
-        if "n_steps" in cfg and rows.shape[0] != n_steps:
+                          f"got {sorted(doc)}")
+    p = scenario.n_controls
+    steps = round(scenario.episode_duration / scenario.delta_t) if n_steps is None else n_steps
+    if steps < 1:
+        raise ConfigError("n_steps must be >= 1")
+    if "hold" in doc:
+        return np.tile(_numbers(ref.hold, "hold", (p,)), (steps, 1))
+    if "per_step" in doc:
+        rows = _numbers(ref.per_step, "per_step", (None, p))
+        if n_steps is not None and rows.shape[0] != n_steps:
             raise ConfigError(f"'n_steps' is {n_steps} but 'per_step' has {rows.shape[0]} rows")
         return rows
-    knots = _object(ref, "knots")
-    reject_unknown_keys(knots, ("times", "values"), "knots")
-    times = _numbers(knots, "times", (None,))
-    values = _numbers(knots, "values", (times.size, p))
+    knots = from_document(_Knots, ref.knots, "knots")
+    times = _numbers(knots.times, "times", (None,))
+    values = _numbers(knots.values, "values", (times.size, p))
     if np.any(np.diff(times) <= 0.0):
         raise ConfigError(f"knot 'times' must increase strictly, got {times.tolist()}")
-    tk = np.arange(n_steps) * scenario.delta_t
+    tk = np.arange(steps) * scenario.delta_t
     return np.column_stack([np.interp(tk, times, values[:, j]) for j in range(p)])
 
 
-def _objects(cfg: dict, key: str) -> list:
-    """cfg[key] as a JSON array of objects (empty when absent), else a ConfigError."""
-    value = cfg.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise ConfigError(f"{key!r} must be an array of objects, got {value!r}")
-    return value
+def _cap_row(doc: dict, scenario, scaling) -> Constraint:
+    """A temperature_cap row, whose cap may instead be given in Celsius as cap_celsius; pops that key."""
+    if "cap_celsius" in doc:
+        if "cap_kelvin" in doc:
+            raise ConfigError("give either cap_kelvin or cap_celsius, not both")
+        _check_value("cap_celsius", doc["cap_celsius"], float)
+        doc["cap_kelvin"] = doc.pop("cap_celsius") + 273.15
+    return from_document(temperature_cap, doc, "temperature_cap constraint")(scenario, scaling)
 
 
-def _build_schedule(cfg: dict, scenario, scaling) -> tuple[ConstraintSchedule, dict]:
+def _build_schedule(entries: tuple, scenario, scaling) -> tuple[ConstraintSchedule, set]:
+    """The schedule, and the names of its temperature_cap rows."""
     n_state = input_layout(scenario).n_state
-    entries = []
-    temperature_rows = {}
-    for entry in _objects(cfg, "schedule"):
-        reject_unknown_keys(entry, ("from_step", "constraints"), "schedule entry")
+    schedule = []
+    cap_names = set()
+    for doc in entries:
+        entry = from_document(_Entry, doc, "schedule entry")
         rows = []
-        for c in _objects(entry, "constraints"):
+        for c in entry.constraints:
             kind = c.get("type", "temperature_cap")
-            name = c.get("name", "")
-            if not isinstance(name, str):
-                raise ConfigError(f"a constraint's 'name' must be a string, got {name!r}")
+            row = {k: v for k, v in c.items() if k != "type"}
             if kind == "temperature_cap":
-                reject_unknown_keys(c, ("type", "name", "station_index", "cap_kelvin", "cap_celsius"),
-                                    "temperature_cap constraint")
-                cap = _kelvin(c, "cap")
-                station = _number(c, "station_index", int)
-                row = temperature_cap(scenario, scaling, station, cap,
-                                      name=name or f"T_cap_{station}")
-                temperature_rows[row.name] = cap
+                rows.append(_cap_row(row, scenario, scaling))
+                cap_names.add(rows[-1].name)
             elif kind == "linear":
-                reject_unknown_keys(c, ("type", "name", "c", "d"), "linear constraint")
-                row = Constraint(c=tuple(_numbers(c, "c", (n_state,)).tolist()), d=_number(c, "d", float),
-                                 name=name or "linear")
+                line = from_document(Constraint, row, "linear constraint",
+                                     c=lambda v: tuple(_numbers(v, "c", (n_state,)).tolist()))
+                rows.append(replace(line, name=line.name or "linear"))
             else:
                 raise ConfigError(f"unknown constraint type {kind!r}")
-            rows.append(row)
-        entries.append((_number(entry, "from_step", int), ConstraintSet(rows=tuple(rows))))
-    entries.sort(key=lambda e: e[0])
-    return ConstraintSchedule(entries=tuple(entries)), temperature_rows
-
-
-def _q_weight(cfg: dict, p: int) -> tuple | None:
-    """The (p, p) input weighting, given as a matrix or its rows end to end, or None."""
-    if cfg.get("q_weight") is None:
-        return None
-    q = _numbers(cfg, "q_weight", None)
-    if q.size != p * p:
-        raise ConfigError(f"'q_weight' must hold {p} x {p} entries, got {q.size}")
-    return tuple(q.ravel().tolist())
+        schedule.append((entry.from_step, ConstraintSet(rows=tuple(rows))))
+    schedule.sort(key=lambda e: e[0])
+    return ConstraintSchedule(entries=tuple(schedule)), cap_names
 
 
 def cmd_control(args) -> None:
     t0 = time.time()
-    cfg = load_json(args.config)
-    reject_unknown_keys(cfg, ("references", "n_steps", "schedule", "q_weight", "environment", "solver",
-                              *_GOVERNOR_KEYS), "control config")
+    doc = load_json(args.config)
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
     params = _read_model(args.model)
     scenario, scaling = data["scenario"], data["scaling"]
 
-    references = _build_references(cfg, scenario)
-    schedule, temperature_rows = _build_schedule(cfg, scenario, scaling)
-    gov = CgConfig(**_given(cfg, _GOVERNOR_KEYS), q_weight=_q_weight(cfg, scenario.n_controls))
-    environment = {"environment": cfg["environment"]} if "environment" in cfg else {}
+    gov, cfg = from_document((CgConfig, _Control), doc, "control config", solver=_solver,
+                             q_weight=lambda v: tuple(_numbers(v, "q_weight", None).ravel().tolist()))
+    references = _build_references(cfg.references, cfg.n_steps, scenario)
+    schedule, cap_names = _build_schedule(cfg.schedule, scenario, scaling)
     log = ncg_rollout(params, scenario, scaling, references, schedule,
-                      config=gov, solver_config=_solver_config(cfg), **environment)
+                      config=gov, solver_config=cfg.solver, environment=cfg.environment)
     write_rollout_log(outdir / "rollout.csv", log.steps,
                       control_names=scenario.control_channels,
                       output_names=log.output_names)
@@ -561,17 +501,15 @@ def cmd_control(args) -> None:
     print(f"control: {len(log.steps)} steps, {log.relinearizations} linearizations, "
           f"statuses {statuses}")
     for j, name in enumerate(log.output_names):
-        worst = max(
-            (row["outputs"][j] - row["bounds"][j] for row in log.steps
-             if row["bounds"][j] is not None),
-            default=None,
-        )
-        if worst is None:
+        margins = [(row["outputs"][j] - row["bounds"][j], row["bounds"][j]) for row in log.steps
+                   if row["bounds"][j] is not None]
+        if not margins:
             continue
+        worst, bound = max(margins, key=lambda m: m[0])
         line = f"  bound {name}: max(y - d) = {worst:.3e} scaled"
-        if name in temperature_rows:
-            kelvin = worst * scaling.span("T")
-            line += f" ({kelvin:+.3f} K vs cap {temperature_rows[name]:.2f} K)"
+        if name in cap_names:  # the cap in force at the worst step, from that step's bound
+            cap = float(scaling.unscale_field("T", bound))
+            line += f" ({worst * scaling.span('T'):+.3f} K vs cap {cap:.2f} K)"
         print(line)
     _write_manifest(outdir, "control", args.config, None,
                     {"config": args.config, "checkpoint": Path(args.model) / "checkpoint.psmw",
@@ -582,25 +520,30 @@ def cmd_control(args) -> None:
 # ===================== diagnose =====================
 
 
+@dataclass(frozen=True)
+class _Diagnose:
+    """The diagnose config's own keys; multiplier and percentile are calibrate_zeta's."""
+
+    window: int = DetectorConfig.window
+    zeta: float | None = None  # calibrated on calibration_split when left out
+    calibration_split: Literal["test", "train"] = "test"
+    twin: TrainConfig = twin_config()  # twin_config's keys
+    n_conditions: int = 64
+    conditions_seed: int | None = None  # sample_conditions's seed when left out
+    fault_span: tuple | None = None  # [z_start, z_end] in m
+
+    def __post_init__(self) -> None:
+        if self.n_conditions < 1:
+            raise ConfigError(f"'n_conditions' must be >= 1, got {self.n_conditions}")
+
+
 def cmd_diagnose(args) -> None:
     t0 = time.time()
-    cfg = load_json(args.config) if args.config else {}
-    reject_unknown_keys(cfg, ("window", "zeta", "calibration_split", "twin", "n_conditions", "conditions_seed",
-                              "fault_span", *_CALIBRATION_KEYS), "diagnose config")
-    window = _number(cfg, "window", int, DetectorConfig.window)
-    zeta = None if cfg.get("zeta") is None else _number(cfg, "zeta", float)
-    split = cfg.get("calibration_split", "test")
-    if split not in ("test", "train"):
-        raise ConfigError(f"'calibration_split' must be \"test\" or \"train\", got {split!r}")
-    calibration = _given(cfg, _CALIBRATION_KEYS)
-    twin_cfg = _object(cfg, "twin", {})
-    reject_unknown_keys(twin_cfg, _TWIN_KEYS, "twin")
-    twin_train = twin_config(**_given(twin_cfg, _TWIN_KEYS))
-    n_conditions = _number(cfg, "n_conditions", int, 64)
-    if n_conditions < 1:
-        raise ConfigError(f"'n_conditions' must be >= 1, got {n_conditions}")
-    conditions_seed = {"seed": _number(cfg, "conditions_seed", int)} if "conditions_seed" in cfg else {}
-    span = None if cfg.get("fault_span") is None else tuple(map(float, _numbers(cfg, "fault_span", (2,))))
+    cfg, calibrate = from_document(
+        (_Diagnose, calibrate_zeta), load_json(args.config) if args.config else {}, "diagnose config",
+        twin=lambda d: from_document(twin_config, d, "twin")(),
+        fault_span=lambda v: tuple(map(float, _numbers(v, "fault_span", (2,)))))
+    window, zeta, span = cfg.window, cfg.zeta, cfg.fault_span
 
     outdir = _out_dir(args)
     data = _read_dataset(args.data)
@@ -608,8 +551,8 @@ def cmd_diagnose(args) -> None:
     scenario, scaling = data["scenario"], data["scaling"]
     steps = round(scenario.episode_duration / scenario.delta_t) * len(data["splits"]["train"])
     n_rows = 2 * steps * len(scenario.sensor_stations)  # the train corpus sample_conditions draws from
-    if n_conditions > n_rows:
-        raise ConfigError(f"'n_conditions' is {n_conditions}, above the {n_rows} rows of the train corpus")
+    if cfg.n_conditions > n_rows:
+        raise ConfigError(f"'n_conditions' is {cfg.n_conditions}, above the {n_rows} rows of the train corpus")
     streams = [load_record(p) for p in args.stream]
     if span is not None:
         try:
@@ -618,11 +561,12 @@ def cmd_diagnose(args) -> None:
             raise ConfigError(f"'fault_span': {exc}") from exc
 
     if zeta is None:
-        if not data["splits"][split]:
-            raise ConfigError(f"no {split} records available to calibrate zeta")
+        if not data["splits"][cfg.calibration_split]:
+            raise ConfigError(f"no {cfg.calibration_split} records available to calibrate zeta")
         # a generator, so calibrate_zeta checks its settings before the errors are computed
-        cal_errors = (prediction_errors(params, scenario, scaling, r) for r in _load_split(data, split))
-        zeta = calibrate_zeta(cal_errors, window, **calibration)
+        cal_errors = (prediction_errors(params, scenario, scaling, r)
+                      for r in _load_split(data, cfg.calibration_split))
+        zeta = calibrate(cal_errors, window)
     detector = DetectorConfig(zeta=zeta, window=window)
     errors = np.concatenate([prediction_errors(params, scenario, scaling, rec) for rec in streams])
     result = detect(errors, detector)
@@ -637,11 +581,12 @@ def cmd_diagnose(args) -> None:
             f"(window mean {result.window_means.max():.3e} > zeta)"
         )
         stream_ds = assemble_dataset(streams, scenario, scaling, strict=False)
-        twin, hist = transfer_learn_twin(params, stream_ds, scenario, scaling, twin_train)
+        twin, hist = transfer_learn_twin(params, stream_ds, scenario, scaling, cfg.twin)
         verdict.append(f"twin fine-tuned: {len(hist)} epochs, "
                        f"loss {hist[0]['loss_total']:.3e} -> {hist[-1]['loss_total']:.3e}")
+        seed = {} if cfg.conditions_seed is None else {"seed": cfg.conditions_seed}
         v_star, x0_star = sample_conditions(assemble_dataset(_load_split(data, "train"), scenario, scaling),
-                                            scenario, n_conditions, **conditions_seed)
+                                            scenario, cfg.n_conditions, **seed)
         sig = signature(params, twin, scenario, scaling, v_star, x0_star)
         write_signature_csv(outdir / "signature.csv", sig)
         outputs["signature.csv"] = outdir / "signature.csv"
@@ -686,7 +631,9 @@ def cmd_preset(args) -> None:
 # ===================== entry point =====================
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="flowpsm",
         description="Physics-informed state-space models of 1D fluid transport.",

@@ -176,16 +176,15 @@ class ConstraintSchedule:
 
 
 def temperature_cap(
-    scenario: ScenarioConfig, scaling: ScalingSpec, station_index: int, cap_kelvin: float,
-    name: str = "T_cap",
+    scenario: ScenarioConfig, scaling: ScalingSpec, *, station_index: int, cap_kelvin: float, name: str = "",
 ) -> Constraint:
-    """Upper bound on the temperature at one sensor station."""
+    """Upper bound on the temperature at one sensor station, named ``T_cap_<station_index>`` by default."""
     lay = input_layout(scenario)
     if not 0 <= station_index < lay.n_stations:
         raise ConfigError("station index out of range")
     c = np.zeros(lay.n_state)
     c[2 * lay.n_stations + station_index] = 1.0  # T block is fields-major third
-    return Constraint(c=tuple(c), d=float(scaling.scale_field("T", cap_kelvin)), name=name)
+    return Constraint(c=tuple(c), d=float(scaling.scale_field("T", cap_kelvin)), name=name or f"T_cap_{station_index}")
 
 
 # ===================== admissible set =====================
@@ -429,6 +428,8 @@ class CgConfig:
     def weight_matrix(self, p: int) -> np.ndarray:
         if self.q_weight is None:
             return np.eye(p)
+        if len(self.q_weight) != p * p:
+            raise ConfigError(f"'q_weight' must hold {p} x {p} entries, got {len(self.q_weight)}")
         Q = np.asarray(self.q_weight, dtype=float).reshape(p, p)
         Q = 0.5 * (Q + Q.T)  # the symmetric part weighs ||v - r||_Q^2 the same
         if np.linalg.eigvalsh(Q).min() <= 0:

@@ -136,6 +136,7 @@ def detect(errors: np.ndarray, config: DetectorConfig) -> DetectionResult:
 def calibrate_zeta(
     error_sequences,
     window: int,
+    *,
     multiplier: float = 5.0,
     percentile: float = 95.0,
 ) -> float:
@@ -159,7 +160,7 @@ def calibrate_zeta(
 # ===================== twin retraining =====================
 
 
-def twin_config(base_lr: float = 1e-4, epochs: int = 50, batch_size: int = 512, seed: int = 0) -> TrainConfig:
+def twin_config(*, base_lr: float = 1e-4, epochs: int = 50, batch_size: int = 512, seed: int = 0) -> TrainConfig:
     """Training settings of the twin: measurement loss only, at a tenth of the usual learning rate."""
     return TrainConfig(alpha=1.0, beta=0.0, epochs=epochs, batch_size=batch_size, base_lr=base_lr, seed=seed)
 

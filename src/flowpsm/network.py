@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Literal
 
 import numpy as np
 
 from .errors import NumericalError
-from .transport import ConfigError, _is_int
+from .transport import ConfigError, _is_kind
 
 __all__ = [
     "MlpSpec",
@@ -71,12 +72,12 @@ class MlpSpec:
     head_width: int = 200
     intermediate_width: int = 100
     tail_width: int = 100
-    activation: str = "tanh"  # the only hidden activation; kept so arch.json names it
+    activation: Literal["tanh"] = "tanh"  # the only hidden activation; kept so arch.json names it
 
     def __post_init__(self) -> None:
         for f in fields(self):
             width = getattr(self, f.name)
-            if f.name != "activation" and not (_is_int(width) and width >= 1):
+            if f.name != "activation" and not (_is_kind(width, int) and width >= 1):
                 raise ConfigError(f"{f.name!r} must be an integer >= 1, got {width!r}")
         if self.activation != "tanh":
             raise ConfigError(f"unknown activation {self.activation!r}")

@@ -837,7 +837,7 @@ def generate_trajectories(
 
 
 def inject_degradation(
-    scenario: ScenarioConfig, segment_index: int, friction_multiplier: float
+    scenario: ScenarioConfig, *, segment_index: int, friction_multiplier: float
 ) -> ScenarioConfig:
     """Copy of the scenario with one segment's friction factor scaled."""
     if not 0 <= segment_index < len(scenario.segments):

@@ -22,11 +22,14 @@ Temperatures are Kelvin internally.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -55,20 +58,17 @@ class ConfigError(ValueError):
     """A configuration violates a documented invariant."""
 
 
-def _check_number(name: str, x) -> None:
-    """A ConfigError naming ``name`` unless x is a finite real number (not a boolean) a float can hold."""
-    try:
-        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name} must be a finite number, got {x!r}")
-
-
-def _check_finite(obj, names) -> None:
-    """A ConfigError naming the first field of ``obj`` in ``names`` that is not a finite real number."""
-    for name in names:
-        _check_number(name, getattr(obj, name))
+def _is_kind(x, kind) -> bool:
+    """Whether x is a JSON value of ``kind``: for float a finite real number a float can hold, for int an
+    integer (an integral float is not), for bool, str and dict an instance; a boolean is never a number."""
+    if kind is float:
+        try:
+            return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    if kind is int:
+        return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return isinstance(x, kind)
 
 
 # ===================== fluid properties =====================
@@ -83,7 +83,6 @@ class FluidProps:
     cp: float  # J/kg/K
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("rho_a", "rho_b", "cp"))
         if self.rho_a <= 0:
             raise ConfigError("rho_a must be positive")
         if self.cp <= 0:
@@ -100,10 +99,6 @@ def density(props: FluidProps, T):
 
 
 # ===================== geometry =====================
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -127,15 +122,13 @@ class PipeSegment:
     gravity_component: float = 0.0  # m/s^2 along the flow axis
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("length", "flow_area", "hydraulic_diameter", "friction_factor", "heat_source",
-                             "source_scale", "gravity_component"))
         if self.length <= 0:
             raise ConfigError("segment length must be positive")
         if self.flow_area <= 0:
             raise ConfigError("flow_area must be positive")
         if self.hydraulic_diameter <= 0:
             raise ConfigError("hydraulic_diameter must be positive")
-        if not _is_int(self.n_elements) or self.n_elements < 1:
+        if self.n_elements < 1:
             raise ConfigError(f"n_elements must be an integer >= 1, got {self.n_elements!r}")
         if self.friction_factor < 0:
             raise ConfigError("friction_factor must be >= 0")
@@ -174,11 +167,7 @@ class ScenarioConfig:
             raise ConfigError("each input range must be a (min, max) pair")
         for r in self.input_ranges:
             for x in r:
-                _check_number("input_ranges entry", x)
-        for z in self.sensor_stations:
-            _check_number("sensor_stations entry", z)
-        _check_finite(self, ("delta_t", "episode_duration", "outlet_pressure", "reference_pressure",
-                             "reference_temperature"))
+                _check_value("input_ranges", x, float)
         for name, (lo, hi) in zip(self.control_channels, self.input_ranges):
             if not lo < hi:
                 raise ConfigError(f"input range for {name!r} must have min < max")
@@ -197,8 +186,6 @@ class ScenarioConfig:
                         f"segment references unknown control channel "
                         f"{seg.volumetric_source_id!r}"
                     )
-        if not _is_int(self.reference_cell):
-            raise ConfigError(f"reference_cell must be an integer, got {self.reference_cell!r}")
         if self.kind == "loop":
             n_cells = sum(s.n_elements for s in self.segments)
             if not 0 <= self.reference_cell < n_cells:
@@ -465,21 +452,83 @@ def _frozen(value):
     return tuple(_frozen(v) for v in value) if isinstance(value, (list, tuple)) else value
 
 
-def from_document(cls, doc, what: str, **parse):
-    """The dataclass ``cls`` built from the JSON object ``doc``, one key per field.
+_KIND_NAMES = {float: ("a finite number", "finite numbers"), int: ("an integer", "integers"),
+               bool: ("true or false", "booleans"), str: ("a string", "strings"), dict: ("an object", "objects")}
 
-    A key named in ``parse`` is built by its function, every other value as
-    given with arrays as tuples. ``dataclasses.asdict`` is the inverse. A
-    document that is not an object, lacks a required field, has a key that
-    is not a field, or holds a value of the wrong type is a ConfigError.
+
+def _check_value(key: str, value, kind) -> None:
+    """A ConfigError naming ``key`` unless ``value`` is a JSON value of the annotated ``kind``: ``_is_kind``
+    for float, int, bool, str and dict, null too for ``X | None``, one of its values for a ``Literal``, and a
+    list of X for ``tuple[X, ...]``. Any other kind is left to its owner."""
+    if type(None) in typing.get_args(kind):  # X | None
+        if value is None:
+            return
+        kind = next(k for k in typing.get_args(kind) if k is not type(None))
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is typing.Literal:
+        if value not in args:
+            raise ConfigError(f"unknown {key} {value!r}; choose from {list(args)}")
+    elif typing.get_origin(kind) is tuple and args[1:] == (...,) and args[0] in _KIND_NAMES:
+        if not isinstance(value, (list, tuple)) or not all(_is_kind(x, args[0]) for x in value):
+            raise ConfigError(f"{key!r} must be a list of {_KIND_NAMES[args[0]][1]}, got {value!r}")
+    elif kind in _KIND_NAMES and not _is_kind(value, kind):
+        raise ConfigError(f"{key!r} must be {_KIND_NAMES[kind][0]}, got {value!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _keys_of(owner) -> dict:
+    """{key: (annotation, required)}: a dataclass's fields, or a function's keyword-only parameters."""
+    hints = typing.get_type_hints(owner)
+    if isinstance(owner, type):
+        return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+                for f in fields(owner)}
+    return {p.name: (hints[p.name], p.default is p.empty)
+            for p in inspect.signature(owner).parameters.values() if p.kind is p.KEYWORD_ONLY}
+
+
+def _declared(owner) -> tuple:
+    """The class or function behind ``owner``, and the keys it declares less those a partial binds."""
+    if isinstance(owner, functools.partial):
+        return owner.func, {k: v for k, v in _keys_of(owner.func).items() if k not in owner.keywords}
+    return owner, _keys_of(owner)
+
+
+def _build(owner, doc: dict, what: str, parse: dict):
+    target, keys = _declared(owner)
+    values = {}
+    for key, (kind, required) in keys.items():
+        if key not in doc:
+            if required:
+                raise ConfigError(f"malformed {what}: missing {key!r}")
+        elif key in parse and not (doc[key] is None and type(None) in typing.get_args(kind)):
+            values[key] = parse[key](doc[key])
+        else:
+            _check_value(key, doc[key], kind)
+            values[key] = _frozen(doc[key])
+    return owner(**values) if isinstance(target, type) else functools.partial(owner, **values)
+
+
+def from_document(owner, doc, what: str, **parse):
+    """``owner`` read from the JSON object ``doc``, whose keys its annotations declare.
+
+    A dataclass declares its fields and is built; a function declares its
+    keyword-only parameters and comes back as a partial with them bound; a
+    ``functools.partial`` of either leaves out the keys it binds; a tuple of
+    owners shares the document and comes back as a tuple. A key in ``parse``
+    is built by its function (null stays None where the annotation allows);
+    every other value is checked by ``_check_value`` and passed as given,
+    arrays as tuples, so ``asdict`` is the inverse. A document that is not
+    an object, or a missing, undeclared or ill-kinded key, is a ConfigError.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be an object, got {doc!r}")
-    reject_unknown_keys(doc, [f.name for f in fields(cls)], what)
+    owners = owner if isinstance(owner, tuple) else (owner,)
+    reject_unknown_keys(doc, [k for o in owners for k in _declared(o)[1]], what)
     try:
-        return cls(**{k: parse[k](v) if k in parse else _frozen(v) for k, v in doc.items()})
-    except TypeError as exc:  # a missing field, or a value the constructor cannot compare
+        built = tuple(_build(o, doc, what, parse) for o in owners)
+    except TypeError as exc:  # a value the constructor cannot compare or iterate
         raise ConfigError(f"malformed {what}: {exc}") from exc
+    return built if isinstance(owner, tuple) else built[0]
 
 
 def scenario_from_dict(doc) -> ScenarioConfig:

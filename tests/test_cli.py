@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import flowpsm
-from flowpsm.cli import _kelvin, _noise_from_flag, main
+from flowpsm.cli import _noise_from_flag, main
 from flowpsm.formats import file_digest, load_checkpoint, save_checkpoint
 from flowpsm.network import MlpSpec
 from flowpsm.training import NoiseSpec
@@ -175,12 +175,13 @@ def test_control_with_temperature_cap(pipeline, tmp_path, capsys):
     assert "y_T_cap_1" in header and "bound_T_cap_1" in header
 
 
-def test_control_reuses_a_name_across_schedule_entries(pipeline, tmp_path):
+def test_control_reuses_a_name_across_schedule_entries(pipeline, tmp_path, capsys):
     # a later entry that repeats a name changes that row's bound in the same log column
     cfg = tmp_path / "control.json"
-    cfg.write_text(json.dumps({**_HOLD, "n_steps": 3, "schedule": [
+    cfg.write_text(json.dumps({**_HOLD, "n_steps": 4, "schedule": [
         {"from_step": 0, "constraints": [{"station_index": 1, "cap_kelvin": 900.0}]},
-        {"from_step": 2, "constraints": [{"station_index": 1, "cap_kelvin": 880.0}]}]}))
+        {"from_step": 2, "constraints": [{"station_index": 1, "cap_kelvin": 880.0}]},
+        {"from_step": 3, "constraints": [{"station_index": 1, "cap_kelvin": 950.0}]}]}))
     out = tmp_path / "roll"
     assert main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]),
                  "--data", str(pipeline["data"]), "--out", str(out)]) == 0
@@ -188,7 +189,13 @@ def test_control_reuses_a_name_across_schedule_entries(pipeline, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [k for k in rows[0] if k.endswith("T_cap_1")] == ["y_T_cap_1", "bound_T_cap_1"]
     bounds = [float(r["bound_T_cap_1"]) for r in rows]
-    assert bounds[0] == bounds[1] > bounds[2]
+    assert bounds[0] == bounds[1] > bounds[2] and bounds[3] > bounds[0]
+    # the summary prints the cap in force at the step with the worst margin, in K, not the last one given
+    worst = max(rows, key=lambda r: float(r["y_T_cap_1"]) - float(r["bound_T_cap_1"]))
+    scaling = json.loads((pipeline["data"] / "scaling.json").read_text())["scaling"]
+    cap = scaling["T_min"] + float(worst["bound_T_cap_1"]) * (scaling["T_max"] - scaling["T_min"])
+    printed = re.search(r"bound T_cap_1: .* vs cap ([0-9.]+) K", capsys.readouterr().out)
+    assert float(printed.group(1)) == pytest.approx(cap, abs=0.005)
 
 
 def test_diagnose_quiet_stream(pipeline, tmp_path, capsys):
@@ -440,6 +447,13 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
         {"station_index": 1, "cap_kelvin": 900.0, "name": "hot"},
         {"station_index": 2, "cap_kelvin": 880.0, "name": "hot"}]}]}, "'hot'",
                  id="control-repeated_given_name"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_kelvin": 900.0, "cap_celsius": 626.85}]}]}, "cap_kelvin or cap_celsius",
+                 id="control-cap_in_kelvin_and_celsius"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [{"station_index": 1}]}]},
+                 "'cap_kelvin'", id="control-cap_missing"),
+    pytest.param("train", {"epochs": 3.0}, "'epochs'", id="train-integral_float_epochs"),
+    pytest.param("control", {**_HOLD, "n_steps": 2.0}, "'n_steps'", id="control-integral_float_n_steps"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -614,6 +628,12 @@ def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
     rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e2")])
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'input_dim'")
 
+    for key, value in (("p_max", float("inf")), ("T_max", True)):  # bounds that are not finite numbers
+        data = _edited_copy(pipeline["data"], tmp_path / f"data_{key}", "scaling.json",
+                            lambda d: {**d, "scaling": {**d["scaling"], key: value}})
+        rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e3")])
+        _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", f"'{key}'")
+
 
 def test_dataset_scenario_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
     data = _edited_copy(pipeline["data"], tmp_path / "data", "dataset.json",
@@ -753,15 +773,7 @@ def test_non_finite_noise_flag_exits_2(pipeline, tmp_path, capsys, flag):
     assert "config error" in err and "finite" in err
 
 
-def test_kelvin_and_noise_helpers():
-    assert _kelvin({"cap_kelvin": 900.0}, "cap") == 900.0
-    assert _kelvin({"cap_celsius": 0.0}, "cap") == pytest.approx(273.15)
-    with pytest.raises(ConfigError):
-        _kelvin({"cap_kelvin": 1.0, "cap_celsius": 1.0}, "cap")
-    with pytest.raises(ConfigError):
-        _kelvin({}, "cap")
-    assert _kelvin({}, "cap", required=False) is None
-
+def test_noise_from_flag():
     spec = _noise_from_flag("homoscedastic:0.01")
     assert spec == NoiseSpec(mode="homoscedastic", sigma=0.01)
     assert _noise_from_flag("none") == NoiseSpec()

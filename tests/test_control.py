@@ -120,14 +120,14 @@ def test_temperature_cap_one_hot(tiny_scenario, tiny_dataset):
     scenario = tiny_scenario
     _, scaling = tiny_dataset
     lay = input_layout(scenario)
-    row = temperature_cap(scenario, scaling, 2, 880.0, name="cap")
+    row = temperature_cap(scenario, scaling, station_index=2, cap_kelvin=880.0, name="cap")
     c = np.asarray(row.c)
     hot = 2 * lay.n_stations + 2
     assert c[hot] == 1.0
     assert np.count_nonzero(c) == 1
     assert row.d == pytest.approx(float(scaling.scale_field("T", 880.0)))
     with pytest.raises(ConfigError):
-        temperature_cap(scenario, scaling, 99, 880.0)
+        temperature_cap(scenario, scaling, station_index=99, cap_kelvin=880.0)
 
 
 def test_constraint_schedule_selection():

@@ -108,7 +108,7 @@ def _loop_with(changes: dict):
 
 
 def _loop_x10_friction():
-    return inject_degradation(loop_preset(), 3, 10.0)
+    return inject_degradation(loop_preset(), segment_index=3, friction_multiplier=10.0)
 
 
 def _loop_pinned_mid_heater_leg():
@@ -213,7 +213,7 @@ def test_steady_state_is_a_fixed_point_of_step(name, where):
 
 @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
 def test_loop_steady_state_keeps_reference_enthalpy(where):
-    sc = inject_degradation(loop_preset(), 3, 10.0)
+    sc = inject_degradation(loop_preset(), segment_index=3, friction_multiplier=10.0)
     lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
     state = steady_state(sc, lo + where * (hi - lo))
     dz = build_grid(sc).dz
@@ -301,16 +301,16 @@ def test_sensor_readout_interpolates():
 
 
 def test_inject_degradation(scenario):
-    worse = inject_degradation(scenario, 1, 10.0)
+    worse = inject_degradation(scenario, segment_index=1, friction_multiplier=10.0)
     assert worse.segments[1].friction_factor == pytest.approx(
         10.0 * scenario.segments[1].friction_factor
     )
     assert worse.segments[0].friction_factor == scenario.segments[0].friction_factor
     assert scenario_fingerprint(worse) != scenario_fingerprint(scenario)
     with pytest.raises(ConfigError):
-        inject_degradation(scenario, 99, 10.0)
+        inject_degradation(scenario, segment_index=99, friction_multiplier=10.0)
     with pytest.raises(ConfigError):
-        inject_degradation(scenario, 0, 0.0)
+        inject_degradation(scenario, segment_index=0, friction_multiplier=0.0)
 
 
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])

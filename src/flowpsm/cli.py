@@ -134,7 +134,10 @@ def _numbers(value, key: str, shape: tuple | None, kind=float) -> np.ndarray:
         raise ConfigError(f"{key!r} must be an array of numbers of shape ({dims}), got {value!r}")
     for x in arr.flat:
         _check_value(key, x, kind)
-    return np.array(list(arr.flat), dtype=kind).reshape(arr.shape)
+    try:
+        return np.array(list(arr.flat), dtype=kind).reshape(arr.shape)
+    except OverflowError:  # an integer beyond int64
+        raise ConfigError(f"{key!r} holds an entry out of range, got {value!r}") from None
 
 
 _solver = partial(from_document, SolverConfig, what="solver")  # a config's solver object

@@ -4,23 +4,30 @@ The surrogate maps a scaled input row (z*, t*, v*, x0*) to the three scaled
 field values (p*, u*, T*). Three shared head layers feed one intermediate
 layer, which fans out into three independent tail branches, one per field,
 each ending in a scalar linear output. Hidden activations are tanh;
-outputs are identity. The kernel runs this as one chain of layers,
-``CHAIN``; its ``tails`` and ``outs`` carry a leading branch axis of 3 (the
-trunk's layers one of 1), with tensors that are views into the unchanged
-flat parameter layout.
+outputs are identity. The kernel runs this as one chain of plain 2-D
+layers, ``CHAIN``: the three tails as one wide (intermediate -> 3 tail)
+layer and the three outputs as one block-diagonal (3 tail -> 3) layer. Each
+pass gathers those two layers' weights from the unchanged flat parameter
+layout, so checkpoints keep their format.
 
-Every pass goes through one closed-form kernel, ``stacked_forward``. It
-carries the B value rows and k forward-mode tangent channels (directional
-derivatives along chosen input directions) through each layer as a single
-stacked ((k+1)B, w) matmul: the bias enters the value rows only, and the
-tanh gate 1 - h^2 scales the tangent rows. ``forward`` is the kernel's value
-output. A ``ParamStore`` is the model: its ``spec`` is the architecture.
+Every pass goes through one closed-form kernel, ``stacked_forward``. Its
+rows are a value block, value-only rows ahead of the B rows that carry
+tangents, and then k blocks of B forward-mode tangent rows (directional
+derivatives along chosen input directions). Each layer is one matmul over
+all rows: the bias enters the value rows only, and the tanh gate 1 - h^2
+scales the tangent rows. head0's tangent pre-activations are its
+directions' d W0^T, broadcast over the rows. ``forward`` is the kernel's
+value output. A ``ParamStore`` is the model: its ``spec`` is the
+architecture.
 
 A pass run in a ``Workspace`` records in the workspace's buffers, which
 training reuses batch after batch, what the reverse pass reads;
 ``Workspace.gradient`` is that hand-written reverse of the last pass
 (forward-over-reverse), so a loss built from values and directional
-derivatives gets its exact parameter gradient. Passes without one
+derivatives gets its exact parameter gradient. The tanh reverse reads the
+saved post-gate tangents, which are the next layer's input. Training runs a
+psm batch as one such pass, its measurement rows as value-only rows beside
+the collocation rows, and one reverse. Passes without a workspace
 (``forward``, linearization, residual maps) allocate fresh arrays. A
 value-only pass without one (``forward``: model steps, eval rollouts,
 prediction errors) forms no tanh gate, since neither tangent rows nor a
@@ -114,7 +121,7 @@ class ParamStore:
     _views: dict = field(default_factory=dict, repr=False)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views per CHAIN layer, each with a leading branch axis."""
+        """(weight, bias) views per CHAIN layer; the tails' and outs' carry a leading branch axis."""
         if "chain" not in self._views:
             self._views["chain"] = _chain_views(self.flat, self.layout)
         return self._views["chain"]
@@ -163,44 +170,52 @@ def init_params(spec: MlpSpec, seed: int) -> ParamStore:
 # ===================== forward passes =====================
 
 CHAIN = ("head0", "head1", "head2", "inter", "tails", "outs")  # the kernel's layers, in order
+_BRANCHES = np.arange(len(FIELD_ORDER))
 
 
 def _chain_views(flat: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views of ``flat`` per CHAIN layer, each with a leading branch axis.
+    """(weight, bias) views of ``flat`` per CHAIN layer.
 
-    A trunk tensor is its slice of the vector. The fields' [tail.w, tail.b,
-    out.w, out.b] blocks have one size and end the vector, so a tails or outs
-    tensor is one column slice of those blocks stacked as rows.
+    A trunk layer's are its (out, in) and (out,) slices. The fields' [tail.w,
+    tail.b, out.w, out.b] blocks have one size and end the vector, so each
+    tails or outs tensor is one column slice of those blocks stacked as rows:
+    tails (3, tail, inter) and (3, tail), outs (3, tail) and (3,).
     """
     n = len(FIELD_ORDER)
     t0 = layout[-4 * n][2]
     blocks = flat[t0:].reshape(n, -1)
-    views = [flat[lo:hi].reshape(1, *shape) for _, shape, lo, hi in layout[: -4 * n]]
-    views += [blocks[:, lo - t0 : hi - t0].reshape(n, *shape)
-              for _, shape, lo, hi in layout[-4 * n : -4 * (n - 1)]]
+    views = [flat[lo:hi].reshape(shape) for _, shape, lo, hi in layout[: -4 * n]]
+    tw, tb, ow, ob = (blocks[:, lo - t0 : hi - t0].reshape(n, *shape)
+                      for _, shape, lo, hi in layout[-4 * n : -4 * (n - 1)])
+    views += [tw, tb, ow[:, 0], ob[:, 0]]
     return list(zip(views[::2], views[1::2]))
 
 
 class Workspace:
-    """Buffers that passes of up to ``rows`` rows write into, pass after pass.
+    """Buffers that passes of up to ``rows`` tangent-carrying rows, beside up to
+    ``value_rows`` value-only rows, write into, pass after pass.
 
-    It holds every layer's output stack, the tanh gate and pre-gate tangent
-    rows the reverse pass reads, the stacked outputs, and one set of reverse
-    scratch shared by all layers. Each buffer is flat and grows to the
-    largest pass that takes it; a pass of n rows uses its leading, contiguous
-    part. ``gradient`` reverses the last pass, which the next one overwrites.
+    It holds the pass's input block and gathered tail and output weights,
+    every layer's (rows, width) output, the tanh gates the reverse pass reads,
+    and one set of reverse scratch shared by all layers. Each buffer is flat
+    and grows to the largest pass that takes it; a pass uses its leading,
+    contiguous part. ``gradient`` reverses the last pass, which the next one
+    overwrites.
     """
 
-    def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0) -> None:
-        if rows < 1 or n_directions < 0:
-            raise ConfigError("a workspace needs at least one row and no negative direction count")
+    def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0, value_rows: int = 0) -> None:
+        if rows < 1 or n_directions < 0 or value_rows < 0:
+            raise ConfigError("a workspace needs at least one row and no negative direction or row count")
         self.spec = spec
         self.rows = rows
         self.n_directions = n_directions
+        self.value_rows = value_rows
         self._flat: dict[str, np.ndarray] = {}
         # the reverse pass's flat gradient and its CHAIN views, in the last pass's dtype like every buffer
         self._grad = self._grad_layers = None
-        self._last = None  # last pass: store, outputs, per CHAIN layer (input stack, h, pre-gate tangents, gate)
+        # the last pass: its row counts, whether it returned a pair, and per CHAIN layer
+        # its (weight, bias) and (input, output, gate)
+        self._last = None
 
     def _hold(self, dtype: np.dtype) -> None:
         """Keep buffers of ``dtype`` for the pass about to run, dropping those of another precision."""
@@ -220,44 +235,63 @@ class Workspace:
     def gradient(self, cotangent) -> np.ndarray:
         """Flat parameter gradient of sum(cotangent * outputs) of the last pass, aligned with the layout.
 
-        The reverse runs in the pass's precision; the gradient is returned as float64.
+        ``cotangent`` is shaped as the pass's outputs: the (k+1, B, 3) stack,
+        or the (value-row, stack) pair of a pass with value-only rows. The
+        reverse runs in the pass's precision; the gradient is returned as
+        float64.
         """
         if self._last is None:
             raise ValueError("no pass has run in this workspace")
-        params, outputs, saved = self._last
-        g_out = np.asarray(cotangent, dtype=self._grad.dtype)
-        if g_out.shape != outputs.shape:
-            raise ConfigError("cotangent shape does not match the stacked outputs")
-        g_h = g_out[..., None].transpose(2, 0, 1, 3)  # the outs layer's (branch, stack, row, 1) cotangent
-        layers = zip(saved, params.layers(), self._grad_layers)
-        for i, ((h_in, h, da, gate), (w, _), (g_w, g_b)) in reversed(list(enumerate(layers))):
-            n, n_stack, n_rows, width = g_h.shape
+        (n_values, n_rows, k), paired, weights, saved = self._last
+        n_val = n_values + n_rows
+        parts = cotangent if paired else (np.empty((0, 3)), cotangent)
+        if not isinstance(parts, tuple) or len(parts) != 2:
+            raise ConfigError("a pass with value rows takes a (value-row, stack) cotangent pair")
+        g_h = self.take("g_out", (n_val + k * n_rows, len(FIELD_ORDER)))
+        for rows, part in zip((g_h[:n_values], g_h[n_values:].reshape(k + 1, n_rows, -1)), parts):
+            if np.shape(part) != rows.shape:
+                raise ConfigError("cotangent shape does not match the pass's outputs")
+            np.copyto(rows, part)
+        ones = self.take("ones", (n_val,))  # row sums run as matrix-vector products
+        ones.fill(1.0)
+        for i in reversed(range(len(CHAIN))):
+            (w, _), (h_in, out, gate), (g_w, g_b) = weights[i], saved[i], self._grad_layers[i]
             if gate is None:  # the linear outs
                 g_a = g_h
-            elif n_stack == 1:  # no tangent rows
-                g_a = np.multiply(g_h, gate[:, None], out=self.take("g_a", g_h.shape))
             else:
-                g_a = self.take("g_a", g_h.shape)
-                g_sum = np.sum(np.multiply(g_h[:, 1:], da, out=g_a[:, 1:]), axis=1,
-                               out=self.take("g_sum", gate.shape))
-                v = np.multiply(2.0, h, out=g_a[:, 0])
-                v *= g_sum
-                np.subtract(g_h[:, 0], v, out=v)
-                v *= gate
-                np.multiply(g_h[:, 1:], gate[:, None], out=g_a[:, 1:])
-            g_a2 = g_a.reshape(n, n_stack * n_rows, width)
-            np.matmul(g_a2.swapaxes(1, 2), h_in.reshape(h_in.shape[0], n_stack * n_rows, -1), out=g_w)
-            # the outs' cotangent keeps the caller's layout; summed from a contiguous
-            # copy, each branch's bias sum runs along its rows whatever that layout is
-            np.sum(g_a[:, 0] if gate is not None else np.ascontiguousarray(g_a[:, 0]), axis=1, out=g_b)
+                g_a = self.take("g_a", out.shape)
+                np.multiply(g_h[:n_val], gate, out=g_a[:n_val])
+                if k:
+                    # h = tanh(a) with tangents t = (1 - h^2) da: the value rows' cotangent also takes
+                    # -2h * sum over directions of g_t * t
+                    g_t, g_at = (y[n_val:].reshape(k, n_rows, -1) for y in (g_h, g_a))
+                    # summed into g_at[0], which the gated tangent cotangents overwrite after
+                    s, *rest = np.multiply(g_t, out[n_val:].reshape(g_t.shape), out=g_at)
+                    for part in rest:
+                        s += part
+                    s *= out[n_values:n_val]
+                    s *= 2.0
+                    g_a[n_values:n_val] -= s
+                    np.multiply(g_t, gate[n_values:], out=g_at)
+            # the tails' and outs' gradient views are per branch, so theirs go through scratch
+            w_full = g_w if g_w.shape == w.shape else self.take("g_w", w.shape)
+            b_full = g_b if g_b.flags.c_contiguous else self.take("g_b", w.shape[:1])
+            rows = n_val if i == 0 else len(g_a)  # head0's tangent input rows are its directions
+            np.matmul(g_a[:rows].T, h_in[:rows], out=w_full)
+            if i == 0 and k:
+                sums = np.matmul(ones[:n_rows], g_a[n_val:].reshape(k, n_rows, -1),
+                                 out=self.take("g_sum", (k, w.shape[0])))
+                w_full += sums.T @ h_in[n_val:]
+            np.matmul(ones, g_a[:n_val], out=b_full)
+            if gate is None:  # only the block diagonal of the outs' weight is a parameter
+                np.copyto(g_w, w_full.reshape(len(FIELD_ORDER), len(FIELD_ORDER), -1)[_BRANCHES, _BRANCHES])
+            elif w_full is not g_w:
+                np.copyto(g_w, w_full.reshape(g_w.shape))
+            if b_full is not g_b:
+                np.copyto(g_b, b_full.reshape(g_b.shape))
             if i == 0:  # head0's input cotangent is not needed
                 break
-            g_in = self.take(("ping", "pong")[i % 2], (n, n_stack, n_rows, w.shape[2]))
-            np.matmul(g_a2, w, out=g_in.reshape(n, n_stack * n_rows, -1))
-            if h_in.shape[0] < n:  # h_in fed every branch, so its cotangent is their sum
-                for part in g_in[1:]:
-                    g_in[0] += part
-            g_h = g_in[: h_in.shape[0]]
+            g_h = np.matmul(g_a, w, out=self.take(("ping", "pong")[i % 2], h_in.shape))
         return self._grad.astype(np.float64)  # a copy; the views tile it, so every entry was written
 
 
@@ -266,75 +300,108 @@ def _take(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype: np.dtyp
     return np.empty(shape, dtype) if ws is None else ws.take(key, shape)
 
 
-def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray,
-           ws: Workspace | None, saved: list | None) -> np.ndarray:
-    """One stacked dense layer on every branch; the result is (branches, k+1, B, width).
+def _pass_weights(params: ParamStore, ws: Workspace | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight (out, in), bias) per CHAIN layer for one pass.
 
-    An unbranched ``h_in`` feeds every branch. Hidden layers apply tanh; the
-    ``outs`` layer is linear. The tanh gate is formed only when tangent rows
-    or a reverse pass read it. With a workspace, the result and what the
-    reverse pass reads go into its buffers and are appended to ``saved``.
+    The trunk's are the store's views. The three tails are gathered into one
+    (3 tail, inter) layer, and the three scalar outputs into one
+    block-diagonal (3, 3 tail) layer, held as its contiguous transpose, on
+    which its forward matmul runs about twice as fast. Both are gathered
+    afresh each pass, since the store is updated in place.
     """
-    _, n_stack, n_rows, _ = h_in.shape
-    n, width = w.shape[:2]
-    a = _take(ws, name, (n, n_stack, n_rows, width), w.dtype)
-    np.matmul(h_in.reshape(h_in.shape[0], n_stack * n_rows, -1), w.swapaxes(1, 2),
-              out=a.reshape(n, n_stack * n_rows, width))
-    a[:, 0] += b[:, None]
-    h = da = gate = None
+    *trunk, (tw, tb), (ow, ob) = params.layers()
+    n, t, width = tw.shape
+    dtype = params.flat.dtype
+    w_tails = _take(ws, "tails.w", (n * t, width), dtype)
+    np.copyto(w_tails.reshape(tw.shape), tw)
+    b_tails = _take(ws, "tails.b", (n * t,), dtype)
+    np.copyto(b_tails.reshape(tb.shape), tb)
+    w_outs = _take(ws, "outs.w", (n * t, n), dtype)
+    w_outs.fill(0.0)
+    w_outs.reshape(n, t, n)[_BRANCHES, :, _BRANCHES] = ow
+    return [*trunk, (w_tails, b_tails), (w_outs.T, ob)]
+
+
+def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tuple[int, int, int],
+           ws: Workspace | None, saved: list | None) -> np.ndarray:
+    """One dense layer on the stacked rows; the result is (rows, width).
+
+    The rows are ``counts`` = (M, B, k): M value-only rows and B
+    tangent-carrying rows, then k blocks of B tangent rows. head0's input
+    holds the k directions in place of its tangent rows, so its tangent
+    pre-activations are those directions' rows broadcast. Hidden layers
+    apply tanh, and the gate 1 - h^2 scales the tangent rows; the ``outs``
+    layer is linear. The gate is formed on the tangent-carrying rows when
+    there are tangents, and on every value row when a reverse pass reads it.
+    With a workspace, the result and what the reverse pass reads go into its
+    buffers and are appended to ``saved``.
+    """
+    n_values, n_rows, k = counts
+    n_val, width = n_values + n_rows, w.shape[0]
+    out = _take(ws, name, (n_val + k * n_rows, width), w.dtype)
+    gate = None
+    if name == "head0":
+        np.matmul(h_in[:n_val], w.T, out=out[:n_val])
+    else:
+        np.matmul(h_in, w.T, out=out)
+    out[:n_val] += b
     if name != "outs":
-        h = np.tanh(a[:, 0], out=a[:, 0])
-        if n_stack > 1 or saved is not None:  # tangent rows or a reverse pass read the gate
-            gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", h.shape, w.dtype))
+        h = np.tanh(out[:n_val], out=out[:n_val])
+        if k or saved is not None:
+            lo = 0 if saved is not None else n_values
+            gate = np.multiply(h[lo:], h[lo:], out=_take(ws, f"{name}.gate", (n_val - lo, width), w.dtype))
             np.subtract(1.0, gate, out=gate)
-            if saved is not None:
-                da = ws.take(f"{name}.da", a[:, 1:].shape)
-                np.copyto(da, a[:, 1:])
-            a[:, 1:] *= gate[:, None]
+            tans = out[n_val:].reshape(k, n_rows, width)
+            if name == "head0":
+                d_w = np.matmul(h_in[n_val:], w.T, out=_take(ws, "head0.dirs", (k, width), w.dtype))
+                np.multiply(gate[n_values - lo :], d_w[:, None], out=tans)
+            else:
+                tans *= gate[n_values - lo :]
     if saved is not None:
-        saved.append((h_in, h, da, gate))
-    return a
+        saved.append((h_in, out, gate))
+    return out
 
 
-def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace | None = None) -> np.ndarray:
+def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace | None = None, values=None):
     """Values and directional derivatives of the net in one stacked pass.
 
     ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
     input-space directions applied to every row. Returns the (k+1, B, 3)
     outputs: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
-    along direction i. A pass in ``workspace`` (k directions, at least B
-    rows) lives in its buffers and records what ``workspace.gradient``
-    reads; without one every array is fresh. The pass runs, and returns its
-    outputs, in the dtype of ``params.flat``.
+    along direction i. ``values``, (M, input_dim), are value-only rows that
+    ride in the same pass with no tangent rows; the return is then the pair
+    of their (M, 3) outputs and the stack. A pass in ``workspace`` (k
+    directions, at least B rows and M value rows) lives in its buffers and
+    records what ``workspace.gradient`` reads; without one every array is
+    fresh. The pass runs, and returns its outputs, in the dtype of
+    ``params.flat``.
     """
     spec, dtype = params.spec, params.flat.dtype
     x = np.asarray(x, dtype=np.float64)
     d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
-    if x.ndim != 2 or d.ndim != 2 or x.shape[1] != spec.input_dim or d.shape[1] != spec.input_dim:
-        raise ConfigError(
-            f"inputs and directions must have {spec.input_dim} columns, got shapes {x.shape} and {d.shape}"
-        )
-    n_stack, n_rows = 1 + d.shape[0], x.shape[0]
+    v = np.empty((0, spec.input_dim)) if values is None else np.asarray(values, dtype=np.float64)
+    if any(a.ndim != 2 or a.shape[1] != spec.input_dim for a in (x, d, v)):
+        raise ConfigError(f"inputs, directions and value rows must have {spec.input_dim} columns, "
+                          f"got shapes {x.shape}, {d.shape} and {v.shape}")
+    counts = n_values, n_rows, k = v.shape[0], x.shape[0], d.shape[0]
     ws, saved = workspace, None
     if ws is not None:
-        if ws.spec != spec or ws.n_directions != d.shape[0] or n_rows > ws.rows:
+        if ws.spec != spec or ws.n_directions != k or n_rows > ws.rows or n_values > ws.value_rows:
             raise ConfigError(
-                f"workspace holds {ws.rows} rows with {ws.n_directions} directions; "
-                f"the pass needs {n_rows} rows with {d.shape[0]}"
+                f"workspace holds {ws.rows} rows with {ws.n_directions} directions and {ws.value_rows} "
+                f"value rows; the pass needs {n_rows} rows with {k} and {n_values}"
             )
         ws._hold(dtype)
         ws._last, saved = None, []
-    shape = (1, n_stack, n_rows, spec.input_dim)
-    h = _take(ws, "input", shape, dtype)
-    h[0, 0] = x
-    h[0, 1:] = d[:, None, :]
-    for name, (w, b) in zip(CHAIN, params.layers()):
-        h = _layer(name, w, b, h, ws, saved)
-    outputs = _take(ws, "outputs", (n_stack, n_rows, len(FIELD_ORDER)), dtype)
-    np.copyto(outputs, h[..., 0].transpose(1, 2, 0))
+    h = _take(ws, "input", (n_values + n_rows + k, spec.input_dim), dtype)
+    h[:n_values], h[n_values : n_values + n_rows], h[n_values + n_rows :] = v, x, d
+    weights = _pass_weights(params, ws)
+    for name, (w, b) in zip(CHAIN, weights):
+        h = _layer(name, w, b, h, counts, ws, saved)
     if ws is not None:
-        ws._last = (params, outputs, saved)
-    return outputs
+        ws._last = (counts, values is not None, weights, saved)
+    stack = h[n_values:].reshape(k + 1, n_rows, len(FIELD_ORDER))
+    return stack if values is None else (h[:n_values], stack)
 
 
 def forward(params: ParamStore, x) -> np.ndarray:

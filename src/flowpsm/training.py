@@ -24,11 +24,14 @@ residuals are nondimensionalized (see ``PdeResidualSet``) before a Log-Cosh
 penalty against zero. ``physics_residuals_adjoint`` carries the loss
 gradient back onto those values and tangents for the kernel's reverse pass.
 
-``train`` runs both kernel passes and their reverse in float32 on one
-float32 copy of the store, refreshed after each optimizer step (mixed
-precision, Micikevicius et al. 2018). The store, its Adam moments, the
-losses, the residuals and their adjoints stay float64: the losses cast the
-pass outputs to float64 before using them.
+``train`` runs each batch as one kernel pass and one reverse: the
+measurement rows ride in the pass as value-only rows beside the collocation
+rows, which alone carry the z*/t* tangent rows, and the reverse takes the
+cotangent of alpha*L_m + beta*L_p on both. The pass and its reverse run in
+float32 on one float32 copy of the store, refreshed after each optimizer
+step (mixed precision, Micikevicius et al. 2018). The store, its Adam
+moments, the losses, the residuals and their adjoints stay float64: the
+losses cast the pass outputs to float64 before using them.
 """
 
 from __future__ import annotations
@@ -453,55 +456,59 @@ def physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling,
     return g_outs, g_tans_z, g_tans_t
 
 
-def physics_loss(params: ParamStore, collocation: np.ndarray, scenario: ScenarioConfig,
-                 scaling: ScalingSpec, workspace: Workspace) -> tuple[float, PdeResidualSet, np.ndarray]:
-    """Mean Log-Cosh of the nondimensional residuals at collocation inputs.
+def physics_loss(collocation: np.ndarray, stack, scenario: ScenarioConfig,
+                 scaling: ScalingSpec) -> tuple[float, PdeResidualSet, np.ndarray]:
+    """Mean Log-Cosh of the nondimensional residuals at collocation inputs, and its cotangent.
 
-    Returns the loss, the residuals, and the loss's flat parameter gradient,
-    from one kernel pass along the z* and t* axes, run in ``workspace`` (two
-    directions), and its reverse.
+    ``stack`` is a kernel pass's (3, B, 3) values and tangents along the z*
+    and t* axes at the B ``collocation`` rows. Returns the loss, the
+    residuals, and the loss's gradient with respect to ``stack``, in its
+    layout, for the kernel's reverse pass.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
-    if colloc.ndim != 2 or colloc.shape[1] != params.spec.input_dim:
-        raise ConfigError("collocation batch shape does not match the network input")
     lay = input_layout(scenario)
+    if colloc.ndim != 2 or colloc.shape[1] != lay.input_dim or np.shape(stack) != (3, colloc.shape[0], 3):
+        raise ConfigError("collocation batch shape does not match the network input or the pass")
     z_star = colloc[:, lay.z_col]
     if np.any(z_star < -1e-9) or np.any(z_star > 1.0 + 1e-9):
         raise ConfigError("collocation z outside the scaled domain [0, 1]")
 
     v_phys = scaling.unscale_v(colloc[:, lay.v_cols])
     closures = pointwise_closures(scenario, scaling.unscale_z(z_star), v_phys)
-
-    axes = np.eye(params.spec.input_dim)[[lay.z_col, lay.t_col]]
-    stack = np.asarray(stacked_forward(params, colloc, axes, workspace), dtype=np.float64)
-    outs, tans_z, tans_t = (y.T for y in stack)
+    outs, tans_z, tans_t = (y.T for y in np.asarray(stack, dtype=np.float64))
     residuals = physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling)
     loss = sum(float(np.mean(logcosh_np(r))) for r in residuals) / 3.0
     # the derivative of Log-Cosh is tanh
     cotangents = [np.tanh(r) * (1.0 / (3.0 * r.size)) for r in residuals]
     g_stacks = physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling, cotangents)
-    grad = workspace.gradient(np.stack(g_stacks).transpose(0, 2, 1))
-    return loss, PdeResidualSet(*residuals), grad
+    return loss, PdeResidualSet(*residuals), np.stack(g_stacks).transpose(0, 2, 1)
 
 
 def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
                       scenario: ScenarioConfig, scaling: ScalingSpec, alpha: float, beta: float,
-                      workspaces: tuple[Workspace, Workspace | None]) -> tuple[float, float, np.ndarray]:
-    """L_m, L_p and the flat parameter gradient of alpha*L_m + beta*L_p.
+                      workspace: Workspace) -> tuple[float, float, np.ndarray]:
+    """L_m, L_p and the flat parameter gradient of alpha*L_m + beta*L_p, from one pass and one reverse.
 
-    ``collocation`` is None when beta is 0; L_p is then 0 and not evaluated.
-    ``workspaces`` holds the measurement pass's workspace and the physics
-    pass's (two directions; None when beta is 0).
+    The measurement rows ride in the pass as value-only rows beside the
+    collocation rows, which alone carry tangent rows along the z* and t*
+    axes, so ``workspace`` holds two directions and the measurement rows as
+    value rows. ``collocation`` is None when beta is 0; L_p is then 0 and
+    not evaluated, and the pass is the measurement rows' alone, with no
+    directions.
     """
-    ws_m, ws_p = workspaces
-    pred = np.asarray(stacked_forward(params, batch.inputs, workspace=ws_m)[0], dtype=np.float64)
+    if collocation is None:
+        pred = stacked_forward(params, batch.inputs, workspace=workspace)[0]
+    else:
+        lay = input_layout(scenario)
+        axes = np.eye(params.spec.input_dim)[[lay.z_col, lay.t_col]]
+        pred, stack = stacked_forward(params, collocation, axes, workspace, values=batch.inputs)
+        loss_p, _, g_stack = physics_loss(collocation, stack, scenario, scaling)
+    pred = np.asarray(pred, dtype=np.float64)
     loss_m = measurement_loss(pred, batch.targets)
     g_pred = np.tanh(pred - batch.targets) * (alpha / batch.targets.size)
-    grad = ws_m.gradient(g_pred[None])
     if collocation is None:
-        return loss_m, 0.0, grad
-    loss_p, _, grad_p = physics_loss(params, collocation, scenario, scaling, ws_p)
-    return loss_m, loss_p, grad + beta * grad_p
+        return loss_m, 0.0, workspace.gradient(g_pred[None])
+    return loss_m, loss_p, workspace.gradient((g_pred, beta * g_stack))
 
 
 # ===================== collocation =====================
@@ -538,13 +545,14 @@ def train(
 ) -> tuple[ParamStore, list[dict]]:
     """Minibatch training of the total loss alpha*L_m + beta*L_p, in place on ``params``.
 
-    Per batch: noise the measurement rows, evaluate the measurement loss,
-    and when beta > 0 draw fresh collocation points (inheriting the noisy
-    (x0, v) rows) for the physics loss; one optimizer step per batch with
-    the step-decay learning rate. The measurement and physics passes each
-    reuse one workspace, sized for the largest batch, for the whole run,
-    and both run in float32 on one float32 copy of ``params``, refreshed in
-    place after each step; ``params`` and its moments stay float64.
+    Per batch: noise the measurement rows, and when beta > 0 draw fresh
+    collocation points (inheriting the noisy (x0, v) rows); one kernel pass
+    over both row sets and one reverse give the two losses and the gradient
+    (``loss_and_gradient``); one optimizer step per batch with the
+    step-decay learning rate. The pass reuses one workspace, sized for the
+    largest batch, for the whole run, and runs in float32 on one float32
+    copy of ``params``, refreshed in place after each step; ``params`` and
+    its moments stay float64.
     Returns the trained store and one history dict per epoch with keys
     epoch, loss_measurement, loss_physics, loss_total, learning_rate.
 
@@ -560,8 +568,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     n = dataset.n_samples
     shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)  # the passes' float32 copy
-    workspaces = (Workspace(spec, min(config.batch_size, n)),
-                  Workspace(spec, config.n_collocation, 2) if config.beta > 0.0 else None)
+    n_batch = min(config.batch_size, n)
+    workspace = (Workspace(spec, config.n_collocation, 2, value_rows=n_batch) if config.beta > 0.0
+                 else Workspace(spec, n_batch))
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         lr = learning_rate(config.base_lr, epoch)
@@ -576,7 +585,7 @@ def train(
             if config.beta > 0.0:
                 colloc = sample_collocation(rng, config.n_collocation, batch, lay)
             lm_val, lp_val, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
-                                                     config.alpha, config.beta, workspaces)
+                                                     config.alpha, config.beta, workspace)
             if not np.isfinite(config.alpha * lm_val + config.beta * lp_val):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}"

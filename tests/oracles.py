@@ -55,57 +55,88 @@ def oinf_rows_by_powers(ssm: LinearSSM, constraints: ConstraintSet, horizon: int
     return np.vstack(Hx_blocks), np.vstack(Hv_blocks), np.concatenate(h_blocks)
 
 
-def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, cotangent: np.ndarray):
-    """Stacked outputs and flat parameter gradient of the net, one field's tail at a time.
+def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, cotangent, values=None):
+    """Outputs and flat parameter gradient of the net, assembled from each field's named tensors.
 
-    The trunk and each field's tail and output are run layer by layer as
-    (k+1)B-row matmuls, in the same numpy operations and order as the
-    kernel, so ``stacked_forward`` and ``Workspace.gradient`` must match
-    it bit for bit. The three tails' input cotangents are summed p, u, T.
+    The per-field views are concatenated into one (3 tail, inter) tails layer
+    and one block-diagonal (3 tail, 3) outs layer; every layer then runs as
+    one 2-D matmul over all rows: the value rows (``values``, then ``x``),
+    then one block of tangent rows per direction. It uses the kernel's numpy
+    operations in the kernel's order on fresh arrays, so ``stacked_forward``
+    and ``Workspace.gradient`` must match it bit for bit. ``cotangent`` and
+    the returned outputs are shaped as the kernel's: the (k+1, B, 3) stack,
+    or the (value-row, stack) pair when ``values`` is given.
     """
+    dtype = params.flat.dtype
+    n, k, n_rows, t = len(FIELD_ORDER), len(directions), len(x), params.spec.tail_width
+    v = np.empty((0, x.shape[1]), dtype) if values is None else np.asarray(values, dtype)
+    m = len(v)
+    n_val = m + n_rows
+    tensors = {name: [name] for name in ("head0", "head1", "head2", "inter")}
+    tensors["tails"] = [f"tail_{f}" for f in FIELD_ORDER]
+    tensors["outs"] = [f"out_{f}" for f in FIELD_ORDER]
+    weights = {name: tuple(np.concatenate([params.view(f"{nm}.{p}") for nm in names]) for p in "wb")
+               for name, names in tensors.items()}
+    w_outs = np.zeros((n * t, n), dtype)  # block diagonal, held as its transpose like the kernel's
+    for f in range(n):
+        w_outs[f * t : (f + 1) * t, f] = weights["outs"][0][f]
+    weights["outs"] = (w_outs.T, weights["outs"][1])
     saved = {}
 
-    def layer(name, h_in, hidden=True):
-        n_stack, n_rows, _ = h_in.shape
-        a = (h_in.reshape(n_stack * n_rows, -1) @ params.view(f"{name}.w").T).reshape(n_stack, n_rows, -1)
-        a[0] += params.view(f"{name}.b")
-        h = da = gate = None
-        if hidden:
-            h = np.tanh(a[0], out=a[0])
+    def layer(name, h_in):
+        w, b = weights[name]
+        a = h_in @ w.T if name != "head0" else np.concatenate(
+            [h_in[:n_val] @ w.T, np.empty((k * n_rows, w.shape[0]), dtype)])
+        a[:n_val] += b
+        gate = None
+        if name != "outs":
+            h = a[:n_val] = np.tanh(a[:n_val])
             gate = 1.0 - h * h
-            da = a[1:].copy()
-            a[1:] *= gate
-        saved[name] = (h_in, h, da, gate)
+            tans = a[n_val:].reshape(k, n_rows, a.shape[1])
+            if name == "head0":
+                tans[...] = gate[m:] * (h_in[n_val:] @ w.T)[:, None]
+            else:
+                tans *= gate[m:]
+        saved[name] = (h_in, a, gate)
         return a
 
     def layer_vjp(name, g_h):
-        h_in, h, da, gate = saved[name]
-        if gate is None:
-            g_a = g_h
-        elif g_h.shape[0] == 1:
-            g_a = g_h * gate
-        else:
-            g_a = np.empty_like(g_h)
-            g_a[0] = (g_h[0] - 2.0 * h * np.sum(g_h[1:] * da, axis=0)) * gate
-            g_a[1:] = g_h[1:] * gate
-        rows = g_a.shape[0] * g_a.shape[1]
-        grad.view(f"{name}.w")[...] = g_a.reshape(rows, -1).T @ h_in.reshape(rows, -1)
-        grad.view(f"{name}.b")[...] = np.sum(g_a[0], axis=0)
-        return (g_a.reshape(rows, -1) @ params.view(f"{name}.w")).reshape(h_in.shape)
+        (w, _), (h_in, a, gate) = weights[name], saved[name]
+        g_a = g_h.copy()
+        if gate is not None:
+            g_a[:n_val] = g_h[:n_val] * gate
+            if k:
+                g_t = g_h[n_val:].reshape(k, n_rows, -1)
+                products = g_t * a[n_val:].reshape(g_t.shape)
+                s = products[0].copy()
+                for part in products[1:]:
+                    s += part
+                s *= a[m:n_val]
+                s *= 2.0
+                g_a[m:n_val] -= s
+                g_a[n_val:] = (g_t * gate[m:]).reshape(k * n_rows, -1)
+        g_w = g_a.T @ h_in if name != "head0" else g_a[:n_val].T @ h_in[:n_val]
+        if name == "head0" and k:
+            g_w += (np.ones(n_rows, dtype) @ g_a[n_val:].reshape(k, n_rows, -1)).T @ h_in[n_val:]
+        if name == "outs":
+            g_w = np.stack([g_w[f, f * t : (f + 1) * t] for f in range(n)])
+        g_b = np.ones(n_val, dtype) @ g_a[:n_val]
+        names = tensors[name]
+        for nm, part_w, part_b in zip(names, np.split(g_w, len(names)), np.split(g_b, len(names))):
+            grad.view(f"{nm}.w")[...] = part_w.reshape(grad.view(f"{nm}.w").shape)
+            grad.view(f"{nm}.b")[...] = part_b
+        return g_a @ w
 
-    h = np.concatenate([x[None], np.broadcast_to(directions[:, None, :], (len(directions), *x.shape))])
-    for name in ("head0", "head1", "head2", "inter"):
+    h = np.concatenate([v, np.asarray(x, dtype), np.asarray(directions, dtype)])
+    for name in ("head0", "head1", "head2", "inter", "tails", "outs"):
         h = layer(name, h)
-    outputs = np.concatenate([layer(f"out_{f}", layer(f"tail_{f}", h), hidden=False) for f in FIELD_ORDER],
-                             axis=2)
+    stack = h[m:].reshape(k + 1, n_rows, n)
+    g_values, g_stack = (np.empty((0, n)), cotangent) if values is None else cotangent
+    g = np.concatenate([np.asarray(g_values, dtype), np.asarray(g_stack, dtype).reshape(-1, n)])
     grad = ParamStore(spec=params.spec, flat=np.zeros_like(params.flat), layout=params.layout)
-    g_p, g_u, g_T = (layer_vjp(f"tail_{f}", layer_vjp(f"out_{f}", cotangent[:, :, i : i + 1]))
-                     for i, f in enumerate(FIELD_ORDER))
-    g = g_p + g_u + g_T
-    for name in ("inter", "head2", "head1"):
+    for name in ("outs", "tails", "inter", "head2", "head1", "head0"):
         g = layer_vjp(name, g)
-    layer_vjp("head0", g)
-    return outputs, grad.flat
+    return (stack if values is None else (h[:m], stack)), grad.flat
 
 
 def adam_out_of_place(flat: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, grad: np.ndarray,

@@ -454,6 +454,7 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
                  "'cap_kelvin'", id="control-cap_missing"),
     pytest.param("train", {"epochs": 3.0}, "'epochs'", id="train-integral_float_epochs"),
     pytest.param("control", {**_HOLD, "n_steps": 2.0}, "'n_steps'", id="control-integral_float_n_steps"),
+    pytest.param("train", {"widths": [10**30, 4, 4]}, "'widths'", id="train-widths_beyond_int64"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"

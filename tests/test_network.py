@@ -114,6 +114,62 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
                 assert forward(store, x).tobytes() == want_out[0].tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_merged_pass_matches_the_per_field_reference_bit_for_bit(rng, dtype):
+    # value-only rows ahead of tangent-carrying ones, as a psm batch runs them
+    spec = MlpSpec(5, 64, 32, 32)
+    store = init_params(spec, seed=2)
+    store.flat += 0.05 * rng.standard_normal(store.n_params)
+    store = ParamStore(spec=spec, flat=store.flat.astype(dtype), layout=store.layout)
+    for n_values, n_rows in ((1, 1), (128, 256), (80, 256)):
+        v, x, dirs = rng.standard_normal((n_values, 5)), rng.standard_normal((n_rows, 5)), np.eye(5)[[0, 1]]
+        cot = (rng.standard_normal((n_values, 3)), rng.standard_normal((3, 3, n_rows)).transpose(0, 2, 1))
+        (want_v, want_stack), want_grad = per_field_pass(store, x.astype(dtype), dirs.astype(dtype),
+                                                         tuple(c.astype(dtype) for c in cot), v.astype(dtype))
+        ws = Workspace(spec, n_rows, 2, value_rows=n_values)
+        got_v, got_stack = stacked_forward(store, x, dirs, workspace=ws, values=v)
+        assert got_v.dtype == got_stack.dtype == dtype
+        assert got_v.tobytes() == want_v.tobytes() and got_stack.tobytes() == want_stack.tobytes()
+        assert ws.gradient(cot).tobytes() == want_grad.astype(np.float64).tobytes()
+
+
+def test_value_rows_beside_tangent_rows_give_the_values_of_forward(rng):
+    v, x, dirs = rng.standard_normal((7, 5)), rng.standard_normal((4, 5)), rng.standard_normal((2, 5))
+    params = init_params(SPEC, seed=3)
+    for ws in (None, Workspace(SPEC, 4, 2, value_rows=7)):
+        got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=v)
+        assert got_v.shape == (7, 3) and got_stack.shape == (3, 4, 3)
+        assert np.array_equal(got_v, forward(params, v))
+        assert np.array_equal(got_stack, stacked_forward(params, x, dirs))
+    # a pass given no value rows still returns, and its gradient still takes, a pair
+    ws = Workspace(SPEC, 4, 2)
+    got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=np.empty((0, 5)))
+    assert got_v.shape == (0, 3) and np.array_equal(got_stack, stacked_forward(params, x, dirs))
+    cot = rng.standard_normal((3, 4, 3))
+    with pytest.raises(ConfigError):  # the stack alone, for a pass that returned a pair
+        ws.gradient(cot)
+    grad = ws.gradient((np.empty((0, 3)), cot))
+    stacked_forward(params, x, dirs, workspace=ws)
+    assert grad.tobytes() == ws.gradient(cot).tobytes()
+
+
+def test_a_ragged_last_batch_in_a_reused_workspace_matches_a_fresh_one(rng):
+    # channel-study's shape: 22 inputs, 64/32/32, float32, 256 collocation rows beside
+    # 128 measurement rows, then a last batch of 80
+    spec = MlpSpec(22, 64, 32, 32)
+    store = init_params(spec, seed=2)
+    low = _float32_copy(store)
+    axes = np.eye(22)[[0, 1]]
+    ws = Workspace(spec, 256, 2, value_rows=128)
+    for n_values in (128, 80):
+        v, x = rng.uniform(0.0, 1.0, (n_values, 22)), rng.uniform(0.0, 1.0, (256, 22))
+        cot = (rng.standard_normal((n_values, 3)), rng.standard_normal((3, 256, 3)))
+        fresh = Workspace(spec, 256, 2, value_rows=n_values)
+        got, want = stacked_forward(low, x, axes, ws, values=v), stacked_forward(low, x, axes, fresh, values=v)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
+
+
 def _float32_copy(store):
     return ParamStore(spec=store.spec, flat=store.flat.astype(np.float32), layout=store.layout)
 

@@ -18,6 +18,7 @@ from flowpsm.network import (
     init_params,
     learning_rate,
     optimizer_step,
+    stacked_forward,
 )
 from flowpsm.solver import SolverConfig, steady_state
 from flowpsm.solver import _plan
@@ -264,12 +265,40 @@ def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
     batch = _full_batch(dataset)
-    workspaces = (Workspace(spec, batch.inputs.shape[0]), None)
-    lm, lp, grad = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 1.0, 0.0, workspaces)
+    ws = Workspace(spec, batch.inputs.shape[0])
+    lm, lp, grad = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 1.0, 0.0, ws)
     assert lp == 0.0
     assert lm == measurement_loss(forward(params, batch.inputs), batch.targets)
-    _, _, half = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 0.5, 0.0, workspaces)
+    _, _, half = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 0.5, 0.0, ws)
     assert np.allclose(half, 0.5 * grad, rtol=1e-14, atol=0.0)
+
+
+def test_one_pass_gradient_is_the_sum_of_a_measurement_and_a_physics_pass(tiny_scenario, tiny_dataset, rng):
+    # float64, 64/32/32, 128 measurement and 256 collocation rows: the merged pass against a
+    # measurement-only pass and a physics-only pass, each reversed on its own. The two sides
+    # run the same products; only the weight gradients' sums over rows are grouped
+    # differently (one GEMM over all rows against two added), each a few eps of its largest
+    # term. 16 eps of the largest gradient magnitude bounds the difference: this draw
+    # reaches 2.7 eps, and draws from seeds 0-11 reach 1.4-5.0.
+    dataset, scaling = tiny_dataset
+    spec = mlp_for_scenario(tiny_scenario, widths=(64, 32, 32))
+    params = init_params(spec, 0)
+    params.flat += 0.05 * rng.standard_normal(params.n_params)
+    lay = input_layout(tiny_scenario)
+    idx = rng.choice(dataset.n_samples, 128, replace=False)
+    batch = Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx])
+    colloc = sample_collocation(rng, 256, batch, lay)
+    alpha, beta = 0.3, 0.7
+    lm, lp, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling, alpha, beta,
+                                     Workspace(spec, 256, 2, value_rows=128))
+    ws_m, ws_p = Workspace(spec, 128), Workspace(spec, 256, 2)
+    pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
+    grad_m = ws_m.gradient(np.tanh(pred - batch.targets)[None] * (alpha / batch.targets.size))
+    stack = stacked_forward(params, colloc, np.eye(lay.input_dim)[[lay.z_col, lay.t_col]], workspace=ws_p)
+    want_lp, _, g_stack = physics_loss(colloc, stack, tiny_scenario, scaling)
+    want = grad_m + ws_p.gradient(beta * g_stack)
+    assert lm == measurement_loss(pred, batch.targets) and lp == want_lp
+    assert np.max(np.abs(grad - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_physics_residuals_vanish_on_manufactured_steady_solution(tiny_scenario, tiny_dataset):
@@ -328,14 +357,17 @@ def test_sample_collocation_inherits_rows(tiny_scenario, tiny_dataset):
 def test_physics_loss_validates_collocation(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
-    params = init_params(spec, 0)
-    ws = Workspace(spec, 4, 2)
+    good = np.zeros((4, spec.input_dim))
+    stack = stacked_forward(init_params(spec, 0), good, np.eye(spec.input_dim)[:2])
+    physics_loss(good, stack, tiny_scenario, scaling)
     with pytest.raises(ConfigError):
-        physics_loss(params, np.zeros((4, 3)), tiny_scenario, scaling, ws)
-    bad = np.zeros((4, spec.input_dim))
+        physics_loss(np.zeros((4, 3)), stack, tiny_scenario, scaling)
+    with pytest.raises(ConfigError):  # a stack of another row count
+        physics_loss(good, stack[:, :3], tiny_scenario, scaling)
+    bad = good.copy()
     bad[:, 0] = 2.0
-    with pytest.raises(ConfigError):
-        physics_loss(params, bad, tiny_scenario, scaling, ws)
+    with pytest.raises(ConfigError, match="outside the scaled domain"):
+        physics_loss(bad, stack, tiny_scenario, scaling)
 
 
 def test_training_loss_gradient_matches_finite_difference(rng):
@@ -366,14 +398,14 @@ def test_training_loss_gradient_matches_finite_difference(rng):
     u = u_star + u_min
     assert np.any(u > 0.0) and np.any(u < 0.0)
     alpha, beta = 0.3, 0.7
-    workspaces = (Workspace(spec, 16), Workspace(spec, 48, 2))
-    lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling, alpha, beta, workspaces)
+    ws = Workspace(spec, 48, 2, value_rows=16)
+    lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling, alpha, beta, ws)
     fric, grav, q = pointwise_closures(scenario, scaling.unscale_z(colloc[:, 0]),
                                        scaling.unscale_v(colloc[:, lay.v_cols]))
     assert np.all(fric > 0.0) and len(set(grav)) == 3 and len(set(np.sign(q))) == 3
 
     def total(store):
-        lm, lp, _ = loss_and_gradient(store, batch, colloc, scenario, scaling, alpha, beta, workspaces)
+        lm, lp, _ = loss_and_gradient(store, batch, colloc, scenario, scaling, alpha, beta, ws)
         return alpha * lm + beta * lp
 
     h = 1e-6
@@ -454,7 +486,7 @@ def test_train_rejects_mismatched_dataset(tiny_scenario, tiny_dataset):
 
 
 def _reference_train(spec, dataset, scenario, scaling, config, noise):
-    """train's loop written out, each loss on fresh workspaces and a fresh float32 cast of the store."""
+    """train's loop written out, each loss on a fresh workspace and a fresh float32 cast of the store."""
     lay = input_layout(scenario)
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -468,10 +500,10 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
             idx = perm[start : start + config.batch_size]
             batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            workspaces = (Workspace(spec, idx.size), Workspace(spec, config.n_collocation, 2))
+            ws = Workspace(spec, config.n_collocation, 2, value_rows=idx.size)
             shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)
             lm, lp, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
-                                             config.alpha, config.beta, workspaces)
+                                             config.alpha, config.beta, ws)
             optimizer_step(params, grad, lr)
             sum_lm += lm * idx.size
             sum_lp += lp * idx.size
@@ -483,7 +515,7 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
 
 def test_train_workspaces_match_fresh_passes(tiny_scenario, tiny_dataset):
     # a ragged last batch and a collocation count unlike the batch size: the
-    # reused workspaces and the float32 copy refreshed in place give
+    # reused workspace and the float32 copy refreshed in place give
     # bit-identical parameters and history
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
@@ -521,20 +553,20 @@ def test_train_keeps_float64_master_parameters(tiny_scenario, tiny_dataset, tmp_
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
 def test_psm_batches_reuse_their_pages(tiny_scenario, tiny_dataset):
     # 64/32/32 with 128 measurement and 256 collocation rows: fresh activation
-    # pages cost about 1,230 minor faults per batch; the workspaces remove them
+    # pages cost about 1,230 minor faults per batch; the workspace removes them
     resource = pytest.importorskip("resource")
     _, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(64, 32, 32))
     params = init_params(spec, 0)
     lay = input_layout(tiny_scenario)
     rng = np.random.default_rng(0)
-    workspaces = (Workspace(spec, 128), Workspace(spec, 256, 2))
+    ws = Workspace(spec, 256, 2, value_rows=128)
     batch = Batch(inputs=rng.uniform(0.0, 1.0, (128, lay.input_dim)), targets=rng.uniform(0.0, 1.0, (128, 3)))
 
     def one_batch():
         colloc = sample_collocation(rng, 256, batch, lay)
         _, _, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling,
-                                       0.5, 0.5, workspaces)
+                                       0.5, 0.5, ws)
         optimizer_step(params, grad, 1e-3)
 
     for _ in range(3):

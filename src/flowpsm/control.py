@@ -217,9 +217,6 @@ class OInfApprox:
             self._whitened[key] = (W, self.H_v @ W)
         return self._whitened[key]
 
-    def contains(self, delta_x: np.ndarray, delta_v: np.ndarray, tol: float = ADMIT_TOL) -> bool:
-        return bool(np.all(self.margins(delta_x, delta_v) >= -tol))
-
 
 def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon: float) -> OInfApprox:
     """Finite-horizon output-admissibility rows plus a tightened steady row.
@@ -393,9 +390,9 @@ def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
     fixed. With 2Q = LL' and x = L'(v - r_k) it is the least-distance
     problem min ||x|| s.t. Gx <= g, where G = H_v L^{-T} is one of the
     factors ``oinf.whitened`` keeps and g the rows' margins at (x_k, r_k),
-    formed once. A reference whose margins are all >= -1e-9 (``contains``'s
-    tolerance) passes through as at_reference; an empty admissible set
-    falls back to v_prev with status fallback_infeasible.
+    formed once. A reference whose margins are all >= -ADMIT_TOL passes
+    through as at_reference; an empty admissible set falls back to v_prev
+    with status fallback_infeasible.
     """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dr = np.asarray(r_k, dtype=float) - oinf.v00

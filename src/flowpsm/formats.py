@@ -14,9 +14,10 @@ checkpoint (.psmw)
     | n_params u64 | params f64[n_params] | has_moments u8
     [| step u64 | m f64[n_params] | v f64[n_params]]
 
-Loading verifies magic, version, and hashes; the checkpoint round-trip is
-bit-exact including optimizer moments. CSV companions are tidy long-format
-tables with documented headers, written for plotting out of process.
+Loading verifies magic, version, hashes and length (a cut or padded file
+raises DataIoError); the checkpoint round-trip is bit-exact including
+optimizer moments. CSV companions are tidy long-format tables with
+documented headers, written for plotting out of process.
 
 This is the one module that opens files. An output is written to a temporary
 file beside it and moved into place, so readers see it whole or not at all and
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -104,6 +106,36 @@ def _read(path) -> bytes:
         raise DataIoError(f"cannot read {path}: {exc}") from exc
 
 
+class _Reader:
+    """Little-endian fields read in order from a file's bytes.
+
+    A read past the end raises DataIoError naming the file, before any array
+    is allocated, so a cut file or a header that overstates its counts fails
+    the same way.
+    """
+
+    def __init__(self, path, what: str) -> None:
+        self.path, self.what = path, what
+        self.blob = memoryview(_read(path))
+        self.offset = 0
+
+    def bytes(self, n: int) -> memoryview:
+        if n > len(self.blob) - self.offset:
+            raise DataIoError(f"{self.path}: truncated {self.what}")
+        self.offset += n
+        return self.blob[self.offset - n : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack("<" + fmt, self.bytes(struct.calcsize("<" + fmt)))
+
+    def floats(self, *shape: int) -> np.ndarray:
+        return np.frombuffer(self.bytes(8 * math.prod(shape)), dtype="<f8").astype(np.float64).reshape(shape)
+
+    def end(self) -> None:
+        if self.offset != len(self.blob):
+            raise DataIoError(f"{self.path}: trailing bytes after the {self.what} payload")
+
+
 def write_text(path, text: str) -> None:
     """``text`` as the file's UTF-8 contents; DataIoError if unwritable."""
     with _output(path) as fh:
@@ -129,36 +161,18 @@ def save_record(path, record: SimulationRecord) -> None:
 
 
 def load_record(path) -> SimulationRecord:
-    blob = _read(path)
-    if blob[:4] != _RECORD_MAGIC:
+    r = _Reader(path, "record")
+    if r.bytes(4) != _RECORD_MAGIC:
         raise DataIoError(f"{path}: not a simulation record (bad magic)")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = r.unpack("H")
     if version != _VERSION:
         raise DataIoError(f"{path}: unsupported record version {version}")
-    scen_hash = blob[6:38].hex()
-    n_times, n_cells, n_stations, n_controls = struct.unpack_from("<IIII", blob, 38)
-    offset = 54
-    expect = 8 * (
-        n_times + n_cells + n_stations
-        + 3 * n_times * n_cells + n_times * n_controls + n_times * 3 * n_stations
-    )
-    if len(blob) - offset != expect:
-        raise DataIoError(f"{path}: truncated or oversized record payload")
-
-    def take(count, shape):
-        nonlocal offset
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        offset += 8 * count
-        return arr.reshape(shape)
-
-    times = take(n_times, (n_times,))
-    grid_z = take(n_cells, (n_cells,))
-    station_z = take(n_stations, (n_stations,))
-    p = take(n_times * n_cells, (n_times, n_cells))
-    u = take(n_times * n_cells, (n_times, n_cells))
-    T = take(n_times * n_cells, (n_times, n_cells))
-    v = take(n_times * n_controls, (n_times, n_controls))
-    sensors = take(n_times * 3 * n_stations, (n_times, 3, n_stations))
+    scen_hash = r.bytes(32).hex()
+    n_times, n_cells, n_stations, n_controls = r.unpack("IIII")
+    times, grid_z, station_z = r.floats(n_times), r.floats(n_cells), r.floats(n_stations)
+    p, u, T = (r.floats(n_times, n_cells) for _ in range(3))
+    v, sensors = r.floats(n_times, n_controls), r.floats(n_times, 3, n_stations)
+    r.end()
     return SimulationRecord(
         scenario_hash=scen_hash, times=times, grid_z=grid_z,
         p=p, u=u, T=T, v=v, station_z=station_z, sensors=sensors,
@@ -204,34 +218,25 @@ def save_checkpoint(path, params: ParamStore) -> None:
 
 
 def load_checkpoint(path, spec: MlpSpec) -> ParamStore:
-    blob = _read(path)
-    if blob[:4] != _CKPT_MAGIC:
+    r = _Reader(path, "checkpoint")
+    if r.bytes(4) != _CKPT_MAGIC:
         raise DataIoError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = r.unpack("H")
     if version != _VERSION:
         raise DataIoError(f"{path}: unsupported checkpoint version {version}")
-    if blob[6:38].hex() != mlp_fingerprint(spec):
+    if r.bytes(32).hex() != mlp_fingerprint(spec):
         raise DataIoError(f"{path}: checkpoint was written for a different architecture")
-    (n_params,) = struct.unpack_from("<Q", blob, 38)
+    (n_params,) = r.unpack("Q")
     layout = _layout(spec)
     if layout[-1][3] != n_params:
         raise DataIoError(f"{path}: parameter count {n_params} does not tile the architecture")
-    offset = 46
-    flat = np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
-    offset += 8 * n_params
-    (has_moments,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
+    flat = r.floats(n_params)
     store = ParamStore(spec=spec, flat=flat, layout=layout)
+    (has_moments,) = r.unpack("B")
     if has_moments:
-        (step,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        m = np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
-        offset += 8 * n_params
-        v = np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
-        offset += 8 * n_params
-        store.m, store.v, store.step = m, v, step
-    if offset != len(blob):
-        raise DataIoError(f"{path}: trailing bytes after checkpoint payload")
+        (store.step,) = r.unpack("Q")
+        store.m, store.v = r.floats(n_params), r.floats(n_params)
+    r.end()
     for name, arr in (("parameter", flat), ("first moment", store.m), ("second moment", store.v)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise DataIoError(f"{path}: checkpoint holds a non-finite {name}")

@@ -118,24 +118,19 @@ class ParamStore:
     m: np.ndarray | None = None  # first moment
     v: np.ndarray | None = None  # second moment
     step: int = 0
-    _views: dict = field(default_factory=dict, repr=False)
+    _layers: list | None = field(default=None, repr=False)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weight, bias) views per CHAIN layer; the tails' and outs' carry a leading branch axis."""
-        if "chain" not in self._views:
-            self._views["chain"] = _chain_views(self.flat, self.layout)
-        return self._views["chain"]
+        if self._layers is None:
+            self._layers = _chain_views(self.flat, self.layout)
+        return self._layers
 
     def view(self, name: str) -> np.ndarray:
         """Writable ndarray view into the flat vector for one layer tensor."""
-        cached = self._views.get(name)
-        if cached is not None:
-            return cached
         for nm, shape, start, stop in self.layout:
             if nm == name:
-                out = self.flat[start:stop].reshape(shape)
-                self._views[name] = out
-                return out
+                return self.flat[start:stop].reshape(shape)
         raise KeyError(name)
 
     @property
@@ -405,10 +400,8 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
 
 
 def forward(params: ParamStore, x) -> np.ndarray:
-    """Batched evaluation: (batch, input_dim) -> (batch, 3); one row -> (3,)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = stacked_forward(params, np.atleast_2d(x))[0]
-    return out[0] if x.ndim == 1 else out
+    """Batched evaluation: (batch, input_dim) -> (batch, 3)."""
+    return stacked_forward(params, x)[0]
 
 
 # ===================== optimizer =====================

@@ -39,8 +39,9 @@ continuity exactly.
 Stepping carries a leading episode axis. Every per-episode operation of a
 substep is row-wise (sums and cumulative sums along the grid), so an episode
 stepped in a batch is bit-identical to the same episode stepped alone.
-``run_experiments`` steps a whole corpus this way; ``step`` and
-``step_with_audit`` are batches of one.
+``run_experiments`` steps a whole corpus this way, and ``step`` is a batch of
+one. A stepped state carries its face velocities (``u_face``), as every state
+from ``steady_state`` or ``step`` does.
 
 Steady states are the scheme's fixed points, solved directly (every 1/dt
 term cancels there): closed form for the heated channel, and for the loop a
@@ -76,7 +77,6 @@ __all__ = [
     "generate_trajectories",
     "steady_state",
     "step",
-    "step_with_audit",
     "run_experiments",
     "inject_degradation",
     "sensor_readout",
@@ -263,17 +263,14 @@ def _check_inputs(plan: _Plan, inputs) -> np.ndarray:
 
 
 def _face_velocities(plan: _Plan, state: FieldState) -> np.ndarray:
-    """Staggered velocities: reuse the carried array or interpolate centers."""
+    """A copy of the state's staggered velocities, which ``steady_state`` and ``step`` carry."""
     if state.grid_z.size != plan.grid.n_cells:
         raise ConfigError("state is not on the scenario grid")
-    if state.u_face is not None:
-        uf = np.array(state.u_face, dtype=float)
-        if uf.size != plan.grid.n_cells + 1:
-            raise ConfigError("u_face length must be n_cells + 1")
-    elif plan.is_loop:
-        uf = np.append(0.5 * (np.roll(state.u, 1) + state.u), 0.0)
-    else:
-        uf = np.interp(plan.grid.faces, plan.grid.centers, state.u)  # ends take the end cells
+    if state.u_face is None:
+        raise ConfigError("state carries no u_face; step a state that steady_state or step returned")
+    uf = np.array(state.u_face, dtype=float)
+    if uf.size != plan.grid.n_cells + 1:
+        raise ConfigError("u_face length must be n_cells + 1")
     if plan.is_loop:
         uf[-1] = uf[0]  # face n is face 0
     return uf
@@ -356,49 +353,11 @@ def _running(x: np.ndarray, path: tuple, acc: np.ndarray) -> np.ndarray:
     return acc.take(pos, axis=1)
 
 
-def _audit_substep(audit: dict, plan: _Plan, scenario: ScenarioConfig, dt: float, courant: float,
-                   rho_c, rho_new, h, h_new, rho_f, u1, phi, q_cell) -> None:
-    """Accumulate one substep of a single episode (1D arrays) into the audit.
-
-    mass_change = mass_boundary + pinned_mass_change on both rigs: every
-    cell but the loop's pinned one satisfies continuity exactly, so the
-    boundary term is the net inflow into those cells (on the loop, what the
-    pinned cell passes to its neighbours), and the pinned cell's own change
-    is reported apart.
-    """
-    n, dz, cp = plan.grid.n_cells, plan.grid.dz, scenario.fluid.cp
-    area = scenario.segments[0].flow_area
-    mass_old = float(np.sum(rho_c * dz)) * area
-    mass_new = float(np.sum(rho_new * dz)) * area
-    if plan.is_loop:
-        re = plan.ref_cell
-        jl, jr = re, (re + 1) % n
-        bnd = (rho_f[jr] * u1[jr] - rho_f[jl] * u1[jl]) * area * dt
-        pinned = dz[re] * (rho_new[re] - rho_c[re]) * area
-        enth_bnd = 0.0  # cyclic fluxes telescope away
-    else:
-        bnd = (rho_f[0] * u1[0] - rho_f[n] * u1[n]) * area * dt
-        pinned = 0.0
-        enth_bnd = (phi[0] - phi[n]) * area * cp * dt
-    enth_old = float(np.sum(h * dz)) * area * cp
-    enth_new = float(np.sum(h_new * dz)) * area * cp
-    src = float(np.sum(q_cell * dz)) * area * dt
-    audit["mass_change"] = audit.get("mass_change", 0.0) + (mass_new - mass_old)
-    audit["mass_boundary"] = audit.get("mass_boundary", 0.0) + bnd
-    audit["pinned_mass_change"] = audit.get("pinned_mass_change", 0.0) + pinned
-    audit["mass_total"] = mass_new
-    audit["enthalpy_change"] = audit.get("enthalpy_change", 0.0) + (enth_new - enth_old)
-    audit["enthalpy_boundary"] = audit.get("enthalpy_boundary", 0.0) + enth_bnd
-    audit["enthalpy_source"] = audit.get("enthalpy_source", 0.0) + src
-    audit["max_courant"] = max(audit.get("max_courant", 0.0), courant)
-
-
 # ===================== public stepping API =====================
 
 
 def _advance(plan: _Plan, scenario: ScenarioConfig, p: np.ndarray, T: np.ndarray, u_f: np.ndarray,
-             v: np.ndarray, solver_config: SolverConfig, audit: dict | None
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             v: np.ndarray, solver_config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance E episodes one delta_t under constant controls v (E, m), substep by substep.
 
     p and T are (E, n) and u_f is (E, n + 1); the channel's inlet face takes
@@ -502,40 +461,8 @@ def _advance(plan: _Plan, scenario: ScenarioConfig, p: np.ndarray, T: np.ndarray
                     & np.isfinite(T_new).all(axis=1))
             if bad.any():
                 raise NumericalError(f"non-finite fields after substep in episode {_first(bad)}")
-        if audit is not None:
-            _audit_substep(audit, plan, scenario, dt, float(max(hi, -lo) * dt / plan.min_dz),
-                           *(x[0] for x in (rho_c, rho_new, h_pad[:, 1:-1], h_new, rho_f, u_new, phi, q_cell)))
         u_f = u_new
     return p_new, T_new, u_f
-
-
-def _step_one(state: FieldState, inputs, scenario: ScenarioConfig, solver_config: SolverConfig,
-              audit: dict | None) -> FieldState:
-    """``_advance`` of a single state, as a batch of one episode."""
-    plan = _plan(scenario)
-    v = _check_inputs(plan, inputs)
-    u_f = _face_velocities(plan, state)
-    fields = (np.asarray(state.p, dtype=float), np.asarray(state.T, dtype=float), u_f)
-    p, T, u_f = (x[0] for x in _advance(plan, scenario, *(x[None] for x in fields), v[None],
-                                        solver_config, audit))
-    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
-
-
-def step_with_audit(
-    state: FieldState,
-    inputs,
-    scenario: ScenarioConfig,
-    solver_config: SolverConfig = SolverConfig(),
-) -> tuple[FieldState, dict]:
-    """Advance one delta_t with constant controls; also return balance audits.
-
-    The audit dict accumulates over the substeps: total mass/enthalpy change,
-    the net boundary inflow of mass and enthalpy, the loop's pinned-cell mass
-    change (so that mass_change = mass_boundary + pinned_mass_change on both
-    rigs), the applied source integral, and the peak Courant number.
-    """
-    audit: dict = {}
-    return _step_one(state, inputs, scenario, solver_config, audit), audit
 
 
 def step(
@@ -544,8 +471,13 @@ def step(
     scenario: ScenarioConfig,
     solver_config: SolverConfig = SolverConfig(),
 ) -> FieldState:
-    """Advance the state one delta_t interval under constant controls."""
-    return _step_one(state, inputs, scenario, solver_config, None)
+    """Advance the state one delta_t interval under constant controls, as a batch of one episode."""
+    plan = _plan(scenario)
+    v = _check_inputs(plan, inputs)
+    u_f = _face_velocities(plan, state)
+    fields = (np.asarray(state.p, dtype=float), np.asarray(state.T, dtype=float), u_f)
+    p, T, u_f = (x[0] for x in _advance(plan, scenario, *(x[None] for x in fields), v[None], solver_config))
+    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
 
 
 # ===================== steady state =====================
@@ -743,7 +675,7 @@ def run_experiments(
         p[e, 0], u[e, 0], T[e, 0] = state.p, state.u, state.T
     for k in range(K):
         p_k, T_k, u_f = _advance(plan, scenario, p[:, k], T[:, k], u_f, _check_inputs(plan, v[:, k]),
-                                 solver_config, None)
+                                 solver_config)
         p[:, k + 1], u[:, k + 1], T[:, k + 1] = p_k, 0.5 * (u_f[:, :-1] + u_f[:, 1:]), T_k
     for e, state in enumerate(starts):
         sensors[e, 0] = sensor_readout(state, stations)

@@ -79,12 +79,14 @@ class FluidProps:
     """Linear density closure rho(T) = rho_a - rho_b*T and constant heat capacity."""
 
     rho_a: float  # kg/m^3, density intercept
-    rho_b: float  # kg/m^3/K, density slope (positive: density falls with T)
+    rho_b: float  # kg/m^3/K, density slope (>= 0: density falls with T, or stays)
     cp: float  # J/kg/K
 
     def __post_init__(self) -> None:
         if self.rho_a <= 0:
             raise ConfigError("rho_a must be positive")
+        if self.rho_b < 0:
+            raise ConfigError("rho_b must be >= 0: density may not rise with T")
         if self.cp <= 0:
             raise ConfigError("cp must be positive")
 
@@ -260,8 +262,9 @@ class FieldState:
 
     ``u`` is the face-velocity average at each center. ``u_face`` (one entry
     per grid face) is carried along by the solver so that re-stepping a
-    solver-produced state is an exact discrete fixed point; states built by
-    hand may leave it None and the solver reconstructs faces by interpolation.
+    solver-produced state is an exact discrete fixed point. The solver steps
+    only states that carry it; one built by hand may leave it None (sensor
+    readouts need only the centers), and stepping it raises ConfigError.
     """
 
     grid_z: np.ndarray

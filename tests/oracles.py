@@ -4,8 +4,13 @@ import warnings
 
 import numpy as np
 
-from flowpsm.control import ConstraintSet, LinearSSM, OInfApprox
+from flowpsm.control import ADMIT_TOL, ConstraintSet, LinearSSM, OInfApprox
 from flowpsm.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIELD_ORDER, ParamStore
+
+
+def admits(oinf: OInfApprox, delta_x: np.ndarray, delta_v: np.ndarray) -> bool:
+    """Whether the pair lies in the admissible set: every margin >= -ADMIT_TOL, as ``cg_solve`` reads them."""
+    return bool(np.all(oinf.margins(delta_x, delta_v) >= -ADMIT_TOL))
 
 
 def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.ndarray) -> float:
@@ -18,14 +23,14 @@ def srg_kappa(oinf: OInfApprox, x_k: np.ndarray, v_prev: np.ndarray, r_k: np.nda
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dv_prev = np.asarray(v_prev, dtype=float) - oinf.v00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
-    if not oinf.contains(dx, dv_prev):
+    if not admits(oinf, dx, dv_prev):
         warnings.warn("current (state, input) pair is outside the admissible set; kappa = 0")
         return 0.0
     m = oinf.margins(dx, dv_prev)
     a = oinf.H_v @ (dr - dv_prev)
     rising = a > 0
     kappa = min(1.0, float(np.min(m[rising] / a[rising]))) if np.any(rising) else 1.0
-    return max(0.0, kappa)  # contains() admits margins down to -1e-9
+    return max(0.0, kappa)  # admits() takes margins down to -ADMIT_TOL
 
 
 def oinf_rows_by_powers(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon: float

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import importlib
 import json
+import math
 import pkgutil
 import re
 import shutil
@@ -198,6 +199,29 @@ def test_control_reuses_a_name_across_schedule_entries(pipeline, tmp_path, capsy
     assert float(printed.group(1)) == pytest.approx(cap, abs=0.005)
 
 
+def test_control_logs_a_name_out_of_force_as_empty(pipeline, tmp_path, capsys):
+    # a name the entry in force lacks logs NaN with an empty bound, and one never in force gets no summary line
+    cfg = tmp_path / "control.json"
+    cfg.write_text(json.dumps({**_HOLD, "n_steps": 4, "schedule": [
+        {"from_step": 0, "constraints": [{"station_index": 1, "cap_kelvin": 900.0}]},
+        {"from_step": 2, "constraints": [{"station_index": 2, "cap_kelvin": 900.0}]},
+        {"from_step": 9, "constraints": [{"station_index": 3, "cap_kelvin": 900.0}]}]}))
+    out = tmp_path / "roll"
+    assert main(["control", "--config", str(cfg), "--model", str(pipeline["psm"]),
+                 "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+    with open(out / "rollout.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for k, row in enumerate(rows):
+        assert math.isnan(float(row["y_T_cap_1"])) == (k >= 2)
+        assert (row["bound_T_cap_1"] == "") == (k >= 2)
+        assert math.isnan(float(row["y_T_cap_2"])) == (k < 2)
+        assert math.isnan(float(row["y_T_cap_3"])) and row["bound_T_cap_3"] == ""
+    printed = capsys.readouterr().out
+    assert "bound T_cap_1:" in printed and "bound T_cap_2:" in printed
+    assert "T_cap_3" not in printed
+
+
 def test_diagnose_quiet_stream(pipeline, tmp_path, capsys):
     cfg = tmp_path / "diag.json"
     cfg.write_text(json.dumps({"zeta": 1e6, "window": 2}))
@@ -326,6 +350,7 @@ def _segment(scenario: dict, index: int, **values) -> dict:
     ({"scenario": {**_CHANNEL, "input_ranges": [[True, 2], [804.65, 884.65]]}}, "input_ranges"),
     ({"scenario": {**_CHANNEL, "input_ranges": [[0.5, 10**400], [804.65, 884.65]]}}, "input_ranges"),
     ({"scenario": {**_CHANNEL, "sensor_stations": [True, *_CHANNEL["sensor_stations"][1:]]}}, "sensor_stations"),
+    ({"scenario": {**_CHANNEL, "fluid": {**_CHANNEL["fluid"], "rho_b": -0.488}}}, "rho_b"),
 ], ids=["n_train_not_a_number", "degradation_not_an_object",
         "degradation_without_multiplier", "segment_index_not_a_number",
         "substep_not_a_number", "max_iters_unknown", "tol_unknown", "solver_not_an_object",
@@ -337,7 +362,8 @@ def _segment(scenario: dict, index: int, **values) -> dict:
         "heat_source_not_a_number", "gravity_component_not_a_number", "loop_heater_source_scale_not_a_number",
         "length_boolean", "friction_factor_boolean", "hydraulic_diameter_boolean", "source_scale_boolean",
         "length_infinite", "friction_factor_nan", "input_range_strings", "input_range_infinite",
-        "input_range_nan", "input_range_boolean", "input_range_beyond_float", "sensor_station_boolean"])
+        "input_range_nan", "input_range_boolean", "input_range_beyond_float", "sensor_station_boolean",
+        "rho_b_negative"])
 def test_gen_data_bad_config_values_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "gen.json"
     doc = {"scenario": _CHANNEL, "n_train": 1, "n_test": 0, **extra}
@@ -636,6 +662,15 @@ def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
         _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", f"'{key}'")
 
 
+def test_eval_on_a_cut_checkpoint_exits_4(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["psm"], model)
+    ckpt = model / "checkpoint.psmw"
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e")])
+    _assert_io_error(rc, capsys.readouterr().err, ckpt)
+
+
 def test_dataset_scenario_the_constructor_rejects_exits_4(pipeline, tmp_path, capsys):
     data = _edited_copy(pipeline["data"], tmp_path / "data", "dataset.json",
                         lambda d: {**d, "scenario": {k: v for k, v in d["scenario"].items() if k != "fluid"}})
@@ -817,6 +852,7 @@ def test_heated_channel_chain_loads_no_scipy(tmp_path):
     # preset, gen-data, train and eval need no root finder and no QP
     chain = """
 import json
+import math
 from pathlib import Path
 from flowpsm.cli import main
 root = Path(sys.argv[1])
@@ -841,6 +877,7 @@ def test_loop_gen_data_and_projecting_control_load_no_scipy(pipeline, tmp_path):
     chain = """
 import csv
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 from flowpsm.cli import main

@@ -27,7 +27,7 @@ from flowpsm.network import forward, init_params
 from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
 from flowpsm.transport import ConfigError
 
-from oracles import oinf_rows_by_powers, srg_kappa
+from oracles import admits, oinf_rows_by_powers, srg_kappa
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ def test_oinf_agrees_with_explicit_simulation(rng):
     for _ in range(300):
         dx = rng.uniform(-0.5, 0.5, 3)
         dv = rng.uniform(-0.5, 0.5, 2)
-        member = oinf.contains(dx, dv)
+        member = admits(oinf, dx, dv)
         brute = simulate_ok(dx, dv)
         if member:
             # membership must imply constraint satisfaction along the horizon
@@ -298,7 +298,7 @@ def test_srg_kappa_is_maximal(rng):
     for _ in range(50):
         dx = rng.uniform(-0.05, 0.05, 3)
         dv_prev = rng.uniform(-0.05, 0.05, 2)
-        if not oinf.contains(dx, dv_prev):
+        if not admits(oinf, dx, dv_prev):
             continue
         dr = rng.uniform(-1.0, 1.0, 2)
         kappa = srg_kappa(oinf, oinf.x00 + dx, oinf.v00 + dv_prev, oinf.v00 + dr)
@@ -306,8 +306,8 @@ def test_srg_kappa_is_maximal(rng):
         if kappa < 1.0:
             clipped += 1
             # admissible set is convex, so feasible fractions form [0, kappa]
-            assert oinf.contains(dx, dv_prev + kappa * (dr - dv_prev))
-            assert not oinf.contains(dx, dv_prev + min(1.0, kappa + 1e-6) * (dr - dv_prev))
+            assert admits(oinf, dx, dv_prev + kappa * (dr - dv_prev))
+            assert not admits(oinf, dx, dv_prev + min(1.0, kappa + 1e-6) * (dr - dv_prev))
     assert clipped > 0
 
 

@@ -32,6 +32,7 @@ from flowpsm.formats import (
     write_text,
 )
 from flowpsm.network import MlpSpec, init_params, optimizer_step
+from flowpsm.solver import SimulationRecord
 
 SPEC = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
 
@@ -121,6 +122,28 @@ def test_checkpoint_rejects_wrong_architecture(tmp_path):
     trailing.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataIoError):
         load_checkpoint(trailing, SPEC)
+
+
+def test_every_cut_of_a_checkpoint_or_record_raises_dataioerror(tmp_path):
+    # a file cut at any byte, header or payload, names itself in a DataIoError
+    params = init_params(MlpSpec(input_dim=1, head_width=1, intermediate_width=1, tail_width=1), seed=0)
+    optimizer_step(params, np.ones(params.flat.size), 1e-3)  # with moments
+    record = SimulationRecord(
+        scenario_hash="ab" * 32, times=np.arange(2.0), grid_z=np.arange(2.0), p=np.ones((2, 2)),
+        u=np.ones((2, 2)), T=np.ones((2, 2)), v=np.ones((2, 1)), station_z=np.zeros(1),
+        sensors=np.ones((2, 3, 1)),
+    )
+    ckpt, rec = tmp_path / "w.psmw", tmp_path / "r.psmd"
+    save_checkpoint(ckpt, params)
+    save_record(rec, record)
+    for path, load in ((ckpt, lambda f: load_checkpoint(f, params.spec)), (rec, load_record)):
+        blob = path.read_bytes()
+        load(path)
+        cut = tmp_path / f"cut{path.suffix}"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataIoError, match=re.escape(str(cut))):
+                load(cut)
 
 
 def test_mlp_fingerprint_stability_and_sensitivity():

@@ -49,9 +49,10 @@ def test_forward_shapes_and_single_row(params, rng):
     x = rng.standard_normal((7, 5))
     y = forward(params, x)
     assert y.shape == (7, 3)
-    assert np.allclose(forward(params, x[0]), y[0])
-    with pytest.raises(ConfigError):
-        forward(params, np.zeros((2, 4)))
+    assert np.allclose(forward(params, x[:1]), y[:1])
+    for bad in (np.zeros((2, 4)), x[0]):  # a wrong width, and one row given 1-D
+        with pytest.raises(ConfigError):
+            forward(params, bad)
 
 
 def _reference_forward(spec, params, x):
@@ -354,7 +355,7 @@ def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
 def test_each_store_reads_its_own_parameters(rng):
     x = rng.standard_normal((4, 5))
     a, b = init_params(SPEC, 1), init_params(SPEC, 2)
-    ya, yb = forward(a, x), forward(b, x)  # both stores now hold cached views
+    ya, yb = forward(a, x), forward(b, x)  # both stores now hold their cached layer views
     twin = ParamStore(spec=SPEC, flat=a.flat.copy(), layout=a.layout)
     twin.flat *= 0.5
     for store, y in ((a, ya), (b, yb), (twin, forward(twin, x))):

@@ -19,7 +19,7 @@ from flowpsm.diagnostics import sample_conditions, signature
 from flowpsm.network import init_params
 from flowpsm.training import input_layout, logcosh_np, mlp_for_scenario
 
-from oracles import srg_kappa
+from oracles import admits, srg_kappa
 
 RELAXED = settings(max_examples=100, deadline=None)
 
@@ -124,13 +124,13 @@ def test_srg_bisection_matches_grid_scan(seed):
     oinf = build_oinf(ssm, cset, horizon=30, epsilon=1e-4)
     dx = rng.uniform(-0.03, 0.03, 3)
     dv_prev = rng.uniform(-0.03, 0.03, 2)
-    if not oinf.contains(dx, dv_prev):
+    if not admits(oinf, dx, dv_prev):
         return
     dr = rng.uniform(-1.5, 1.5, 2)
     kappa = srg_kappa(oinf, oinf.x00 + dx, oinf.v00 + dv_prev, oinf.v00 + dr)
     grid = np.linspace(0.0, 1.0, 10001)
     feasible = np.array(
-        [oinf.contains(dx, dv_prev + g * (dr - dv_prev)) for g in grid]
+        [admits(oinf, dx, dv_prev + g * (dr - dv_prev)) for g in grid]
     )
     kappa_grid = grid[np.flatnonzero(feasible)[-1]] if feasible.any() else 0.0
     assert kappa == pytest.approx(kappa_grid, abs=1.01e-4)  # grid resolution
@@ -224,7 +224,7 @@ def test_cg_never_does_worse_than_holding_the_input(seed):
     ssm = _stable_ssm(rng)
     cset = ConstraintSet(rows=(Constraint(c=(0.8, 0.2, 0.0), d=0.85, name="x"),))
     oinf = build_oinf(ssm, cset, horizon=25, epsilon=1e-4)
-    if not oinf.contains(np.zeros(3), np.zeros(2)):
+    if not admits(oinf, np.zeros(3), np.zeros(2)):
         return
     r = oinf.v00 + rng.uniform(-1.2, 1.2, 2)
     Q = np.eye(2)
@@ -245,7 +245,7 @@ def test_scalar_governor_matches_projection_for_one_input(seed):
     ssm = _stable_ssm(rng, q=3, p=1)
     cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.5, 0.0), d=0.95, name="x"),))
     oinf = build_oinf(ssm, cset, horizon=25, epsilon=1e-4)
-    if not oinf.contains(np.zeros(3), np.zeros(1)):
+    if not admits(oinf, np.zeros(3), np.zeros(1)):
         return
     r = oinf.v00 + rng.uniform(-1.5, 1.5, 1)
     kappa = srg_kappa(oinf, oinf.x00, oinf.v00, r)

@@ -18,7 +18,6 @@ from flowpsm.solver import (
     sensor_readout,
     steady_state,
     step,
-    step_with_audit,
 )
 from flowpsm.transport import (
     ConfigError,
@@ -79,6 +78,16 @@ def test_step_is_deterministic_and_respects_zoh(scenario, steady):
     # re-stepping a converged state with the same inputs stays put
     held = step(steady, np.array([0.65, 844.65]), scenario, cfg)
     assert np.max(np.abs(held.T - steady.T)) < 1e-6
+
+
+def test_step_needs_the_face_velocities(scenario, steady):
+    # every state that steady_state or step returns carries u_face; one without it is not stepped
+    bare = replace(steady, u_face=None)
+    with pytest.raises(ConfigError, match="u_face"):
+        step(bare, np.array([0.65, 844.65]), scenario)
+    trajectory = generate_trajectories(0, scenario, 1)
+    with pytest.raises(ConfigError, match="u_face"):
+        run_experiments(replace(scenario, episode_duration=scenario.delta_t), trajectory, [bare])
 
 
 def test_step_rejects_courant_violation(scenario, steady):
@@ -190,7 +199,14 @@ def test_brentq_is_the_reference_root_on_curved_functions():
 STEADY_SCALES = {"p": 1.0e3, "u": 1.0, "T": 100.0}  # Pa, m/s, K
 
 
-@pytest.mark.parametrize("name", ["channel", "loop", "loop_x10_friction", "loop_gravity", "loop_ref37"])
+def _constant_density(preset):
+    """The preset with rho_b = 0, where the energy update's T is h / rho_a."""
+    sc = preset()
+    return replace(sc, fluid=replace(sc.fluid, rho_b=0.0))
+
+
+@pytest.mark.parametrize("name", ["channel", "loop", "loop_x10_friction", "loop_gravity", "loop_ref37",
+                                  "channel_rho_b_0", "loop_rho_b_0"])
 @pytest.mark.parametrize("where", ["low", "mid", "high"])
 def test_steady_state_is_a_fixed_point_of_step(name, where):
     sc = {
@@ -201,6 +217,8 @@ def test_steady_state_is_a_fixed_point_of_step(name, where):
         "loop_gravity": lambda: _loop_with({1: {"gravity_component": -9.81},
                                             4: {"gravity_component": 9.81}}),
         "loop_ref37": _loop_pinned_mid_heater_leg,
+        "channel_rho_b_0": lambda: _constant_density(heated_channel_preset),
+        "loop_rho_b_0": lambda: _constant_density(loop_preset),
     }[name]()
     lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
     v = {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[where]
@@ -314,16 +332,17 @@ def test_inject_degradation(scenario):
 
 
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
-def test_step_matches_step_with_audit(preset):
+def test_one_substep_steps_chain_into_one_step(preset):
+    # 100 steps of one substep each give the fields of one 100-substep step, bit for bit
     sc = preset()
-    lo = np.array([r[0] for r in sc.input_ranges])
-    state = steady_state(sc, lo)
-    v = _mid(sc)
-    plain = step(state, v, sc)
-    audited, audit = step_with_audit(state, v, sc)
-    assert audit
+    v, cfg = _mid(sc), SolverConfig()
+    state = start = _low_steady(sc)
+    substep_sc = replace(sc, delta_t=cfg.substep)
+    for _ in range(cfg.n_substeps(sc.delta_t)):
+        state = step(state, v, substep_sc, cfg)
+    whole = step(start, v, sc, cfg)
     for f in ("p", "u", "T", "u_face"):
-        assert np.array_equal(getattr(plain, f), getattr(audited, f)), f
+        assert np.array_equal(getattr(state, f), getattr(whole, f)), f
 
 
 def _loop_x1000_friction():
@@ -345,6 +364,49 @@ def _tripled_reversal(sc):
     return replace(steady, u=-3.0 * steady.u, u_face=-3.0 * steady.u_face)
 
 
+def _substep_gap(sc, v, old: FieldState, new: FieldState) -> np.ndarray:
+    """How far one substep's mass and enthalpy changes miss what its boundary and sources add.
+
+    ``new`` is ``old`` stepped over a delta_t of one substep, and the gap is
+    recomputed from the two states alone. Every cell but the loop's pinned
+    one keeps continuity exactly, so the mass change is the net inflow into
+    the other cells plus the pinned cell's own change. That inflow is the new
+    face velocity times the new density upwind by the old face signs, at the
+    channel's ends or at the loop's two faces of the pinned cell. The
+    enthalpy change is the net inflow of h = rho T, upwind at the old
+    velocities (on the loop, faces 0 and n are one face), plus the source.
+    Both are per unit flow area: kg and J.
+    """
+    grid, fluid = build_grid(sc), sc.fluid
+    n = grid.n_cells
+    u_old = old.u_face.copy()
+    rho_old, rho_new = density(fluid, old.T), density(fluid, new.T)
+    h_old, h_new = rho_old * old.T, rho_new * new.T
+    if sc.kind == "loop":  # cyclic ghosts
+        rho_pad, h_pad = (np.r_[x[-1], x, x[0]] for x in (rho_new, h_old))
+        faces, pinned = ((sc.reference_cell + 1) % n, sc.reference_cell), sc.reference_cell
+    else:  # T_in is the inlet's ghost, and the outlet does not reverse
+        u_in, T_in = (v[sc.channel_index(c)] for c in ("u_in", "T_in"))
+        u_old[0] = u_in  # a step starts the inlet face at u_in
+        rho_in = float(density(fluid, T_in))
+        rho_pad, h_pad = np.r_[rho_in, rho_new, rho_new[-1]], np.r_[rho_in * T_in, h_old, h_old[-1]]
+        faces, pinned = (0, n), None
+
+    def upwind(x, j):  # face j sits between padded cells j and j + 1
+        return x[j] if u_old[j] >= 0.0 else x[j + 1]
+
+    mass_in = sc.delta_t * (upwind(rho_pad, faces[0]) * new.u_face[faces[0]]
+                            - upwind(rho_pad, faces[1]) * new.u_face[faces[1]])
+    if pinned is not None:
+        mass_in += grid.dz[pinned] * (rho_new[pinned] - rho_old[pinned])
+    heat = np.array([seg.heat_source + (0.0 if seg.volumetric_source_id is None else
+                                        seg.source_scale * v[sc.channel_index(seg.volumetric_source_id)])
+                     for seg in (sc.segments[i] for i in grid.segment_of_cell)])
+    enthalpy_in = sc.delta_t * (fluid.cp * (u_old[0] * upwind(h_pad, 0) - u_old[n] * upwind(h_pad, n))
+                                + heat @ grid.dz)
+    return np.array([(rho_new - rho_old) @ grid.dz - mass_in, fluid.cp * (h_new - h_old) @ grid.dz - enthalpy_in])
+
+
 @pytest.mark.parametrize("preset, initial", [
     (heated_channel_preset, _low_steady),
     (loop_preset, _low_steady),
@@ -352,24 +414,26 @@ def _tripled_reversal(sc):
     (_loop_x1000_friction, _tripled_reversal),
 ], ids=["heated_channel_preset", "loop_preset", "_loop_pinned_mid_heater_leg", "loop_x1000_friction_reversed"])
 def test_step_with_audit_closes_mass_and_enthalpy(preset, initial):
+    # the step, audited from outside one substep at a time: each substep is
+    # a step of one substep, and test_one_substep_steps_chain_into_one_step
+    # shows that their chain is the whole step
     sc = preset()
     # step at mid inputs from a start away from their steady state, so the
     # audit sees a real transient
     state = start = initial(sc)
-    v = _mid(sc)
-    grid = build_grid(sc)
-    area = sc.segments[0].flow_area
+    v, cfg = _mid(sc), SolverConfig()
+    substep_sc = replace(sc, delta_t=cfg.substep)
+    dz = build_grid(sc).dz
     for _ in range(3):
-        state, audit = step_with_audit(state, v, sc)
-        mass = float(np.sum(density(sc.fluid, state.T) * grid.dz)) * area
-        enthalpy = float(np.sum(density(sc.fluid, state.T) * state.T * grid.dz)) * area * sc.fluid.cp
-        assert audit["mass_total"] == pytest.approx(mass, rel=1e-12)
-        # one identity on both rigs: the loop's cyclic fluxes telescope and
-        # its sources cancel; the channel has no pinned cell
-        mass_gap = audit["mass_change"] - (audit["mass_boundary"] + audit["pinned_mass_change"])
-        enthalpy_gap = audit["enthalpy_change"] - (audit["enthalpy_boundary"] + audit["enthalpy_source"])
-        assert abs(mass_gap) <= 1e-12 * mass
-        assert abs(enthalpy_gap) <= 1e-12 * enthalpy
+        gap = np.zeros(2)
+        for _ in range(cfg.n_substeps(sc.delta_t)):
+            new = step(state, v, substep_sc, cfg)
+            gap += _substep_gap(substep_sc, v, state, new)
+            state = new
+        rho = density(sc.fluid, state.T)
+        mass, enthalpy = rho @ dz, sc.fluid.cp * (rho * state.T) @ dz
+        assert abs(gap[0]) <= 1e-12 * mass
+        assert abs(gap[1]) <= 1e-12 * enthalpy
     assert np.max(np.abs(state.u - start.u)) > 0.05  # the audit saw a real transient
 
 
@@ -449,7 +513,7 @@ def _solver_substep(sc, p, T, u_f, v, dt):
     """The solver's substep of one episode: an advance over a delta_t of one substep."""
     fields = (p, T, u_f, v)
     return tuple(x[0] for x in solver._advance(solver._plan(sc), replace(sc, delta_t=dt),
-                                               *(x[None] for x in fields), SolverConfig(dt), None))
+                                               *(x[None] for x in fields), SolverConfig(dt)))
 
 
 def _assert_matches_oracle(got, ref):

@@ -186,6 +186,9 @@ def _read_dataset(data_dir) -> dict:
     if scaling_hash != scenario_fingerprint(dataset.scenario):
         raise DataIoError(f"{data_dir / 'scaling.json'}: scaling manifest does not match the scenario "
                           f"in {path}")
+    if len(scaling.v_min) != dataset.scenario.n_controls:
+        raise DataIoError(f"{data_dir / 'scaling.json'}: 'v_min' and 'v_max' hold {len(scaling.v_min)} "
+                          f"bounds, but the scenario in {path} has {dataset.scenario.n_controls} controls")
     return {
         "dir": data_dir,
         "inputs": {name: data_dir / name for name in ("dataset.json", "scaling.json")},
@@ -257,10 +260,9 @@ def cmd_gen_data(args) -> None:
     scenario = cfg.scenario or _PRESETS[cfg.preset]()
     if cfg.degradation is not None:
         scenario = cfg.degradation(scenario)
-    trajectories = generate_trajectories(args.seed, scenario, cfg.n_train + cfg.n_test)
+    inputs = generate_trajectories(args.seed, scenario, cfg.n_train + cfg.n_test)
 
-    records = run_experiments(scenario, trajectories,
-                              [steady_state(scenario, traj.value(0.0)) for traj in trajectories], cfg.solver)
+    records = run_experiments(scenario, inputs, [steady_state(scenario, v) for v in inputs[:, 0]], cfg.solver)
 
     _mkdir(outdir / "records")
     rel_paths = []

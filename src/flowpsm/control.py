@@ -201,21 +201,9 @@ class OInfApprox:
     h: np.ndarray  # (R,)
     x00: np.ndarray
     v00: np.ndarray
-    _whitened: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def margins(self, delta_x: np.ndarray, delta_v: np.ndarray) -> np.ndarray:
         return self.h - self.H_x @ delta_x - self.H_v @ delta_v
-
-    def whitened(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W, H_v W) with W = L^{-T}, 2Q = LL': ``cg_solve``'s factors, formed once per Q."""
-        key = Q.tobytes()
-        if key not in self._whitened:
-            try:
-                W = np.linalg.inv(np.linalg.cholesky(2.0 * Q)).T
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"weighting Q: {exc} (Q must be symmetric positive definite)") from exc
-            self._whitened[key] = (W, self.H_v @ W)
-        return self._whitened[key]
 
 
 def build_oinf(ssm: LinearSSM, constraints: ConstraintSet, horizon: int, epsilon: float) -> OInfApprox:
@@ -382,25 +370,24 @@ def _least_distance(G: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return None if np.any(G @ x > g + 1e-6) else x
 
 
-def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, Q: np.ndarray,
+def cg_solve(oinf: OInfApprox, x_k: np.ndarray, r_k: np.ndarray, W: np.ndarray,
              v_prev: np.ndarray) -> tuple[np.ndarray, str]:
     """Command governor: project r_k onto the admissible inputs at x_k.
 
     Solves min ||v - r_k||_Q^2 over the O-infinity rows with the state
-    fixed. With 2Q = LL' and x = L'(v - r_k) it is the least-distance
-    problem min ||x|| s.t. Gx <= g, where G = H_v L^{-T} is one of the
-    factors ``oinf.whitened`` keeps and g the rows' margins at (x_k, r_k),
-    formed once. A reference whose margins are all >= -ADMIT_TOL passes
-    through as at_reference; an empty admissible set falls back to v_prev
-    with status fallback_infeasible.
+    fixed. ``W`` is the weighting factor L^{-T}, 2Q = LL', that
+    ``CgConfig.weight_factor`` forms. With x = L'(v - r_k) the problem is the
+    least-distance problem min ||x|| s.t. Gx <= g, where G = H_v W and g is
+    the rows' margins at (x_k, r_k), formed once. A reference whose margins
+    are all >= -ADMIT_TOL passes through as at_reference; an empty
+    admissible set falls back to v_prev with status fallback_infeasible.
     """
     dx = np.asarray(x_k, dtype=float) - oinf.x00
     dr = np.asarray(r_k, dtype=float) - oinf.v00
     g = oinf.margins(dx, dr)
     if np.all(g >= -ADMIT_TOL):
         return np.asarray(r_k, dtype=float), "at_reference"
-    W, G = oinf.whitened(Q)
-    x = _least_distance(G, g)
+    x = _least_distance(oinf.H_v @ W, g)
     if x is None:
         return np.asarray(v_prev, dtype=float), "fallback_infeasible"
     return oinf.v00 + dr + W @ x, "ok"
@@ -422,16 +409,24 @@ class CgConfig:
         if not self.epsilon >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
-    def weight_matrix(self, p: int) -> np.ndarray:
+    def weight_factor(self, p: int) -> np.ndarray:
+        """``cg_solve``'s factor W = L^{-T} of the (p, p) weighting Q, where 2Q = LL'.
+
+        Q is the symmetric part of ``q_weight``, which weighs ||v - r||_Q^2
+        the same, or the identity. A Q that is not positive definite has no
+        Cholesky factor L and raises ConfigError.
+        """
         if self.q_weight is None:
-            return np.eye(p)
-        if len(self.q_weight) != p * p:
+            Q = np.eye(p)
+        elif len(self.q_weight) != p * p:
             raise ConfigError(f"'q_weight' must hold {p} x {p} entries, got {len(self.q_weight)}")
-        Q = np.asarray(self.q_weight, dtype=float).reshape(p, p)
-        Q = 0.5 * (Q + Q.T)  # the symmetric part weighs ||v - r||_Q^2 the same
-        if np.linalg.eigvalsh(Q).min() <= 0:
-            raise ConfigError("Q weighting must be positive definite")
-        return Q
+        else:
+            Q = np.asarray(self.q_weight, dtype=float).reshape(p, p)
+            Q = 0.5 * (Q + Q.T)
+        try:
+            return np.linalg.inv(np.linalg.cholesky(2.0 * Q)).T
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"'q_weight' must be positive definite: {exc}") from exc
 
 
 @dataclass
@@ -469,7 +464,7 @@ def ncg_rollout(
         raise ConfigError("reference trajectory width does not match the control count")
     if environment not in ("solver", "model"):
         raise ConfigError(f"unknown environment {environment!r}")
-    Q = config.weight_matrix(lay.n_controls)
+    W = config.weight_factor(lay.n_controls)
     state = steady_state(scenario, refs[0])
     stations = np.asarray(scenario.sensor_stations)
 
@@ -503,7 +498,7 @@ def ncg_rollout(
             v_scaled, status = r_scaled, "no_constraints"
             oinf = None
         else:
-            v_scaled, status = cg_solve(oinf, x_k, r_scaled, Q, v_prev)
+            v_scaled, status = cg_solve(oinf, x_k, r_scaled, W, v_prev)
         v_phys = scaling.unscale_v(v_scaled)
 
         if environment == "solver":

@@ -187,24 +187,18 @@ def _chain_views(flat: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]
 
 
 class Workspace:
-    """Buffers that passes of up to ``rows`` tangent-carrying rows, beside up to
-    ``value_rows`` value-only rows, write into, pass after pass.
+    """Buffers that the passes of one ``spec``'s networks write into, pass after pass.
 
     It holds the pass's input block and gathered tail and output weights,
     every layer's (rows, width) output, the tanh gates the reverse pass reads,
     and one set of reverse scratch shared by all layers. Each buffer is flat
-    and grows to the largest pass that takes it; a pass uses its leading,
-    contiguous part. ``gradient`` reverses the last pass, which the next one
-    overwrites.
+    and grows to the largest pass that takes it, whatever its row and
+    direction counts; a pass uses its leading, contiguous part. ``gradient``
+    reverses the last pass, which the next one overwrites.
     """
 
-    def __init__(self, spec: MlpSpec, rows: int, n_directions: int = 0, value_rows: int = 0) -> None:
-        if rows < 1 or n_directions < 0 or value_rows < 0:
-            raise ConfigError("a workspace needs at least one row and no negative direction or row count")
+    def __init__(self, spec: MlpSpec) -> None:
         self.spec = spec
-        self.rows = rows
-        self.n_directions = n_directions
-        self.value_rows = value_rows
         self._flat: dict[str, np.ndarray] = {}
         # the reverse pass's flat gradient and its CHAIN views, in the last pass's dtype like every buffer
         self._grad = self._grad_layers = None
@@ -365,11 +359,10 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
     outputs: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
     along direction i. ``values``, (M, input_dim), are value-only rows that
     ride in the same pass with no tangent rows; the return is then the pair
-    of their (M, 3) outputs and the stack. A pass in ``workspace`` (k
-    directions, at least B rows and M value rows) lives in its buffers and
-    records what ``workspace.gradient`` reads; without one every array is
-    fresh. The pass runs, and returns its outputs, in the dtype of
-    ``params.flat``.
+    of their (M, 3) outputs and the stack. A pass in ``workspace``, one made
+    for ``params.spec``, lives in its buffers, grown to fit, and records what
+    ``workspace.gradient`` reads; without one every array is fresh. The pass
+    runs, and returns its outputs, in the dtype of ``params.flat``.
     """
     spec, dtype = params.spec, params.flat.dtype
     x = np.asarray(x, dtype=np.float64)
@@ -381,11 +374,8 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
     counts = n_values, n_rows, k = v.shape[0], x.shape[0], d.shape[0]
     ws, saved = workspace, None
     if ws is not None:
-        if ws.spec != spec or ws.n_directions != k or n_rows > ws.rows or n_values > ws.value_rows:
-            raise ConfigError(
-                f"workspace holds {ws.rows} rows with {ws.n_directions} directions and {ws.value_rows} "
-                f"value rows; the pass needs {n_rows} rows with {k} and {n_values}"
-            )
+        if ws.spec != spec:
+            raise ConfigError("the workspace was made for another architecture")
         ws._hold(dtype)
         ws._last, saved = None, []
     h = _take(ws, "input", (n_values + n_rows + k, spec.input_dim), dtype)

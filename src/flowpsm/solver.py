@@ -39,9 +39,9 @@ continuity exactly.
 Stepping carries a leading episode axis. Every per-episode operation of a
 substep is row-wise (sums and cumulative sums along the grid), so an episode
 stepped in a batch is bit-identical to the same episode stepped alone.
-``run_experiments`` steps a whole corpus this way, and ``step`` is a batch of
-one. A stepped state carries its face velocities (``u_face``), as every state
-from ``steady_state`` or ``step`` does.
+``run_experiments`` steps a whole corpus this way, from an (E, K+1, m) array
+of held inputs, and ``step`` is a batch of one. Every state carries its face
+velocities (``u_face``), from which its center velocities follow.
 
 Steady states are the scheme's fixed points, solved directly (every 1/dt
 term cancels there): closed form for the heated channel, and for the loop a
@@ -72,7 +72,6 @@ from .transport import (
 
 __all__ = [
     "SolverConfig",
-    "InputTrajectory",
     "SimulationRecord",
     "generate_trajectories",
     "steady_state",
@@ -103,30 +102,6 @@ class SolverConfig:
         if abs(n * self.substep - delta_t) > 1e-9 * delta_t:
             raise ConfigError("substep must divide delta_t")
         return n
-
-
-@dataclass(frozen=True)
-class InputTrajectory:
-    """Piecewise-linear control time series, one knot set per channel."""
-
-    channels: tuple[str, ...]
-    knot_times: tuple[np.ndarray, ...]  # per channel, strictly increasing from 0
-    knot_values: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        for name, t, v in zip(self.channels, self.knot_times, self.knot_values):
-            if t.size != v.size or t.size < 1:
-                raise ConfigError(f"channel {name!r}: knot arrays must align")
-            if t[0] != 0.0:
-                raise ConfigError(f"channel {name!r}: knots must start at 0")
-            if t.size > 1 and not np.all(np.diff(t) > 0):
-                raise ConfigError(f"channel {name!r}: knot times must increase")
-
-    def value(self, t: float) -> np.ndarray:
-        """Control vector at time t (held constant beyond the last knot)."""
-        return np.array(
-            [np.interp(t, kt, kv) for kt, kv in zip(self.knot_times, self.knot_values)]
-        )
 
 
 @dataclass(frozen=True)
@@ -263,14 +238,10 @@ def _check_inputs(plan: _Plan, inputs) -> np.ndarray:
 
 
 def _face_velocities(plan: _Plan, state: FieldState) -> np.ndarray:
-    """A copy of the state's staggered velocities, which ``steady_state`` and ``step`` carry."""
+    """A copy of the state's staggered velocities."""
     if state.grid_z.size != plan.grid.n_cells:
         raise ConfigError("state is not on the scenario grid")
-    if state.u_face is None:
-        raise ConfigError("state carries no u_face; step a state that steady_state or step returned")
     uf = np.array(state.u_face, dtype=float)
-    if uf.size != plan.grid.n_cells + 1:
-        raise ConfigError("u_face length must be n_cells + 1")
     if plan.is_loop:
         uf[-1] = uf[0]  # face n is face 0
     return uf
@@ -477,7 +448,7 @@ def step(
     u_f = _face_velocities(plan, state)
     fields = (np.asarray(state.p, dtype=float), np.asarray(state.T, dtype=float), u_f)
     p, T, u_f = (x[0] for x in _advance(plan, scenario, *(x[None] for x in fields), v[None], solver_config))
-    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
+    return FieldState(grid_z=plan.grid.centers, p=p, T=T, u_face=u_f)
 
 
 # ===================== steady state =====================
@@ -629,7 +600,7 @@ def steady_state(scenario: ScenarioConfig, inputs) -> FieldState:
     p = plan.p_datum + plan.p_sign * _running(dpf[None], plan.p_path, acc)[0]
     if not all(np.all(np.isfinite(x)) for x in (p, u_f, T)):
         raise NumericalError(f"non-finite steady fields at inputs {v}")
-    return FieldState(grid_z=plan.grid.centers, p=p, u=0.5 * (u_f[:-1] + u_f[1:]), T=T, u_face=u_f)
+    return FieldState(grid_z=plan.grid.centers, p=p, T=T, u_face=u_f)
 
 
 # ===================== experiments =====================
@@ -643,28 +614,29 @@ def sensor_readout(state: FieldState, stations) -> np.ndarray:
 
 def run_experiments(
     scenario: ScenarioConfig,
-    trajectories,
+    inputs,
     starts,
     solver_config: SolverConfig = SolverConfig(),
 ) -> list[SimulationRecord]:
-    """Step a corpus of episodes together, one record per (trajectory, start state).
+    """Step a corpus of episodes together, one record per start state.
 
+    ``inputs`` is (E, K+1, m) for the E ``starts``: episode e's control
+    vector at each control time t_k, held over [t_k, t_{k+1}) (zero-order
+    hold at the control cadence), as ``generate_trajectories`` draws them.
     The episodes advance in lockstep as one batch, and every record is
-    bit-identical to stepping its episode alone. The control vector applied
-    over [t_k, t_{k+1}) is the trajectory value at the interval's left
-    endpoint (zero-order hold at the control cadence). Numerical failures
-    name the episode by its index in ``trajectories``.
+    bit-identical to stepping its episode alone. Numerical failures name the
+    episode by its index in ``starts``.
     """
-    trajectories, starts = list(trajectories), list(starts)
-    if not trajectories or len(trajectories) != len(starts):
-        raise ConfigError("need one initial state per trajectory, and at least one")
+    starts = list(starts)
     plan = _plan(scenario)
     stations = np.asarray(scenario.sensor_stations, dtype=float)
     K = round(scenario.episode_duration / scenario.delta_t)
-    E, n = len(trajectories), plan.grid.n_cells
+    E, n, z = len(starts), plan.grid.n_cells, plan.grid.centers
+    v = np.asarray(inputs, dtype=float)
+    if E < 1 or v.shape != (E, K + 1, plan.v_lo.size):
+        raise ConfigError(f"need at least one start state and inputs of shape (E, K+1, m) = "
+                          f"({E}, {K + 1}, {plan.v_lo.size}) for them, got {v.shape}")
 
-    times = np.arange(K + 1) * scenario.delta_t
-    v = np.array([[traj.value(float(t)) for t in times] for traj in trajectories])  # (E, K+1, m)
     p = np.empty((E, K + 1, n))
     u = np.empty((E, K + 1, n))
     T = np.empty((E, K + 1, n))
@@ -677,17 +649,16 @@ def run_experiments(
         p_k, T_k, u_f = _advance(plan, scenario, p[:, k], T[:, k], u_f, _check_inputs(plan, v[:, k]),
                                  solver_config)
         p[:, k + 1], u[:, k + 1], T[:, k + 1] = p_k, 0.5 * (u_f[:, :-1] + u_f[:, 1:]), T_k
-    for e, state in enumerate(starts):
-        sensors[e, 0] = sensor_readout(state, stations)
-        for k in range(1, K + 1):
-            sensors[e, k] = sensor_readout(
-                FieldState(grid_z=plan.grid.centers, p=p[e, k], u=u[e, k], T=T[e, k]), stations)
+    for e in range(E):
+        for k in range(K + 1):
+            sensors[e, k] = [np.interp(stations, z, f[e, k]) for f in (p, u, T)]
 
+    times = np.arange(K + 1) * scenario.delta_t
     return [
         SimulationRecord(
             scenario_hash=scenario_fingerprint(scenario),
             times=times.copy(),
-            grid_z=plan.grid.centers.copy(),
+            grid_z=z.copy(),
             p=p[e],
             u=u[e],
             T=T[e],
@@ -702,13 +673,14 @@ def run_experiments(
 # ===================== trajectory generation =====================
 
 
-def generate_trajectories(
-    seed: int, scenario: ScenarioConfig, n_experiments: int
-) -> list[InputTrajectory]:
-    """Random hold/ramp control schedules, one independent stream per experiment.
+def generate_trajectories(seed: int, scenario: ScenarioConfig, n_experiments: int) -> np.ndarray:
+    """Random hold/ramp control schedules, held at the control times: (n_experiments, K+1, m).
 
-    Each channel alternates holds of random duration with linear ramps of
-    random rate, clipped to the configured ranges. Successive ramp targets
+    Each channel's schedule is piecewise linear between knots, and row k of
+    an experiment is its value at t_k = k delta_t, the input that
+    ``run_experiments`` holds over [t_k, t_{k+1}). Each channel alternates
+    holds of random duration with linear ramps of random rate, clipped to the
+    configured ranges. Successive ramp targets
     random-walk from the current level rather than resampling the whole
     range: the inputs keep moving at the control cadence (so snapshots never
     pin down the next sample by themselves) while per-step changes stay
@@ -722,12 +694,11 @@ def generate_trajectories(
         raise ConfigError("n_experiments must be >= 1")
     duration = scenario.episode_duration
     dt = scenario.delta_t
-    out = []
+    times = np.arange(round(duration / dt) + 1) * dt
+    out = np.empty((n_experiments, times.size, scenario.n_controls))
     for k in range(n_experiments):
         rng = np.random.default_rng((seed, k))
-        knot_times = []
-        knot_values = []
-        for lo, hi in scenario.input_ranges:
+        for j, (lo, hi) in enumerate(scenario.input_ranges):
             # per-episode move scale, fraction of the channel range
             delta = float(rng.uniform(0.05, 0.15)) * (hi - lo)
             t_list = [0.0]
@@ -753,15 +724,7 @@ def generate_trajectories(
                 t_list.append(t_ramp)
                 v_list.append(float(np.clip(value, lo, hi)))
                 t = t_ramp
-            knot_times.append(np.asarray(t_list))
-            knot_values.append(np.asarray(v_list))
-        out.append(
-            InputTrajectory(
-                channels=scenario.control_channels,
-                knot_times=tuple(knot_times),
-                knot_values=tuple(knot_values),
-            )
-        )
+            out[k, :, j] = np.interp(times, t_list, v_list)
     return out
 
 

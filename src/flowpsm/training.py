@@ -186,6 +186,8 @@ class TrainConfig:
             raise ConfigError("loss weights must be nonnegative and sum to 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if not self.base_lr > 0.0:
+            raise ConfigError(f"'base_lr' must be > 0, got {self.base_lr!r}")
         if self.collocation_size is not None and self.collocation_size < 1:
             raise ConfigError("collocation_size must be positive")
 
@@ -491,8 +493,7 @@ def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
 
     The measurement rows ride in the pass as value-only rows beside the
     collocation rows, which alone carry tangent rows along the z* and t*
-    axes, so ``workspace`` holds two directions and the measurement rows as
-    value rows. ``collocation`` is None when beta is 0; L_p is then 0 and
+    axes. ``collocation`` is None when beta is 0; L_p is then 0 and
     not evaluated, and the pass is the measurement rows' alone, with no
     directions.
     """
@@ -549,8 +550,8 @@ def train(
     collocation points (inheriting the noisy (x0, v) rows); one kernel pass
     over both row sets and one reverse give the two losses and the gradient
     (``loss_and_gradient``); one optimizer step per batch with the
-    step-decay learning rate. The pass reuses one workspace, sized for the
-    largest batch, for the whole run, and runs in float32 on one float32
+    step-decay learning rate. The pass reuses one workspace, which grows to
+    the largest batch, for the whole run, and runs in float32 on one float32
     copy of ``params``, refreshed in place after each step; ``params`` and
     its moments stay float64.
     Returns the trained store and one history dict per epoch with keys
@@ -568,9 +569,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     n = dataset.n_samples
     shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)  # the passes' float32 copy
-    n_batch = min(config.batch_size, n)
-    workspace = (Workspace(spec, config.n_collocation, 2, value_rows=n_batch) if config.beta > 0.0
-                 else Workspace(spec, n_batch))
+    workspace = Workspace(spec)
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         lr = learning_rate(config.base_lr, epoch)

@@ -49,7 +49,6 @@ __all__ = [
     "scenario_fingerprint",
     "scenario_from_dict",
     "from_document",
-    "reject_unknown_keys",
     "ConfigError",
 ]
 
@@ -258,27 +257,32 @@ def build_grid(config: ScenarioConfig) -> Grid:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Fields at one instant on cell centers.
+    """Fields at one instant: p and T on the cell centers, velocity on the faces.
 
-    ``u`` is the face-velocity average at each center. ``u_face`` (one entry
-    per grid face) is carried along by the solver so that re-stepping a
-    solver-produced state is an exact discrete fixed point. The solver steps
-    only states that carry it; one built by hand may leave it None (sensor
-    readouts need only the centers), and stepping it raises ConfigError.
+    ``u_face`` holds one entry per grid face, the staggered velocities the
+    solver steps, so re-stepping a steady state is an exact discrete fixed
+    point. ``u`` is their average at each center.
     """
 
     grid_z: np.ndarray
     p: np.ndarray  # Pa gage
-    u: np.ndarray  # m/s
     T: np.ndarray  # K
-    u_face: Optional[np.ndarray] = None
+    u_face: np.ndarray  # m/s
 
     def __post_init__(self) -> None:
         n = self.grid_z.size
-        if not (self.p.size == self.u.size == self.T.size == n):
-            raise ConfigError("FieldState arrays must share one length")
+        if not (self.p.size == self.T.size == n):
+            raise ConfigError("FieldState arrays p, T and grid_z must share one length")
+        if self.u_face.size != n + 1:
+            raise ConfigError(f"u_face must hold one entry per face, n_cells + 1 = {n + 1}, "
+                              f"got {self.u_face.size}")
         if n > 1 and not np.all(np.diff(self.grid_z) > 0):
             raise ConfigError("grid_z must be strictly increasing")
+
+    @property
+    def u(self) -> np.ndarray:
+        """m/s at the cell centers."""
+        return 0.5 * (self.u_face[:-1] + self.u_face[1:])
 
 
 # ===================== scaling =====================
@@ -314,6 +318,9 @@ class ScalingSpec:
                 raise ConfigError(f"scaling for {name!r} must have max > min")
         if self.z_max <= 0 or self.t_max <= 0:
             raise ConfigError("z_max and t_max must be positive")
+        if len(self.v_min) != len(self.v_max):
+            raise ConfigError(f"'v_min' and 'v_max' must hold one bound per control, got {len(self.v_min)} "
+                              f"and {len(self.v_max)} entries")
         for lo, hi in zip(self.v_min, self.v_max):
             if not hi > lo:
                 raise ConfigError("control scaling must have max > min")

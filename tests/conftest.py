@@ -42,8 +42,8 @@ def tiny_scenario():
 
 @pytest.fixture(scope="session")
 def tiny_records(tiny_scenario):
-    trajs = generate_trajectories(123, tiny_scenario, 3)
-    return run_experiments(tiny_scenario, trajs, [steady_state(tiny_scenario, tj.value(0.0)) for tj in trajs])
+    inputs = generate_trajectories(123, tiny_scenario, 3)
+    return run_experiments(tiny_scenario, inputs, [steady_state(tiny_scenario, v) for v in inputs[:, 0]])
 
 
 @pytest.fixture(scope="session")

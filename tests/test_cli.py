@@ -481,6 +481,11 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
     pytest.param("train", {"epochs": 3.0}, "'epochs'", id="train-integral_float_epochs"),
     pytest.param("control", {**_HOLD, "n_steps": 2.0}, "'n_steps'", id="control-integral_float_n_steps"),
     pytest.param("train", {"widths": [10**30, 4, 4]}, "'widths'", id="train-widths_beyond_int64"),
+    pytest.param("train", {"base_lr": -0.01}, "'base_lr'", id="train-negative_base_lr"),
+    pytest.param("diagnose", {**_TRIP, "twin": {**_TRIP["twin"], "base_lr": 0.0}}, "'base_lr'",
+                 id="diagnose-zero_twin_base_lr"),
+    pytest.param("control", {**_HOLD, "q_weight": [[1, 0], [0, -1]]}, "'q_weight' must be positive definite",
+                 id="control-indefinite_q_weight"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -655,11 +660,20 @@ def test_malformed_data_directories_exit_4(pipeline, tmp_path, capsys):
     rc = main(["eval", "--model", str(model), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e2")])
     _assert_io_error(rc, capsys.readouterr().err, model / "arch.json", "'input_dim'")
 
-    for key, value in (("p_max", float("inf")), ("T_max", True)):  # bounds that are not finite numbers
-        data = _edited_copy(pipeline["data"], tmp_path / f"data_{key}", "scaling.json",
-                            lambda d: {**d, "scaling": {**d["scaling"], key: value}})
-        rc = main(["eval", "--model", str(pipeline["psm"]), "--data", str(data), "--out", str(tmp_path / "e3")])
-        _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", f"'{key}'")
+    bounds = [  # bounds that are not finite numbers, and control bounds that do not pair with the controls
+        ("p_max", {"p_max": float("inf")}),
+        ("T_max", {"T_max": True}),
+        ("v_min", {"v_min": [0.5, 800.0, 1.0]}),
+        ("v_min", {"v_min": [0.5]}),
+        ("v_min", {"v_min": [0.5], "v_max": [0.8]}),
+    ]
+    for i, (key, edit) in enumerate(bounds):
+        data = _edited_copy(pipeline["data"], tmp_path / f"data_{i}", "scaling.json",
+                            lambda d: {**d, "scaling": {**d["scaling"], **edit}})
+        for command in ("eval", "train"):
+            given = ["--model", pipeline["psm"]] if command == "eval" else ["--config", pipeline["train_cfg"]]
+            rc = main([command, *map(str, given), "--data", str(data), "--out", str(tmp_path / f"{command}_{i}")])
+            _assert_io_error(rc, capsys.readouterr().err, data / "scaling.json", f"'{key}'")
 
 
 def test_eval_on_a_cut_checkpoint_exits_4(pipeline, tmp_path, capsys):

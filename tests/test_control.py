@@ -49,6 +49,11 @@ def _toy_ssm(rng, q=3, p=2, rho=0.6):
     return LinearSSM(A=A, B=B, x00=x00, v00=v00, y00=y00)
 
 
+def _factor(Q):
+    """``cg_solve``'s weighting factor for the (p, p) weighting Q."""
+    return CgConfig(q_weight=tuple(np.ravel(Q))).weight_factor(len(Q))
+
+
 def test_station_predict_matches_forward(trained, tiny_scenario, tiny_dataset):
     params = trained
     scenario = tiny_scenario
@@ -320,7 +325,7 @@ def _governor_qp(E, F, M, gamma):
     """
     v_free = -np.linalg.solve(E, F)
     oinf = OInfApprox(H_x=np.zeros((M.shape[0], 1)), H_v=M, h=gamma, x00=np.zeros(1), v00=np.zeros(M.shape[1]))
-    return (*cg_solve(oinf, oinf.x00, v_free, 0.5 * E, v_free), v_free)
+    return (*cg_solve(oinf, oinf.x00, v_free, _factor(0.5 * E), v_free), v_free)
 
 
 def _projected(M, gamma, v_free):
@@ -393,7 +398,7 @@ def test_least_distance_qp_nearly_parallel_rows():
 def test_least_distance_qp_rejects_indefinite_weight():
     E = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1: Q = E/2 is indefinite
     M = np.array([[1.0, 0.0]])
-    with pytest.raises(NumericalError, match="positive definite"):
+    with pytest.raises(ConfigError, match="positive definite"):
         _governor_qp(E, np.zeros(2), M, np.array([-1.0]))
 
 
@@ -410,7 +415,7 @@ def test_cg_solve_returns_reference_when_admissible(rng):
     cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.0), d=50.0),))  # slack
     oinf = build_oinf(ssm, cset, horizon=20, epsilon=1e-6)
     r = ssm.v00 + np.array([0.01, -0.02])
-    v, status = cg_solve(oinf, ssm.x00, r, np.eye(2), ssm.v00)
+    v, status = cg_solve(oinf, ssm.x00, r, _factor(np.eye(2)), ssm.v00)
     assert status == "at_reference"
     assert np.allclose(v, r)
 
@@ -421,7 +426,7 @@ def test_cg_solve_passes_a_reference_within_1e9_of_the_set():
     for h0, want in ((-1e-9, "at_reference"), (-2e-9, "ok")):
         oinf = OInfApprox(H_x=np.zeros((2, 1)), H_v=np.eye(2), h=np.array([h0, 1.0]),
                           x00=np.zeros(1), v00=np.zeros(2))
-        v, status = cg_solve(oinf, oinf.x00, np.zeros(2), np.eye(2), np.ones(2))
+        v, status = cg_solve(oinf, oinf.x00, np.zeros(2), _factor(np.eye(2)), np.ones(2))
         assert status == want
         if want == "at_reference":
             assert np.array_equal(v, np.zeros(2))
@@ -434,9 +439,15 @@ def test_cg_config_validation():
         CgConfig(horizon=0)
     with pytest.raises(ConfigError, match="epsilon"):
         CgConfig(epsilon=-1.0)
-    with pytest.raises(ConfigError):
-        CgConfig(q_weight=(1.0, 0.0, 0.0, -1.0)).weight_matrix(2)
-    assert np.allclose(CgConfig().weight_matrix(2), np.eye(2))
+    with pytest.raises(ConfigError, match="positive definite"):
+        CgConfig(q_weight=(1.0, 0.0, 0.0, -1.0)).weight_factor(2)
+    with pytest.raises(ConfigError, match="2 x 2"):
+        CgConfig(q_weight=(1.0, 0.0, 1.0)).weight_factor(2)
+    # W = L^{-T} with 2Q = LL': the identity's is I / sqrt(2)
+    assert np.allclose(CgConfig().weight_factor(2), np.eye(2) / np.sqrt(2.0))
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    W = _factor(Q)
+    assert np.allclose(W.T @ (2.0 * Q) @ W, np.eye(2))
 
 
 def test_nonsymmetric_q_weight_projects_like_its_symmetric_part(rng):
@@ -446,13 +457,13 @@ def test_nonsymmetric_q_weight_projects_like_its_symmetric_part(rng):
     oinf = build_oinf(ssm, cset, horizon=20, epsilon=1e-6)
     Q_raw = np.array([[2.0, 1.5], [-0.5, 1.0]])
     Q_sym = 0.5 * (Q_raw + Q_raw.T)
-    Q = CgConfig(q_weight=tuple(Q_raw.ravel())).weight_matrix(2)
-    assert np.array_equal(Q, Q_sym)
+    W, W_sym = _factor(Q_raw), np.linalg.inv(np.linalg.cholesky(2.0 * Q_sym)).T
+    assert np.array_equal(W, W_sym)
     projected = 0
     for _ in range(40):
         r = ssm.v00 + rng.uniform(-1.0, 1.0, 2)
-        v, status = cg_solve(oinf, ssm.x00, r, Q, ssm.v00)
-        v_sym, status_sym = cg_solve(oinf, ssm.x00, r, Q_sym, ssm.v00)
+        v, status = cg_solve(oinf, ssm.x00, r, W, ssm.v00)
+        v_sym, status_sym = cg_solve(oinf, ssm.x00, r, W_sym, ssm.v00)
         assert status == status_sym
         assert np.allclose(v, v_sym, rtol=0.0, atol=1e-12)
         projected += status == "ok"
@@ -485,3 +496,26 @@ def test_ncg_rollout_validates_inputs(trained, tiny_scenario, tiny_dataset):
     with pytest.raises(ConfigError):
         ncg_rollout(params, scenario, scaling, np.tile([0.65, 850.0], (3, 1)),
                     ConstraintSchedule(), environment="plant")
+
+
+def test_governed_rollout_factors_its_weighting_once(trained, tiny_scenario, tiny_dataset, monkeypatch):
+    # the weighting's Cholesky factor is formed once per rollout, however many
+    # linearizations and projections the rollout runs: a reference ramp drives the
+    # plant past the cap, and every step relinearizes and then projects
+    _, scaling = tiny_dataset
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    cap = temperature_cap(tiny_scenario, scaling, station_index=3, cap_kelvin=850.0)
+    schedule = ConstraintSchedule(entries=((0, ConstraintSet(rows=(cap,))),))
+    refs = np.column_stack([np.full(12, 0.65), np.linspace(840.0, 880.0, 12)])
+    log = ncg_rollout(trained, tiny_scenario, scaling, refs, schedule,
+                      config=CgConfig(update_interval=1, q_weight=(2.0, 0.5, 0.5, 1.0)))
+    projected = [row["status"] for row in log.steps if row["status"] != "at_reference"]
+    assert log.relinearizations == 12 and len(projected) >= 4, projected
+    assert calls == [(2, 2)]

@@ -106,8 +106,8 @@ def test_prediction_errors_accept_drifted_plant(trained, tiny_scenario, tiny_dat
     params = trained
     _, scaling = tiny_dataset
     faulty = inject_degradation(tiny_scenario, segment_index=1, friction_multiplier=10.0)
-    traj = generate_trajectories(7, faulty, 1)[0]
-    rec = run_experiments(faulty, [traj], [steady_state(faulty, traj.value(0.0))])[0]
+    inputs = generate_trajectories(7, faulty, 1)
+    rec = run_experiments(faulty, inputs, [steady_state(faulty, inputs[0, 0])])[0]
     assert rec.scenario_hash != scenario_fingerprint(tiny_scenario)
     errors = prediction_errors(params, tiny_scenario, scaling, rec)
     assert errors.shape == (rec.n_steps,)

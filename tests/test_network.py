@@ -107,7 +107,7 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
             for cot in (rng.standard_normal((k + 1, n_rows, 3)),
                         rng.standard_normal((k + 1, 3, n_rows)).transpose(0, 2, 1)):
                 want_out, want_grad = per_field_pass(store, x, dirs, cot)
-                ws = Workspace(spec, n_rows, k)
+                ws = Workspace(spec)
                 assert stacked_forward(store, x, dirs, workspace=ws).tobytes() == want_out.tobytes()
                 assert stacked_forward(store, x, dirs).tobytes() == want_out.tobytes()
                 assert ws.gradient(cot).tobytes() == want_grad.tobytes()
@@ -127,7 +127,7 @@ def test_merged_pass_matches_the_per_field_reference_bit_for_bit(rng, dtype):
         cot = (rng.standard_normal((n_values, 3)), rng.standard_normal((3, 3, n_rows)).transpose(0, 2, 1))
         (want_v, want_stack), want_grad = per_field_pass(store, x.astype(dtype), dirs.astype(dtype),
                                                          tuple(c.astype(dtype) for c in cot), v.astype(dtype))
-        ws = Workspace(spec, n_rows, 2, value_rows=n_values)
+        ws = Workspace(spec)
         got_v, got_stack = stacked_forward(store, x, dirs, workspace=ws, values=v)
         assert got_v.dtype == got_stack.dtype == dtype
         assert got_v.tobytes() == want_v.tobytes() and got_stack.tobytes() == want_stack.tobytes()
@@ -137,13 +137,13 @@ def test_merged_pass_matches_the_per_field_reference_bit_for_bit(rng, dtype):
 def test_value_rows_beside_tangent_rows_give_the_values_of_forward(rng):
     v, x, dirs = rng.standard_normal((7, 5)), rng.standard_normal((4, 5)), rng.standard_normal((2, 5))
     params = init_params(SPEC, seed=3)
-    for ws in (None, Workspace(SPEC, 4, 2, value_rows=7)):
+    for ws in (None, Workspace(SPEC)):
         got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=v)
         assert got_v.shape == (7, 3) and got_stack.shape == (3, 4, 3)
         assert np.array_equal(got_v, forward(params, v))
         assert np.array_equal(got_stack, stacked_forward(params, x, dirs))
     # a pass given no value rows still returns, and its gradient still takes, a pair
-    ws = Workspace(SPEC, 4, 2)
+    ws = Workspace(SPEC)
     got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=np.empty((0, 5)))
     assert got_v.shape == (0, 3) and np.array_equal(got_stack, stacked_forward(params, x, dirs))
     cot = rng.standard_normal((3, 4, 3))
@@ -161,11 +161,11 @@ def test_a_ragged_last_batch_in_a_reused_workspace_matches_a_fresh_one(rng):
     store = init_params(spec, seed=2)
     low = _float32_copy(store)
     axes = np.eye(22)[[0, 1]]
-    ws = Workspace(spec, 256, 2, value_rows=128)
+    ws = Workspace(spec)
     for n_values in (128, 80):
         v, x = rng.uniform(0.0, 1.0, (n_values, 22)), rng.uniform(0.0, 1.0, (256, 22))
         cot = (rng.standard_normal((n_values, 3)), rng.standard_normal((3, 256, 3)))
-        fresh = Workspace(spec, 256, 2, value_rows=n_values)
+        fresh = Workspace(spec)
         got, want = stacked_forward(low, x, axes, ws, values=v), stacked_forward(low, x, axes, fresh, values=v)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
@@ -188,7 +188,7 @@ def test_float32_store_runs_a_float32_pass_and_reverse(rng, widths):
     for k in (0, 2):
         x, dirs = rng.standard_normal((130, 5)), rng.standard_normal((k, 5))
         cot = rng.standard_normal((k + 1, 130, 3))
-        ws = Workspace(spec, 130, k)
+        ws = Workspace(spec)
         out = stacked_forward(low, x, dirs, workspace=ws)
         grad = ws.gradient(cot)
         fresh = stacked_forward(low, x, dirs)  # at k = 0, a value-only pass that forms no gate
@@ -215,7 +215,7 @@ def test_float32_pass_agrees_with_float64_within_a_bound_from_its_eps(rng, width
     cot = rng.standard_normal((3, 256, 3))
     passes = []
     for params in (store, _float32_copy(store)):
-        ws = Workspace(spec, 256, 2)
+        ws = Workspace(spec)
         out = stacked_forward(params, x, axes, workspace=ws)
         passes.append((out[0], out[1], out[2], ws.gradient(cot)))
     for name, want, got in zip(("values", "z* tangents", "t* tangents", "gradient"), *passes):
@@ -225,11 +225,11 @@ def test_float32_pass_agrees_with_float64_within_a_bound_from_its_eps(rng, width
 def test_workspace_follows_the_precision_of_each_store(params, rng):
     # one workspace alternating float64 and float32 stores: each pass and gradient is
     # bit-identical to a fresh workspace's
-    ws = Workspace(SPEC, rows=6, n_directions=2)
+    ws = Workspace(SPEC)
     dirs = rng.standard_normal((2, 5))
     for store in (params, _float32_copy(params), params, _float32_copy(params)):
         x, cot = rng.standard_normal((6, 5)), rng.standard_normal((3, 6, 3))
-        fresh = Workspace(SPEC, rows=6, n_directions=2)
+        fresh = Workspace(SPEC)
         out = stacked_forward(store, x, dirs, workspace=ws)
         want = stacked_forward(store, x, dirs, workspace=fresh)
         assert out.dtype == store.flat.dtype and out.tobytes() == want.tobytes()
@@ -249,7 +249,7 @@ def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
     store = init_params(spec, seed=3)
     store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
-    ws = Workspace(spec, 3, 2)
+    ws = Workspace(spec)
     cot = weights.copy()
     cot[1:] += 2.0 * stacked_forward(store, x, dirs, workspace=ws)[1:]
     grad = ws.gradient(cot)
@@ -323,7 +323,7 @@ def test_optimizer_rejects_non_finite_gradient(params):
 
 def test_gradient_zero_in_unused_tail_branches(params, rng):
     # a loss on one field alone reaches its own tail and output, and none of the other two
-    ws = Workspace(SPEC, 2, 2)
+    ws = Workspace(SPEC)
     out = stacked_forward(params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], workspace=ws)
 
     def block(g, name):
@@ -346,7 +346,7 @@ def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
     before = stacked_forward(params, x, dirs).copy()
     for name in ("tail_u.w", "tail_u.b", "out_u.w", "out_u.b"):
         params.view(name)[...] += rng.standard_normal(params.view(name).shape)
-    for ws in (None, Workspace(SPEC, 5, 2)):
+    for ws in (None, Workspace(SPEC)):
         after = stacked_forward(params, x, dirs, workspace=ws)
         assert np.array_equal(after[..., [0, 2]], before[..., [0, 2]])  # p and T, values and tangents
         assert np.all(after[..., 1] != before[..., 1])
@@ -363,7 +363,7 @@ def test_each_store_reads_its_own_parameters(rng):
         assert np.array_equal(forward(store, x), y)
     assert not np.allclose(ya, yb)
     cot = rng.standard_normal((1, 4, 3))
-    ws = Workspace(SPEC, 4)
+    ws = Workspace(SPEC)
     stacked_forward(a, x, workspace=ws)
     g_a = ws.gradient(cot)
     stacked_forward(twin, x, workspace=ws)
@@ -377,7 +377,7 @@ def test_stacked_forward_validates_shapes(params, rng):
         stacked_forward(params, x[:, :4])
     with pytest.raises(ConfigError):
         stacked_forward(params, x, np.eye(4))
-    ws = Workspace(SPEC, 3, 2)
+    ws = Workspace(SPEC)
     stacked_forward(params, x, np.eye(5)[:2], workspace=ws)
     with pytest.raises(ConfigError):
         ws.gradient(np.zeros((2, 3, 3)))
@@ -385,12 +385,12 @@ def test_stacked_forward_validates_shapes(params, rng):
 
 def test_gradient_needs_saved_activations():
     with pytest.raises(ValueError, match="no pass"):  # nothing to reverse before the first pass
-        Workspace(SPEC, 2).gradient(np.zeros((1, 2, 3)))
+        Workspace(SPEC).gradient(np.zeros((1, 2, 3)))
 
 
 def test_gradient_reverses_the_last_pass(params, rng):
     # passes of 7, 3 and 5 rows on one workspace: its gradient is the 5-row pass's, bit for bit
-    ws, fresh = Workspace(SPEC, rows=7, n_directions=2), Workspace(SPEC, rows=5, n_directions=2)
+    ws, fresh = Workspace(SPEC), Workspace(SPEC)
     dirs = rng.standard_normal((2, 5))
     for n_rows in (7, 3, 5):
         x = rng.standard_normal((n_rows, 5))
@@ -402,32 +402,34 @@ def test_gradient_reverses_the_last_pass(params, rng):
         ws.gradient(np.zeros((3, 7, 3)))
 
 
-def test_workspace_reuse_matches_fresh_passes(params, rng):
-    # one workspace, row counts that grow its buffers, shrink and grow again: every
-    # pass and gradient is bit-identical to a fresh workspace's and to workspace-free outputs
-    for k in (0, 2):
-        ws = Workspace(SPEC, rows=7, n_directions=k)
-        dirs = rng.standard_normal((k, 5))
-        for n_rows in (3, 7, 1, 7, 5):
-            x = rng.standard_normal((n_rows, 5))
-            cot = rng.standard_normal((k + 1, n_rows, 3))
-            fresh_ws = Workspace(SPEC, n_rows, k)
-            fresh = stacked_forward(params, x, dirs, workspace=fresh_ws)
-            reused = stacked_forward(params, x, dirs, workspace=ws)
-            assert np.array_equal(reused, fresh)
-            assert np.array_equal(reused, stacked_forward(params, x, dirs))
-            assert np.array_equal(ws.gradient(cot), fresh_ws.gradient(cot))
+def test_workspace_reuse_matches_fresh_passes(rng):
+    # one workspace, passes whose row and direction counts grow its buffers, shrink and grow
+    # again: k = 0 (a value pass), 2 (training's z* and t* axes) and q + p (linearize's axes,
+    # input_dim - 2). Every pass and gradient is bit-identical to a fresh workspace's and to
+    # workspace-free outputs
+    spec = MlpSpec(22, 16, 8, 8)
+    store = init_params(spec, seed=4)
+    ws = Workspace(spec)
+    for k, n_rows, n_values in ((2, 7, 0), (0, 3, 0), (20, 6, 0), (2, 1, 5), (0, 7, 0), (20, 2, 0), (2, 9, 3)):
+        x, dirs = rng.standard_normal((n_rows, 22)), rng.standard_normal((k, 22))
+        values = rng.standard_normal((n_values, 22)) if n_values else None
+        cot = rng.standard_normal((k + 1, n_rows, 3))
+        if n_values:
+            cot = (rng.standard_normal((n_values, 3)), cot)
+        fresh_ws = Workspace(spec)
+        fresh = stacked_forward(store, x, dirs, workspace=fresh_ws, values=values)
+        reused = stacked_forward(store, x, dirs, workspace=ws, values=values)
+        bare = stacked_forward(store, x, dirs, values=values)
+        for got in (reused, bare):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, fresh))
+        assert ws.gradient(cot).tobytes() == fresh_ws.gradient(cot).tobytes()
 
 
 def test_workspace_rejects_misuse(params, rng):
-    ws = Workspace(SPEC, rows=4, n_directions=2)
+    ws = Workspace(SPEC)
     x, dirs = rng.standard_normal((4, 5)), np.eye(5)[:2]
-    with pytest.raises(ConfigError):
-        stacked_forward(params, rng.standard_normal((5, 5)), dirs, workspace=ws)
-    with pytest.raises(ConfigError):
-        stacked_forward(params, x, dirs[:1], workspace=ws)
     other = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="another architecture"):
         stacked_forward(init_params(other, 0), x, dirs, workspace=ws)
 
 
@@ -435,7 +437,7 @@ def test_passes_without_workspace_survive_later_calls(params, rng):
     x, dirs = rng.standard_normal((6, 5)), np.eye(5)[:2]
     y = forward(params, x)
     J = stacked_forward(params, x, dirs)[1:]
-    ws = Workspace(SPEC, rows=6, n_directions=2)
+    ws = Workspace(SPEC)
     stacked_forward(params, x, dirs, workspace=ws)
     g = ws.gradient(np.ones((3, 6, 3)))
     y0, J0, g0 = y.copy(), J.copy(), g.copy()

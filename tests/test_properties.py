@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowpsm.control import (
+    CgConfig,
     Constraint,
     ConstraintSet,
     LinearSSM,
@@ -22,6 +23,11 @@ from flowpsm.training import input_layout, logcosh_np, mlp_for_scenario
 from oracles import admits, srg_kappa
 
 RELAXED = settings(max_examples=100, deadline=None)
+
+
+def _factor(Q):
+    """``cg_solve``'s weighting factor for the (p, p) weighting Q."""
+    return CgConfig(q_weight=tuple(np.ravel(Q))).weight_factor(len(Q))
 
 
 # ---------- scaling round-trip ----------
@@ -151,7 +157,7 @@ def test_qp_single_constraint_is_euclidean_projection(seed):
     d = float(rng.standard_normal())
     # the governor's QP on one row that reads no state, with Q = I
     oinf = OInfApprox(H_x=np.zeros((1, 1)), H_v=c[None, :], h=np.array([d]), x00=np.zeros(1), v00=np.zeros(p))
-    v, status = cg_solve(oinf, oinf.x00, r, np.eye(p), r)
+    v, status = cg_solve(oinf, oinf.x00, r, _factor(np.eye(p)), r)
     assert status == ("at_reference" if c @ r <= d + 1e-9 else "ok")  # inside to 1e-9 passes through
     expected = r - max(0.0, (c @ r - d) / (c @ c)) * c
     assert np.allclose(v, expected, atol=1e-7)
@@ -165,8 +171,8 @@ def test_qp_argmin_invariant_under_q_scaling(seed):
     cset = ConstraintSet(rows=(Constraint(c=(1.0, 0.0, 0.3), d=0.8, name="x"),))
     oinf = build_oinf(ssm, cset, horizon=25, epsilon=1e-4)
     r = oinf.v00 + rng.uniform(-1.0, 1.0, 2)
-    v1, s1 = cg_solve(oinf, oinf.x00, r, np.eye(2), oinf.v00)
-    v2, s2 = cg_solve(oinf, oinf.x00, r, 7.5 * np.eye(2), oinf.v00)
+    v1, s1 = cg_solve(oinf, oinf.x00, r, _factor(np.eye(2)), oinf.v00)
+    v2, s2 = cg_solve(oinf, oinf.x00, r, _factor(7.5 * np.eye(2)), oinf.v00)
     assert s1 == s2
     if s1 == "fallback_infeasible":
         return  # an empty admissible set is empty under either weighting
@@ -207,7 +213,7 @@ def test_two_input_projection_matches_active_set_enumeration(seed):
     R = rng.standard_normal((2, 2))
     gamma = oinf.h  # the state sits at x00
     for Q in (np.eye(2), R @ R.T + 0.5 * np.eye(2)):
-        v, status = cg_solve(oinf, oinf.x00, r, Q, oinf.v00)
+        v, status = cg_solve(oinf, oinf.x00, r, _factor(Q), oinf.v00)
         expected = _enumerated_projection(oinf.H_v, gamma, r - oinf.v00, Q)
         if expected is None:
             assert status == "fallback_infeasible"
@@ -228,7 +234,7 @@ def test_cg_never_does_worse_than_holding_the_input(seed):
         return
     r = oinf.v00 + rng.uniform(-1.2, 1.2, 2)
     Q = np.eye(2)
-    v, status = cg_solve(oinf, oinf.x00, r, Q, oinf.v00)
+    v, status = cg_solve(oinf, oinf.x00, r, _factor(Q), oinf.v00)
     assert not status.startswith("fallback")
     held = oinf.v00 - r
     moved = v - r
@@ -250,7 +256,7 @@ def test_scalar_governor_matches_projection_for_one_input(seed):
     r = oinf.v00 + rng.uniform(-1.5, 1.5, 1)
     kappa = srg_kappa(oinf, oinf.x00, oinf.v00, r)
     endpoint = oinf.v00 + kappa * (r - oinf.v00)
-    v, status = cg_solve(oinf, oinf.x00, r, np.eye(1), oinf.v00)
+    v, status = cg_solve(oinf, oinf.x00, r, _factor(np.eye(1)), oinf.v00)
     assert not status.startswith("fallback")
     assert np.allclose(v, endpoint, atol=1e-9)
 

@@ -10,7 +10,6 @@ from flowpsm import solver
 from flowpsm.errors import NumericalError
 from flowpsm.solver import (
     FieldState,
-    InputTrajectory,
     SolverConfig,
     generate_trajectories,
     inject_degradation,
@@ -78,16 +77,6 @@ def test_step_is_deterministic_and_respects_zoh(scenario, steady):
     # re-stepping a converged state with the same inputs stays put
     held = step(steady, np.array([0.65, 844.65]), scenario, cfg)
     assert np.max(np.abs(held.T - steady.T)) < 1e-6
-
-
-def test_step_needs_the_face_velocities(scenario, steady):
-    # every state that steady_state or step returns carries u_face; one without it is not stepped
-    bare = replace(steady, u_face=None)
-    with pytest.raises(ConfigError, match="u_face"):
-        step(bare, np.array([0.65, 844.65]), scenario)
-    trajectory = generate_trajectories(0, scenario, 1)
-    with pytest.raises(ConfigError, match="u_face"):
-        run_experiments(replace(scenario, episode_duration=scenario.delta_t), trajectory, [bare])
 
 
 def test_step_rejects_courant_violation(scenario, steady):
@@ -223,7 +212,6 @@ def test_steady_state_is_a_fixed_point_of_step(name, where):
     lo, hi = (np.array([r[k] for r in sc.input_ranges]) for k in (0, 1))
     v = {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[where]
     start = steady_state(sc, v)
-    assert start.u_face is not None
     moved = step(start, v, sc)
     for f, scale in STEADY_SCALES.items():
         assert np.max(np.abs(getattr(moved, f) - getattr(start, f))) <= 1e-8 * scale, f
@@ -244,18 +232,16 @@ def test_loop_steady_state_keeps_reference_enthalpy(where):
 
 
 def test_run_experiment_record_invariants(scenario):
-    trajs = generate_trajectories(7, scenario, 1)
-    traj = trajs[0]
-    start = steady_state(scenario, traj.value(0.0))
-    rec = run_experiments(scenario, [traj], [start])[0]
+    inputs = generate_trajectories(7, scenario, 1)
+    start = steady_state(scenario, inputs[0, 0])
+    rec = run_experiments(scenario, inputs, [start])[0]
     K = round(scenario.episode_duration / scenario.delta_t)
     assert rec.n_steps == K
     assert np.allclose(np.diff(rec.times), scenario.delta_t)
     assert rec.p.shape == (K + 1, build_grid(scenario).n_cells)
     assert rec.scenario_hash == scenario_fingerprint(scenario)
-    # v rows are the trajectory sampled at interval left endpoints
-    for k in range(K):
-        assert np.allclose(rec.v[k], traj.value(k * scenario.delta_t))
+    # v rows are the held inputs, one per control time
+    assert np.array_equal(rec.v, inputs[0])
     # sensors are the interpolated fields at the stations
     for k in (0, K // 2, K):
         for f, name in enumerate(("p", "u", "T")):
@@ -265,56 +251,58 @@ def test_run_experiment_record_invariants(scenario):
 
 
 def test_run_experiment_is_deterministic(scenario):
-    traj = generate_trajectories(11, scenario, 1)[0]
-    start = steady_state(scenario, traj.value(0.0))
-    a = run_experiments(scenario, [traj], [start])[0]
-    b = run_experiments(scenario, [traj], [start])[0]
+    inputs = generate_trajectories(11, scenario, 1)
+    start = steady_state(scenario, inputs[0, 0])
+    a = run_experiments(scenario, inputs, [start])[0]
+    b = run_experiments(scenario, inputs, [start])[0]
     assert np.array_equal(a.T, b.T)
     assert np.array_equal(a.sensors, b.sensors)
 
 
 def test_generate_trajectories_contract(scenario):
-    trajs = generate_trajectories(5, scenario, 4)
-    again = generate_trajectories(5, scenario, 4)
-    assert len(trajs) == 4
-    tt = np.linspace(0.0, scenario.episode_duration, 300)
-    for tj, tj2 in zip(trajs, again):
-        vals = np.array([tj.value(t) for t in tt])
-        vals2 = np.array([tj2.value(t) for t in tt])
-        assert np.array_equal(vals, vals2)  # bit-identical on repeat
-        for j, (lo, hi) in enumerate(scenario.input_ranges):
-            assert np.all(vals[:, j] >= lo - 1e-12)
-            assert np.all(vals[:, j] <= hi + 1e-12)
-    # different seeds and different experiments differ
-    other = generate_trajectories(6, scenario, 4)
-    assert not np.allclose(
-        [tj.value(50.0) for tj in trajs], [tj.value(50.0) for tj in other]
-    )
+    inputs = generate_trajectories(5, scenario, 4)
+    K = round(scenario.episode_duration / scenario.delta_t)
+    assert inputs.shape == (4, K + 1, scenario.n_controls)
+    assert np.array_equal(inputs, generate_trajectories(5, scenario, 4))  # bit-identical on repeat
+    for j, (lo, hi) in enumerate(scenario.input_ranges):
+        assert np.all(inputs[..., j] >= lo - 1e-12)
+        assert np.all(inputs[..., j] <= hi + 1e-12)
+    # the inputs move at the control cadence, and experiments differ
+    assert np.all(np.abs(np.diff(inputs, axis=1)).max(axis=1) > 0.0)
+    assert not np.allclose(inputs[0], inputs[1])
+    # experiment k is drawn from its own stream: a larger corpus starts with the smaller one
+    assert np.array_equal(generate_trajectories(5, scenario, 2), inputs[:2])
+    # different seeds differ
+    assert not np.allclose(inputs, generate_trajectories(6, scenario, 4))
     with pytest.raises(ConfigError):
         generate_trajectories(5, scenario, 0)
 
 
-def test_trajectory_knots_validate():
-    with pytest.raises(ConfigError):
-        InputTrajectory(
-            channels=("a",),
-            knot_times=(np.array([1.0, 2.0]),),  # must start at 0
-            knot_values=(np.array([0.0, 1.0]),),
-        )
-    with pytest.raises(ConfigError):
-        InputTrajectory(
-            channels=("a",),
-            knot_times=(np.array([0.0, 2.0, 1.0]),),
-            knot_values=(np.array([0.0, 1.0, 2.0]),),
-        )
+def test_run_experiments_takes_inputs_shaped_by_its_starts(scenario):
+    sc = _short(scenario)
+    inputs = generate_trajectories(3, sc, 2)
+    starts = [steady_state(sc, v) for v in inputs[:, 0]]
+    run_experiments(sc, inputs, starts)
+    bad = {
+        "one episode short": inputs[:1],
+        "a control time short": inputs[:, :-1],
+        "a control short": inputs[..., :1],
+        "no episode axis": inputs[0],
+    }
+    for why, x in bad.items():
+        with pytest.raises(ConfigError, match=r"inputs of shape \(E, K\+1, m\)"):
+            run_experiments(sc, x, starts)
+    with pytest.raises(ConfigError, match="at least one start state"):
+        run_experiments(sc, inputs[:0], [])
 
 
 def test_sensor_readout_interpolates():
     grid_z = np.linspace(0.05, 0.95, 10)
-    state = FieldState(grid_z=grid_z, p=np.arange(10.0), u=np.ones(10), T=800 + np.arange(10.0))
+    state = FieldState(grid_z=grid_z, p=np.arange(10.0), T=800 + np.arange(10.0), u_face=np.arange(11.0))
     out = sensor_readout(state, np.array([0.05, 0.5, 0.95]))
     assert out.shape == (3, 3)
     assert np.allclose(out[0], np.interp([0.05, 0.5, 0.95], grid_z, state.p))
+    assert np.allclose(out[1], [0.5, 5.0, 9.5])  # the face velocities' center averages
     assert np.allclose(out[2], np.interp([0.05, 0.5, 0.95], grid_z, state.T))
 
 
@@ -361,7 +349,7 @@ def _tripled_reversal(sc):
     root here, so the loop's mass flux must come from the breakpoint search.
     """
     steady = steady_state(sc, _mid(sc))
-    return replace(steady, u=-3.0 * steady.u, u_face=-3.0 * steady.u_face)
+    return replace(steady, u_face=-3.0 * steady.u_face)
 
 
 def _substep_gap(sc, v, old: FieldState, new: FieldState) -> np.ndarray:
@@ -623,16 +611,14 @@ def _short(sc, steps: int = 3):
     return replace(sc, episode_duration=steps * sc.delta_t)
 
 
-def _hold(sc, values) -> InputTrajectory:
-    """Controls held at ``values`` throughout."""
-    return InputTrajectory(channels=sc.control_channels,
-                           knot_times=tuple(np.zeros(1) for _ in values),
-                           knot_values=tuple(np.array([x]) for x in values))
+def _hold(sc, values) -> np.ndarray:
+    """One episode's inputs, (1, K+1, m), held at ``values`` throughout."""
+    return np.tile(np.asarray(values, dtype=float), (1, round(sc.episode_duration / sc.delta_t) + 1, 1))
 
 
-def _assert_batch_matches_single_episodes(sc, trajs, starts):
-    alone = [run_experiments(sc, [tj], [st])[0] for tj, st in zip(trajs, starts)]
-    together = run_experiments(sc, trajs, starts)
+def _assert_batch_matches_single_episodes(sc, inputs, starts):
+    alone = [run_experiments(sc, inputs[e : e + 1], [st])[0] for e, st in enumerate(starts)]
+    together = run_experiments(sc, inputs, starts)
     for a, b in zip(alone, together):
         for f in ("times", "p", "u", "T", "v", "sensors", "station_z", "grid_z"):
             assert np.array_equal(getattr(a, f), getattr(b, f)), f
@@ -642,8 +628,8 @@ def _assert_batch_matches_single_episodes(sc, trajs, starts):
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset, _loop_x10_friction])
 def test_run_experiments_matches_single_episodes(preset):
     sc = _short(preset())
-    trajs = [_hold(sc, [r[0] for r in sc.input_ranges])] + generate_trajectories(3, sc, 2)
-    _assert_batch_matches_single_episodes(sc, trajs, [steady_state(sc, tj.value(0.0)) for tj in trajs])
+    inputs = np.concatenate([_hold(sc, [r[0] for r in sc.input_ranges]), generate_trajectories(3, sc, 2)])
+    _assert_batch_matches_single_episodes(sc, inputs, [steady_state(sc, v) for v in inputs[:, 0]])
 
 
 @pytest.mark.parametrize("start", ["negated_steady", "straddling"])
@@ -653,24 +639,24 @@ def test_run_experiments_mixes_reversed_and_forward_loop_episodes(start):
     # searches the breakpoints of episode 1 only; once episode 1 turns
     # forward the batch takes the all-forward shortcut
     sc = _short(_loop_pinned_mid_heater_leg())
-    trajs = generate_trajectories(3, sc, 2)
-    trajs.insert(1, _hold(sc, _mid(sc)))
-    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    drawn = generate_trajectories(3, sc, 2)
+    inputs = np.concatenate([drawn[:1], _hold(sc, _mid(sc)), drawn[1:]])
+    starts = [steady_state(sc, v) for v in inputs[:, 0]]
     starts[1] = _reversed_loop_start(sc, start)
     assert np.any(starts[1].u_face < 0.0) and all(np.all(starts[e].u_face > 0.0) for e in (0, 2))
-    _assert_batch_matches_single_episodes(sc, trajs, starts)
-    assert np.all(run_experiments(sc, trajs[1:2], starts[1:2])[0].u[-1] > 0.0)
+    _assert_batch_matches_single_episodes(sc, inputs, starts)
+    assert np.all(run_experiments(sc, inputs[1:2], starts[1:2])[0].u[-1] > 0.0)
 
 
 def test_run_experiments_names_the_failing_episode(scenario):
     sc = _short(scenario)
-    trajs = generate_trajectories(9, sc, 3)
-    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    inputs = generate_trajectories(9, sc, 3)
+    starts = [steady_state(sc, v) for v in inputs[:, 0]]
     starts[1] = replace(starts[1], u_face=10.0 * starts[1].u_face)  # Courant number about 3
     with pytest.raises(NumericalError, match=r"Courant .* in episode 1\b"):
-        run_experiments(sc, trajs, starts)
+        run_experiments(sc, inputs, starts)
     with pytest.raises(ConfigError):
-        run_experiments(sc, trajs, starts[:2])
+        run_experiments(sc, inputs, starts[:2])
 
 
 def _below_the_vertex(fluid, T):
@@ -689,12 +675,12 @@ def _overflowing_cell(fluid, T):
 ], ids=["closure", "non_finite"])
 def test_substep_failures_name_the_episode(scenario, message, broken_T):
     sc = _short(scenario)
-    trajs = generate_trajectories(9, sc, 3)
-    starts = [steady_state(sc, tj.value(0.0)) for tj in trajs]
+    inputs = generate_trajectories(9, sc, 3)
+    starts = [steady_state(sc, v) for v in inputs[:, 0]]
     starts[1] = replace(starts[1], T=broken_T(sc.fluid, starts[1].T))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=rf"{message} in episode 1$"):
-            run_experiments(sc, trajs, starts)
+            run_experiments(sc, inputs, starts)
 
 
 @pytest.mark.parametrize("preset", [heated_channel_preset, loop_preset])
@@ -707,10 +693,10 @@ def test_non_finite_start_state_raises_numerical_error(preset, field):
     bad[3] = np.nan
     with pytest.raises(NumericalError, match=rf"non-finite {field} in the start state of episode 0"):
         step(replace(start, **{field: bad}), v, sc)
-    trajs = generate_trajectories(4, _short(sc, 1), 2)
+    inputs = generate_trajectories(4, _short(sc, 1), 2)
     starts = [start, replace(start, **{field: bad})]
     with pytest.raises(NumericalError, match=rf"non-finite {field} .* episode 1"):
-        run_experiments(_short(sc, 1), trajs, starts)
+        run_experiments(_short(sc, 1), inputs, starts)
 
 
 def test_non_finite_inputs_are_rejected(scenario, steady):

@@ -265,7 +265,7 @@ def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
     batch = _full_batch(dataset)
-    ws = Workspace(spec, batch.inputs.shape[0])
+    ws = Workspace(spec)
     lm, lp, grad = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 1.0, 0.0, ws)
     assert lp == 0.0
     assert lm == measurement_loss(forward(params, batch.inputs), batch.targets)
@@ -289,9 +289,8 @@ def test_one_pass_gradient_is_the_sum_of_a_measurement_and_a_physics_pass(tiny_s
     batch = Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx])
     colloc = sample_collocation(rng, 256, batch, lay)
     alpha, beta = 0.3, 0.7
-    lm, lp, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling, alpha, beta,
-                                     Workspace(spec, 256, 2, value_rows=128))
-    ws_m, ws_p = Workspace(spec, 128), Workspace(spec, 256, 2)
+    lm, lp, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling, alpha, beta, Workspace(spec))
+    ws_m, ws_p = Workspace(spec), Workspace(spec)
     pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
     grad_m = ws_m.gradient(np.tanh(pred - batch.targets)[None] * (alpha / batch.targets.size))
     stack = stacked_forward(params, colloc, np.eye(lay.input_dim)[[lay.z_col, lay.t_col]], workspace=ws_p)
@@ -330,8 +329,11 @@ def test_physics_residuals_vanish_on_manufactured_steady_solution(tiny_scenario,
     r_mass, r_mom, r_energy = physics_residuals(outs, tans_z, tans_t, closures,
                                                 tiny_scenario, scaling)
     # central differences on a 3-cell segment grid are first-order accurate;
-    # residuals are nondimensional so these bounds are loose but meaningful
-    assert np.max(np.abs(r_mass)) < 0.15
+    # residuals are nondimensional. Mass and momentum read about 2e-3 here, so
+    # 1e-2 catches a friction or pressure-gradient term that is dropped or of the
+    # wrong sign; energy reads about 0.13 on this grid
+    assert np.max(np.abs(r_mass)) < 1e-2
+    assert np.max(np.abs(r_mom)) < 1e-2
     assert np.max(np.abs(r_energy)) < 0.15
 
 
@@ -398,7 +400,7 @@ def test_training_loss_gradient_matches_finite_difference(rng):
     u = u_star + u_min
     assert np.any(u > 0.0) and np.any(u < 0.0)
     alpha, beta = 0.3, 0.7
-    ws = Workspace(spec, 48, 2, value_rows=16)
+    ws = Workspace(spec)
     lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling, alpha, beta, ws)
     fric, grav, q = pointwise_closures(scenario, scaling.unscale_z(colloc[:, 0]),
                                        scaling.unscale_v(colloc[:, lay.v_cols]))
@@ -500,7 +502,7 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
             idx = perm[start : start + config.batch_size]
             batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            ws = Workspace(spec, config.n_collocation, 2, value_rows=idx.size)
+            ws = Workspace(spec)
             shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)
             lm, lp, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
                                              config.alpha, config.beta, ws)
@@ -560,7 +562,7 @@ def test_psm_batches_reuse_their_pages(tiny_scenario, tiny_dataset):
     params = init_params(spec, 0)
     lay = input_layout(tiny_scenario)
     rng = np.random.default_rng(0)
-    ws = Workspace(spec, 256, 2, value_rows=128)
+    ws = Workspace(spec)
     batch = Batch(inputs=rng.uniform(0.0, 1.0, (128, lay.input_dim)), targets=rng.uniform(0.0, 1.0, (128, 3)))
 
     def one_batch():

@@ -164,5 +164,12 @@ def test_scaling_dict_round_trip():
 
 
 def test_field_state_validates_shapes():
-    with pytest.raises(ConfigError):
-        FieldState(grid_z=np.zeros(4), p=np.zeros(4), u=np.zeros(3), T=np.zeros(4))
+    z = np.arange(4.0)
+    with pytest.raises(ConfigError, match="share one length"):
+        FieldState(grid_z=z, p=np.zeros(4), T=np.zeros(3), u_face=np.zeros(5))
+    # one face velocity per face: the cell count plus one
+    for n_faces in (4, 6):
+        with pytest.raises(ConfigError, match="u_face"):
+            FieldState(grid_z=z, p=np.zeros(4), T=np.zeros(4), u_face=np.zeros(n_faces))
+    state = FieldState(grid_z=z, p=np.zeros(4), T=np.zeros(4), u_face=np.arange(5.0))
+    assert np.array_equal(state.u, [0.5, 1.5, 2.5, 3.5])  # the face average at each center

@@ -3,11 +3,11 @@
 The trained network F(z*, t* = 1, v*, x0*) evaluated at the sensor stations
 is a discrete-time state map x_{k+1} = f(x_k, v_k) on the scaled sensor
 state (q = 3 * n_stations entries, fields-major). ``linearize`` extracts
-its Jacobians A, B about an operating point by forward-mode directional
-derivatives, keeping the zeroth-order term f(x00, v00), so the affine
-prediction is exact at the linearization point. One kernel pass gives both:
-its value rows are f(x00, v00) and its q + p tangent channels the columns
-of A and B.
+its Jacobians A, B about an operating point, keeping the zeroth-order term
+f(x00, v00), so the affine prediction is exact at the linearization point.
+``network.input_jacobian`` gives both: one value pass for f(x00, v00) and
+one reverse sweep over the 3 outputs of each station row for the rows of
+A and B, the network's input Jacobian at its x0 and v columns.
 
 ``build_oinf`` stacks the output-constraint half-spaces propagated over a
 finite horizon plus a tightened steady-state row, in the delta coordinates
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .network import ParamStore, forward, stacked_forward
+from .network import ParamStore, forward, input_jacobian
 from .solver import SolverConfig, sensor_readout, steady_state, step
 from .training import input_layout, query_rows, scale_sensors
 from .transport import ConfigError, ScalingSpec, ScenarioConfig, scenario_fingerprint
@@ -91,12 +91,12 @@ class LinearSSM:
 def linearize(
     params: ParamStore, scenario: ScenarioConfig, scaling: ScalingSpec, x00: np.ndarray, v00: np.ndarray,
 ) -> LinearSSM:
-    """Jacobians of the one-step state map via directional derivatives.
+    """Jacobians of the one-step state map from the network's input Jacobian at the station rows.
 
-    Column j of A is the output tangent along the j-th x0 input axis (and
-    likewise B along the control axes), evaluated at the station rows. One
-    stacked pass gives y00 from its value rows and all q + p columns from
-    its tangent channels.
+    Row f*s + j of A is station j's field f differentiated along the x0
+    inputs, and of B along the control inputs, as ``station_predict`` lays
+    its output out. ``input_jacobian`` gives y00 from its value pass and
+    every row from its one reverse sweep.
     """
     lay = input_layout(scenario)
     x00 = np.asarray(x00, dtype=float)
@@ -104,15 +104,9 @@ def linearize(
     if x00.shape != (lay.n_state,) or v00.shape != (lay.n_controls,):
         raise ConfigError("linearization point does not match the scenario layout")
     rows = query_rows(lay, scaling.scale_z(scenario.sensor_stations), 1.0, v00, x00)
-    q = lay.n_state
-    axes = np.zeros((q + lay.n_controls, lay.input_dim))  # one unit input direction per channel
-    np.fill_diagonal(axes[:q, lay.x0_cols], 1.0)  # channel i < q: x0 axis i
-    np.fill_diagonal(axes[q:, lay.v_cols], 1.0)  # channel q + j: control axis j
-    out = stacked_forward(params, rows, axes)
-    # (1+q+p, s, 3) -> one fields-major row per channel, as station_predict lays it out
-    Y = out.transpose(0, 2, 1).reshape(out.shape[0], -1)
-    J = Y[1:].T
-    return LinearSSM(A=J[:, :q], B=J[:, q:], x00=x00.copy(), v00=v00.copy(), y00=Y[0])
+    y, J = input_jacobian(params, rows)
+    J = J.reshape(lay.n_state, lay.input_dim)  # (3, s, input_dim) -> one fields-major row per output
+    return LinearSSM(A=J[:, lay.x0_cols], B=J[:, lay.v_cols], x00=x00.copy(), v00=v00.copy(), y00=y.T.ravel())
 
 
 # ===================== constraints =====================
@@ -182,6 +176,9 @@ def temperature_cap(
     lay = input_layout(scenario)
     if not 0 <= station_index < lay.n_stations:
         raise ConfigError("station index out of range")
+    if not cap_kelvin > 0.0:
+        raise ConfigError(f"a temperature cap must lie above absolute zero ('cap_kelvin' > 0, "
+                          f"'cap_celsius' > -273.15), got {cap_kelvin!r} K")
     c = np.zeros(lay.n_state)
     c[2 * lay.n_stations + station_index] = 1.0  # T block is fields-major third
     return Constraint(c=tuple(c), d=float(scaling.scale_field("T", cap_kelvin)), name=name or f"T_cap_{station_index}")
@@ -414,19 +411,23 @@ class CgConfig:
 
         Q is the symmetric part of ``q_weight``, which weighs ||v - r||_Q^2
         the same, or the identity. A Q that is not positive definite has no
-        Cholesky factor L and raises ConfigError.
+        Cholesky factor L and raises ConfigError, as does one whose 2Q or W
+        overflows to a non-finite entry.
         """
-        if self.q_weight is None:
-            Q = np.eye(p)
-        elif len(self.q_weight) != p * p:
+        if self.q_weight is not None and len(self.q_weight) != p * p:
             raise ConfigError(f"'q_weight' must hold {p} x {p} entries, got {len(self.q_weight)}")
-        else:
-            Q = np.asarray(self.q_weight, dtype=float).reshape(p, p)
-            Q = 0.5 * (Q + Q.T)
+        Q = np.eye(p) if self.q_weight is None else np.asarray(self.q_weight, dtype=float).reshape(p, p)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            two_q = 2.0 * (0.5 * (Q + Q.T))
+        if not np.all(np.isfinite(two_q)):
+            raise ConfigError("'q_weight' overflows: 2Q, twice its symmetric part, has non-finite entries")
         try:
-            return np.linalg.inv(np.linalg.cholesky(2.0 * Q)).T
+            W = np.linalg.inv(np.linalg.cholesky(two_q)).T
         except np.linalg.LinAlgError as exc:
             raise ConfigError(f"'q_weight' must be positive definite: {exc}") from exc
+        if not np.all(np.isfinite(W)):
+            raise ConfigError("'q_weight' gives a weighting factor W with non-finite entries")
+        return W
 
 
 @dataclass

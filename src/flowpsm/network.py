@@ -10,15 +10,14 @@ layer and the three outputs as one block-diagonal (3 tail -> 3) layer. Each
 pass gathers those two layers' weights from the unchanged flat parameter
 layout, so checkpoints keep their format.
 
-Every pass goes through one closed-form kernel, ``stacked_forward``. Its
-rows are a value block, value-only rows ahead of the B rows that carry
-tangents, and then k blocks of B forward-mode tangent rows (directional
-derivatives along chosen input directions). Each layer is one matmul over
-all rows: the bias enters the value rows only, and the tanh gate 1 - h^2
-scales the tangent rows. head0's tangent pre-activations are its
-directions' d W0^T, broadcast over the rows. ``forward`` is the kernel's
-value output. A ``ParamStore`` is the model: its ``spec`` is the
-architecture.
+Training and the residual maps go through one closed-form kernel,
+``stacked_forward``. Its rows are a value block, value-only rows ahead of
+the B rows that carry tangents, and then k blocks of B forward-mode tangent
+rows (directional derivatives along chosen input directions). Each layer is
+one matmul over all rows: the bias enters the value rows only, and the tanh
+gate 1 - h^2 scales the tangent rows. head0's tangent pre-activations are
+its directions' d W0^T, broadcast over the rows. A ``ParamStore`` is the
+model: its ``spec`` is the architecture.
 
 A pass run in a ``Workspace`` records in the workspace's buffers, which
 training reuses batch after batch, what the reverse pass reads;
@@ -27,11 +26,16 @@ training reuses batch after batch, what the reverse pass reads;
 derivatives gets its exact parameter gradient. The tanh reverse reads the
 saved post-gate tangents, which are the next layer's input. Training runs a
 psm batch as one such pass, its measurement rows as value-only rows beside
-the collocation rows, and one reverse. Passes without a workspace
-(``forward``, linearization, residual maps) allocate fresh arrays. A
-value-only pass without one (``forward``: model steps, eval rollouts,
-prediction errors) forms no tanh gate, since neither tangent rows nor a
-reverse read it; its values are bit-identical to a gated pass's.
+the collocation rows, and one reverse. Passes without a workspace allocate
+fresh arrays.
+
+``forward`` (model steps, eval rollouts, prediction errors) is a plain value
+pass: per CHAIN layer a matmul, the bias and tanh, and no gate, since nothing
+reads one; its values are bit-identical to the kernel's value rows.
+``input_jacobian`` runs the same value pass, then one reverse sweep for the
+input Jacobian of all three outputs, which the governors' linearization
+reads: 3B cotangent rows, fewer than the input_dim B tangent rows forward
+mode would carry.
 
 A pass takes its precision from the store it is given. A store whose flat
 vector is float32, as training's copy of the parameters is, runs the pass
@@ -58,6 +62,7 @@ __all__ = [
     "Workspace",
     "stacked_forward",
     "forward",
+    "input_jacobian",
     "optimizer_step",
     "learning_rate",
     "FIELD_ORDER",
@@ -320,10 +325,10 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tu
     holds the k directions in place of its tangent rows, so its tangent
     pre-activations are those directions' rows broadcast. Hidden layers
     apply tanh, and the gate 1 - h^2 scales the tangent rows; the ``outs``
-    layer is linear. The gate is formed on the tangent-carrying rows when
-    there are tangents, and on every value row when a reverse pass reads it.
-    With a workspace, the result and what the reverse pass reads go into its
-    buffers and are appended to ``saved``.
+    layer is linear. The gate covers the tangent-carrying rows, and the
+    value-only rows too when a reverse pass reads it. With a workspace, the
+    result and what the reverse pass reads go into its buffers and are
+    appended to ``saved``.
     """
     n_values, n_rows, k = counts
     n_val, width = n_values + n_rows, w.shape[0]
@@ -336,16 +341,15 @@ def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tu
     out[:n_val] += b
     if name != "outs":
         h = np.tanh(out[:n_val], out=out[:n_val])
-        if k or saved is not None:
-            lo = 0 if saved is not None else n_values
-            gate = np.multiply(h[lo:], h[lo:], out=_take(ws, f"{name}.gate", (n_val - lo, width), w.dtype))
-            np.subtract(1.0, gate, out=gate)
-            tans = out[n_val:].reshape(k, n_rows, width)
-            if name == "head0":
-                d_w = np.matmul(h_in[n_val:], w.T, out=_take(ws, "head0.dirs", (k, width), w.dtype))
-                np.multiply(gate[n_values - lo :], d_w[:, None], out=tans)
-            else:
-                tans *= gate[n_values - lo :]
+        lo = 0 if saved is not None else n_values
+        gate = np.multiply(h[lo:], h[lo:], out=_take(ws, f"{name}.gate", (n_val - lo, width), w.dtype))
+        np.subtract(1.0, gate, out=gate)
+        tans = out[n_val:].reshape(k, n_rows, width)
+        if name == "head0":
+            d_w = np.matmul(h_in[n_val:], w.T, out=_take(ws, "head0.dirs", (k, width), w.dtype))
+            np.multiply(gate[n_values - lo :], d_w[:, None], out=tans)
+        else:
+            tans *= gate[n_values - lo :]
     if saved is not None:
         saved.append((h_in, out, gate))
     return out
@@ -389,9 +393,44 @@ def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace
     return stack if values is None else (h[:n_values], stack)
 
 
+def _value_pass(params: ParamStore, x) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """CHAIN's weights and every layer's output on the (B, input_dim) rows ``x``, inputs first.
+
+    Per layer a matmul, the bias and, on all but ``outs``, tanh, in the dtype
+    of ``params.flat``; the same operations as the kernel's value rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
+        raise ConfigError(f"inputs must have {params.spec.input_dim} columns, got shape {x.shape}")
+    weights = _pass_weights(params, None)
+    h = [x.astype(params.flat.dtype, copy=False)]
+    for w, b in weights:
+        a = h[-1] @ w.T
+        a += b
+        h.append(a if len(h) == len(CHAIN) else np.tanh(a, out=a))
+    return weights, h
+
+
 def forward(params: ParamStore, x) -> np.ndarray:
-    """Batched evaluation: (batch, input_dim) -> (batch, 3)."""
-    return stacked_forward(params, x)[0]
+    """Batched evaluation: (batch, input_dim) -> (batch, 3), by one plain value pass."""
+    return _value_pass(params, x)[1][-1]
+
+
+def input_jacobian(params: ParamStore, x) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B, 3) and input Jacobian J (3, B, input_dim): J[f, b] = d y[b, f] / d x[b].
+
+    One value pass keeps each hidden layer's tanh output h; one reverse sweep
+    then carries 3B cotangent rows, field-major. It is seeded with the rows
+    of the block-diagonal ``outs`` weight, and each cotangent row is gated
+    by the 1 - h^2 of its own input row.
+    """
+    weights, h = _value_pass(params, x)
+    n, n_rows = len(FIELD_ORDER), h[0].shape[0]
+    g = weights[-1][0][:, None]  # output f's cotangent on the tails' outputs, the same for every row
+    for (w, _), out in zip(weights[-2::-1], h[-2:0:-1]):
+        g_a = g * (1.0 - out * out)
+        g = (g_a.reshape(n * n_rows, -1) @ w).reshape(n, n_rows, -1)
+    return h[-1], g
 
 
 # ===================== optimizer =====================

@@ -139,12 +139,12 @@ def query_rows(lay: InputLayout, z, t: float, v, x0) -> np.ndarray:
     condition-major: row i*n + j is condition i at z[j], (c*n, input_dim).
     """
     v, x0 = np.atleast_2d(v), np.atleast_2d(x0)
-    rows = np.empty((v.shape[0] * z.size, lay.input_dim))
-    rows[:, lay.z_col] = np.tile(z, v.shape[0])
-    rows[:, lay.t_col] = t
-    rows[:, lay.v_cols] = np.repeat(v, z.size, axis=0)
-    rows[:, lay.x0_cols] = np.repeat(x0, z.size, axis=0)
-    return rows
+    rows = np.empty((v.shape[0], z.size, lay.input_dim))
+    rows[..., lay.z_col] = z
+    rows[..., lay.t_col] = t
+    rows[..., lay.v_cols] = v[:, None]
+    rows[..., lay.x0_cols] = x0[:, None]
+    return rows.reshape(-1, lay.input_dim)
 
 
 def mlp_for_scenario(scenario: ScenarioConfig, widths=()) -> MlpSpec:

@@ -486,6 +486,15 @@ _TRIP = {"zeta": 1e-9, "window": 2, "twin": {"epochs": 1, "batch_size": 128}, "n
                  id="diagnose-zero_twin_base_lr"),
     pytest.param("control", {**_HOLD, "q_weight": [[1, 0], [0, -1]]}, "'q_weight' must be positive definite",
                  id="control-indefinite_q_weight"),
+    pytest.param("control", {**_HOLD, "q_weight": [[1e308, 0], [0, 1e308]]}, "'q_weight' overflows",
+                 id="control-overflowing_q_weight"),
+    pytest.param("control", {**_HOLD, "q_weight": [[1e308, 1e308], [1e308, 1e308]]}, "'q_weight'",
+                 id="control-overflowing_singular_q_weight"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_kelvin": -5.0}]}]}, "'cap_kelvin' > 0", id="control-cap_kelvin_below_zero"),
+    pytest.param("control", {**_HOLD, "schedule": [{"from_step": 0, "constraints": [
+        {"station_index": 1, "cap_celsius": -273.15}]}]}, "'cap_celsius' > -273.15",
+                 id="control-cap_celsius_at_absolute_zero"),
 ])
 def test_bad_config_values_exit_2(pipeline, tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"

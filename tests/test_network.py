@@ -13,6 +13,7 @@ from flowpsm.network import (
     Workspace,
     forward,
     init_params,
+    input_jacobian,
     learning_rate,
     optimizer_step,
     stacked_forward,
@@ -94,6 +95,31 @@ def test_tangents_match_one_direction_passes(params, rng):
         assert np.allclose(got, stacked_forward(params, x, d[None])[1], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_rows", [1, 6, 87])
+def test_input_jacobian_matches_the_tangent_pass(rng, n_rows):
+    # the reverse sweep's rows against the forward-mode tangents along every unit input axis
+    spec = MlpSpec(5, 64, 32, 32)
+    store = init_params(spec, seed=2)
+    store.flat += 0.05 * rng.standard_normal(store.n_params)
+    x = rng.standard_normal((n_rows, 5))
+    y, J = input_jacobian(store, x)
+    want = stacked_forward(store, x, np.eye(5))  # (1 + 5, B, 3)
+    assert y.tobytes() == forward(store, x).tobytes()
+    assert J.shape == (3, n_rows, 5)
+    tangents = want[1:].transpose(2, 1, 0)  # J[f, b, i] = d y[b, f] / d x[b, i]
+    assert np.max(np.abs(J - tangents)) <= 1e-13 * np.max(np.abs(tangents))
+
+
+def test_input_jacobian_matches_central_differences(params, rng):
+    x, h = rng.standard_normal((4, 5)), 1e-6
+    _, J = input_jacobian(params, x)
+    for i, e in enumerate(np.eye(5)):
+        fd = (forward(params, x + h * e) - forward(params, x - h * e)) / (2 * h)
+        assert np.allclose(J[:, :, i], fd.T, atol=1e-8)
+    with pytest.raises(ConfigError):
+        input_jacobian(params, x[:, :4])
+
+
 @pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
 def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
     # row counts whose cotangent columns take a different BLAS path by stride, and both
@@ -111,7 +137,7 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
                 assert stacked_forward(store, x, dirs, workspace=ws).tobytes() == want_out.tobytes()
                 assert stacked_forward(store, x, dirs).tobytes() == want_out.tobytes()
                 assert ws.gradient(cot).tobytes() == want_grad.tobytes()
-            if k == 0:  # a value-only pass without a workspace forms no gate; its values are the same
+            if k == 0:  # forward's plain value pass gives the kernel's values
                 assert forward(store, x).tobytes() == want_out[0].tobytes()
 
 
@@ -191,13 +217,15 @@ def test_float32_store_runs_a_float32_pass_and_reverse(rng, widths):
         ws = Workspace(spec)
         out = stacked_forward(low, x, dirs, workspace=ws)
         grad = ws.gradient(cot)
-        fresh = stacked_forward(low, x, dirs)  # at k = 0, a value-only pass that forms no gate
+        fresh = stacked_forward(low, x, dirs)
         assert out.dtype == f32 and fresh.dtype == f32
         assert grad.dtype == np.float64
         assert {b.dtype for b in ws._flat.values()} == {f32} and ws._grad.dtype == f32
         want_out, want_grad = per_field_pass(low, x.astype(f32), dirs.astype(f32), cot.astype(f32))
         assert out.tobytes() == want_out.tobytes() and fresh.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.astype(np.float64).tobytes()
+        if k == 0:  # forward's plain value pass gives the kernel's values in float32 too
+            assert forward(low, x).tobytes() == want_out[0].tobytes()
 
 
 @pytest.mark.parametrize("widths", [(8, 6, 4), (64, 32, 32)])
@@ -404,8 +432,8 @@ def test_gradient_reverses_the_last_pass(params, rng):
 
 def test_workspace_reuse_matches_fresh_passes(rng):
     # one workspace, passes whose row and direction counts grow its buffers, shrink and grow
-    # again: k = 0 (a value pass), 2 (training's z* and t* axes) and q + p (linearize's axes,
-    # input_dim - 2). Every pass and gradient is bit-identical to a fresh workspace's and to
+    # again: k = 0 (a value pass), 2 (training's z* and t* axes) and 20 (input_dim - 2
+    # directions). Every pass and gradient is bit-identical to a fresh workspace's and to
     # workspace-free outputs
     spec = MlpSpec(22, 16, 8, 8)
     store = init_params(spec, seed=4)

@@ -123,6 +123,23 @@ def test_corpus_rows_are_the_rows_the_model_is_queried_with(tiny_scenario, tiny_
         assert errors[k] == pytest.approx(np.mean((pred - dataset.targets[ahead]) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_conditions", [1, 5])
+def test_query_rows_lay_conditions_out_condition_major(rng, n_conditions):
+    lay = input_layout(heated_channel_preset())
+    z = rng.uniform(0.0, 1.0, 6)
+    v = rng.uniform(0.0, 1.0, (n_conditions, lay.n_controls))
+    x0 = rng.uniform(0.0, 1.0, (n_conditions, lay.n_state))
+    want = np.empty((n_conditions * z.size, lay.input_dim))
+    want[:, lay.z_col] = np.tile(z, n_conditions)
+    want[:, lay.t_col] = 0.5
+    want[:, lay.v_cols] = np.repeat(v, z.size, axis=0)
+    want[:, lay.x0_cols] = np.repeat(x0, z.size, axis=0)
+    got = query_rows(lay, z, 0.5, v, x0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if n_conditions == 1:  # a single condition given 1-D
+        assert query_rows(lay, z, 0.5, v[0], x0[0]).tobytes() == want.tobytes()
+
+
 def test_assemble_dataset_rejects_foreign_records(tiny_records, tiny_dataset):
     _, scaling = tiny_dataset
     with pytest.raises(ConfigError):

@@ -237,7 +237,7 @@ def pde_residuals(
     n_cond = v_star.shape[0]
     rows = query_rows(lay, scaling.scale_z(zc), _MID_STEP, v_star, x0_star)
 
-    axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
+    axes = (lay.z_col, lay.t_col)
     stacked = np.empty((1 + len(axes), len(rows), len(FIELD_ORDER)))
     for lo in range(0, len(rows), _RESIDUAL_CHUNK):
         chunk = slice(lo, lo + _RESIDUAL_CHUNK)

@@ -13,10 +13,10 @@ layout, so checkpoints keep their format.
 Training and the residual maps go through one closed-form kernel,
 ``stacked_forward``. Its rows are a value block, value-only rows ahead of
 the B rows that carry tangents, and then k blocks of B forward-mode tangent
-rows (directional derivatives along chosen input directions). Each layer is
-one matmul over all rows: the bias enters the value rows only, and the tanh
+rows (derivatives along k input columns, the axes). Each layer is one
+matmul over all rows: the bias enters the value rows only, and the tanh
 gate 1 - h^2 scales the tangent rows. head0's tangent pre-activations are
-its directions' d W0^T, broadcast over the rows. A ``ParamStore`` is the
+W0's columns at the axes, broadcast over the rows. A ``ParamStore`` is the
 model: its ``spec`` is the architecture.
 
 A pass run in a ``Workspace`` records in the workspace's buffers, which
@@ -197,9 +197,9 @@ class Workspace:
     It holds the pass's input block and gathered tail and output weights,
     every layer's (rows, width) output, the tanh gates the reverse pass reads,
     and one set of reverse scratch shared by all layers. Each buffer is flat
-    and grows to the largest pass that takes it, whatever its row and
-    direction counts; a pass uses its leading, contiguous part. ``gradient``
-    reverses the last pass, which the next one overwrites.
+    and grows to the largest pass that takes it, whatever its row and axis
+    counts; a pass uses its leading, contiguous part. ``gradient`` reverses
+    the last pass, which the next one overwrites.
     """
 
     def __init__(self, spec: MlpSpec) -> None:
@@ -207,7 +207,7 @@ class Workspace:
         self._flat: dict[str, np.ndarray] = {}
         # the reverse pass's flat gradient and its CHAIN views, in the last pass's dtype like every buffer
         self._grad = self._grad_layers = None
-        # the last pass: its row counts, whether it returned a pair, and per CHAIN layer
+        # the last pass: its row counts and axes, whether it returned a pair, and per CHAIN layer
         # its (weight, bias) and (input, output, gate)
         self._last = None
 
@@ -236,8 +236,8 @@ class Workspace:
         """
         if self._last is None:
             raise ValueError("no pass has run in this workspace")
-        (n_values, n_rows, k), paired, weights, saved = self._last
-        n_val = n_values + n_rows
+        (n_values, n_rows, axes), paired, weights, saved = self._last
+        n_val, k = n_values + n_rows, len(axes)
         parts = cotangent if paired else (np.empty((0, 3)), cotangent)
         if not isinstance(parts, tuple) or len(parts) != 2:
             raise ConfigError("a pass with value rows takes a (value-row, stack) cotangent pair")
@@ -257,7 +257,7 @@ class Workspace:
                 np.multiply(g_h[:n_val], gate, out=g_a[:n_val])
                 if k:
                     # h = tanh(a) with tangents t = (1 - h^2) da: the value rows' cotangent also takes
-                    # -2h * sum over directions of g_t * t
+                    # -2h * sum over axes of g_t * t
                     g_t, g_at = (y[n_val:].reshape(k, n_rows, -1) for y in (g_h, g_a))
                     # summed into g_at[0], which the gated tangent cotangents overwrite after
                     s, *rest = np.multiply(g_t, out[n_val:].reshape(g_t.shape), out=g_at)
@@ -270,12 +270,9 @@ class Workspace:
             # the tails' and outs' gradient views are per branch, so theirs go through scratch
             w_full = g_w if g_w.shape == w.shape else self.take("g_w", w.shape)
             b_full = g_b if g_b.flags.c_contiguous else self.take("g_b", w.shape[:1])
-            rows = n_val if i == 0 else len(g_a)  # head0's tangent input rows are its directions
-            np.matmul(g_a[:rows].T, h_in[:rows], out=w_full)
-            if i == 0 and k:
-                sums = np.matmul(ones[:n_rows], g_a[n_val:].reshape(k, n_rows, -1),
-                                 out=self.take("g_sum", (k, w.shape[0])))
-                w_full += sums.T @ h_in[n_val:]
+            np.matmul(g_a[: len(h_in)].T, h_in, out=w_full)
+            if i == 0 and k:  # head0's tangent pre-activations are W0's columns at the axes
+                w_full[:, axes] += (ones[:n_rows] @ g_a[n_val:].reshape(k, n_rows, -1)).T
             np.matmul(ones, g_a[:n_val], out=b_full)
             if gate is None:  # only the block diagonal of the outs' weight is a parameter
                 np.copyto(g_w, w_full.reshape(len(FIELD_ORDER), len(FIELD_ORDER), -1)[_BRANCHES, _BRANCHES])
@@ -316,80 +313,75 @@ def _pass_weights(params: ParamStore, ws: Workspace | None) -> list[tuple[np.nda
     return [*trunk, (w_tails, b_tails), (w_outs.T, ob)]
 
 
-def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tuple[int, int, int],
+def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tuple[int, int, list[int]],
            ws: Workspace | None, saved: list | None) -> np.ndarray:
     """One dense layer on the stacked rows; the result is (rows, width).
 
-    The rows are ``counts`` = (M, B, k): M value-only rows and B
-    tangent-carrying rows, then k blocks of B tangent rows. head0's input
-    holds the k directions in place of its tangent rows, so its tangent
-    pre-activations are those directions' rows broadcast. Hidden layers
-    apply tanh, and the gate 1 - h^2 scales the tangent rows; the ``outs``
-    layer is linear. The gate covers the tangent-carrying rows, and the
-    value-only rows too when a reverse pass reads it. With a workspace, the
-    result and what the reverse pass reads go into its buffers and are
-    appended to ``saved``.
+    The rows are ``counts`` = (M, B, axes): M value-only rows and B
+    tangent-carrying rows, then one block of B tangent rows per axis. head0's
+    input is the value rows alone, and its tangent pre-activations are W0's
+    columns at the axes, broadcast over the rows. Hidden layers apply tanh,
+    and the gate 1 - h^2 scales the tangent rows; the ``outs`` layer is
+    linear. With a workspace, the result and what the reverse pass reads go
+    into its buffers and are appended to ``saved``.
     """
-    n_values, n_rows, k = counts
+    n_values, n_rows, axes = counts
     n_val, width = n_values + n_rows, w.shape[0]
-    out = _take(ws, name, (n_val + k * n_rows, width), w.dtype)
+    out = _take(ws, name, (n_val + len(axes) * n_rows, width), w.dtype)
     gate = None
-    if name == "head0":
-        np.matmul(h_in[:n_val], w.T, out=out[:n_val])
-    else:
-        np.matmul(h_in, w.T, out=out)
+    np.matmul(h_in, w.T, out=out[: len(h_in)])
     out[:n_val] += b
     if name != "outs":
         h = np.tanh(out[:n_val], out=out[:n_val])
-        lo = 0 if saved is not None else n_values
-        gate = np.multiply(h[lo:], h[lo:], out=_take(ws, f"{name}.gate", (n_val - lo, width), w.dtype))
+        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", (n_val, width), w.dtype))
         np.subtract(1.0, gate, out=gate)
-        tans = out[n_val:].reshape(k, n_rows, width)
+        tans = out[n_val:].reshape(len(axes), n_rows, width)
         if name == "head0":
-            d_w = np.matmul(h_in[n_val:], w.T, out=_take(ws, "head0.dirs", (k, width), w.dtype))
-            np.multiply(gate[n_values - lo :], d_w[:, None], out=tans)
+            np.multiply(gate[n_values:], w.T[axes][:, None], out=tans)
         else:
-            tans *= gate[n_values - lo :]
+            tans *= gate[n_values:]
     if saved is not None:
         saved.append((h_in, out, gate))
     return out
 
 
-def stacked_forward(params: ParamStore, x, directions=None, workspace: Workspace | None = None, values=None):
-    """Values and directional derivatives of the net in one stacked pass.
+def stacked_forward(params: ParamStore, x, axes=(), workspace: Workspace | None = None, values=None):
+    """Values and derivatives along input axes of the net in one stacked pass.
 
-    ``x`` is (B, input_dim); ``directions`` is a (k, input_dim) stack of
-    input-space directions applied to every row. Returns the (k+1, B, 3)
-    outputs: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
-    along direction i. ``values``, (M, input_dim), are value-only rows that
-    ride in the same pass with no tangent rows; the return is then the pair
-    of their (M, 3) outputs and the stack. A pass in ``workspace``, one made
-    for ``params.spec``, lives in its buffers, grown to fit, and records what
+    ``x`` is (B, input_dim); ``axes`` are distinct input column indices.
+    Returns the (k+1, B, 3) outputs for k axes: ``[0]`` the field triple per
+    row, ``[1 + i]`` its derivative along input column ``axes[i]``.
+    ``values``, (M, input_dim), are value-only rows that ride in the same
+    pass with no tangent rows; the return is then the pair of their (M, 3)
+    outputs and the stack. A pass in ``workspace``, one made for
+    ``params.spec``, lives in its buffers, grown to fit, and records what
     ``workspace.gradient`` reads; without one every array is fresh. The pass
     runs, and returns its outputs, in the dtype of ``params.flat``.
     """
     spec, dtype = params.spec, params.flat.dtype
     x = np.asarray(x, dtype=np.float64)
-    d = np.empty((0, spec.input_dim)) if directions is None else np.asarray(directions, dtype=np.float64)
     v = np.empty((0, spec.input_dim)) if values is None else np.asarray(values, dtype=np.float64)
-    if any(a.ndim != 2 or a.shape[1] != spec.input_dim for a in (x, d, v)):
-        raise ConfigError(f"inputs, directions and value rows must have {spec.input_dim} columns, "
-                          f"got shapes {x.shape}, {d.shape} and {v.shape}")
-    counts = n_values, n_rows, k = v.shape[0], x.shape[0], d.shape[0]
+    if any(a.ndim != 2 or a.shape[1] != spec.input_dim for a in (x, v)):
+        raise ConfigError(f"inputs and value rows must have {spec.input_dim} columns, "
+                          f"got shapes {x.shape} and {v.shape}")
+    counts = n_values, n_rows, axes = v.shape[0], x.shape[0], list(axes)
+    # a negative column would wrap, and a repeated one would drop a term of the reverse's column sums
+    if not all(_is_kind(a, int) and 0 <= a < spec.input_dim for a in axes) or len(set(axes)) < len(axes):
+        raise ConfigError(f"axes must be distinct input columns in [0, {spec.input_dim}), got {axes!r}")
     ws, saved = workspace, None
     if ws is not None:
         if ws.spec != spec:
             raise ConfigError("the workspace was made for another architecture")
         ws._hold(dtype)
         ws._last, saved = None, []
-    h = _take(ws, "input", (n_values + n_rows + k, spec.input_dim), dtype)
-    h[:n_values], h[n_values : n_values + n_rows], h[n_values + n_rows :] = v, x, d
+    h = _take(ws, "input", (n_values + n_rows, spec.input_dim), dtype)
+    h[:n_values], h[n_values:] = v, x
     weights = _pass_weights(params, ws)
     for name, (w, b) in zip(CHAIN, weights):
         h = _layer(name, w, b, h, counts, ws, saved)
     if ws is not None:
         ws._last = (counts, values is not None, weights, saved)
-    stack = h[n_values:].reshape(k + 1, n_rows, len(FIELD_ORDER))
+    stack = h[n_values:].reshape(len(axes) + 1, n_rows, len(FIELD_ORDER))
     return stack if values is None else (h[:n_values], stack)
 
 

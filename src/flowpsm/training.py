@@ -495,14 +495,13 @@ def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
     collocation rows, which alone carry tangent rows along the z* and t*
     axes. ``collocation`` is None when beta is 0; L_p is then 0 and
     not evaluated, and the pass is the measurement rows' alone, with no
-    directions.
+    tangent rows.
     """
     if collocation is None:
         pred = stacked_forward(params, batch.inputs, workspace=workspace)[0]
     else:
         lay = input_layout(scenario)
-        axes = np.eye(params.spec.input_dim)[[lay.z_col, lay.t_col]]
-        pred, stack = stacked_forward(params, collocation, axes, workspace, values=batch.inputs)
+        pred, stack = stacked_forward(params, collocation, (lay.z_col, lay.t_col), workspace, values=batch.inputs)
         loss_p, _, g_stack = physics_loss(collocation, stack, scenario, scaling)
     pred = np.asarray(pred, dtype=np.float64)
     loss_m = measurement_loss(pred, batch.targets)

@@ -60,19 +60,23 @@ def oinf_rows_by_powers(ssm: LinearSSM, constraints: ConstraintSet, horizon: int
     return np.vstack(Hx_blocks), np.vstack(Hv_blocks), np.concatenate(h_blocks)
 
 
-def per_field_pass(params: ParamStore, x: np.ndarray, directions: np.ndarray, cotangent, values=None):
+def per_field_pass(params: ParamStore, x: np.ndarray, axes, cotangent, values=None):
     """Outputs and flat parameter gradient of the net, assembled from each field's named tensors.
 
     The per-field views are concatenated into one (3 tail, inter) tails layer
     and one block-diagonal (3 tail, 3) outs layer; every layer then runs as
     one 2-D matmul over all rows: the value rows (``values``, then ``x``),
-    then one block of tangent rows per direction. It uses the kernel's numpy
-    operations in the kernel's order on fresh arrays, so ``stacked_forward``
-    and ``Workspace.gradient`` must match it bit for bit. ``cotangent`` and
-    the returned outputs are shaped as the kernel's: the (k+1, B, 3) stack,
-    or the (value-row, stack) pair when ``values`` is given.
+    then one block of tangent rows per axis. The axes enter as unit direction
+    rows: head0's tangent pre-activations are their matmul with W0^T, and
+    head0's weight gradient takes the row sums' matmul with them. Otherwise it
+    uses the kernel's numpy operations in the kernel's order on fresh arrays,
+    so ``stacked_forward`` and ``Workspace.gradient`` must match it bit for
+    bit. ``cotangent`` and the returned outputs are shaped as the kernel's:
+    the (k+1, B, 3) stack, or the (value-row, stack) pair when ``values`` is
+    given.
     """
     dtype = params.flat.dtype
+    directions = np.eye(params.spec.input_dim, dtype=dtype)[list(axes)]
     n, k, n_rows, t = len(FIELD_ORDER), len(directions), len(x), params.spec.tail_width
     v = np.empty((0, x.shape[1]), dtype) if values is None else np.asarray(values, dtype)
     m = len(v)

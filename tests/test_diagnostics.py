@@ -159,8 +159,8 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
         rows[:, lay.t_col] = 0.5
         rows[:, lay.v_cols] = vi
         rows[:, lay.x0_cols] = xi
-        tan_z = stacked_forward(params, rows, np.eye(lay.input_dim)[[lay.z_col]])[1]
-        tan_t = stacked_forward(params, rows, np.eye(lay.input_dim)[[lay.t_col]])[1]
+        tan_z = stacked_forward(params, rows, (lay.z_col,))[1]
+        tan_t = stacked_forward(params, rows, (lay.t_col,))[1]
         closures = pointwise_closures(tiny_scenario, z, scaling.unscale_v(rows[:, lay.v_cols]))
         expected.append(physics_residuals(forward(params, rows).T, tan_z.T, tan_t.T,
                                           closures, tiny_scenario, scaling))
@@ -179,8 +179,7 @@ def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenar
     v, x0 = picked[:, lay.v_cols], picked[:, lay.x0_cols]
     z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     rows = query_rows(lay, scaling.scale_z(z), 0.5, v, x0)
-    axes = np.eye(lay.input_dim)[[lay.z_col, lay.t_col]]
-    outs, tan_z, tan_t = (y.T for y in stacked_forward(params, rows, axes))
+    outs, tan_z, tan_t = (y.T for y in stacked_forward(params, rows, (lay.z_col, lay.t_col)))
     closures = pointwise_closures(tiny_scenario, np.tile(z, n_conditions),
                                   scaling.unscale_v(rows[:, lay.v_cols]))
     expected = physics_residuals(outs, tan_z, tan_t, closures, tiny_scenario, scaling)

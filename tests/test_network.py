@@ -76,23 +76,22 @@ def test_forward_matches_layer_by_layer_reference(params, rng):
 def test_tangents_match_finite_difference(params, rng):
     x = rng.standard_normal((4, 5))
     h = 1e-6
-    dirs = np.vstack([np.eye(5), rng.standard_normal((2, 5))])
-    J = stacked_forward(params, x, dirs)[1:]  # one pass for all seven directions
-    assert J.shape == (7, 4, 3)
-    for d, got in zip(dirs, J):
+    J = stacked_forward(params, x, range(5))[1:]  # one pass for all five axes
+    assert J.shape == (5, 4, 3)
+    for d, got in zip(np.eye(5), J):
         fd = (forward(params, x + h * d) - forward(params, x - h * d)) / (2 * h)
         assert np.allclose(got, fd, atol=1e-7)
-    assert np.allclose(stacked_forward(params, x[:1], dirs[2:3])[1, 0], J[2, 0])
+    assert np.allclose(stacked_forward(params, x[:1], (2,))[1, 0], J[2, 0])
 
 
 def test_tangents_match_one_direction_passes(params, rng):
     x = rng.standard_normal((4, 5))
-    dirs = np.eye(5)[[1, 3]]
-    out = stacked_forward(params, x, dirs)
+    axes = (1, 3)
+    out = stacked_forward(params, x, axes)
     assert out.shape == (3, 4, 3)
     assert np.array_equal(out[0], forward(params, x))
-    for d, got in zip(dirs, out[1:]):
-        assert np.allclose(got, stacked_forward(params, x, d[None])[1], atol=1e-12)
+    for a, got in zip(axes, out[1:]):
+        assert np.allclose(got, stacked_forward(params, x, (a,))[1], atol=1e-12)
 
 
 @pytest.mark.parametrize("n_rows", [1, 6, 87])
@@ -103,7 +102,7 @@ def test_input_jacobian_matches_the_tangent_pass(rng, n_rows):
     store.flat += 0.05 * rng.standard_normal(store.n_params)
     x = rng.standard_normal((n_rows, 5))
     y, J = input_jacobian(store, x)
-    want = stacked_forward(store, x, np.eye(5))  # (1 + 5, B, 3)
+    want = stacked_forward(store, x, range(5))  # (1 + 5, B, 3)
     assert y.tobytes() == forward(store, x).tobytes()
     assert J.shape == (3, n_rows, 5)
     tangents = want[1:].transpose(2, 1, 0)  # J[f, b, i] = d y[b, f] / d x[b, i]
@@ -129,13 +128,13 @@ def test_chain_matches_the_per_field_reference_bit_for_bit(rng, widths):
     store.flat += 0.05 * rng.standard_normal(store.n_params)
     for k in (0, 2):
         for n_rows in (1, 7, 130):
-            x, dirs = rng.standard_normal((n_rows, 5)), rng.standard_normal((k, 5))
+            x, axes = rng.standard_normal((n_rows, 5)), (3, 1)[:k]
             for cot in (rng.standard_normal((k + 1, n_rows, 3)),
                         rng.standard_normal((k + 1, 3, n_rows)).transpose(0, 2, 1)):
-                want_out, want_grad = per_field_pass(store, x, dirs, cot)
+                want_out, want_grad = per_field_pass(store, x, axes, cot)
                 ws = Workspace(spec)
-                assert stacked_forward(store, x, dirs, workspace=ws).tobytes() == want_out.tobytes()
-                assert stacked_forward(store, x, dirs).tobytes() == want_out.tobytes()
+                assert stacked_forward(store, x, axes, workspace=ws).tobytes() == want_out.tobytes()
+                assert stacked_forward(store, x, axes).tobytes() == want_out.tobytes()
                 assert ws.gradient(cot).tobytes() == want_grad.tobytes()
             if k == 0:  # forward's plain value pass gives the kernel's values
                 assert forward(store, x).tobytes() == want_out[0].tobytes()
@@ -149,34 +148,34 @@ def test_merged_pass_matches_the_per_field_reference_bit_for_bit(rng, dtype):
     store.flat += 0.05 * rng.standard_normal(store.n_params)
     store = ParamStore(spec=spec, flat=store.flat.astype(dtype), layout=store.layout)
     for n_values, n_rows in ((1, 1), (128, 256), (80, 256)):
-        v, x, dirs = rng.standard_normal((n_values, 5)), rng.standard_normal((n_rows, 5)), np.eye(5)[[0, 1]]
+        v, x = rng.standard_normal((n_values, 5)), rng.standard_normal((n_rows, 5))
         cot = (rng.standard_normal((n_values, 3)), rng.standard_normal((3, 3, n_rows)).transpose(0, 2, 1))
-        (want_v, want_stack), want_grad = per_field_pass(store, x.astype(dtype), dirs.astype(dtype),
+        (want_v, want_stack), want_grad = per_field_pass(store, x.astype(dtype), (0, 1),
                                                          tuple(c.astype(dtype) for c in cot), v.astype(dtype))
         ws = Workspace(spec)
-        got_v, got_stack = stacked_forward(store, x, dirs, workspace=ws, values=v)
+        got_v, got_stack = stacked_forward(store, x, (0, 1), workspace=ws, values=v)
         assert got_v.dtype == got_stack.dtype == dtype
         assert got_v.tobytes() == want_v.tobytes() and got_stack.tobytes() == want_stack.tobytes()
         assert ws.gradient(cot).tobytes() == want_grad.astype(np.float64).tobytes()
 
 
 def test_value_rows_beside_tangent_rows_give_the_values_of_forward(rng):
-    v, x, dirs = rng.standard_normal((7, 5)), rng.standard_normal((4, 5)), rng.standard_normal((2, 5))
+    v, x, axes = rng.standard_normal((7, 5)), rng.standard_normal((4, 5)), (4, 2)
     params = init_params(SPEC, seed=3)
     for ws in (None, Workspace(SPEC)):
-        got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=v)
+        got_v, got_stack = stacked_forward(params, x, axes, workspace=ws, values=v)
         assert got_v.shape == (7, 3) and got_stack.shape == (3, 4, 3)
         assert np.array_equal(got_v, forward(params, v))
-        assert np.array_equal(got_stack, stacked_forward(params, x, dirs))
+        assert np.array_equal(got_stack, stacked_forward(params, x, axes))
     # a pass given no value rows still returns, and its gradient still takes, a pair
     ws = Workspace(SPEC)
-    got_v, got_stack = stacked_forward(params, x, dirs, workspace=ws, values=np.empty((0, 5)))
-    assert got_v.shape == (0, 3) and np.array_equal(got_stack, stacked_forward(params, x, dirs))
+    got_v, got_stack = stacked_forward(params, x, axes, workspace=ws, values=np.empty((0, 5)))
+    assert got_v.shape == (0, 3) and np.array_equal(got_stack, stacked_forward(params, x, axes))
     cot = rng.standard_normal((3, 4, 3))
     with pytest.raises(ConfigError):  # the stack alone, for a pass that returned a pair
         ws.gradient(cot)
     grad = ws.gradient((np.empty((0, 3)), cot))
-    stacked_forward(params, x, dirs, workspace=ws)
+    stacked_forward(params, x, axes, workspace=ws)
     assert grad.tobytes() == ws.gradient(cot).tobytes()
 
 
@@ -186,7 +185,7 @@ def test_a_ragged_last_batch_in_a_reused_workspace_matches_a_fresh_one(rng):
     spec = MlpSpec(22, 64, 32, 32)
     store = init_params(spec, seed=2)
     low = _float32_copy(store)
-    axes = np.eye(22)[[0, 1]]
+    axes = (0, 1)
     ws = Workspace(spec)
     for n_values in (128, 80):
         v, x = rng.uniform(0.0, 1.0, (n_values, 22)), rng.uniform(0.0, 1.0, (256, 22))
@@ -212,16 +211,16 @@ def test_float32_store_runs_a_float32_pass_and_reverse(rng, widths):
     low = _float32_copy(store)
     f32 = np.dtype(np.float32)
     for k in (0, 2):
-        x, dirs = rng.standard_normal((130, 5)), rng.standard_normal((k, 5))
+        x, axes = rng.standard_normal((130, 5)), (3, 1)[:k]
         cot = rng.standard_normal((k + 1, 130, 3))
         ws = Workspace(spec)
-        out = stacked_forward(low, x, dirs, workspace=ws)
+        out = stacked_forward(low, x, axes, workspace=ws)
         grad = ws.gradient(cot)
-        fresh = stacked_forward(low, x, dirs)
+        fresh = stacked_forward(low, x, axes)
         assert out.dtype == f32 and fresh.dtype == f32
         assert grad.dtype == np.float64
         assert {b.dtype for b in ws._flat.values()} == {f32} and ws._grad.dtype == f32
-        want_out, want_grad = per_field_pass(low, x.astype(f32), dirs.astype(f32), cot.astype(f32))
+        want_out, want_grad = per_field_pass(low, x.astype(f32), axes, cot.astype(f32))
         assert out.tobytes() == want_out.tobytes() and fresh.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.astype(np.float64).tobytes()
         if k == 0:  # forward's plain value pass gives the kernel's values in float32 too
@@ -239,7 +238,7 @@ def test_float32_pass_agrees_with_float64_within_a_bound_from_its_eps(rng, width
     spec = MlpSpec(5, *widths)
     store = init_params(spec, seed=2)
     store.flat += 0.05 * rng.standard_normal(store.n_params)
-    x, axes = rng.uniform(0.0, 1.0, (256, 5)), np.eye(5)[[0, 1]]  # the z* and t* axes
+    x, axes = rng.uniform(0.0, 1.0, (256, 5)), (0, 1)  # the z* and t* axes
     cot = rng.standard_normal((3, 256, 3))
     passes = []
     for params in (store, _float32_copy(store)):
@@ -254,12 +253,12 @@ def test_workspace_follows_the_precision_of_each_store(params, rng):
     # one workspace alternating float64 and float32 stores: each pass and gradient is
     # bit-identical to a fresh workspace's
     ws = Workspace(SPEC)
-    dirs = rng.standard_normal((2, 5))
+    axes = (2, 0)
     for store in (params, _float32_copy(params), params, _float32_copy(params)):
         x, cot = rng.standard_normal((6, 5)), rng.standard_normal((3, 6, 3))
         fresh = Workspace(SPEC)
-        out = stacked_forward(store, x, dirs, workspace=ws)
-        want = stacked_forward(store, x, dirs, workspace=fresh)
+        out = stacked_forward(store, x, axes, workspace=ws)
+        want = stacked_forward(store, x, axes, workspace=fresh)
         assert out.dtype == store.flat.dtype and out.tobytes() == want.tobytes()
         assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
 
@@ -267,11 +266,11 @@ def test_workspace_follows_the_precision_of_each_store(params, rng):
 def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     # losses built from values and directional derivatives must backprop exactly
     x = rng.standard_normal((3, 5))
-    dirs = np.eye(5)[[0, 2]]
+    axes = (0, 2)
     weights = rng.standard_normal((3, 3, 3))
 
     def loss_value(store):
-        y = stacked_forward(store, x, dirs)
+        y = stacked_forward(store, x, axes)
         return float(np.sum(weights * y) + np.sum(y[1:] ** 2))
 
     spec = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=4)
@@ -279,7 +278,7 @@ def test_gradient_of_tangent_loss_matches_finite_difference(rng):
     store.flat += 0.1 * rng.standard_normal(store.n_params)  # nonzero biases
     ws = Workspace(spec)
     cot = weights.copy()
-    cot[1:] += 2.0 * stacked_forward(store, x, dirs, workspace=ws)[1:]
+    cot[1:] += 2.0 * stacked_forward(store, x, axes, workspace=ws)[1:]
     grad = ws.gradient(cot)
 
     h = 1e-6
@@ -352,7 +351,7 @@ def test_optimizer_rejects_non_finite_gradient(params):
 def test_gradient_zero_in_unused_tail_branches(params, rng):
     # a loss on one field alone reaches its own tail and output, and none of the other two
     ws = Workspace(SPEC)
-    out = stacked_forward(params, rng.standard_normal((2, 5)), np.eye(5)[[0, 1]], workspace=ws)
+    out = stacked_forward(params, rng.standard_normal((2, 5)), (0, 1), workspace=ws)
 
     def block(g, name):
         start, stop = next((s, e) for nm, _, s, e in params.layout if nm == name)
@@ -370,12 +369,12 @@ def test_gradient_zero_in_unused_tail_branches(params, rng):
 
 
 def test_perturbing_one_branch_leaves_the_others_bit_unchanged(params, rng):
-    x, dirs = rng.standard_normal((5, 5)), rng.standard_normal((2, 5))
-    before = stacked_forward(params, x, dirs).copy()
+    x, axes = rng.standard_normal((5, 5)), (1, 4)
+    before = stacked_forward(params, x, axes).copy()
     for name in ("tail_u.w", "tail_u.b", "out_u.w", "out_u.b"):
         params.view(name)[...] += rng.standard_normal(params.view(name).shape)
     for ws in (None, Workspace(SPEC)):
-        after = stacked_forward(params, x, dirs, workspace=ws)
+        after = stacked_forward(params, x, axes, workspace=ws)
         assert np.array_equal(after[..., [0, 2]], before[..., [0, 2]])  # p and T, values and tangents
         assert np.all(after[..., 1] != before[..., 1])
 
@@ -403,10 +402,13 @@ def test_stacked_forward_validates_shapes(params, rng):
     x = rng.standard_normal((3, 5))
     with pytest.raises(ConfigError):
         stacked_forward(params, x[:, :4])
-    with pytest.raises(ConfigError):
-        stacked_forward(params, x, np.eye(4))
+    # out of range, negative (numpy would wrap it), repeated (a fancy-index += keeps one of the two
+    # column sums), a bool, a non-integer, and a stack of direction rows
+    for axes in ((0, 5), (-1,), (1, 1), (0, True), (0, 1.0), (0.5,), ("0",), np.eye(5)[:2]):
+        with pytest.raises(ConfigError, match="axes must be distinct input columns"):
+            stacked_forward(params, x, axes)
     ws = Workspace(SPEC)
-    stacked_forward(params, x, np.eye(5)[:2], workspace=ws)
+    stacked_forward(params, x, (0, 1), workspace=ws)
     with pytest.raises(ConfigError):
         ws.gradient(np.zeros((2, 3, 3)))
 
@@ -419,11 +421,11 @@ def test_gradient_needs_saved_activations():
 def test_gradient_reverses_the_last_pass(params, rng):
     # passes of 7, 3 and 5 rows on one workspace: its gradient is the 5-row pass's, bit for bit
     ws, fresh = Workspace(SPEC), Workspace(SPEC)
-    dirs = rng.standard_normal((2, 5))
+    axes = (0, 3)
     for n_rows in (7, 3, 5):
         x = rng.standard_normal((n_rows, 5))
-        stacked_forward(params, x, dirs, workspace=ws)
-    stacked_forward(params, x, dirs, workspace=fresh)
+        stacked_forward(params, x, axes, workspace=ws)
+    stacked_forward(params, x, axes, workspace=fresh)
     cot = rng.standard_normal((3, 5, 3))
     assert ws.gradient(cot).tobytes() == fresh.gradient(cot).tobytes()
     with pytest.raises(ConfigError):  # a cotangent shaped for the 7-row pass
@@ -431,23 +433,23 @@ def test_gradient_reverses_the_last_pass(params, rng):
 
 
 def test_workspace_reuse_matches_fresh_passes(rng):
-    # one workspace, passes whose row and direction counts grow its buffers, shrink and grow
-    # again: k = 0 (a value pass), 2 (training's z* and t* axes) and 20 (input_dim - 2
-    # directions). Every pass and gradient is bit-identical to a fresh workspace's and to
+    # one workspace, passes whose row and axis counts grow its buffers, shrink and grow
+    # again: k = 0 (a value pass), 2 (training's z* and t* axes) and 20 (distinct axes of
+    # the 22). Every pass and gradient is bit-identical to a fresh workspace's and to
     # workspace-free outputs
     spec = MlpSpec(22, 16, 8, 8)
     store = init_params(spec, seed=4)
     ws = Workspace(spec)
     for k, n_rows, n_values in ((2, 7, 0), (0, 3, 0), (20, 6, 0), (2, 1, 5), (0, 7, 0), (20, 2, 0), (2, 9, 3)):
-        x, dirs = rng.standard_normal((n_rows, 22)), rng.standard_normal((k, 22))
+        x, axes = rng.standard_normal((n_rows, 22)), rng.permutation(22)[:k]
         values = rng.standard_normal((n_values, 22)) if n_values else None
         cot = rng.standard_normal((k + 1, n_rows, 3))
         if n_values:
             cot = (rng.standard_normal((n_values, 3)), cot)
         fresh_ws = Workspace(spec)
-        fresh = stacked_forward(store, x, dirs, workspace=fresh_ws, values=values)
-        reused = stacked_forward(store, x, dirs, workspace=ws, values=values)
-        bare = stacked_forward(store, x, dirs, values=values)
+        fresh = stacked_forward(store, x, axes, workspace=fresh_ws, values=values)
+        reused = stacked_forward(store, x, axes, workspace=ws, values=values)
+        bare = stacked_forward(store, x, axes, values=values)
         for got in (reused, bare):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, fresh))
         assert ws.gradient(cot).tobytes() == fresh_ws.gradient(cot).tobytes()
@@ -455,25 +457,25 @@ def test_workspace_reuse_matches_fresh_passes(rng):
 
 def test_workspace_rejects_misuse(params, rng):
     ws = Workspace(SPEC)
-    x, dirs = rng.standard_normal((4, 5)), np.eye(5)[:2]
+    x, axes = rng.standard_normal((4, 5)), (0, 1)
     other = MlpSpec(input_dim=5, head_width=8, intermediate_width=6, tail_width=5)
     with pytest.raises(ConfigError, match="another architecture"):
-        stacked_forward(init_params(other, 0), x, dirs, workspace=ws)
+        stacked_forward(init_params(other, 0), x, axes, workspace=ws)
 
 
 def test_passes_without_workspace_survive_later_calls(params, rng):
-    x, dirs = rng.standard_normal((6, 5)), np.eye(5)[:2]
+    x, axes = rng.standard_normal((6, 5)), (0, 1)
     y = forward(params, x)
-    J = stacked_forward(params, x, dirs)[1:]
+    J = stacked_forward(params, x, axes)[1:]
     ws = Workspace(SPEC)
-    stacked_forward(params, x, dirs, workspace=ws)
+    stacked_forward(params, x, axes, workspace=ws)
     g = ws.gradient(np.ones((3, 6, 3)))
     y0, J0, g0 = y.copy(), J.copy(), g.copy()
     for _ in range(2):
         x2 = rng.standard_normal((6, 5))
         forward(params, x2)
-        stacked_forward(params, x2, dirs)
-        stacked_forward(params, x2, dirs, workspace=ws)
+        stacked_forward(params, x2, axes)
+        stacked_forward(params, x2, axes, workspace=ws)
         ws.gradient(np.ones((3, 6, 3)))
     assert np.array_equal(y, y0) and np.array_equal(J, J0)
     assert np.array_equal(g, g0)  # a gradient is the caller's, not the workspace's

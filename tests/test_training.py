@@ -310,7 +310,7 @@ def test_one_pass_gradient_is_the_sum_of_a_measurement_and_a_physics_pass(tiny_s
     ws_m, ws_p = Workspace(spec), Workspace(spec)
     pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
     grad_m = ws_m.gradient(np.tanh(pred - batch.targets)[None] * (alpha / batch.targets.size))
-    stack = stacked_forward(params, colloc, np.eye(lay.input_dim)[[lay.z_col, lay.t_col]], workspace=ws_p)
+    stack = stacked_forward(params, colloc, (lay.z_col, lay.t_col), workspace=ws_p)
     want_lp, _, g_stack = physics_loss(colloc, stack, tiny_scenario, scaling)
     want = grad_m + ws_p.gradient(beta * g_stack)
     assert lm == measurement_loss(pred, batch.targets) and lp == want_lp
@@ -377,7 +377,7 @@ def test_physics_loss_validates_collocation(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     good = np.zeros((4, spec.input_dim))
-    stack = stacked_forward(init_params(spec, 0), good, np.eye(spec.input_dim)[:2])
+    stack = stacked_forward(init_params(spec, 0), good, (0, 1))
     physics_loss(good, stack, tiny_scenario, scaling)
     with pytest.raises(ConfigError):
         physics_loss(np.zeros((4, 3)), stack, tiny_scenario, scaling)

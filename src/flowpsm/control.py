@@ -452,7 +452,8 @@ def ncg_rollout(
     """Run the governed control loop along a physical reference trajectory.
 
     references is (K, p) in physical units. Each step: refresh the
-    linearization every ``update_interval`` steps (and rebuild the admissible
+    linearization when ``update_interval`` steps have passed since the last
+    one, steps without constraints included (and rebuild the admissible
     set whenever the linearization or the active constraint set changed),
     filter r_k through the command governor, and apply the result to the
     environment: the reference solver, or the model itself when
@@ -478,6 +479,7 @@ def ncg_rollout(
     cset_prev = None
     oinf = None
     ssm = None
+    k_lin = 0  # the step of the last linearization
     names = []
     for _, cset in schedule.entries:
         for row in cset.rows:
@@ -487,12 +489,12 @@ def ncg_rollout(
 
     for k in range(refs.shape[0]):
         r_scaled = scaling.scale_v(refs[k])
-        relin_due = ssm is None or (k % config.update_interval == 0)
+        relin_due = ssm is None or k - k_lin >= config.update_interval
         cset_k = schedule.active(k)
         if cset_k.n_rows > 0 and (relin_due or cset_k is not cset_prev or oinf is None):
             # linearization refresh first, then the constraint update
             if relin_due:
-                ssm = linearize(params, scenario, scaling, x_k, v_prev)
+                ssm, k_lin = linearize(params, scenario, scaling, x_k, v_prev), k
                 log.relinearizations += 1
             oinf = build_oinf(ssm, cset_k, horizon=config.horizon, epsilon=config.epsilon)
         if cset_k.n_rows == 0:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FIELD_ORDER, ParamStore, forward, stacked_forward
+from .network import FIELD_ORDER, ParamStore, Workspace, forward, stacked_forward
 from .solver import SimulationRecord
 from .training import (
     Dataset,
-    PdeResidualSet,
     TrainConfig,
     check_stream_compatible,
     input_layout,
@@ -120,17 +119,22 @@ def detect(errors: np.ndarray, config: DetectorConfig) -> DetectionResult:
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1:
         raise ConfigError("detector expects a 1-D error sequence")
-    n_win = errors.size // config.window
-    if n_win == 0:
+    if errors.size < config.window:
         raise ConfigError(
             f"need at least {config.window} error samples for one window, got {errors.size}"
         )
-    means = errors[: n_win * config.window].reshape(n_win, config.window).mean(axis=1)
+    means = _window_means(errors, config.window)
     hits = means > config.zeta
     if hits.any():
         first = int(np.argmax(hits))
         return DetectionResult(tripped=True, trip_index=first * config.window, window_means=means)
     return DetectionResult(tripped=False, trip_index=None, window_means=means)
+
+
+def _window_means(seq: np.ndarray, window: int) -> np.ndarray:
+    """Mean of each complete, non-overlapping window of ``window`` steps; a trailing partial window is dropped."""
+    n_win = seq.size // window
+    return seq[: n_win * window].reshape(n_win, window).mean(axis=1)
 
 
 def calibrate_zeta(
@@ -146,13 +150,8 @@ def calibrate_zeta(
         raise ConfigError("detector window must be >= 1 step")
     if not 0.0 <= percentile <= 100.0:
         raise ConfigError(f"percentile must lie in [0, 100], got {percentile}")
-    means = []
-    for seq in error_sequences:
-        seq = np.asarray(seq, dtype=np.float64)
-        n_win = seq.size // window
-        if n_win:
-            means.append(seq[: n_win * window].reshape(n_win, window).mean(axis=1))
-    if not means:
+    means = [_window_means(np.asarray(seq, dtype=np.float64), window) for seq in error_sequences]
+    if not any(m.size for m in means):
         raise ConfigError("no complete windows in the calibration sequences")
     return float(multiplier * np.percentile(np.concatenate(means), percentile))
 
@@ -187,7 +186,8 @@ def transfer_learn_twin(
 # ===================== residual signatures =====================
 
 _MID_STEP = 0.5  # scaled t* at which the residual profiles are taken
-_RESIDUAL_CHUNK = 640  # rows per kernel pass, so a pass's scratch stays small at any condition count
+# rows per kernel pass, so the workspace holding a pass stays small at any condition count: 1.7 MB at 64/32/32
+_RESIDUAL_CHUNK = 160
 
 
 def sample_conditions(
@@ -215,14 +215,15 @@ def pde_residuals(
     scaling: ScalingSpec,
     v_star: np.ndarray,
     x0_star: np.ndarray,
-) -> tuple[np.ndarray, PdeResidualSet]:
-    """Signed transport residual profiles of a trained map.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed transport residual profiles of a trained map: grid centers z and (3, nz) profiles.
 
     Evaluates the nondimensional mass/momentum/energy residuals on the
     scenario grid centers at mid-step time, for every supplied scaled
     (v, x0) condition row, and averages them signed over conditions. The
-    result is a spatial fingerprint of where the learned dynamics disagree
-    with the nominal balance closures.
+    profiles are in mass, momentum, energy order. They are a spatial
+    fingerprint of where the learned dynamics disagree with the nominal
+    balance closures. The rows run through one workspace, a chunk per pass.
     """
     v_star = np.atleast_2d(np.asarray(v_star, dtype=np.float64))
     x0_star = np.atleast_2d(np.asarray(x0_star, dtype=np.float64))
@@ -239,17 +240,17 @@ def pde_residuals(
 
     axes = (lay.z_col, lay.t_col)
     stacked = np.empty((1 + len(axes), len(rows), len(FIELD_ORDER)))
+    ws = Workspace(params)
     for lo in range(0, len(rows), _RESIDUAL_CHUNK):
         chunk = slice(lo, lo + _RESIDUAL_CHUNK)
-        stacked[:, chunk] = stacked_forward(params, rows[chunk], axes)
+        stacked[:, chunk] = stacked_forward(params, ws, rows[chunk], axes)[1]
     outs, tan_z, tan_t = (y.T for y in stacked)
 
     closures = pointwise_closures(
         scenario, np.tile(zc, n_cond), scaling.unscale_v(rows[:, lay.v_cols])
     )
     r = physics_residuals(outs, tan_z, tan_t, closures, scenario, scaling)
-    mass, momentum, energy = (part.reshape(n_cond, nz).mean(axis=0) for part in r)
-    return zc.copy(), PdeResidualSet(mass=mass, momentum=momentum, energy=energy)
+    return zc.copy(), np.stack([part.reshape(n_cond, nz).mean(axis=0) for part in r])
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,8 @@ def signature(
     Both models see the same condition rows; the changed physics then
     cancels everywhere except where the twin learned different dynamics.
     """
-    z, nom = pde_residuals(nominal_params, scenario, scaling, v_star, x0_star)
-    _, tw = pde_residuals(twin_params, scenario, scaling, v_star, x0_star)
-    equations = ("mass", "momentum", "energy")
-    nominal = np.stack([getattr(nom, eq) for eq in equations])
-    twin = np.stack([getattr(tw, eq) for eq in equations])
+    z, nominal = pde_residuals(nominal_params, scenario, scaling, v_star, x0_star)
+    _, twin = pde_residuals(twin_params, scenario, scaling, v_star, x0_star)
     difference = twin - nominal
     scaled = np.zeros_like(difference)
     for i, row in enumerate(difference):
@@ -295,7 +293,7 @@ def signature(
             scaled[i] = row / peak
     return ResidualSignature(
         z=z,
-        equations=equations,
+        equations=("mass", "momentum", "energy"),
         nominal=nominal,
         twin=twin,
         difference=difference,

@@ -19,15 +19,16 @@ gate 1 - h^2 scales the tangent rows. head0's tangent pre-activations are
 W0's columns at the axes, broadcast over the rows. A ``ParamStore`` is the
 model: its ``spec`` is the architecture.
 
-A pass run in a ``Workspace`` records in the workspace's buffers, which
-training reuses batch after batch, what the reverse pass reads;
-``Workspace.gradient`` is that hand-written reverse of the last pass
-(forward-over-reverse), so a loss built from values and directional
-derivatives gets its exact parameter gradient. The tanh reverse reads the
-saved post-gate tangents, which are the next layer's input. Training runs a
-psm batch as one such pass, its measurement rows as value-only rows beside
-the collocation rows, and one reverse. Passes without a workspace allocate
-fresh arrays.
+Every kernel pass runs in a ``Workspace`` made for its store, and returns
+the pair of its value rows' outputs and its stack. It records in the
+workspace's buffers, which training and the residual maps reuse pass after
+pass, what the reverse pass reads; ``Workspace.gradient`` is that
+hand-written reverse of the last pass (forward-over-reverse), so a loss
+built from values and directional derivatives gets its exact parameter
+gradient. The tanh reverse reads the saved post-gate tangents, which are
+the next layer's input. Training runs a psm batch as one such pass, its
+measurement rows as value-only rows beside the collocation rows, and one
+reverse; an ann batch is the same pass with no collocation rows.
 
 ``forward`` (model steps, eval rollouts, prediction errors) is a plain value
 pass: per CHAIN layer a matmul, the bias and tanh, and no gate, since nothing
@@ -37,11 +38,12 @@ input Jacobian of all three outputs, which the governors' linearization
 reads: 3B cotangent rows, fewer than the input_dim B tangent rows forward
 mode would carry.
 
-A pass takes its precision from the store it is given. A store whose flat
-vector is float32, as training's copy of the parameters is, runs the pass
-and its reverse in float32 in float32 buffers; ``Workspace.gradient`` still
-returns float64. The stores that training updates, saves and loads are
-float64, so every other pass runs in float64.
+A pass takes its precision from the store it is given, and its workspace
+has that store's precision. A store whose flat vector is float32, as
+training's copy of the parameters is, runs the pass and its reverse in
+float32 in float32 buffers; ``Workspace.gradient`` still returns float64.
+The stores that training updates, saves and loads are float64, so every
+other pass runs in float64.
 """
 
 from __future__ import annotations
@@ -192,57 +194,48 @@ def _chain_views(flat: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]
 
 
 class Workspace:
-    """Buffers that the passes of one ``spec``'s networks write into, pass after pass.
+    """Buffers that the passes of one store write into, pass after pass.
 
-    It holds the pass's input block and gathered tail and output weights,
-    every layer's (rows, width) output, the tanh gates the reverse pass reads,
-    and one set of reverse scratch shared by all layers. Each buffer is flat
-    and grows to the largest pass that takes it, whatever its row and axis
-    counts; a pass uses its leading, contiguous part. ``gradient`` reverses
-    the last pass, which the next one overwrites.
+    It is made for one ``ParamStore``, and holds buffers of that store's
+    architecture and precision: every layer's (rows, width) output, the pass's
+    input block, the tanh gates the reverse pass reads, the reverse's flat
+    gradient and one set of reverse scratch shared by all layers. Each buffer
+    is flat and grows to the largest pass that takes it, whatever its row and
+    axis counts; a pass uses its leading, contiguous part. ``gradient``
+    reverses the last pass, which the next one overwrites.
     """
 
-    def __init__(self, spec: MlpSpec) -> None:
-        self.spec = spec
+    def __init__(self, params: ParamStore) -> None:
+        self.spec, self.dtype = params.spec, params.flat.dtype
         self._flat: dict[str, np.ndarray] = {}
-        # the reverse pass's flat gradient and its CHAIN views, in the last pass's dtype like every buffer
-        self._grad = self._grad_layers = None
-        # the last pass: its row counts and axes, whether it returned a pair, and per CHAIN layer
-        # its (weight, bias) and (input, output, gate)
+        # the reverse pass's flat gradient and its CHAIN views
+        self._grad = np.empty(params.n_params, self.dtype)
+        self._grad_layers = _chain_views(self._grad, params.layout)
+        # the last pass: its row counts and axes, and per CHAIN layer its (weight, bias) and (input, output, gate)
         self._last = None
-
-    def _hold(self, dtype: np.dtype) -> None:
-        """Keep buffers of ``dtype`` for the pass about to run, dropping those of another precision."""
-        if self._grad is None or self._grad.dtype != dtype:
-            layout = _layout(self.spec)
-            self._flat = {}
-            self._grad = np.empty(layout[-1][3], dtype)
-            self._grad_layers = _chain_views(self._grad, layout)
 
     def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         """The leading part of one buffer, as a contiguous array of ``shape`` in the workspace's dtype."""
         size = math.prod(shape)
         if key not in self._flat or self._flat[key].size < size:
-            self._flat[key] = np.empty(size, self._grad.dtype)
+            self._flat[key] = np.empty(size, self.dtype)
         return self._flat[key][:size].reshape(shape)
 
     def gradient(self, cotangent) -> np.ndarray:
         """Flat parameter gradient of sum(cotangent * outputs) of the last pass, aligned with the layout.
 
-        ``cotangent`` is shaped as the pass's outputs: the (k+1, B, 3) stack,
-        or the (value-row, stack) pair of a pass with value-only rows. The
-        reverse runs in the pass's precision; the gradient is returned as
-        float64.
+        ``cotangent`` is shaped as the pass's outputs: the pair of the value
+        rows' (M, 3) and the (k+1, B, 3) stack. The reverse runs in the
+        pass's precision; the gradient is returned as float64.
         """
         if self._last is None:
             raise ValueError("no pass has run in this workspace")
-        (n_values, n_rows, axes), paired, weights, saved = self._last
+        (n_values, n_rows, axes), weights, saved = self._last
         n_val, k = n_values + n_rows, len(axes)
-        parts = cotangent if paired else (np.empty((0, 3)), cotangent)
-        if not isinstance(parts, tuple) or len(parts) != 2:
-            raise ConfigError("a pass with value rows takes a (value-row, stack) cotangent pair")
+        if not isinstance(cotangent, tuple) or len(cotangent) != 2:
+            raise ConfigError("a pass takes a (value-row, stack) cotangent pair")
         g_h = self.take("g_out", (n_val + k * n_rows, len(FIELD_ORDER)))
-        for rows, part in zip((g_h[:n_values], g_h[n_values:].reshape(k + 1, n_rows, -1)), parts):
+        for rows, part in zip((g_h[:n_values], g_h[n_values:].reshape(k + 1, n_rows, len(FIELD_ORDER))), cotangent):
             if np.shape(part) != rows.shape:
                 raise ConfigError("cotangent shape does not match the pass's outputs")
             np.copyto(rows, part)
@@ -258,7 +251,7 @@ class Workspace:
                 if k:
                     # h = tanh(a) with tangents t = (1 - h^2) da: the value rows' cotangent also takes
                     # -2h * sum over axes of g_t * t
-                    g_t, g_at = (y[n_val:].reshape(k, n_rows, -1) for y in (g_h, g_a))
+                    g_t, g_at = (y[n_val:].reshape(k, n_rows, out.shape[1]) for y in (g_h, g_a))
                     # summed into g_at[0], which the gated tangent cotangents overwrite after
                     s, *rest = np.multiply(g_t, out[n_val:].reshape(g_t.shape), out=g_at)
                     for part in rest:
@@ -272,7 +265,7 @@ class Workspace:
             b_full = g_b if g_b.flags.c_contiguous else self.take("g_b", w.shape[:1])
             np.matmul(g_a[: len(h_in)].T, h_in, out=w_full)
             if i == 0 and k:  # head0's tangent pre-activations are W0's columns at the axes
-                w_full[:, axes] += (ones[:n_rows] @ g_a[n_val:].reshape(k, n_rows, -1)).T
+                w_full[:, axes] += (ones[:n_rows] @ g_a[n_val:].reshape(k, n_rows, w.shape[0])).T
             np.matmul(ones, g_a[:n_val], out=b_full)
             if gate is None:  # only the block diagonal of the outs' weight is a parameter
                 np.copyto(g_w, w_full.reshape(len(FIELD_ORDER), len(FIELD_ORDER), -1)[_BRANCHES, _BRANCHES])
@@ -286,79 +279,68 @@ class Workspace:
         return self._grad.astype(np.float64)  # a copy; the views tile it, so every entry was written
 
 
-def _take(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """The workspace's buffer for ``key``, or a fresh ``dtype`` array when there is no workspace."""
-    return np.empty(shape, dtype) if ws is None else ws.take(key, shape)
-
-
-def _pass_weights(params: ParamStore, ws: Workspace | None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pass_weights(params: ParamStore) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight (out, in), bias) per CHAIN layer for one pass.
 
     The trunk's are the store's views. The three tails are gathered into one
-    (3 tail, inter) layer, and the three scalar outputs into one
+    fresh (3 tail, inter) layer, and the three scalar outputs into one fresh
     block-diagonal (3, 3 tail) layer, held as its contiguous transpose, on
     which its forward matmul runs about twice as fast. Both are gathered
     afresh each pass, since the store is updated in place.
     """
     *trunk, (tw, tb), (ow, ob) = params.layers()
     n, t, width = tw.shape
-    dtype = params.flat.dtype
-    w_tails = _take(ws, "tails.w", (n * t, width), dtype)
-    np.copyto(w_tails.reshape(tw.shape), tw)
-    b_tails = _take(ws, "tails.b", (n * t,), dtype)
-    np.copyto(b_tails.reshape(tb.shape), tb)
-    w_outs = _take(ws, "outs.w", (n * t, n), dtype)
-    w_outs.fill(0.0)
+    w_outs = np.zeros((n * t, n), params.flat.dtype)
     w_outs.reshape(n, t, n)[_BRANCHES, :, _BRANCHES] = ow
-    return [*trunk, (w_tails, b_tails), (w_outs.T, ob)]
+    # each field's block also holds its outs weights, so merging the branch axis copies the tails
+    return [*trunk, (tw.reshape(n * t, width), tb.reshape(n * t)), (w_outs.T, ob)]
 
 
 def _layer(name: str, w: np.ndarray, b: np.ndarray, h_in: np.ndarray, counts: tuple[int, int, list[int]],
-           ws: Workspace | None, saved: list | None) -> np.ndarray:
-    """One dense layer on the stacked rows; the result is (rows, width).
+           ws: Workspace) -> tuple[np.ndarray, np.ndarray | None]:
+    """One dense layer on the stacked rows, in ``ws``'s buffers: its (rows, width) result and tanh gate.
 
     The rows are ``counts`` = (M, B, axes): M value-only rows and B
     tangent-carrying rows, then one block of B tangent rows per axis. head0's
     input is the value rows alone, and its tangent pre-activations are W0's
     columns at the axes, broadcast over the rows. Hidden layers apply tanh,
     and the gate 1 - h^2 scales the tangent rows; the ``outs`` layer is
-    linear. With a workspace, the result and what the reverse pass reads go
-    into its buffers and are appended to ``saved``.
+    linear and has no gate.
     """
     n_values, n_rows, axes = counts
     n_val, width = n_values + n_rows, w.shape[0]
-    out = _take(ws, name, (n_val + len(axes) * n_rows, width), w.dtype)
+    out = ws.take(name, (n_val + len(axes) * n_rows, width))
     gate = None
     np.matmul(h_in, w.T, out=out[: len(h_in)])
     out[:n_val] += b
     if name != "outs":
         h = np.tanh(out[:n_val], out=out[:n_val])
-        gate = np.multiply(h, h, out=_take(ws, f"{name}.gate", (n_val, width), w.dtype))
+        gate = np.multiply(h, h, out=ws.take(f"{name}.gate", (n_val, width)))
         np.subtract(1.0, gate, out=gate)
         tans = out[n_val:].reshape(len(axes), n_rows, width)
         if name == "head0":
             np.multiply(gate[n_values:], w.T[axes][:, None], out=tans)
         else:
             tans *= gate[n_values:]
-    if saved is not None:
-        saved.append((h_in, out, gate))
-    return out
+    return out, gate
 
 
-def stacked_forward(params: ParamStore, x, axes=(), workspace: Workspace | None = None, values=None):
+def stacked_forward(params: ParamStore, workspace: Workspace, x, axes=(), values=None):
     """Values and derivatives along input axes of the net in one stacked pass.
 
-    ``x`` is (B, input_dim); ``axes`` are distinct input column indices.
-    Returns the (k+1, B, 3) outputs for k axes: ``[0]`` the field triple per
-    row, ``[1 + i]`` its derivative along input column ``axes[i]``.
-    ``values``, (M, input_dim), are value-only rows that ride in the same
-    pass with no tangent rows; the return is then the pair of their (M, 3)
-    outputs and the stack. A pass in ``workspace``, one made for
-    ``params.spec``, lives in its buffers, grown to fit, and records what
-    ``workspace.gradient`` reads; without one every array is fresh. The pass
-    runs, and returns its outputs, in the dtype of ``params.flat``.
+    ``x`` is (B, input_dim) tangent-carrying rows; ``axes`` are distinct
+    input column indices; ``values``, (M, input_dim) or None for none, are
+    value-only rows that ride in the same pass with no tangent rows. Returns
+    the pair of the value rows' (M, 3) outputs and the (k+1, B, 3) stack for
+    k axes: ``[0]`` the field triple per row, ``[1 + i]`` its derivative
+    along input column ``axes[i]``. The pass runs in ``workspace``, one made
+    for a store of ``params``'s architecture and precision: both outputs are
+    views of its buffers, valid until its next pass, and it records what
+    ``workspace.gradient`` reads.
     """
-    spec, dtype = params.spec, params.flat.dtype
+    spec, ws = params.spec, workspace
+    if ws.spec != spec or ws.dtype != params.flat.dtype:
+        raise ConfigError("the workspace was made for a store of another architecture or precision")
     x = np.asarray(x, dtype=np.float64)
     v = np.empty((0, spec.input_dim)) if values is None else np.asarray(values, dtype=np.float64)
     if any(a.ndim != 2 or a.shape[1] != spec.input_dim for a in (x, v)):
@@ -368,21 +350,16 @@ def stacked_forward(params: ParamStore, x, axes=(), workspace: Workspace | None 
     # a negative column would wrap, and a repeated one would drop a term of the reverse's column sums
     if not all(_is_kind(a, int) and 0 <= a < spec.input_dim for a in axes) or len(set(axes)) < len(axes):
         raise ConfigError(f"axes must be distinct input columns in [0, {spec.input_dim}), got {axes!r}")
-    ws, saved = workspace, None
-    if ws is not None:
-        if ws.spec != spec:
-            raise ConfigError("the workspace was made for another architecture")
-        ws._hold(dtype)
-        ws._last, saved = None, []
-    h = _take(ws, "input", (n_values + n_rows, spec.input_dim), dtype)
+    ws._last = None
+    h = ws.take("input", (n_values + n_rows, spec.input_dim))
     h[:n_values], h[n_values:] = v, x
-    weights = _pass_weights(params, ws)
+    weights, saved = _pass_weights(params), []
     for name, (w, b) in zip(CHAIN, weights):
-        h = _layer(name, w, b, h, counts, ws, saved)
-    if ws is not None:
-        ws._last = (counts, values is not None, weights, saved)
-    stack = h[n_values:].reshape(len(axes) + 1, n_rows, len(FIELD_ORDER))
-    return stack if values is None else (h[:n_values], stack)
+        out, gate = _layer(name, w, b, h, counts, ws)
+        saved.append((h, out, gate))
+        h = out
+    ws._last = (counts, weights, saved)
+    return h[:n_values], h[n_values:].reshape(len(axes) + 1, n_rows, len(FIELD_ORDER))
 
 
 def _value_pass(params: ParamStore, x) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
@@ -394,7 +371,7 @@ def _value_pass(params: ParamStore, x) -> tuple[list[tuple[np.ndarray, np.ndarra
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ConfigError(f"inputs must have {params.spec.input_dim} columns, got shape {x.shape}")
-    weights = _pass_weights(params, None)
+    weights = _pass_weights(params)
     h = [x.astype(params.flat.dtype, copy=False)]
     for w, b in weights:
         a = h[-1] @ w.T

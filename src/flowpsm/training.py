@@ -20,18 +20,19 @@ aliases the model's own station predictions as the next step's x0.
 The physics loss evaluates the mass, momentum, and energy residuals at
 random collocation points. Spatial/temporal derivatives come from the
 network kernel's tangent channels along the z* and t* axes, and the three
-residuals are nondimensionalized (see ``PdeResidualSet``) before a Log-Cosh
+residuals are nondimensionalized (see ``physics_residuals``) before a Log-Cosh
 penalty against zero. ``physics_residuals_adjoint`` carries the loss
 gradient back onto those values and tangents for the kernel's reverse pass.
 
 ``train`` runs each batch as one kernel pass and one reverse: the
 measurement rows ride in the pass as value-only rows beside the collocation
 rows, which alone carry the z*/t* tangent rows, and the reverse takes the
-cotangent of alpha*L_m + beta*L_p on both. The pass and its reverse run in
-float32 on one float32 copy of the store, refreshed after each optimizer
-step (mixed precision, Micikevicius et al. 2018). The store, its Adam
-moments, the losses, the residuals and their adjoints stay float64: the
-losses cast the pass outputs to float64 before using them.
+cotangent of alpha*L_m + beta*L_p on both; without physics the pass has no
+collocation rows. The pass and its reverse run in float32 on one float32
+copy of the store, refreshed after each optimizer step (mixed precision,
+Micikevicius et al. 2018). The store, its Adam moments, the losses, the
+residuals and their adjoints stay float64: the losses cast the pass outputs
+to float64 before using them.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "TrainConfig",
     "Dataset",
     "Batch",
-    "PdeResidualSet",
     "InputLayout",
     "input_layout",
     "scale_sensors",
@@ -344,21 +344,6 @@ def measurement_loss(predictions, targets) -> float:
     return float(np.mean(logcosh_np(np.asarray(predictions) - np.asarray(targets))))
 
 
-@dataclass(frozen=True)
-class PdeResidualSet:
-    """Nondimensional residuals per collocation point.
-
-    Mass is scaled by rho_ref/t_max, momentum by rho_ref*u_ref/t_max, and
-    energy by rho_ref*C_p*T_range/t_max, with rho_ref the corpus density
-    maximum, u_ref the largest control-velocity magnitude scale, and
-    T_range the corpus temperature span.
-    """
-
-    mass: np.ndarray
-    momentum: np.ndarray
-    energy: np.ndarray
-
-
 def pointwise_closures(scenario: ScenarioConfig, z_phys: np.ndarray, v_phys: np.ndarray):
     """(f/D_h, g, q''') arrays at physical positions and controls, from the solver's cell table."""
     plan = _plan(scenario)
@@ -395,11 +380,14 @@ def _physical_terms(outs, tans_z, tans_t, scenario, scaling):
 
 
 def physics_residuals(outs, tans_z, tans_t, closures, scenario, scaling):
-    """Nondimensional PDE residual triple.
+    """Nondimensional (mass, momentum, energy) PDE residual triple.
 
     outs/tans are the (p*, u*, T*) triples of values and of directional
     derivatives along the scaled z and t axes; unscaling and chain-rule
-    factors are applied here.
+    factors are applied here. Mass is scaled by rho_ref/t_max, momentum by
+    rho_ref*u_ref/t_max, and energy by rho_ref*C_p*T_range/t_max, with rho_ref
+    the corpus density maximum, u_ref the largest control-velocity magnitude
+    scale, and T_range the corpus temperature span.
     """
     fluid = scenario.fluid
     fric, grav, q = closures
@@ -459,13 +447,13 @@ def physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling,
 
 
 def physics_loss(collocation: np.ndarray, stack, scenario: ScenarioConfig,
-                 scaling: ScalingSpec) -> tuple[float, PdeResidualSet, np.ndarray]:
+                 scaling: ScalingSpec) -> tuple[float, np.ndarray]:
     """Mean Log-Cosh of the nondimensional residuals at collocation inputs, and its cotangent.
 
     ``stack`` is a kernel pass's (3, B, 3) values and tangents along the z*
-    and t* axes at the B ``collocation`` rows. Returns the loss, the
-    residuals, and the loss's gradient with respect to ``stack``, in its
-    layout, for the kernel's reverse pass.
+    and t* axes at the B ``collocation`` rows. Returns the loss and its
+    gradient with respect to ``stack``, in its layout, for the kernel's
+    reverse pass.
     """
     colloc = np.asarray(collocation, dtype=np.float64)
     lay = input_layout(scenario)
@@ -483,7 +471,7 @@ def physics_loss(collocation: np.ndarray, stack, scenario: ScenarioConfig,
     # the derivative of Log-Cosh is tanh
     cotangents = [np.tanh(r) * (1.0 / (3.0 * r.size)) for r in residuals]
     g_stacks = physics_residuals_adjoint(outs, tans_z, tans_t, closures, scenario, scaling, cotangents)
-    return loss, PdeResidualSet(*residuals), np.stack(g_stacks).transpose(0, 2, 1)
+    return loss, np.stack(g_stacks).transpose(0, 2, 1)
 
 
 def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
@@ -494,20 +482,17 @@ def loss_and_gradient(params: ParamStore, batch: Batch, collocation,
     The measurement rows ride in the pass as value-only rows beside the
     collocation rows, which alone carry tangent rows along the z* and t*
     axes. ``collocation`` is None when beta is 0; L_p is then 0 and
-    not evaluated, and the pass is the measurement rows' alone, with no
-    tangent rows.
+    not evaluated, and the pass has no collocation rows.
     """
-    if collocation is None:
-        pred = stacked_forward(params, batch.inputs, workspace=workspace)[0]
-    else:
-        lay = input_layout(scenario)
-        pred, stack = stacked_forward(params, collocation, (lay.z_col, lay.t_col), workspace, values=batch.inputs)
-        loss_p, _, g_stack = physics_loss(collocation, stack, scenario, scaling)
+    lay = input_layout(scenario)
+    rows = np.empty((0, lay.input_dim)) if collocation is None else collocation
+    pred, stack = stacked_forward(params, workspace, rows, (lay.z_col, lay.t_col), values=batch.inputs)
+    loss_p, g_stack = 0.0, np.zeros(stack.shape)
+    if collocation is not None:
+        loss_p, g_stack = physics_loss(collocation, stack, scenario, scaling)
     pred = np.asarray(pred, dtype=np.float64)
     loss_m = measurement_loss(pred, batch.targets)
     g_pred = np.tanh(pred - batch.targets) * (alpha / batch.targets.size)
-    if collocation is None:
-        return loss_m, 0.0, workspace.gradient(g_pred[None])
     return loss_m, loss_p, workspace.gradient((g_pred, beta * g_stack))
 
 
@@ -568,7 +553,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     n = dataset.n_samples
     shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)  # the passes' float32 copy
-    workspace = Workspace(spec)
+    workspace = Workspace(shadow)
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         lr = learning_rate(config.base_lr, epoch)

@@ -72,8 +72,7 @@ def per_field_pass(params: ParamStore, x: np.ndarray, axes, cotangent, values=No
     uses the kernel's numpy operations in the kernel's order on fresh arrays,
     so ``stacked_forward`` and ``Workspace.gradient`` must match it bit for
     bit. ``cotangent`` and the returned outputs are shaped as the kernel's:
-    the (k+1, B, 3) stack, or the (value-row, stack) pair when ``values`` is
-    given.
+    the pair of the value rows' (M, 3) and the (k+1, B, 3) stack.
     """
     dtype = params.flat.dtype
     directions = np.eye(params.spec.input_dim, dtype=dtype)[list(axes)]
@@ -115,7 +114,7 @@ def per_field_pass(params: ParamStore, x: np.ndarray, axes, cotangent, values=No
         if gate is not None:
             g_a[:n_val] = g_h[:n_val] * gate
             if k:
-                g_t = g_h[n_val:].reshape(k, n_rows, -1)
+                g_t = g_h[n_val:].reshape(k, n_rows, g_h.shape[1])
                 products = g_t * a[n_val:].reshape(g_t.shape)
                 s = products[0].copy()
                 for part in products[1:]:
@@ -123,10 +122,10 @@ def per_field_pass(params: ParamStore, x: np.ndarray, axes, cotangent, values=No
                 s *= a[m:n_val]
                 s *= 2.0
                 g_a[m:n_val] -= s
-                g_a[n_val:] = (g_t * gate[m:]).reshape(k * n_rows, -1)
+                g_a[n_val:] = (g_t * gate[m:]).reshape(k * n_rows, gate.shape[1])
         g_w = g_a.T @ h_in if name != "head0" else g_a[:n_val].T @ h_in[:n_val]
         if name == "head0" and k:
-            g_w += (np.ones(n_rows, dtype) @ g_a[n_val:].reshape(k, n_rows, -1)).T @ h_in[n_val:]
+            g_w += (np.ones(n_rows, dtype) @ g_a[n_val:].reshape(k, n_rows, g_a.shape[1])).T @ h_in[n_val:]
         if name == "outs":
             g_w = np.stack([g_w[f, f * t : (f + 1) * t] for f in range(n)])
         g_b = np.ones(n_val, dtype) @ g_a[:n_val]
@@ -140,12 +139,12 @@ def per_field_pass(params: ParamStore, x: np.ndarray, axes, cotangent, values=No
     for name in ("head0", "head1", "head2", "inter", "tails", "outs"):
         h = layer(name, h)
     stack = h[m:].reshape(k + 1, n_rows, n)
-    g_values, g_stack = (np.empty((0, n)), cotangent) if values is None else cotangent
+    g_values, g_stack = cotangent
     g = np.concatenate([np.asarray(g_values, dtype), np.asarray(g_stack, dtype).reshape(-1, n)])
     grad = ParamStore(spec=params.spec, flat=np.zeros_like(params.flat), layout=params.layout)
     for name in ("outs", "tails", "inter", "head2", "head1", "head0"):
         g = layer_vjp(name, g)
-    return (stack if values is None else (h[:m], stack)), grad.flat
+    return (h[:m], stack), grad.flat
 
 
 def adam_out_of_place(flat: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, grad: np.ndarray,

@@ -21,7 +21,7 @@ from flowpsm.control import (
     station_predict,
     temperature_cap,
 )
-from flowpsm import network
+from flowpsm import control, network
 from flowpsm.errors import NumericalError
 from flowpsm.network import forward, init_params
 from flowpsm.training import TrainConfig, input_layout, mlp_for_scenario, train
@@ -518,3 +518,30 @@ def test_governed_rollout_factors_its_weighting_once(trained, tiny_scenario, tin
     projected = [row["status"] for row in log.steps if row["status"] != "at_reference"]
     assert log.relinearizations == 12 and len(projected) >= 4, projected
     assert calls == [(2, 2)]
+
+
+def test_a_cap_back_after_a_gap_relinearizes_once_the_interval_has_passed(
+    trained, tiny_scenario, tiny_dataset, monkeypatch
+):
+    # caps on steps 0-1, none on 2-6 and caps again from step 7, linearized every 5 steps:
+    # step 7's admissible set comes from a linearization at step 7, not from step 0's
+    _, scaling = tiny_dataset
+    steps, linearized_at = [], []
+    real_predict, real_linearize = control.station_predict, control.linearize
+
+    def counting_predict(*args):
+        steps.append(len(steps))
+        return real_predict(*args)
+
+    def recording_linearize(*args):
+        linearized_at.append(len(steps))
+        return real_linearize(*args)
+
+    monkeypatch.setattr(control, "station_predict", counting_predict)
+    monkeypatch.setattr(control, "linearize", recording_linearize)
+    caps = ConstraintSet(rows=(temperature_cap(tiny_scenario, scaling, station_index=3, cap_kelvin=850.0),))
+    schedule = ConstraintSchedule(entries=((0, caps), (2, ConstraintSet()), (7, caps)))
+    log = ncg_rollout(trained, tiny_scenario, scaling, np.tile([0.65, 850.0], (10, 1)), schedule,
+                      config=CgConfig(update_interval=5), environment="model")
+    assert len(steps) == len(log.steps) == 10
+    assert linearized_at == [0, 7] and log.relinearizations == 2

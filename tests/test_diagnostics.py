@@ -17,7 +17,7 @@ from flowpsm.diagnostics import (
     twin_config,
 )
 from flowpsm.formats import load_checkpoint, save_checkpoint
-from flowpsm.network import FIELD_ORDER, forward, init_params, optimizer_step, stacked_forward
+from flowpsm.network import FIELD_ORDER, Workspace, forward, init_params, optimizer_step, stacked_forward
 from flowpsm.solver import generate_trajectories, inject_degradation, run_experiments, steady_state
 from flowpsm.training import (
     TrainConfig,
@@ -137,9 +137,8 @@ def test_pde_residuals_shapes_and_validation(trained, tiny_scenario, tiny_datase
     v, x0 = sample_conditions(dataset, tiny_scenario, 3, seed=1)
     z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     assert np.array_equal(z, build_grid(tiny_scenario).centers)
-    for part in (res.mass, res.momentum, res.energy):
-        assert part.shape == z.shape
-        assert np.all(np.isfinite(part))
+    assert res.shape == (3, z.size)  # mass, momentum and energy profiles
+    assert np.all(np.isfinite(res))
     with pytest.raises(ConfigError):
         pde_residuals(params, tiny_scenario, scaling, v[:2], x0)
     with pytest.raises(ConfigError):
@@ -159,19 +158,19 @@ def test_pde_residuals_match_separate_value_and_tangent_passes(trained, tiny_sce
         rows[:, lay.t_col] = 0.5
         rows[:, lay.v_cols] = vi
         rows[:, lay.x0_cols] = xi
-        tan_z = stacked_forward(params, rows, (lay.z_col,))[1]
-        tan_t = stacked_forward(params, rows, (lay.t_col,))[1]
+        tan_z = stacked_forward(params, Workspace(params), rows, (lay.z_col,))[1][1]
+        tan_t = stacked_forward(params, Workspace(params), rows, (lay.t_col,))[1][1]
         closures = pointwise_closures(tiny_scenario, z, scaling.unscale_v(rows[:, lay.v_cols]))
         expected.append(physics_residuals(forward(params, rows).T, tan_z.T, tan_t.T,
                                           closures, tiny_scenario, scaling))
-    for i, part in enumerate((res.mass, res.momentum, res.energy)):
+    for i, part in enumerate(res):
         assert np.allclose(part, np.mean([e[i] for e in expected], axis=0), rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_conditions", [1, 100])
 def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenario, tiny_dataset,
                                                             n_conditions):
-    # 100 conditions on the 9-cell channel are 900 rows: a full chunk of the pass and a partial one
+    # 100 conditions on the 9-cell channel are 900 rows: full chunks of the pass and a partial one
     params = trained
     dataset, scaling = tiny_dataset
     lay = input_layout(tiny_scenario)
@@ -179,11 +178,11 @@ def test_pde_residuals_match_one_unchunked_pass_bit_for_bit(trained, tiny_scenar
     v, x0 = picked[:, lay.v_cols], picked[:, lay.x0_cols]
     z, res = pde_residuals(params, tiny_scenario, scaling, v, x0)
     rows = query_rows(lay, scaling.scale_z(z), 0.5, v, x0)
-    outs, tan_z, tan_t = (y.T for y in stacked_forward(params, rows, (lay.z_col, lay.t_col)))
+    outs, tan_z, tan_t = (y.T for y in stacked_forward(params, Workspace(params), rows, (lay.z_col, lay.t_col))[1])
     closures = pointwise_closures(tiny_scenario, np.tile(z, n_conditions),
                                   scaling.unscale_v(rows[:, lay.v_cols]))
     expected = physics_residuals(outs, tan_z, tan_t, closures, tiny_scenario, scaling)
-    for part, full in zip((res.mass, res.momentum, res.energy), expected):
+    for part, full in zip(res, expected, strict=True):
         assert np.array_equal(part, full.reshape(n_conditions, z.size).mean(axis=0))
 
 

@@ -282,7 +282,7 @@ def test_loss_and_gradient_without_physics(tiny_scenario, tiny_dataset):
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     params = init_params(spec, 0)
     batch = _full_batch(dataset)
-    ws = Workspace(spec)
+    ws = Workspace(params)
     lm, lp, grad = loss_and_gradient(params, batch, None, tiny_scenario, scaling, 1.0, 0.0, ws)
     assert lp == 0.0
     assert lm == measurement_loss(forward(params, batch.inputs), batch.targets)
@@ -306,13 +306,13 @@ def test_one_pass_gradient_is_the_sum_of_a_measurement_and_a_physics_pass(tiny_s
     batch = Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx])
     colloc = sample_collocation(rng, 256, batch, lay)
     alpha, beta = 0.3, 0.7
-    lm, lp, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling, alpha, beta, Workspace(spec))
-    ws_m, ws_p = Workspace(spec), Workspace(spec)
-    pred = stacked_forward(params, batch.inputs, workspace=ws_m)[0]
-    grad_m = ws_m.gradient(np.tanh(pred - batch.targets)[None] * (alpha / batch.targets.size))
-    stack = stacked_forward(params, colloc, (lay.z_col, lay.t_col), workspace=ws_p)
-    want_lp, _, g_stack = physics_loss(colloc, stack, tiny_scenario, scaling)
-    want = grad_m + ws_p.gradient(beta * g_stack)
+    lm, lp, grad = loss_and_gradient(params, batch, colloc, tiny_scenario, scaling, alpha, beta, Workspace(params))
+    ws_m, ws_p = Workspace(params), Workspace(params)
+    pred = stacked_forward(params, ws_m, batch.inputs)[1][0]
+    grad_m = ws_m.gradient((np.empty((0, 3)), np.tanh(pred - batch.targets)[None] * (alpha / batch.targets.size)))
+    stack = stacked_forward(params, ws_p, colloc, (lay.z_col, lay.t_col))[1]
+    want_lp, g_stack = physics_loss(colloc, stack, tiny_scenario, scaling)
+    want = grad_m + ws_p.gradient((np.empty((0, 3)), beta * g_stack))
     assert lm == measurement_loss(pred, batch.targets) and lp == want_lp
     assert np.max(np.abs(grad - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
@@ -377,7 +377,8 @@ def test_physics_loss_validates_collocation(tiny_scenario, tiny_dataset):
     dataset, scaling = tiny_dataset
     spec = mlp_for_scenario(tiny_scenario, widths=(8, 6, 4))
     good = np.zeros((4, spec.input_dim))
-    stack = stacked_forward(init_params(spec, 0), good, (0, 1))
+    params = init_params(spec, 0)
+    stack = stacked_forward(params, Workspace(params), good, (0, 1))[1]
     physics_loss(good, stack, tiny_scenario, scaling)
     with pytest.raises(ConfigError):
         physics_loss(np.zeros((4, 3)), stack, tiny_scenario, scaling)
@@ -417,7 +418,7 @@ def test_training_loss_gradient_matches_finite_difference(rng):
     u = u_star + u_min
     assert np.any(u > 0.0) and np.any(u < 0.0)
     alpha, beta = 0.3, 0.7
-    ws = Workspace(spec)
+    ws = Workspace(params)
     lm, lp, grad = loss_and_gradient(params, batch, colloc, scenario, scaling, alpha, beta, ws)
     fric, grav, q = pointwise_closures(scenario, scaling.unscale_z(colloc[:, 0]),
                                        scaling.unscale_v(colloc[:, lay.v_cols]))
@@ -519,8 +520,8 @@ def _reference_train(spec, dataset, scenario, scaling, config, noise):
             idx = perm[start : start + config.batch_size]
             batch = add_noise(Batch(inputs=dataset.inputs[idx], targets=dataset.targets[idx]), noise, rng, lay)
             colloc = sample_collocation(rng, config.n_collocation, batch, lay)
-            ws = Workspace(spec)
             shadow = ParamStore(spec, params.flat.astype(np.float32), params.layout)
+            ws = Workspace(shadow)
             lm, lp, grad = loss_and_gradient(shadow, batch, colloc, scenario, scaling,
                                              config.alpha, config.beta, ws)
             optimizer_step(params, grad, lr)
@@ -566,7 +567,7 @@ def test_train_keeps_float64_master_parameters(tiny_scenario, tiny_dataset, tmp_
     assert {a.dtype for a in (ssm.A, ssm.B, ssm.y00)} == {np.dtype(np.float64)}
     _, res = pde_residuals(params, tiny_scenario, scaling, dataset.inputs[:2, lay.v_cols],
                            dataset.inputs[:2, lay.x0_cols])
-    assert {a.dtype for a in (res.mass, res.momentum, res.energy)} == {np.dtype(np.float64)}
+    assert res.dtype == np.float64
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
@@ -579,7 +580,7 @@ def test_psm_batches_reuse_their_pages(tiny_scenario, tiny_dataset):
     params = init_params(spec, 0)
     lay = input_layout(tiny_scenario)
     rng = np.random.default_rng(0)
-    ws = Workspace(spec)
+    ws = Workspace(params)
     batch = Batch(inputs=rng.uniform(0.0, 1.0, (128, lay.input_dim)), targets=rng.uniform(0.0, 1.0, (128, 3)))
 
     def one_batch():
